@@ -7,6 +7,7 @@ from .errors import (
     DegenerateDraw,
     DimensionMismatch,
     InsufficientSamples,
+    IntegrationFailed,
     PoleHit,
     SpectralCollision,
     SpinCMError,

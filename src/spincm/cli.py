@@ -54,7 +54,7 @@ def cmd_gen(args, config):
 
 
 def cmd_evolve(args, config):
-    state, _ = load_state(args.state)
+    state, _ = load_state(args.state, eps_coll=config.eps_coll, eps_constr=config.eps_constr)
     spec = FlowSpec(
         m=args.m,
         t_final=args.T,
@@ -83,7 +83,9 @@ def cmd_evolve(args, config):
 def cmd_verify(args, config):
     state = None
     if args.state is not None:
-        state, _ = load_state(args.state)
+        # verify and ba-eval keep the default collision floor at load:
+        # run_suite and kp check collisions at that floor
+        state, _ = load_state(args.state, eps_constr=config.eps_constr)
     report = run_suite(
         state=state,
         config=config.suite_config(),
@@ -99,7 +101,7 @@ def cmd_verify(args, config):
 
 
 def cmd_ba_eval(args, config):
-    state, times = load_state(args.state)
+    state, times = load_state(args.state, eps_constr=config.eps_constr)
     grid = np.linspace(args.x_min, args.x_max, args.x_points) + 1j * args.x_imag
     try:
         data = kp.ba_eval(state, args.z, grid, times=times)

@@ -47,3 +47,7 @@ class InsufficientSamples(SpinCMError):
 
 class StepLimitExceeded(SpinCMError):
     """The requested integration would exceed the configured step budget."""
+
+
+class IntegrationFailed(SpinCMError):
+    """The adaptive solver gave up before reaching the end of the segment."""

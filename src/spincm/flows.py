@@ -16,7 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CollidingPoles, InsufficientSamples, StepLimitExceeded
+from .errors import (
+    CollidingPoles,
+    InsufficientSamples,
+    IntegrationFailed,
+    StepLimitExceeded,
+)
 from .lax import build_lax, grad_hamiltonian, hamiltonians, resolvent_residue
 from .phase import EPS_COLL, PhaseState, _freeze, complex_to_pairs
 
@@ -109,10 +114,10 @@ class Trajectory:
             json.dump(out, fh, indent=1)
 
 
-def vector_field_gradient(state: PhaseState, m: int) -> Tangent:
+def vector_field_gradient(state: PhaseState, m: int, eps_coll=EPS_COLL) -> Tangent:
     """Hamiltonian vector field of H_m:
     dx = dH/dp, dp = -dH/dx, da = dH/db, db = -dH/da."""
-    g = grad_hamiltonian(state, m)
+    g = grad_hamiltonian(state, m, eps_coll)
     return Tangent(dx=g.dp, dp=-g.dx, da=g.db, db=-g.da)
 
 
@@ -164,30 +169,43 @@ def _pack(state):
 
 
 def _unpack(y, n, N):
-    x = y[:n]
-    p = y[n : 2 * n]
-    a = y[2 * n : 2 * n + n * N].reshape(n, N)
-    b = y[2 * n + n * N :].reshape(n, N)
-    return PhaseState(x=_freeze(x), p=_freeze(p), a=_freeze(a), b=_freeze(b))
+    """PhaseState whose fields are views into the packed vector y."""
+    return PhaseState(
+        x=y[:n],
+        p=y[n : 2 * n],
+        a=y[2 * n : 2 * n + n * N].reshape(n, N),
+        b=y[2 * n + n * N :].reshape(n, N),
+    )
+
+
+def _at_time(exc, t):
+    """The CollidingPoles ``exc`` re-raised with the flow time t attached."""
+    return CollidingPoles(f"pole collision during integration: {exc}", time=t)
 
 
 def integrate(state: PhaseState, spec: FlowSpec, eps_coll=EPS_COLL) -> Trajectory:
     """Integrate the t_m flow from 0 to spec.t_final.
 
     The segment is parameterized by arc length s in [0, |t_final|] with
-    dy/ds = u F(y), u = t_final/|t_final|. Aborts with CollidingPoles
-    (carrying the breakdown time) if the pole separation drops below
-    eps_coll; the constraint is monitored, never re-projected.
+    dy/ds = u F(y), u = t_final/|t_final|. The collision floor eps_coll is
+    checked once per right-hand-side call, inside the Lax assembly, and at
+    every sample; a pole separation at or below it aborts with
+    CollidingPoles carrying the flow time of breakdown. A failed RK45 solve
+    raises IntegrationFailed. The constraint is monitored, never
+    re-projected.
     """
     n, N = state.n_particles, state.spin_dim
+    nN = n * N
     tfin = complex(spec.t_final)
     traj = Trajectory(m=spec.m)
 
     def sample(t, st):
+        try:
+            hs = hamiltonians(st, eps_coll=eps_coll)
+        except CollidingPoles as exc:
+            raise _at_time(exc, t) from None
         traj.samples.append(
-            TrajectorySample(
-                t=t, state=st, drift=st.constraint_drift(), hamiltonians=hamiltonians(st)
-            )
+            TrajectorySample(t=t, state=st, drift=st.constraint_drift(), hamiltonians=hs)
         )
 
     if tfin == 0:
@@ -201,12 +219,19 @@ def integrate(state: PhaseState, spec: FlowSpec, eps_coll=EPS_COLL) -> Trajector
         raise StepLimitExceeded(f"{n_steps} steps exceed the budget {spec.max_steps}")
     h = S / n_steps
 
-    def rhs(s, y):
-        st = _unpack(y, n, N)
-        if st.min_separation() <= eps_coll:
-            raise CollidingPoles("pole collision during integration", time=s * u)
-        f = vector_field_gradient(st, spec.m)
-        return u * np.concatenate([f.dx, f.dp, f.da.ravel(), f.db.ravel()])
+    def rhs(s, y, out):
+        """Write u F(y) into out and return it."""
+        try:
+            f = vector_field_gradient(_unpack(y, n, N), spec.m, eps_coll)
+        except CollidingPoles as exc:
+            raise _at_time(exc, s * u) from None
+        np.multiply(f.dx, u, out=out[:n])
+        np.multiply(f.dp, u, out=out[n : 2 * n])
+        np.multiply(f.da.ravel(), u, out=out[2 * n : 2 * n + nN])
+        np.multiply(f.db.ravel(), u, out=out[2 * n + nN :])
+        return out
+
+    y = _pack(state).astype(complex)
 
     if spec.method == "RK45":
         from scipy.integrate import solve_ivp
@@ -214,27 +239,29 @@ def integrate(state: PhaseState, spec: FlowSpec, eps_coll=EPS_COLL) -> Trajector
         s_eval = np.arange(0, n_steps + 1, spec.record_every) * h
         if s_eval[-1] != S:
             s_eval = np.append(s_eval, S)
+        # solve_ivp keeps the stage vectors it is given, so each call gets
+        # a fresh one
         sol = solve_ivp(
-            rhs, (0.0, S), _pack(state).astype(complex), method="RK45",
+            lambda s, v: rhs(s, v, np.empty_like(v)), (0.0, S), y, method="RK45",
             t_eval=s_eval, rtol=1e-10, atol=1e-12,
         )
         if not sol.success:
-            raise CollidingPoles(f"RK45 integration failed: {sol.message}")
-        for s, y in zip(sol.t, sol.y.T):
-            sample(s * u, _unpack(y, n, N))
+            raise IntegrationFailed(f"RK45 integration failed: {sol.message}")
+        for s, ys in zip(sol.t, sol.y.T):
+            sample(s * u, _unpack(_freeze(ys), n, N))
         return traj
 
-    y = _pack(state).astype(complex)
+    k1, k2, k3, k4 = (np.empty_like(y) for _ in range(4))
     sample(0.0, state)
     for step in range(n_steps):
         s = step * h
-        k1 = rhs(s, y)
-        k2 = rhs(s + h / 2, y + h / 2 * k1)
-        k3 = rhs(s + h / 2, y + h / 2 * k2)
-        k4 = rhs(s + h, y + h * k3)
+        rhs(s, y, k1)
+        rhs(s + h / 2, y + h / 2 * k1, k2)
+        rhs(s + h / 2, y + h / 2 * k2, k3)
+        rhs(s + h, y + h * k3, k4)
         y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         if (step + 1) % spec.record_every == 0 or step + 1 == n_steps:
-            sample((step + 1) * h * u, _unpack(y, n, N))
+            sample((step + 1) * h * u, _unpack(_freeze(y), n, N))
     return traj
 
 
@@ -253,8 +280,9 @@ def check_lax(trajectory: Trajectory) -> np.ndarray:
     if np.max(np.abs(hs - hs[0])) > 1e-12 * max(1.0, np.abs(hs[0])):
         raise InsufficientSamples("check_lax needs uniformly spaced samples")
     h = hs[0]
-    Ls = [build_lax(s.state).L for s in samples]
-    Ms = [build_lax(s.state).M for s in samples]
+    laxes = [build_lax(s.state) for s in samples]
+    Ls = [lax.L for lax in laxes]
+    Ms = [lax.M for lax in laxes]
     out = np.empty(len(samples) - 4)
     for k in range(2, len(samples) - 2):
         dL = (-Ls[k + 2] + 8 * Ls[k + 1] - 8 * Ls[k - 1] + Ls[k - 2]) / (12 * h)

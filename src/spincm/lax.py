@@ -47,24 +47,30 @@ class Gradient:
         )
 
 
-def _pair_diff(x, eps_coll):
-    """Pairwise differences x_i - x_k with a guarded unit diagonal."""
+def _assemble(x, p, a, b, eps_coll):
+    """Inverse differences, R, L and M of one phase point, from one pass
+    over the pairwise differences x_i - x_k.
+
+    Returns (inv, R, L, M) with inv_ik = 1/(x_i - x_k) off the diagonal and
+    inv_ii = 0. Raises CollidingPoles if two poles are within ``eps_coll``.
+    """
     n = x.shape[0]
     d = x[:, None] - x[None, :]
-    off = ~np.eye(n, dtype=bool)
-    if n > 1 and np.min(np.abs(d[off])) <= eps_coll:
-        raise CollidingPoles("pole separation below collision floor")
-    d[np.diag_indices(n)] = 1.0
-    return d, off
+    d.flat[:: n + 1] = np.inf
+    sep = np.abs(d).min()
+    if sep <= eps_coll:
+        raise CollidingPoles(f"minimal pole separation {sep:.3e} <= {eps_coll:.3e}")
+    inv = 1.0 / d  # the infinite diagonal gives inv_ii = 0
+    R = b @ a.T
+    L = -R * inv
+    L.flat[:: n + 1] = -p
+    M = 2.0 * R * inv * inv
+    return inv, R, L, M
 
 
 def build_lax(state: PhaseState, eps_coll=EPS_COLL) -> LaxData:
     """Assemble L, M, X, R from a phase point."""
-    d, off = _pair_diff(state.x, eps_coll)
-    R = state.spin_pairings()
-    L = np.where(off, -R / d, 0.0).astype(complex)
-    np.fill_diagonal(L, -state.p)
-    M = np.where(off, 2.0 * R / d**2, 0.0).astype(complex)
+    _, R, L, M = _assemble(state.x, state.p, state.a, state.b, eps_coll)
     return LaxData(L=L, M=M, X=np.diag(state.x), R=R)
 
 
@@ -72,15 +78,15 @@ def hamiltonian(state: PhaseState, m: int) -> complex:
     """H_m = tr L^m."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    L = build_lax(state).L
+    L = _assemble(state.x, state.p, state.a, state.b, EPS_COLL)[2]
     return complex(np.trace(np.linalg.matrix_power(L, m)))
 
 
-def hamiltonians(state: PhaseState, kmax: int = 5) -> np.ndarray:
+def hamiltonians(state: PhaseState, kmax: int = 5, eps_coll=EPS_COLL) -> np.ndarray:
     """[H_1, ..., H_kmax] from one pass of repeated multiplication."""
-    L = build_lax(state).L
+    L = _assemble(state.x, state.p, state.a, state.b, eps_coll)[2]
     out = np.empty(kmax, dtype=complex)
-    P = L.copy()
+    P = L
     for k in range(kmax):
         out[k] = np.trace(P)
         if k + 1 < kmax:
@@ -91,34 +97,31 @@ def hamiltonians(state: PhaseState, kmax: int = 5) -> np.ndarray:
 def hamiltonian_h2_direct(state: PhaseState) -> complex:
     """H_2 written directly in phase variables:
     sum_i p_i^2 - sum_{i != k} (b_i^T a_k)(b_k^T a_i)/(x_i - x_k)^2."""
-    d, off = _pair_diff(state.x, EPS_COLL)
-    R = state.spin_pairings()
-    inter = np.where(off, R * R.T / d**2, 0.0)
-    return complex(np.sum(state.p**2) - np.sum(inter))
+    inv, R, _, _ = _assemble(state.x, state.p, state.a, state.b, EPS_COLL)
+    return complex(np.sum(state.p**2) - np.sum(R * R.T * inv * inv))
 
 
-def grad_hamiltonian(state: PhaseState, m: int) -> Gradient:
+def grad_hamiltonian(state: PhaseState, m: int, eps_coll=EPS_COLL) -> Gradient:
     """Analytic gradient of H_m = tr L^m by the chain rule
     d tr L^m = m tr(L^{m-1} dL), exploiting the sparsity of dL/dq:
     dL/dp_i = -E_ii, dL/dx_i = [E_ii, M]/2, and dL/da_i, dL/db_i touch
     only column i / row i off-diagonal entries."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    lax = build_lax(state)
-    L, M = lax.L, lax.M
-    n = state.n_particles
-    Lm1 = np.linalg.matrix_power(L, m - 1)
-    d, off = _pair_diff(state.x, EPS_COLL)
+    inv, _, L, M = _assemble(state.x, state.p, state.a, state.b, eps_coll)
+    Lm1 = np.eye(state.n_particles, dtype=complex) if m == 1 else L
+    for _ in range(m - 2):
+        Lm1 = Lm1 @ L
 
     dp = -m * np.diag(Lm1)
-    dx = 0.5 * m * np.diag(M @ Lm1 - Lm1 @ M)
+    # diag(M L^{m-1}) and diag(L^{m-1} M) are the row and column sums of
+    # C_ij = M_ij (L^{m-1})_ji
+    C = M * Lm1.T
+    dx = 0.5 * m * (C.sum(axis=1) - C.sum(axis=0))
     # dH/da_i^g = -m sum_{j != i} (L^{m-1})_{ij} b_j^g / (x_j - x_i)
-    Wa = np.where(off, -m * Lm1 / (-d), 0.0)  # x_j - x_i = -(x_i - x_j)
-    da = Wa @ state.b
+    da = (m * Lm1 * inv) @ state.b
     # dH/db_i^g = -m sum_{j != i} (L^{m-1})_{ji} a_j^g / (x_i - x_j)
-    Wb = np.where(off, -m * Lm1.T / d, 0.0)
-    db = Wb @ state.a
-    assert da.shape == (n, state.spin_dim)
+    db = (-m * Lm1.T * inv) @ state.a
     return Gradient(dx=dx, dp=dp, da=da, db=db)
 
 

@@ -222,13 +222,14 @@ def gauge_rescale(state, lam):
     )
 
 
-def state_from_dict(data):
-    """Rebuild a validated state (and optional TimeVector) from the JSON schema."""
+def state_from_dict(data, eps_coll=EPS_COLL, eps_constr=EPS_CONSTR):
+    """Rebuild a state (and optional TimeVector) from the JSON schema,
+    validated by :func:`new_state` with the given tolerances."""
     x = pairs_to_complex(data["x"])
     p = pairs_to_complex(data["p"])
     a = pairs_to_complex(data["a"])
     b = pairs_to_complex(data["b"])
-    state = new_state(x, p, a, b)
+    state = new_state(x, p, a, b, eps_coll=eps_coll, eps_constr=eps_constr)
     if state.n_particles != data["n_particles"] or state.spin_dim != data["spin_dim"]:
         raise DimensionMismatch("declared dimensions disagree with array shapes")
     times = None
@@ -237,6 +238,6 @@ def state_from_dict(data):
     return state, times
 
 
-def load_state(path):
+def load_state(path, eps_coll=EPS_COLL, eps_constr=EPS_CONSTR):
     with open(path) as fh:
-        return state_from_dict(json.load(fh))
+        return state_from_dict(json.load(fh), eps_coll=eps_coll, eps_constr=eps_constr)

@@ -245,3 +245,57 @@ def test_ba_eval_large_x_near_identity(tmp_path, capsys):
     eye[0, 0, 0] = eye[1, 1, 0] = 1.0
     for point in psi:
         assert np.max(np.abs(point - eye)) <= 1e-2
+
+
+def test_evolve_honours_config_eps_coll(tmp_path, capsys):
+    # poles 5e-7 apart with R = I: a valid state under a 1e-9 floor
+    from spincm import new_state
+
+    state_path = tmp_path / "close.json"
+    new_state([0.0, 5e-7], [0.3, 0.3], [[1.0, 0.0], [0.0, 1.0]],
+              [[1.0, 0.0], [0.0, 1.0]], eps_coll=1e-9).save(state_path)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"eps_coll": 1e-9}))
+    args = ["evolve", str(state_path), "--m", "2", "--T", "0.01", "--out", str(tmp_path / "c")]
+    assert main(args) == 2  # the default floor rejects the state at load
+    assert "CollidingPoles" in capsys.readouterr().err
+    assert main(args + ["--config", str(config_path)]) == 0
+    capsys.readouterr()
+    with open(tmp_path / "c.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 11
+    assert float(rows[-1]["re_x_2"]) == pytest.approx(5e-7 + 0.006, abs=1e-15)
+
+
+def test_config_eps_constr_applies_at_load(tmp_path, capsys):
+    state_path = tmp_path / "loose.json"
+    from spincm.phase import PhaseState
+
+    base = random_state(2, 2, seed=1)
+    # constraint drift 1e-8: above the default 1e-10, below the configured 1e-6
+    PhaseState(x=base.x, p=base.p, a=base.a * (1 + 1e-8), b=base.b).save(state_path)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"eps_constr": 1e-6}))
+    args = ["evolve", str(state_path), "--m", "2", "--T", "0.002", "--out", str(tmp_path / "c")]
+    assert main(args) == 2
+    assert "ConstraintViolated" in capsys.readouterr().err
+    assert main(args + ["--config", str(config_path)]) == 0
+
+
+def test_verify_and_ba_eval_keep_default_floor_at_load(tmp_path, capsys):
+    # run_suite and kp check collisions at the default floor, so a smaller
+    # configured eps_coll must not let a too-close state through at load
+    from spincm import new_state
+
+    state_path = tmp_path / "close.json"
+    new_state([0.0, 5e-7], [0.3, 0.3], [[1.0, 0.0], [0.0, 1.0]],
+              [[1.0, 0.0], [0.0, 1.0]], eps_coll=1e-9).save(state_path)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"eps_coll": 1e-9}))
+    for args in (
+        ["verify", str(state_path), "--out", str(tmp_path / "report.json")],
+        ["ba-eval", str(state_path), "--z", "1.3+0.7i", "--x-min", "-1", "--x-max", "1",
+         "--out", str(tmp_path / "ba.json")],
+    ):
+        assert main(args + ["--config", str(config_path)]) == 2
+        assert "CollidingPoles" in capsys.readouterr().err

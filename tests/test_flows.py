@@ -8,6 +8,7 @@ from spincm import (
     CollidingPoles,
     FlowSpec,
     InsufficientSamples,
+    IntegrationFailed,
     StepLimitExceeded,
     build_lax,
     check_lax,
@@ -163,6 +164,34 @@ def test_integrate_detects_collision():
     with pytest.raises(CollidingPoles) as err:
         integrate(s, FlowSpec(m=2, t_final=2.0, dt=1e-3), eps_coll=0.5)
     assert err.value.time is not None
+    # a floor below the default 1e-6: uncoupled poles (R = I) drift into each
+    # other at relative speed 4e-4 and meet exactly at t = 0.5, after stages
+    # at separations between 1e-9 and 1e-6 that must not stop the flow
+    s = new_state([-1e-4, 1e-4], [1e-4, -1e-4], [[1.0, 0.0], [0.0, 1.0]],
+                  [[1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(CollidingPoles) as err:
+        integrate(s, FlowSpec(m=2, t_final=1.0, dt=1e-3), eps_coll=1e-9)
+    assert err.value.time == pytest.approx(0.5, abs=1e-3)
+
+
+def test_integrate_honours_small_eps_coll():
+    # two poles 5e-7 apart with R = I: free motion, no interaction
+    s = new_state([0.0, 5e-7], [0.3, 0.3], [[1.0, 0.0], [0.0, 1.0]],
+                  [[1.0, 0.0], [0.0, 1.0]], eps_coll=1e-9)
+    traj = integrate(s, FlowSpec(m=2, t_final=0.01, dt=1e-3), eps_coll=1e-9)
+    assert np.max(np.abs(traj.samples[-1].state.x - (s.x + 2 * s.p * 0.01))) <= 1e-15
+
+
+def test_rk45_failure_is_not_a_collision(state32, monkeypatch):
+    import scipy.integrate
+    from types import SimpleNamespace
+
+    monkeypatch.setattr(
+        scipy.integrate, "solve_ivp",
+        lambda *args, **kwargs: SimpleNamespace(success=False, message="step size too small"),
+    )
+    with pytest.raises(IntegrationFailed, match="step size too small"):
+        integrate(state32, FlowSpec(m=2, t_final=0.1, dt=1e-2, method="RK45"))
 
 
 def test_check_lax_single_particle():

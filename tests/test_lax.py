@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spincm import (
+    CollidingPoles,
     DimensionMismatch,
     build_lax,
     contour_residue,
@@ -94,6 +95,31 @@ def test_grad_matches_finite_differences(state32, m, axis):
     g = grad_hamiltonian(state32, m)
     fd = finite_difference_gradient(state32, m, h=1e-5, axis=axis)
     assert _grad_relative_error(fd, g) <= 1e-6
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("n, N", [(1, 2), (10, 3)])
+def test_grad_matches_finite_differences_other_sizes(n, N, m):
+    # n=1: the identity power at m=1 and no off-diagonal entries;
+    # n=10: the row/column-sum contraction for dx over a wider matrix
+    s = random_state(n, N, seed=n)
+    g = grad_hamiltonian(s, m)
+    for axis in ("real", "imag"):
+        fd = finite_difference_gradient(s, m, h=1e-5, axis=axis)
+        assert _grad_relative_error(fd, g) <= 1e-6
+
+
+def test_lax_assembly_honours_eps_coll():
+    # poles 5e-7 apart, below the default floor of 1e-6
+    s = new_state([0.0, 5e-7], [0.1, 0.2], [[1.0, 0.5], [0.3, 1.0]],
+                  [[1.0, 0.0], [0.0, 1.0]], eps_coll=1e-9)
+    for call in (build_lax, hamiltonians, lambda st: grad_hamiltonian(st, 2)):
+        with pytest.raises(CollidingPoles) as err:
+            call(s)
+        assert err.value.time is None
+    assert np.all(np.isfinite(build_lax(s, eps_coll=1e-9).L))
+    assert np.isfinite(hamiltonians(s, eps_coll=1e-9)).all()
+    assert np.isfinite(grad_hamiltonian(s, 2, eps_coll=1e-9).max_abs())
 
 
 def test_poisson_bracket_antisymmetry(state32):

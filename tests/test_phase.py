@@ -126,6 +126,22 @@ def test_state_from_dict_validates():
         state_from_dict(data)
 
 
+def test_load_state_tolerances(tmp_path):
+    path = tmp_path / "close.json"
+    new_state([0.0, 5e-7], [0.0, 0.0], [[1.0], [1.0]], [[1.0], [1.0]],
+              eps_coll=1e-9).save(path)
+    with pytest.raises(CollidingPoles):
+        load_state(path)
+    state, _ = load_state(path, eps_coll=1e-9)
+    assert state.min_separation() == pytest.approx(5e-7)
+    data = json.loads(path.read_text())
+    data["a"][1][0][0] = 1.0 + 1e-8
+    with pytest.raises(ConstraintViolated):
+        state_from_dict(data, eps_coll=1e-9)
+    state, _ = state_from_dict(data, eps_coll=1e-9, eps_constr=1e-6)
+    assert state.constraint_drift() == pytest.approx(1e-8)
+
+
 def test_timevector_xi():
     tv = TimeVector(np.array([1.0, 2.0, 0.5]))
     z = 0.3 + 0.1j
