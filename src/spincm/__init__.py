@@ -3,6 +3,7 @@ rational solutions of the matrix KP hierarchy, verified as numerical residuals."
 
 from .errors import (
     CollidingPoles,
+    ConfigError,
     ConstraintViolated,
     DegenerateDraw,
     DimensionMismatch,

@@ -166,8 +166,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.out is None:
         args.out = args.default_out
-    config = Config.load(args.config) if args.config else Config()
     try:
+        config = Config.load(args.config) if args.config else Config()
         return args.fn(args, config)
     except SpinCMError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

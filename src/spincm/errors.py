@@ -51,3 +51,8 @@ class StepLimitExceeded(SpinCMError):
 
 class IntegrationFailed(SpinCMError):
     """The adaptive solver gave up before reaching the end of the segment."""
+
+
+class ConfigError(SpinCMError):
+    """A config file cannot be read, is not valid JSON, or holds an unknown
+    key or an invalid value."""

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import PoleHit, SpectralCollision
-from .flows import FlowSpec, integrate, vector_field_gradient
+from .flows import FlowSpec, _residue_raw_ab, integrate, vector_field_gradient
 from .lax import build_lax, resolvent_residue
 from .phase import EPS_COLL, PhaseState, TimeVector, complex_to_pairs
 
@@ -192,26 +192,24 @@ def _residue_identity_coefficients(state: PhaseState, m: int):
     Returns (first_order, second_order): arrays of shape (n, N, N) with the
     coefficients of 1/(x - x_i) and 1/(x - x_i)^2, built exactly from the
     resolvent calculus (res z^m c = -L^m b, res z^m c* = (L^m)^T a and the
-    double-resolvent convolution for the gamma-contracted cross terms).
+    double-resolvent convolution K = res z^m (zI-L)^-1 R (zI-L)^-1 for the
+    gamma-contracted cross terms). In array form, with inv_ik = 1/(x_i - x_k)
+    and inv_ii = 0,
+
+        u = (L^m)^T a - (K^T o inv) a,    v = -L^m b - (K o inv) b,
+        first_i = u_i b_i^T + a_i v_i^T,  second_i = -K_ii a_i b_i^T,
+
+    where o is the entrywise product and (u, v) are the raw spin rates that
+    ``flows._residue_raw_ab`` reads off the same residue equations; no loop
+    runs over the poles.
     """
     lax = build_lax(state)
     Lm = resolvent_residue(lax.L, m)
     K = resolvent_residue(lax.L, m, lax.R)
-    res_c = -(Lm @ state.b)
-    res_cs = Lm.T @ state.a
-    n, N = state.n_particles, state.spin_dim
-    first = np.empty((n, N, N), dtype=complex)
-    second = np.empty((n, N, N), dtype=complex)
-    for i in range(n):
-        F = np.outer(res_cs[i], state.b[i]) + np.outer(state.a[i], res_c[i])
-        for k in range(n):
-            if k == i:
-                continue
-            dx = state.x[i] - state.x[k]
-            F -= (K[i, k] * np.outer(state.a[i], state.b[k])) / dx
-            F -= (K[k, i] * np.outer(state.a[k], state.b[i])) / dx
-        first[i] = F
-        second[i] = -K[i, i] * np.outer(state.a[i], state.b[i])
+    u, v = _residue_raw_ab(state, m, K, Lm)
+    a, b = state.a, state.b
+    first = u[:, :, None] * b[:, None, :] + a[:, :, None] * v[:, None, :]
+    second = -np.diag(K)[:, None, None] * (a[:, :, None] * b[:, None, :])
     return first, second
 
 
@@ -226,26 +224,23 @@ def residue_identity_residual(state: PhaseState, m: int, x_samples) -> float:
     """
     first, second = _residue_identity_coefficients(state, m)
     f = vector_field_gradient(state, m)
+    a, b = state.a, state.b
     n = state.n_particles
-    first_rhs = np.empty_like(first)
-    second_rhs = np.empty_like(second)
-    for i in range(n):
-        first_rhs[i] = np.outer(f.da[i], state.b[i]) + np.outer(state.a[i], f.db[i])
-        second_rhs[i] = f.dx[i] * np.outer(state.a[i], state.b[i])
-    worst = 0.0
-    for x in np.atleast_1d(x_samples):
+    xs = np.atleast_1d(x_samples)
+    for x in xs:
         _check_pole_distance(state, x, EPS_COLL)
-        inv1 = 1.0 / (x - state.x)
-        inv2 = inv1**2
-        entry = np.einsum("i,igh->gh", inv1, first - first_rhs) + np.einsum(
-            "i,igh->gh", inv2, second - second_rhs
-        )
-        lhs_tr = np.einsum("i,igh,gh->", inv1, first, np.eye(state.spin_dim)) + np.einsum(
-            "i,igh,gh->", inv2, second, np.eye(state.spin_dim)
-        )
-        rhs_tr = np.sum(f.dx * inv2)
-        worst = max(worst, float(np.max(np.abs(entry))), abs(lhs_tr - rhs_tr))
-    return worst
+    inv1 = 1.0 / (xs[:, None] - state.x)  # (points, n)
+    inv2 = inv1**2
+    first_rhs = f.da[:, :, None] * b[:, None, :] + a[:, :, None] * f.db[:, None, :]
+    second_rhs = f.dx[:, None, None] * (a[:, :, None] * b[:, None, :])
+    entry = inv1 @ (first - first_rhs).reshape(n, -1)
+    entry += inv2 @ (second - second_rhs).reshape(n, -1)
+    lhs_tr = inv1 @ np.einsum("igg->i", first) + inv2 @ np.einsum("igg->i", second)
+    rhs_tr = inv2 @ f.dx
+    return max(
+        float(np.max(np.abs(entry), initial=0.0)),
+        float(np.max(np.abs(lhs_tr - rhs_tr), initial=0.0)),
+    )
 
 
 def first_order_pole_cancellation(state: PhaseState, m: int) -> float:

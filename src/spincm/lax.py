@@ -144,7 +144,10 @@ def resolvent_residue(L, m: int, A=None):
 
     Without A:   res_inf z^m (zI - L)^-1            = L^m.
     With A:      res_inf z^m (zI - L)^-1 A (zI - L)^-1
-                 = sum_{j=0}^{m-1} L^j A L^{m-1-j}   (zero for m = 0).
+                 = K_m = sum_{j=0}^{m-1} L^j A L^{m-1-j}   (K_0 = 0),
+
+    built by the recurrence K_m = L K_{m-1} + A L^{m-1}: two products per
+    step, 2(m - 1) in all.
     """
     L = np.asarray(L, dtype=complex)
     if m < 0:
@@ -152,12 +155,13 @@ def resolvent_residue(L, m: int, A=None):
     if A is None:
         return np.linalg.matrix_power(L, m)
     A = np.asarray(A, dtype=complex)
-    out = np.zeros_like(L)
-    left = np.eye(L.shape[0], dtype=complex)  # L^j
-    for j in range(m):
-        out += left @ A @ np.linalg.matrix_power(L, m - 1 - j)
-        left = left @ L
-    return out
+    if m == 0:
+        return np.zeros_like(L)
+    K, AL = A.copy(), A  # K_1 and A L^0
+    for _ in range(m - 1):
+        AL = AL @ L
+        K = L @ K + AL
+    return K
 
 
 def contour_residue(L, m: int, A=None, nodes: int = 256, radius_factor: float = 2.0):

@@ -299,3 +299,31 @@ def test_verify_and_ba_eval_keep_default_floor_at_load(tmp_path, capsys):
     ):
         assert main(args + ["--config", str(config_path)]) == 2
         assert "CollidingPoles" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text,reason",
+    [
+        ('{"eps_coll": 1e-9', "Expecting"),  # malformed JSON
+        ('{"epsilon": 1}', "unknown key(s): epsilon"),
+        ('{"eps_coll": -1}', "eps_coll must be positive"),
+        ('{"contour_nodes": 256}', "unknown key(s): contour_nodes"),  # removed setting
+        ('{"thresholds": {"residue_idenity": 1e-9}}', "unknown key(s): thresholds.residue_idenity"),
+        ('{"method": "Euler"}', "method must be RK4 or RK45"),
+    ],
+    ids=["malformed", "unknown-key", "non-positive", "removed-setting", "unknown-threshold",
+         "bad-method"],
+)
+def test_bad_config_file_exits_2_with_one_line(tmp_path, capsys, text, reason):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(text)
+    out_path = tmp_path / "state.json"
+    rc = main(["gen", "--particles", "2", "--spin", "1", "--config", str(config_path),
+               "--out", str(out_path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ConfigError: ") and reason in lines[0]
+    assert not out_path.exists()

@@ -205,6 +205,56 @@ def test_first_order_pole_cancellation(m):
         assert first_order_pole_cancellation(s, m) <= 1e-12
 
 
+@pytest.mark.parametrize("N", [1, 3])
+def test_residue_identity_coefficients_single_particle_exact(N):
+    # n = 1: L = (-p), R = (b^T a) and K_m = m (-p)^{m-1} (b^T a), so the
+    # first-order coefficient vanishes and the second is -K_m a b^T
+    from spincm.kp import _residue_identity_coefficients
+
+    for seed in range(6):
+        s = random_state(1, N, seed=seed)
+        a, b, p = s.a[0], s.b[0], s.p[0]
+        for m in range(1, 5):
+            first, second = _residue_identity_coefficients(s, m)
+            expected = -m * (-p) ** (m - 1) * (b @ a) * np.outer(a, b)
+            scale = 1.0 + np.max(np.abs(expected))
+            assert np.max(np.abs(first[0])) <= 1e-14 * scale
+            assert np.max(np.abs(second[0] - expected)) <= 1e-14 * scale
+
+
+def _loop_coefficients(state, m):
+    """Pole-by-pole reference for the residue-identity coefficients, with
+    K = sum_j L^j R L^{m-1-j} summed directly."""
+    lax = build_lax(state)
+    P = lambda k: np.linalg.matrix_power(lax.L, k)
+    K = sum((P(j) @ lax.R @ P(m - 1 - j) for j in range(m)), np.zeros_like(lax.L))
+    res_c, res_cs = -(P(m) @ state.b), P(m).T @ state.a
+    a, b, x = state.a, state.b, state.x
+    first, second = [], []
+    for i in range(state.n_particles):
+        F = np.outer(res_cs[i], b[i]) + np.outer(a[i], res_c[i])
+        for k in range(state.n_particles):
+            if k != i:
+                F -= (K[i, k] * np.outer(a[i], b[k]) + K[k, i] * np.outer(a[k], b[i])) / (x[i] - x[k])
+        first.append(F)
+        second.append(-K[i, i] * np.outer(a[i], b[i]))
+    return np.array(first), np.array(second)
+
+
+@pytest.mark.parametrize("n,N", [(n, N) for n in (1, 2, 5, 30) for N in (1, 3)])
+def test_residue_identities_over_a_family(n, N):
+    from spincm.kp import _residue_identity_coefficients
+
+    for seed in range(6):
+        s = random_state(n, N, seed=seed)
+        pts = offgrid_points(s, 6)
+        for m in (1, 2, 3):
+            for got, ref in zip(_residue_identity_coefficients(s, m), _loop_coefficients(s, m)):
+                assert np.max(np.abs(got - ref)) <= 1e-13 * (1.0 + np.max(np.abs(ref))), (seed, m)
+            assert residue_identity_residual(s, m, pts) <= 1e-10, (seed, m)
+            assert first_order_pole_cancellation(s, m) <= 1e-12, (seed, m)
+
+
 def test_ba_eval_schema(state32):
     grid = offgrid_points(state32, 3)
     out = ba_eval(state32, Z0, grid)

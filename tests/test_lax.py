@@ -172,12 +172,25 @@ def test_resolvent_residue_m0_with_a_is_zero():
     assert np.array_equal(resolvent_residue(L, 0, A), np.zeros((3, 3)))
 
 
+def test_resolvent_residue_recurrence_is_exact():
+    # small-integer, non-commuting L and A: every product is exact in float64
+    rng = np.random.default_rng(3)
+    L = (rng.integers(-3, 4, size=(4, 4)) + 1j * rng.integers(-3, 4, size=(4, 4))).astype(complex)
+    A = (rng.integers(-3, 4, size=(4, 4)) + 1j * rng.integers(-3, 4, size=(4, 4))).astype(complex)
+    assert not np.array_equal(L @ A, A @ L)
+    P = lambda k: np.linalg.matrix_power(L, k)
+    for m in range(7):
+        direct = sum((P(j) @ A @ P(m - 1 - j) for j in range(m)), np.zeros((4, 4), complex))
+        assert np.array_equal(resolvent_residue(L, m, A), direct), m
+
+
 @pytest.mark.parametrize("m", [0, 1, 3, 5])
 def test_resolvent_vs_contour_oracle(m):
     rng = np.random.default_rng(10 + m)
-    L = (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))) / 2
-    A = (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))) / 2
-    for withA in (None, A):
-        exact = resolvent_residue(L, m, withA)
-        numeric = contour_residue(L, m, withA, nodes=256)
-        assert np.max(np.abs(exact - numeric)) <= 1e-10
+    for n in (4, 1):
+        L = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / 2
+        A = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / 2
+        for withA in (None, A):
+            exact = resolvent_residue(L, m, withA)
+            numeric = contour_residue(L, m, withA, nodes=256)
+            assert np.max(np.abs(exact - numeric)) <= 1e-10
