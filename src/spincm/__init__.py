@@ -1,6 +1,7 @@
 """Spin Calogero-Moser (Gibbons-Hermsen) hierarchy and the pole dynamics of
 rational solutions of the matrix KP hierarchy, verified as numerical residuals."""
 
+from .config import Config
 from .errors import (
     CollidingPoles,
     ConfigError,
@@ -32,6 +33,6 @@ from .kp import (
 )
 from .lax import Gradient, LaxData, build_lax, contour_residue, grad_hamiltonian, hamiltonian, hamiltonians, poisson_bracket, resolvent_residue
 from .phase import PhaseState, TimeVector, gauge_rescale, load_state, new_state, random_state
-from .verify import CheckResult, SuiteConfig, VerificationReport, run_suite
+from .verify import CheckResult, VerificationReport, run_suite
 
 __version__ = "0.1.0"

@@ -70,11 +70,10 @@ def cmd_evolve(args, config):
         return 2
     traj.export_csv(args.out + ".csv")
     traj.export_json(args.out + ".json")
-    h0 = traj.samples[0].hamiltonians
-    hT = traj.samples[-1].hamiltonians
-    dev = np.max(np.abs(hT - h0) / (1.0 + np.abs(h0)))
-    drift = max(s.drift for s in traj.samples)
-    print(f"wrote {args.out}.csv and {args.out}.json ({len(traj.samples)} samples)")
+    H = traj.hamiltonians
+    dev = np.max(np.abs(H - H[0]) / (1.0 + np.abs(H[0])))
+    drift = np.max(traj.drift)
+    print(f"wrote {args.out}.csv and {args.out}.json ({len(traj.t)} samples)")
     print(f"max scaled Hamiltonian deviation over flow: {dev:.3e}")
     print(f"max constraint drift: {drift:.3e}")
     return 0
@@ -88,7 +87,7 @@ def cmd_verify(args, config):
         state, _ = load_state(args.state, eps_constr=config.eps_constr)
     report = run_suite(
         state=state,
-        config=config.suite_config(),
+        config=config,
         seed=args.seed,
         n_particles=args.particles,
         spin_dim=args.spin,

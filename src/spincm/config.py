@@ -7,7 +7,28 @@ from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
 from .phase import EPS_COLL, EPS_CONSTR
-from .verify import DEFAULT_THRESHOLDS, SuiteConfig
+
+#: residual threshold of every verification-suite check, by check name
+DEFAULT_THRESHOLDS = {
+    "constraint": 1e-12,
+    "r_identity": 1e-12,
+    "trace_lr": 1e-12,
+    "h2_direct": 1e-12,
+    "gradient_fd": 1e-6,
+    "involution": 1e-8,
+    "dual_derivation": 1e-12,
+    "lax_residual": 1e-7,
+    "conservation": 1e-8,
+    "constraint_drift": 1e-9,
+    "commutativity": 1e-6,
+    "rank1_residues": 1e-12,
+    "w1_v_consistency": 1e-6,
+    "t1_shift": 1e-12,
+    "linear_problem": 1e-6,
+    "residue_identity": 1e-10,
+    "first_order_cancellation": 1e-12,
+    "n1_reduction": 1e-10,
+}
 
 
 @dataclass
@@ -29,9 +50,6 @@ class Config:
         for key, val in self.thresholds.items():
             if val <= 0:
                 raise ValueError(f"threshold {key} must be positive")
-
-    def suite_config(self) -> SuiteConfig:
-        return SuiteConfig(dt=self.dt, thresholds=dict(self.thresholds))
 
     @classmethod
     def load(cls, path) -> "Config":

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,8 +22,8 @@ from .errors import (
     IntegrationFailed,
     StepLimitExceeded,
 )
-from .lax import build_lax, grad_hamiltonian, hamiltonians, resolvent_residue
-from .phase import EPS_COLL, PhaseState, _freeze, complex_to_pairs
+from .lax import _assemble, grad_hamiltonian, hamiltonians, resolvent_residue
+from .phase import EPS_COLL, PhaseState, complex_to_pairs
 
 
 @dataclass(frozen=True)
@@ -59,59 +59,69 @@ class FlowSpec:
 
 
 @dataclass(frozen=True)
-class TrajectorySample:
-    t: complex
-    state: PhaseState
-    drift: float
-    hamiltonians: np.ndarray
-
-
-@dataclass
 class Trajectory:
-    samples: list[TrajectorySample] = field(default_factory=list)
-    m: int = 0
+    """Recorded samples of one t_m flow, one row per sample.
 
-    def times(self):
-        return np.array([s.t for s in self.samples])
+    ``t`` holds the flow times (k,), ``x`` and ``p`` have shape (k, n), ``a``
+    and ``b`` (k, n, N), ``drift`` the constraint drift (k,) and
+    ``hamiltonians`` H_1..H_5 (k, 5). The phase arrays are read-only views
+    of one packed block; :meth:`state` returns sample k as a PhaseState.
+    """
+
+    t: np.ndarray
+    x: np.ndarray
+    p: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    drift: np.ndarray
+    hamiltonians: np.ndarray
+    m: int
+
+    def state(self, k) -> PhaseState:
+        return PhaseState(x=self.x[k], p=self.p[k], a=self.a[k], b=self.b[k])
 
     def export_csv(self, path):
         """CSV table: step, re/im of t, every x_i and p_i, drift, H_1..H_5."""
-        n = self.samples[0].state.n_particles
+        n = self.x.shape[1]
         header = ["step", "re_t", "im_t"]
         header += [f"{c}_x_{i + 1}" for i in range(n) for c in ("re", "im")]
         header += [f"{c}_p_{i + 1}" for i in range(n) for c in ("re", "im")]
         header += ["drift"]
         header += [f"{c}_H{k + 1}" for k in range(5) for c in ("re", "im")]
+        cols = [_re_im(self.t[:, None]), _re_im(self.x), _re_im(self.p),
+                self.drift[:, None], _re_im(self.hamiltonians)]
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(header)
-            for step, s in enumerate(self.samples):
-                row = [step, s.t.real, s.t.imag]
-                for xi in s.state.x:
-                    row += [xi.real, xi.imag]
-                for pi in s.state.p:
-                    row += [pi.real, pi.imag]
-                row.append(s.drift)
-                for h in s.hamiltonians:
-                    row += [h.real, h.imag]
-                w.writerow(row)
+            w.writerows([step, *row] for step, row in enumerate(np.hstack(cols).tolist()))
 
     def export_json(self, path):
         """JSON mirror of the PhaseState schema per sample."""
+        n, N = self.a.shape[1:]
+        ts, hs, xs, ps, as_, bs = (
+            complex_to_pairs(v)
+            for v in (self.t, self.hamiltonians, self.x, self.p, self.a, self.b)
+        )
         out = {
             "m": self.m,
             "samples": [
                 {
-                    "t": [s.t.real, s.t.imag],
-                    "drift": s.drift,
-                    "hamiltonians": complex_to_pairs(s.hamiltonians),
-                    "state": s.state.to_dict(),
+                    "t": ts[k],
+                    "drift": drift,
+                    "hamiltonians": hs[k],
+                    "state": {"n_particles": n, "spin_dim": N,
+                              "x": xs[k], "p": ps[k], "a": as_[k], "b": bs[k]},
                 }
-                for s in self.samples
+                for k, drift in enumerate(self.drift.tolist())
             ],
         }
         with open(path, "w") as fh:
             json.dump(out, fh, indent=1)
+
+
+def _re_im(z):
+    """(k, ...) complex rows as (k, 2 * ...) floats, re and im interleaved."""
+    return np.stack([z.real, z.imag], axis=-1).reshape(len(z), -1)
 
 
 def vector_field_gradient(state: PhaseState, m: int, eps_coll=EPS_COLL) -> Tangent:
@@ -121,20 +131,17 @@ def vector_field_gradient(state: PhaseState, m: int, eps_coll=EPS_COLL) -> Tange
     return Tangent(dx=g.dp, dp=-g.dx, da=g.db, db=-g.da)
 
 
-def _residue_raw_ab(state: PhaseState, m: int, K, Lm):
+def _residue_raw_ab(state: PhaseState, inv, K, Lm):
     """Spin-vector rates read off literally from the first-order-pole
     residue equations, before any gauge choice: with G = (zI-L)^-1,
 
       da_i = res_inf z^m (G^T a)_i - sum_{k != i} a_k (GRG)_ki / (x_i - x_k),
       db_i = -res_inf z^m (G b)_i - sum_{k != i} b_k (GRG)_ik / (x_i - x_k),
 
-    where res_inf z^m GRG = K is the double-resolvent convolution."""
-    n = state.n_particles
-    d = state.x[:, None] - state.x[None, :]
-    off = ~np.eye(n, dtype=bool)
-    d = np.where(off, d, 1.0)
-    da = Lm.T @ state.a - np.where(off, K.T / d, 0.0) @ state.a
-    db = -(Lm @ state.b) - np.where(off, K / d, 0.0) @ state.b
+    where res_inf z^m GRG = K is the double-resolvent convolution and
+    inv_ik = 1/(x_i - x_k), inv_ii = 0, comes from the Lax assembly."""
+    da = Lm.T @ state.a - (K.T * inv) @ state.a
+    db = -(Lm @ state.b) - (K * inv) @ state.b
     return da, db
 
 
@@ -152,11 +159,11 @@ def vector_field_residue(state: PhaseState, m: int) -> Tangent:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    lax = build_lax(state)
-    K = resolvent_residue(lax.L, m, lax.R)
-    Lm = resolvent_residue(lax.L, m)
+    inv, R, L, _ = _assemble(state.x, state.p, state.a, state.b, EPS_COLL)
+    K = resolvent_residue(L, m, R)
+    Lm = resolvent_residue(L, m)
     xdot = -np.diag(K)
-    da_raw, db_raw = _residue_raw_ab(state, m, K, Lm)
+    da_raw, db_raw = _residue_raw_ab(state, inv, K, Lm)
     mu = np.diag(Lm)[:, None]  # free diagonal gauge rate of the split
     adot = da_raw - mu * state.a
     bdot = db_raw + mu * state.b
@@ -164,17 +171,14 @@ def vector_field_residue(state: PhaseState, m: int) -> Tangent:
     return Tangent(dx=xdot, dp=pdot, da=adot, db=bdot)
 
 
-def _pack(state):
-    return np.concatenate([state.x, state.p, state.a.ravel(), state.b.ravel()])
-
-
 def _unpack(y, n, N):
-    """PhaseState whose fields are views into the packed vector y."""
-    return PhaseState(
-        x=y[:n],
-        p=y[n : 2 * n],
-        a=y[2 * n : 2 * n + n * N].reshape(n, N),
-        b=y[2 * n + n * N :].reshape(n, N),
+    """(x, p, a, b) as views into packed vectors y; leading axes are kept."""
+    lead = y.shape[:-1]
+    return (
+        y[..., :n],
+        y[..., n : 2 * n],
+        y[..., 2 * n : 2 * n + n * N].reshape(*lead, n, N),
+        y[..., 2 * n + n * N :].reshape(*lead, n, N),
     )
 
 
@@ -183,13 +187,34 @@ def _at_time(exc, t):
     return CollidingPoles(f"pole collision during integration: {exc}", time=t)
 
 
+def _record(m, times, rows, n, N, eps_coll) -> Trajectory:
+    """Trajectory of the packed rows recorded at the given flow times, with
+    H_1..H_5 and the constraint drift of every row. A row whose poles are
+    within eps_coll raises CollidingPoles carrying that row's flow time."""
+    Y = np.ascontiguousarray(rows, dtype=complex)
+    Y.setflags(write=False)
+    k = len(Y)
+    traj = Trajectory(
+        np.asarray(times, dtype=complex), *_unpack(Y, n, N),
+        drift=np.empty(k), hamiltonians=np.empty((k, 5), dtype=complex), m=m,
+    )
+    for j, t in enumerate(traj.t):
+        st = traj.state(j)
+        try:
+            traj.hamiltonians[j] = hamiltonians(st, eps_coll=eps_coll)
+        except CollidingPoles as exc:
+            raise _at_time(exc, complex(t)) from None
+        traj.drift[j] = st.constraint_drift()
+    return traj
+
+
 def integrate(state: PhaseState, spec: FlowSpec, eps_coll=EPS_COLL) -> Trajectory:
     """Integrate the t_m flow from 0 to spec.t_final.
 
     The segment is parameterized by arc length s in [0, |t_final|] with
     dy/ds = u F(y), u = t_final/|t_final|. The collision floor eps_coll is
     checked once per right-hand-side call, inside the Lax assembly, and at
-    every sample; a pole separation at or below it aborts with
+    every recorded sample; a pole separation at or below it aborts with
     CollidingPoles carrying the flow time of breakdown. A failed RK45 solve
     raises IntegrationFailed. The constraint is monitored, never
     re-projected.
@@ -197,20 +222,9 @@ def integrate(state: PhaseState, spec: FlowSpec, eps_coll=EPS_COLL) -> Trajector
     n, N = state.n_particles, state.spin_dim
     nN = n * N
     tfin = complex(spec.t_final)
-    traj = Trajectory(m=spec.m)
-
-    def sample(t, st):
-        try:
-            hs = hamiltonians(st, eps_coll=eps_coll)
-        except CollidingPoles as exc:
-            raise _at_time(exc, t) from None
-        traj.samples.append(
-            TrajectorySample(t=t, state=st, drift=st.constraint_drift(), hamiltonians=hs)
-        )
-
+    y = np.concatenate([state.x, state.p, state.a.ravel(), state.b.ravel()]).astype(complex)
     if tfin == 0:
-        sample(0.0, state)
-        return traj
+        return _record(spec.m, [0.0], [y], n, N, eps_coll)
 
     S = abs(tfin)
     u = tfin / S
@@ -222,7 +236,7 @@ def integrate(state: PhaseState, spec: FlowSpec, eps_coll=EPS_COLL) -> Trajector
     def rhs(s, y, out):
         """Write u F(y) into out and return it."""
         try:
-            f = vector_field_gradient(_unpack(y, n, N), spec.m, eps_coll)
+            f = vector_field_gradient(PhaseState(*_unpack(y, n, N)), spec.m, eps_coll)
         except CollidingPoles as exc:
             raise _at_time(exc, s * u) from None
         np.multiply(f.dx, u, out=out[:n])
@@ -231,14 +245,12 @@ def integrate(state: PhaseState, spec: FlowSpec, eps_coll=EPS_COLL) -> Trajector
         np.multiply(f.db.ravel(), u, out=out[2 * n + nN :])
         return out
 
-    y = _pack(state).astype(complex)
-
     if spec.method == "RK45":
         from scipy.integrate import solve_ivp
 
-        s_eval = np.arange(0, n_steps + 1, spec.record_every) * h
-        if s_eval[-1] != S:
-            s_eval = np.append(s_eval, S)
+        # the RK4 sampling grid; n_steps * h can round past the span's end
+        s_eval = np.append(np.arange(0, n_steps, spec.record_every), n_steps) * h
+        s_eval[-1] = S
         # solve_ivp keeps the stage vectors it is given, so each call gets
         # a fresh one
         sol = solve_ivp(
@@ -247,12 +259,10 @@ def integrate(state: PhaseState, spec: FlowSpec, eps_coll=EPS_COLL) -> Trajector
         )
         if not sol.success:
             raise IntegrationFailed(f"RK45 integration failed: {sol.message}")
-        for s, ys in zip(sol.t, sol.y.T):
-            sample(s * u, _unpack(_freeze(ys), n, N))
-        return traj
+        return _record(spec.m, sol.t * u, sol.y.T, n, N, eps_coll)
 
     k1, k2, k3, k4 = (np.empty_like(y) for _ in range(4))
-    sample(0.0, state)
+    times, rows = [0.0], [y]
     for step in range(n_steps):
         s = step * h
         rhs(s, y, k1)
@@ -261,8 +271,9 @@ def integrate(state: PhaseState, spec: FlowSpec, eps_coll=EPS_COLL) -> Trajector
         rhs(s + h, y + h * k3, k4)
         y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         if (step + 1) % spec.record_every == 0 or step + 1 == n_steps:
-            sample((step + 1) * h * u, _unpack(_freeze(y), n, N))
-    return traj
+            times.append((step + 1) * h * u)
+            rows.append(y)
+    return _record(spec.m, times, rows, n, N, eps_coll)
 
 
 def check_lax(trajectory: Trajectory) -> np.ndarray:
@@ -272,23 +283,18 @@ def check_lax(trajectory: Trajectory) -> np.ndarray:
     samples, so the trajectory must be uniformly spaced and carry at least
     five samples. Returns one residual per interior sample.
     """
-    samples = trajectory.samples
-    if len(samples) < 5:
+    tr = trajectory
+    if len(tr.t) < 5:
         raise InsufficientSamples("check_lax needs at least 5 samples")
-    ts = np.array([s.t for s in samples])
-    hs = np.diff(ts)
+    hs = np.diff(tr.t)
     if np.max(np.abs(hs - hs[0])) > 1e-12 * max(1.0, np.abs(hs[0])):
         raise InsufficientSamples("check_lax needs uniformly spaced samples")
     h = hs[0]
-    laxes = [build_lax(s.state) for s in samples]
-    Ls = [lax.L for lax in laxes]
-    Ms = [lax.M for lax in laxes]
-    out = np.empty(len(samples) - 4)
-    for k in range(2, len(samples) - 2):
-        dL = (-Ls[k + 2] + 8 * Ls[k + 1] - 8 * Ls[k - 1] + Ls[k - 2]) / (12 * h)
-        comm = Ms[k] @ Ls[k] - Ls[k] @ Ms[k]
-        out[k - 2] = np.max(np.abs(dL - comm))
-    return out
+    rows = zip(tr.x, tr.p, tr.a, tr.b)
+    L, M = map(np.array, zip(*(_assemble(*row, EPS_COLL)[2:] for row in rows)))
+    dL = (-L[4:] + 8 * L[3:-1] - 8 * L[1:-3] + L[:-4]) / (12 * h)
+    Lk, Mk = L[2:-2], M[2:-2]
+    return np.max(np.abs(dL - (Mk @ Lk - Lk @ Mk)), axis=(1, 2))
 
 
 def _gauge_invariant_observables(state: PhaseState):
@@ -312,7 +318,7 @@ def commutativity_check(state, m1, m2, s1, s2, dt) -> float:
     def flow(st, m, s):
         if s == 0:
             return st
-        return integrate(st, FlowSpec(m=m, t_final=s, dt=dt)).samples[-1].state
+        return integrate(st, FlowSpec(m=m, t_final=s, dt=dt)).state(-1)
 
     ab = flow(flow(state, m1, s1), m2, s2)
     ba = flow(flow(state, m2, s2), m1, s1)

@@ -16,7 +16,7 @@ import scipy.linalg
 
 from .errors import PoleHit, SpectralCollision
 from .flows import FlowSpec, _residue_raw_ab, integrate, vector_field_gradient
-from .lax import build_lax, resolvent_residue
+from .lax import _assemble, build_lax, resolvent_residue
 from .phase import EPS_COLL, PhaseState, TimeVector, complex_to_pairs
 
 #: condition-number ceiling for (zI - L) solves
@@ -160,8 +160,8 @@ def linear_problem_residual(
     residual over the grid, both equations.
     """
     flow_dt = flow_dt if flow_dt is not None else dt2 / 4
-    plus = integrate(state, FlowSpec(m=2, t_final=dt2, dt=flow_dt)).samples[-1].state
-    minus = integrate(state, FlowSpec(m=2, t_final=-dt2, dt=flow_dt)).samples[-1].state
+    plus = integrate(state, FlowSpec(m=2, t_final=dt2, dt=flow_dt)).state(-1)
+    minus = integrate(state, FlowSpec(m=2, t_final=-dt2, dt=flow_dt)).state(-1)
     c0, cs0 = solve_c(state, z)
     cp, csp = solve_c(plus, z)
     cm, csm = solve_c(minus, z)
@@ -203,10 +203,10 @@ def _residue_identity_coefficients(state: PhaseState, m: int):
     ``flows._residue_raw_ab`` reads off the same residue equations; no loop
     runs over the poles.
     """
-    lax = build_lax(state)
-    Lm = resolvent_residue(lax.L, m)
-    K = resolvent_residue(lax.L, m, lax.R)
-    u, v = _residue_raw_ab(state, m, K, Lm)
+    inv, R, L, _ = _assemble(state.x, state.p, state.a, state.b, EPS_COLL)
+    Lm = resolvent_residue(L, m)
+    K = resolvent_residue(L, m, R)
+    u, v = _residue_raw_ab(state, inv, K, Lm)
     a, b = state.a, state.b
     first = u[:, :, None] * b[:, None, :] + a[:, :, None] * v[:, None, :]
     second = -np.diag(K)[:, None, None] * (a[:, :, None] * b[:, None, :])

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kp
+from .config import DEFAULT_THRESHOLDS, Config  # noqa: F401 (read as verify.DEFAULT_THRESHOLDS)
 from .errors import SpinCMError
 from .flows import (
     FlowSpec,
@@ -30,48 +31,17 @@ from .lax import (
     grad_hamiltonian,
     hamiltonian,
     hamiltonian_h2_direct,
-    hamiltonians,
     poisson_bracket,
 )
 from .phase import PhaseState, _freeze, random_state
 
 SUITE_VERSION = "1"
 
-DEFAULT_THRESHOLDS = {
-    "constraint": 1e-12,
-    "r_identity": 1e-12,
-    "trace_lr": 1e-12,
-    "h2_direct": 1e-12,
-    "gradient_fd": 1e-6,
-    "involution": 1e-8,
-    "dual_derivation": 1e-12,
-    "lax_residual": 1e-7,
-    "conservation": 1e-8,
-    "constraint_drift": 1e-9,
-    "commutativity": 1e-6,
-    "rank1_residues": 1e-12,
-    "w1_v_consistency": 1e-6,
-    "t1_shift": 1e-12,
-    "linear_problem": 1e-6,
-    "residue_identity": 1e-10,
-    "first_order_cancellation": 1e-12,
-    "n1_reduction": 1e-10,
-}
-
-
-@dataclass
-class SuiteConfig:
-    """Tolerances and integrator settings of the verification suite."""
-
-    dt: float = 1e-3
-    conservation_T: float = 1.0
-    commutativity_s: float = 0.1
-    linear_problem_dt2: float = 1e-4
-    fd_step: float = 1e-5
-    thresholds: dict = field(default_factory=lambda: dict(DEFAULT_THRESHOLDS))
-
-    def threshold(self, name):
-        return self.thresholds[name]
+#: settings of individual checks
+CONSERVATION_T = 1.0
+COMMUTATIVITY_S = 0.1
+LINEAR_PROBLEM_DT2 = 1e-4
+FD_STEP = 1e-5
 
 
 @dataclass
@@ -252,9 +222,9 @@ def _check_gradient_fd(state, cfg):
     for m in range(1, 5):
         g = grad_hamiltonian(state, m)
         for axis in ("real", "imag"):
-            fd = finite_difference_gradient(state, m, h=cfg.fd_step, axis=axis)
+            fd = finite_difference_gradient(state, m, h=FD_STEP, axis=axis)
             worst = max(worst, _grad_relative_error(fd, g))
-    return worst, {"h": cfg.fd_step, "m_max": 4}
+    return worst, {"h": FD_STEP, "m_max": 4}
 
 
 def _check_involution(state, cfg):
@@ -290,31 +260,27 @@ def _check_lax_residual(state, cfg):
 def _conservation_trajectories(state, cfg):
     out = {}
     for m in (2, 3):
-        spec = FlowSpec(
-            m=m, t_final=cfg.conservation_T, dt=cfg.dt, record_every=50
-        )
+        spec = FlowSpec(m=m, t_final=CONSERVATION_T, dt=cfg.dt, record_every=50)
         out[m] = integrate(state, spec)
     return out
 
 
 def _check_conservation(state, cfg, trajs):
     worst = 0.0
-    for m, traj in trajs.items():
-        h0 = traj.samples[0].hamiltonians
-        for s in traj.samples[1:]:
-            worst = max(
-                worst, float(np.max(np.abs(s.hamiltonians - h0) / (1.0 + np.abs(h0))))
-            )
-    return worst, {"T": cfg.conservation_T, "dt": cfg.dt, "flows": [2, 3]}
+    for traj in trajs.values():
+        H = traj.hamiltonians
+        dev = np.abs(H[1:] - H[0]) / (1.0 + np.abs(H[0]))
+        worst = max(worst, float(np.max(dev, initial=0.0)))
+    return worst, {"T": CONSERVATION_T, "dt": cfg.dt, "flows": [2, 3]}
 
 
 def _check_constraint_drift(state, cfg, trajs):
-    worst = max(max(s.drift for s in traj.samples) for traj in trajs.values())
-    return worst, {"T": cfg.conservation_T, "dt": cfg.dt}
+    worst = max(float(np.max(traj.drift)) for traj in trajs.values())
+    return worst, {"T": CONSERVATION_T, "dt": cfg.dt}
 
 
 def _check_commutativity(state, cfg):
-    s = cfg.commutativity_s
+    s = COMMUTATIVITY_S
     return commutativity_check(state, 2, 3, s, s, cfg.dt), {"s": s, "dt": cfg.dt}
 
 
@@ -344,7 +310,7 @@ def _check_w1_v(state, cfg):
 def _check_t1_shift(state, cfg):
     s = 0.3
     spec = FlowSpec(m=1, t_final=s, dt=cfg.dt)
-    final = integrate(state, spec).samples[-1].state
+    final = integrate(state, spec).state(-1)
     worst = float(np.max(np.abs(final.x - (state.x - s))))
     worst = max(worst, float(np.max(np.abs(final.p - state.p))))
     worst = max(worst, float(np.max(np.abs(final.a - state.a))))
@@ -359,8 +325,8 @@ def _check_t1_shift(state, cfg):
 def _check_linear_problem(state, cfg):
     z = 1.3 + 0.7j
     xs = _offgrid_points(state, 6)
-    res = kp.linear_problem_residual(state, None, z, xs, cfg.linear_problem_dt2)
-    return res, {"z": [z.real, z.imag], "dt2": cfg.linear_problem_dt2}
+    res = kp.linear_problem_residual(state, None, z, xs, LINEAR_PROBLEM_DT2)
+    return res, {"z": [z.real, z.imag], "dt2": LINEAR_PROBLEM_DT2}
 
 
 def _check_residue_identity(state, cfg):
@@ -383,11 +349,8 @@ def _check_n1_reduction(state, cfg):
     spec = FlowSpec(m=2, t_final=T, dt=dt, record_every=200)
     traj = integrate(state, spec)
     ref_t, ref_x = scalar_cm_trajectory(state.x, 2 * state.p, T, dt)
-    worst = 0.0
-    for s in traj.samples:
-        k = int(round(s.t.real / dt))
-        worst = max(worst, float(np.max(np.abs(s.state.x - ref_x[k]))))
-    return worst, {"T": T, "dt": dt}
+    k = np.rint(traj.t.real / dt).astype(int)
+    return float(np.max(np.abs(traj.x - ref_x[k]))), {"T": T, "dt": dt}
 
 
 def _offgrid_points(state, count):
@@ -407,7 +370,7 @@ def run_suite(state=None, config=None, seed=42, n_particles=3, spin_dim=2):
     one for (seed, n_particles, spin_dim)) and collect a report. Individual
     check errors are recorded as failures; checks whose prerequisite
     integration broke down are marked skipped."""
-    cfg = config if config is not None else SuiteConfig()
+    cfg = config if config is not None else Config()
     if state is None:
         state = random_state(n_particles, spin_dim, seed)
         descriptor = seed
@@ -421,7 +384,7 @@ def run_suite(state=None, config=None, seed=42, n_particles=3, spin_dim=2):
     )
 
     def run(name, fn, skip_reason=None):
-        thr = cfg.threshold(name)
+        thr = cfg.thresholds[name]
         t0 = time.perf_counter()
         if skip_reason is not None:
             report.results.append(

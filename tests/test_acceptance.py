@@ -131,11 +131,11 @@ def test_07_conservation_and_constraint(report):
     worst_h, worst_drift = 0.0, 0.0
     for m in (2, 3):
         traj = integrate(s, FlowSpec(m=m, t_final=1.0, dt=1e-3, record_every=100))
-        h0 = traj.samples[0].hamiltonians
-        for sample in traj.samples:
-            dev = np.max(np.abs(sample.hamiltonians - h0) / (1 + np.abs(h0)))
+        h0 = traj.hamiltonians[0]
+        for h, drift in zip(traj.hamiltonians, traj.drift):
+            dev = np.max(np.abs(h - h0) / (1 + np.abs(h0)))
             worst_h = max(worst_h, float(dev))
-            worst_drift = max(worst_drift, sample.drift)
+            worst_drift = max(worst_drift, drift)
     report("conservation", worst_h, 1e-8)
     report("constraint-drift", worst_drift, 1e-9)
 
@@ -169,16 +169,16 @@ def test_11_scalar_reduction(report):
     traj = integrate(s, FlowSpec(m=2, t_final=0.5, dt=1e-3, record_every=50))
     _, xs_ref = scalar_cm_trajectory(s.x, 2 * s.p, t_final=0.5, dt=1e-3)
     worst = 0.0
-    for sample in traj.samples:
-        step = round(sample.t.real / 1e-3)
-        worst = max(worst, float(np.max(np.abs(sample.state.x - xs_ref[step]))))
+    for t, x in zip(traj.t, traj.x):
+        step = round(t.real / 1e-3)
+        worst = max(worst, float(np.max(np.abs(x - xs_ref[step]))))
     report("scalar-reduction", worst, 1e-10)
 
 
 def test_12_t1_shift(report):
     s = random_state(3, 2, seed=42)
     t_final = 0.37
-    final = integrate(s, FlowSpec(m=1, t_final=t_final, dt=1e-2)).samples[-1].state
+    final = integrate(s, FlowSpec(m=1, t_final=t_final, dt=1e-2)).state(-1)
     worst = float(
         max(
             np.max(np.abs(final.x - (s.x - t_final))),

@@ -327,3 +327,38 @@ def test_bad_config_file_exits_2_with_one_line(tmp_path, capsys, text, reason):
     assert len(lines) == 1
     assert lines[0].startswith("error: ConfigError: ") and reason in lines[0]
     assert not out_path.exists()
+
+
+def test_evolve_reports_max_deviation_over_all_samples(tmp_path, capsys):
+    # RK45 from a state whose H deviation peaks before the last sample: the
+    # printed value must be the max over every recorded sample
+    state_path = _gen(tmp_path, capsys, seed=1, particles=5, spin=1)
+    prefix = tmp_path / "t2"
+    rc = main(["evolve", str(state_path), "--m", "2", "--T", "0.3", "--dt", "1e-3",
+               "--method", "RK45", "--record-every", "10", "--out", str(prefix)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    printed = float(out.split("deviation over flow: ")[1].split()[0])
+    samples = json.loads((tmp_path / "t2.json").read_text())["samples"]
+    H = np.array([[complex(*h) for h in s["hamiltonians"]] for s in samples])
+    devs = np.max(np.abs(H - H[0]) / (1.0 + np.abs(H[0])), axis=1)
+    assert printed == float(f"{devs.max():.3e}")
+    assert devs.max() > devs[-1]  # the last sample alone would understate it
+    drift = float(out.split("max constraint drift: ")[1].split()[0])
+    assert drift == float(f"{max(s['drift'] for s in samples):.3e}")
+
+
+def test_verify_config_dt_and_threshold_reach_the_report(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"dt": 2e-3, "thresholds": {"r_identity": 1e-300}}))
+    out_path = tmp_path / "report.json"
+    rc = main(["verify", "--particles", "2", "--spin", "1", "--config", str(config_path),
+               "--out", str(out_path)])
+    capsys.readouterr()
+    assert rc == 1  # r_identity is about 4e-16 here, above the configured 1e-300
+    results = {r["name"]: r for r in json.loads(out_path.read_text())["results"]}
+    assert results["r_identity"]["threshold"] == 1e-300
+    assert not results["r_identity"]["passed"]
+    assert results["constraint"]["threshold"] == 1e-12
+    for name in ("lax_residual", "conservation", "constraint_drift", "commutativity"):
+        assert results[name]["details"]["dt"] == 2e-3

@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from spincm import (
     vector_field_residue,
 )
 from spincm.flows import _residue_raw_ab
-from spincm.lax import resolvent_residue
+from spincm.lax import _assemble, resolvent_residue
+from spincm.phase import EPS_COLL
 from spincm.verify import _tangent_relative_error
 
 
@@ -64,10 +66,10 @@ def test_newton_form_closed(state32):
 def test_newton_form_from_trajectory(state32):
     dt = 1e-3
     traj = integrate(state32, FlowSpec(m=2, t_final=10 * dt, dt=dt, record_every=1))
-    xs = np.array([s.state.x for s in traj.samples])
+    xs = traj.x
     k = 5
     acc = (xs[k + 1] - 2 * xs[k] + xs[k - 1]) / dt**2
-    mid = traj.samples[k].state
+    mid = traj.state(k)
     R = mid.spin_pairings()
     for i in range(3):
         rhs = 0.0
@@ -104,10 +106,11 @@ def test_raw_residue_split_product_is_gauge_invariant(state32, m):
     # the raw pole-cancellation split carries a free diagonal gauge rate,
     # but the product rate d(a_i b_i^T) it implies is gauge-free and must
     # match the Hamiltonian route exactly
-    lax = build_lax(state32)
-    K = resolvent_residue(lax.L, m, lax.R)
-    Lm = resolvent_residue(lax.L, m)
-    da_raw, db_raw = _residue_raw_ab(state32, m, K, Lm)
+    s = state32
+    inv, R, L, _ = _assemble(s.x, s.p, s.a, s.b, EPS_COLL)
+    K = resolvent_residue(L, m, R)
+    Lm = resolvent_residue(L, m)
+    da_raw, db_raw = _residue_raw_ab(state32, inv, K, Lm)
     f = vector_field_gradient(state32, m)
     for i in range(state32.n_particles):
         raw = np.outer(da_raw[i], state32.b[i]) + np.outer(state32.a[i], db_raw[i])
@@ -116,7 +119,7 @@ def test_raw_residue_split_product_is_gauge_invariant(state32, m):
 
 
 def test_integrate_t1_is_shift(state32):
-    s_final = integrate(state32, FlowSpec(m=1, t_final=0.7, dt=1e-2)).samples[-1].state
+    s_final = integrate(state32, FlowSpec(m=1, t_final=0.7, dt=1e-2)).state(-1)
     assert np.max(np.abs(s_final.x - (state32.x - 0.7))) <= 1e-12
     assert np.max(np.abs(s_final.p - state32.p)) <= 1e-12
     assert np.max(np.abs(s_final.a - state32.a)) <= 1e-12
@@ -126,31 +129,42 @@ def test_integrate_t1_is_shift(state32):
 def test_integrate_free_particle():
     s = new_state([0.0], [0.5], [[1.0]], [[1.0]])
     traj = integrate(s, FlowSpec(m=2, t_final=1.0, dt=1e-3))
-    assert abs(traj.samples[-1].state.x[0] - 1.0) <= 1e-10
+    assert abs(traj.x[-1, 0] - 1.0) <= 1e-10
 
 
 def test_integrate_conserves_hamiltonians(state32):
     traj = integrate(state32, FlowSpec(m=2, t_final=1.0, dt=1e-3, record_every=100))
-    h0 = traj.samples[0].hamiltonians
-    for s in traj.samples:
-        assert np.max(np.abs(s.hamiltonians - h0) / (1 + np.abs(h0))) <= 1e-8
-        assert s.drift <= 1e-9
+    h0 = traj.hamiltonians[0]
+    for h, drift in zip(traj.hamiltonians, traj.drift):
+        assert np.max(np.abs(h - h0) / (1 + np.abs(h0))) <= 1e-8
+        assert drift <= 1e-9
 
 
 def test_integrate_rk45(state32):
     traj = integrate(
         state32, FlowSpec(m=2, t_final=0.5, dt=1e-2, method="RK45", record_every=10)
     )
-    h0 = traj.samples[0].hamiltonians
-    hT = traj.samples[-1].hamiltonians
+    h0 = traj.hamiltonians[0]
+    hT = traj.hamiltonians[-1]
     assert np.max(np.abs(hT - h0) / (1 + np.abs(h0))) <= 1e-7
+
+
+@pytest.mark.parametrize("t_final,dt,record_every", [(0.7, 1e-2, 1), (0.7, 1e-2, 10), (0.25, 1e-2, 10)])
+def test_rk45_samples_on_the_rk4_grid(state32, t_final, dt, record_every):
+    # 0.7 / 70 * 70 rounds past 0.7, which solve_ivp rejects as t_eval
+    spec = FlowSpec(m=2, t_final=t_final, dt=dt, record_every=record_every)
+    rk4 = integrate(state32, spec)
+    rk45 = integrate(state32, replace(spec, method="RK45"))
+    assert rk45.t[-1] == t_final
+    assert np.array_equal(rk45.t[:-1], rk4.t[:-1])
+    assert np.max(np.abs(rk45.x - rk4.x)) <= 1e-4  # RK4's step error at dt = 1e-2
 
 
 def test_integrate_complex_time(state32):
     tfin = 0.3 + 0.4j
     traj = integrate(state32, FlowSpec(m=1, t_final=tfin, dt=1e-2))
-    assert traj.samples[-1].t == pytest.approx(tfin, abs=1e-14)
-    assert np.max(np.abs(traj.samples[-1].state.x - (state32.x - tfin))) <= 1e-12
+    assert traj.t[-1] == pytest.approx(tfin, abs=1e-14)
+    assert np.max(np.abs(traj.x[-1] - (state32.x - tfin))) <= 1e-12
 
 
 def test_integrate_step_limit(state32):
@@ -172,6 +186,11 @@ def test_integrate_detects_collision():
     with pytest.raises(CollidingPoles) as err:
         integrate(s, FlowSpec(m=2, t_final=1.0, dt=1e-3), eps_coll=1e-9)
     assert err.value.time == pytest.approx(0.5, abs=1e-3)
+    # the collision falls on the last recorded sample, past every RK4 stage
+    for method in ("RK4", "RK45"):
+        with pytest.raises(CollidingPoles) as err:
+            integrate(s, FlowSpec(m=2, t_final=0.5, dt=1e-3, method=method), eps_coll=1e-9)
+        assert err.value.time == pytest.approx(0.5, abs=1e-3)
 
 
 def test_integrate_honours_small_eps_coll():
@@ -179,7 +198,7 @@ def test_integrate_honours_small_eps_coll():
     s = new_state([0.0, 5e-7], [0.3, 0.3], [[1.0, 0.0], [0.0, 1.0]],
                   [[1.0, 0.0], [0.0, 1.0]], eps_coll=1e-9)
     traj = integrate(s, FlowSpec(m=2, t_final=0.01, dt=1e-3), eps_coll=1e-9)
-    assert np.max(np.abs(traj.samples[-1].state.x - (s.x + 2 * s.p * 0.01))) <= 1e-15
+    assert np.max(np.abs(traj.x[-1] - (s.x + 2 * s.p * 0.01))) <= 1e-15
 
 
 def test_rk45_failure_is_not_a_collision(state32, monkeypatch):
@@ -209,6 +228,20 @@ def test_check_lax_residual_and_order(state32):
     assert 8 <= ratio <= 40  # 4th-order stencil: ~16x per halving
     traj = integrate(state32, FlowSpec(m=2, t_final=0.05, dt=1e-3, record_every=1))
     assert np.max(check_lax(traj)) <= 1e-7
+
+
+def test_check_lax_equals_per_sample_loop(state32):
+    traj = integrate(state32, FlowSpec(m=2, t_final=0.02, dt=1e-3, record_every=2))
+    laxes = [build_lax(traj.state(k)) for k in range(len(traj.t))]
+    Ls = [lax.L for lax in laxes]
+    Ms = [lax.M for lax in laxes]
+    h = traj.t[1] - traj.t[0]
+    ref = [
+        np.max(np.abs((-Ls[k + 2] + 8 * Ls[k + 1] - 8 * Ls[k - 1] + Ls[k - 2]) / (12 * h)
+                      - (Ms[k] @ Ls[k] - Ls[k] @ Ms[k])))
+        for k in range(2, len(Ls) - 2)
+    ]
+    assert np.array_equal(check_lax(traj), ref)
 
 
 def test_check_lax_needs_samples(state32):
@@ -241,8 +274,15 @@ def test_trajectory_export(tmp_path, state32):
     assert header[:3] == ["step", "re_t", "im_t"]
     assert "re_x_1" in header and "re_p_3" in header
     assert "drift" in header and "re_H1" in header and "im_H5" in header
-    assert len(rows) - 1 == len(traj.samples)
+    assert len(rows) - 1 == len(traj.t)
     data = json.loads(json_path.read_text())
     assert data["m"] == 2
-    assert len(data["samples"]) == len(traj.samples)
+    assert len(data["samples"]) == len(traj.t)
     assert data["samples"][0]["state"]["n_particles"] == 3
+    # every row mirrors its sample exactly, in the PhaseState schema
+    for k, (row, sample) in enumerate(zip(rows[1:], data["samples"])):
+        assert sample["state"] == traj.state(k).to_dict()
+        assert sample["t"] == [traj.t[k].real, traj.t[k].imag]
+        assert sample["drift"] == traj.drift[k] == float(row[header.index("drift")])
+        assert float(row[header.index("im_H5")]) == traj.hamiltonians[k, 4].imag
+        assert float(row[header.index("re_x_2")]) == traj.x[k, 1].real

@@ -5,8 +5,8 @@ import pytest
 
 from spincm import (
     CheckResult,
+    Config,
     PhaseState,
-    SuiteConfig,
     VerificationReport,
     grad_hamiltonian,
     random_state,
@@ -120,10 +120,10 @@ def test_report_all_passed_ignores_skips():
 
 
 def test_suite_config_threshold_lookup():
-    cfg = SuiteConfig()
-    assert cfg.threshold("r_identity") == 1e-12
+    cfg = Config()
+    assert cfg.thresholds["r_identity"] == 1e-12
     with pytest.raises(KeyError):
-        cfg.threshold("nonexistent")
+        cfg.thresholds["nonexistent"]
 
 
 def test_fd_gradient_oracle_axes_agree(state32):
