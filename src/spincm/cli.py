@@ -8,7 +8,6 @@ e.g. ``--z 1.3+0.7i`` or ``--T 0.5``.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -18,7 +17,7 @@ from .config import Config
 from .errors import CollidingPoles, SpinCMError
 from .flows import FlowSpec, integrate
 from .lax import hamiltonians
-from .phase import load_state, random_state
+from .phase import load_state, random_state, write_json
 from .verify import run_suite
 
 
@@ -82,8 +81,8 @@ def cmd_evolve(args, config):
 def cmd_verify(args, config):
     state = None
     if args.state is not None:
-        # verify and ba-eval keep the default collision floor at load:
-        # run_suite and kp check collisions at that floor
+        # verify keeps the default collision floor at load: run_suite
+        # checks collisions at that floor
         state, _ = load_state(args.state, eps_constr=config.eps_constr)
     report = run_suite(
         state=state,
@@ -100,15 +99,14 @@ def cmd_verify(args, config):
 
 
 def cmd_ba_eval(args, config):
-    state, times = load_state(args.state, eps_constr=config.eps_constr)
+    state, _ = load_state(args.state, eps_coll=config.eps_coll, eps_constr=config.eps_constr)
     grid = np.linspace(args.x_min, args.x_max, args.x_points) + 1j * args.x_imag
     try:
-        data = kp.ba_eval(state, args.z, grid, times=times)
+        data = kp.ba_eval(state, args.z, grid, eps_coll=config.eps_coll)
     except SpinCMError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    with open(args.out, "w") as fh:
-        json.dump(data, fh, indent=1)
+    write_json(args.out, data)
     print(f"wrote {args.out} ({args.x_points} grid points)")
     return 0
 

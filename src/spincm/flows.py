@@ -10,7 +10,6 @@ t_final, with constraint drift and H_1..H_5 recorded at every sample.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 
@@ -23,7 +22,7 @@ from .errors import (
     StepLimitExceeded,
 )
 from .lax import _assemble, grad_hamiltonian, hamiltonians, resolvent_residue
-from .phase import EPS_COLL, PhaseState, complex_to_pairs
+from .phase import EPS_COLL, PhaseState, complex_to_pairs, write_json
 
 
 @dataclass(frozen=True)
@@ -115,8 +114,7 @@ class Trajectory:
                 for k, drift in enumerate(self.drift.tolist())
             ],
         }
-        with open(path, "w") as fh:
-            json.dump(out, fh, indent=1)
+        write_json(path, out)
 
 
 def _re_im(z):

@@ -52,15 +52,16 @@ class TauParams:
             raise ValueError("tau prefactor C must be nonzero")
 
 
-def solve_c(state: PhaseState, z: complex):
+def solve_c(state: PhaseState, z: complex, eps_coll=EPS_COLL):
     """Vectors c_i, c*_i from one LU factorization of (zI - L):
 
     c_i = -sum_k (zI-L)^-1_ik b_k,   c*_i = sum_k (zI-L)^-1_ki a_k.
 
-    Raises SpectralCollision when the solve is singular or worse conditioned
-    than COND_LIMIT (z too close to the spectrum of L).
+    c, c* do not depend on x: one call serves a scalar x or an array of x.
+    Raises SpectralCollision when (zI - L) is worse conditioned than
+    COND_LIMIT, CollidingPoles when two poles are within ``eps_coll``.
     """
-    L = build_lax(state).L
+    L = build_lax(state, eps_coll).L
     A = z * np.eye(state.n_particles, dtype=complex) - L
     if np.linalg.cond(A) > COND_LIMIT:
         raise SpectralCollision(f"z = {z} is numerically on the spectrum of L")
@@ -71,28 +72,35 @@ def solve_c(state: PhaseState, z: complex):
     return c, c_star
 
 
-def _check_pole_distance(state, x, eps_coll):
-    if np.min(np.abs(x - state.x)) < eps_coll:
-        raise PoleHit(f"evaluation point x = {x} hits a pole")
+def _inverse_differences(state, x, eps_coll, power=1):
+    """1/(x - x_i)^power, shape x.shape + (n,) for a scalar or an array x;
+    PoleHit names the first point within ``eps_coll`` of a pole."""
+    d = np.asarray(x, dtype=complex)[..., None] - state.x
+    hit = (np.abs(d) < eps_coll).any(axis=-1).ravel()
+    if hit.any():
+        raise PoleHit(f"evaluation point x = {np.ravel(x)[hit.argmax()]} hits a pole")
+    return 1.0 / d**power
 
 
-def _psi_matrices(state, c, c_star, x):
-    n_inv = 1.0 / (x - state.x)
+def _pole_sum(w, left, right):
+    """sum_i w_i left_i right_i^T for weights w of shape (..., n), as (..., N, N),
+    in one contraction; a grid point and a scalar x give the same bits."""
+    return np.einsum("...i,ig,ih->...gh", w, left, right)
+
+
+def _psi_matrices(state, c, c_star, x, eps_coll=EPS_COLL):
+    """Stripped psi and psi+, (N, N) at a scalar x or (..., N, N) on an array."""
+    inv = _inverse_differences(state, x, eps_coll)
     I = np.eye(state.spin_dim, dtype=complex)
-    psi = I + np.einsum("i,ig,ih->gh", n_inv, state.a, c)
-    psid = I + np.einsum("i,ig,ih->gh", n_inv, c_star, state.b)
-    return psi, psid
+    return I + _pole_sum(inv, state.a, c), I + _pole_sum(inv, c_star, state.b)
 
 
 def _psi_x_derivatives(state, c, c_star, x):
     """Closed-form first and second x-derivatives of the pole ansatz."""
-    w1_ = 1.0 / (x - state.x) ** 2
-    w2_ = 1.0 / (x - state.x) ** 3
-    dpsi = -np.einsum("i,ig,ih->gh", w1_, state.a, c)
-    d2psi = 2 * np.einsum("i,ig,ih->gh", w2_, state.a, c)
-    dpsid = -np.einsum("i,ig,ih->gh", w1_, c_star, state.b)
-    d2psid = 2 * np.einsum("i,ig,ih->gh", w2_, c_star, state.b)
-    return dpsi, d2psi, dpsid, d2psid
+    w1_, w2_ = (_inverse_differences(state, x, EPS_COLL, k) for k in (2, 3))
+    a, b = state.a, state.b
+    return (-_pole_sum(w1_, a, c), 2 * _pole_sum(w2_, a, c),
+            -_pole_sum(w1_, c_star, b), 2 * _pole_sum(w2_, c_star, b))
 
 
 def psi_pair(
@@ -106,9 +114,9 @@ def psi_pair(
     """Baker-Akhiezer pair at (x, z), stripped or full gauge."""
     if gauge not in ("stripped", "full"):
         raise ValueError("gauge must be 'stripped' or 'full'")
-    _check_pole_distance(state, x, eps_coll)
-    c, c_star = solve_c(state, z)
-    psi, psid = _psi_matrices(state, c, c_star, x)
+    _inverse_differences(state, x, eps_coll)
+    c, c_star = solve_c(state, z, eps_coll)
+    psi, psid = _psi_matrices(state, c, c_star, x, eps_coll)
     if gauge == "full":
         times = times if times is not None else TimeVector()
         phase = np.exp(x * z + times.xi(z))
@@ -117,16 +125,16 @@ def psi_pair(
     return BASample(z=z, x=x, c=c, c_star=c_star, psi_tilde=psi, psi_dagger_tilde=psid)
 
 
-def w1(state: PhaseState, x: complex, eps_coll=EPS_COLL):
-    """w^(1)(x) = -sum_i a_i b_i^T / (x - x_i)."""
-    _check_pole_distance(state, x, eps_coll)
-    return -np.einsum("i,ig,ih->gh", 1.0 / (x - state.x), state.a, state.b)
+def w1(state: PhaseState, x, eps_coll=EPS_COLL):
+    """w^(1)(x) = -sum_i a_i b_i^T / (x - x_i), at a scalar x (N, N) or at
+    every point of an array x (..., N, N)."""
+    return -_pole_sum(_inverse_differences(state, x, eps_coll), state.a, state.b)
 
 
-def potential_v(state: PhaseState, x: complex, eps_coll=EPS_COLL):
-    """V(x) = -2 d/dx w^(1) = -2 sum_i a_i b_i^T / (x - x_i)^2."""
-    _check_pole_distance(state, x, eps_coll)
-    return -2 * np.einsum("i,ig,ih->gh", 1.0 / (x - state.x) ** 2, state.a, state.b)
+def potential_v(state: PhaseState, x, eps_coll=EPS_COLL):
+    """V(x) = -2 d/dx w^(1) = -2 sum_i a_i b_i^T / (x - x_i)^2, at a scalar
+    x (N, N) or at every point of an array x (..., N, N)."""
+    return -2 * _pole_sum(_inverse_differences(state, x, eps_coll, 2), state.a, state.b)
 
 
 def tau(state: PhaseState, params: TauParams, x: complex) -> complex:
@@ -162,28 +170,22 @@ def linear_problem_residual(
     flow_dt = flow_dt if flow_dt is not None else dt2 / 4
     plus = integrate(state, FlowSpec(m=2, t_final=dt2, dt=flow_dt)).state(-1)
     minus = integrate(state, FlowSpec(m=2, t_final=-dt2, dt=flow_dt)).state(-1)
-    c0, cs0 = solve_c(state, z)
+    c, c_star = solve_c(state, z)
     cp, csp = solve_c(plus, z)
     cm, csm = solve_c(minus, z)
-    worst = 0.0
-    for x in np.atleast_1d(x_grid):
-        for st in (state, plus, minus):
-            _check_pole_distance(st, x, EPS_COLL)
-        psi_p, psid_p = _psi_matrices(plus, cp, csp, x)
-        psi_m, psid_m = _psi_matrices(minus, cm, csm, x)
-        psi, psid = _psi_matrices(state, c0, cs0, x)
-        dpsi, d2psi, dpsid, d2psid = _psi_x_derivatives(state, c0, cs0, x)
-        V = potential_v(state, x)
-        lhs = (psi_p - psi_m) / (2 * dt2)
-        rhs = 2 * z * dpsi + d2psi + V @ psi
-        lhs_adj = (psid_p - psid_m) / (2 * dt2)
-        rhs_adj = 2 * z * dpsid - d2psid - psid @ V
-        worst = max(
-            worst,
-            float(np.max(np.abs(lhs - rhs))),
-            float(np.max(np.abs(lhs_adj - rhs_adj))),
-        )
-    return worst
+    psi_p, psid_p = _psi_matrices(plus, cp, csp, x_grid)
+    psi_m, psid_m = _psi_matrices(minus, cm, csm, x_grid)
+    psi, psid = _psi_matrices(state, c, c_star, x_grid)
+    dpsi, d2psi, dpsid, d2psid = _psi_x_derivatives(state, c, c_star, x_grid)
+    V = potential_v(state, x_grid)
+    lhs = (psi_p - psi_m) / (2 * dt2)
+    rhs = 2 * z * dpsi + d2psi + V @ psi
+    lhs_adj = (psid_p - psid_m) / (2 * dt2)
+    rhs_adj = 2 * z * dpsid - d2psid - psid @ V
+    return max(
+        float(np.max(np.abs(lhs - rhs), initial=0.0)),
+        float(np.max(np.abs(lhs_adj - rhs_adj), initial=0.0)),
+    )
 
 
 def _residue_identity_coefficients(state: PhaseState, m: int):
@@ -226,10 +228,7 @@ def residue_identity_residual(state: PhaseState, m: int, x_samples) -> float:
     f = vector_field_gradient(state, m)
     a, b = state.a, state.b
     n = state.n_particles
-    xs = np.atleast_1d(x_samples)
-    for x in xs:
-        _check_pole_distance(state, x, EPS_COLL)
-    inv1 = 1.0 / (xs[:, None] - state.x)  # (points, n)
+    inv1 = _inverse_differences(state, np.atleast_1d(x_samples), EPS_COLL)  # (points, n)
     inv2 = inv1**2
     first_rhs = f.da[:, :, None] * b[:, None, :] + a[:, :, None] * f.db[:, None, :]
     second_rhs = f.dx[:, None, None] * (a[:, :, None] * b[:, None, :])
@@ -251,21 +250,19 @@ def first_order_pole_cancellation(state: PhaseState, m: int) -> float:
     return float(np.max(np.abs(np.trace(first, axis1=1, axis2=2))))
 
 
-def ba_eval(state: PhaseState, z: complex, grid, times: TimeVector | None = None):
-    """Grid evaluation for export: psi pair, V and w^(1) at every grid point."""
+def ba_eval(state: PhaseState, z: complex, grid, eps_coll=EPS_COLL):
+    """Grid evaluation for export: psi pair, V and w^(1) at every point of
+    the array ``grid``. The whole grid is pole-checked (PoleHit names the
+    first offending x) before the one solve_c that all points share; an
+    empty grid gives empty lists without a solve."""
     grid = np.atleast_1d(np.asarray(grid, dtype=complex))
-    out = {
-        "z": [z.real, z.imag],
-        "grid": complex_to_pairs(grid),
-        "psi_tilde": [],
-        "psi_dagger_tilde": [],
-        "V": [],
-        "w1": [],
-    }
-    for x in grid:
-        s = psi_pair(state, times, z, x, gauge="stripped")
-        out["psi_tilde"].append(complex_to_pairs(s.psi_tilde))
-        out["psi_dagger_tilde"].append(complex_to_pairs(s.psi_dagger_tilde))
-        out["V"].append(complex_to_pairs(potential_v(state, x)))
-        out["w1"].append(complex_to_pairs(w1(state, x)))
+    fields = ([], [], [], [])
+    if grid.size:
+        _inverse_differences(state, grid, eps_coll)
+        c, c_star = solve_c(state, z, eps_coll)
+        fields = (*_psi_matrices(state, c, c_star, grid, eps_coll),
+                  potential_v(state, grid, eps_coll), w1(state, grid, eps_coll))
+    out = {"z": [z.real, z.imag], "grid": complex_to_pairs(grid)}
+    for key, f in zip(("psi_tilde", "psi_dagger_tilde", "V", "w1"), fields):
+        out[key] = complex_to_pairs(f)
     return out

@@ -90,8 +90,7 @@ class PhaseState:
         return out
 
     def save(self, path, times=None):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(times=times), fh, indent=1)
+        write_json(path, self.to_dict(times=times))
 
 
 @dataclass(frozen=True)
@@ -122,6 +121,13 @@ def pairs_to_complex(obj):
     """Inverse of :func:`complex_to_pairs`."""
     arr = np.asarray(obj, dtype=float)
     return arr[..., 0] + 1j * arr[..., 1]
+
+
+def write_json(path, obj):
+    """Write ``obj`` as compact one-line JSON: CPython encodes with its C
+    encoder only through json.dumps with indent=None."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(obj))
 
 
 def new_state(x, p, a, b, eps_coll=EPS_COLL, eps_constr=EPS_CONSTR):

@@ -7,7 +7,6 @@ residual with an explicit threshold; the suite is a pure function of
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 
@@ -33,7 +32,7 @@ from .lax import (
     hamiltonian_h2_direct,
     poisson_bracket,
 )
-from .phase import PhaseState, _freeze, random_state
+from .phase import PhaseState, _freeze, random_state, write_json
 
 SUITE_VERSION = "1"
 
@@ -86,8 +85,7 @@ class VerificationReport:
         }
 
     def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
+        write_json(path, self.to_dict())
 
     def summary(self):
         lines = [

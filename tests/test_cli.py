@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from spincm import load_state, random_state
+from spincm import ba_eval, load_state, random_state
 from spincm.cli import main, parse_complex
 
 
@@ -247,6 +247,20 @@ def test_ba_eval_large_x_near_identity(tmp_path, capsys):
         assert np.max(np.abs(point - eye)) <= 1e-2
 
 
+def test_ba_eval_file_is_one_line_and_loads_bit_for_bit(tmp_path, capsys):
+    state_path = _gen(tmp_path, capsys, seed=9)
+    out_path = tmp_path / "ba.json"
+    rc = main(["ba-eval", str(state_path), "--z", "1.3+0.7i", "--x-min", "-6", "--x-max", "6",
+               "--x-points", "17", "--x-imag", "1.5", "--out", str(out_path)])
+    assert rc == 0
+    capsys.readouterr()
+    text = out_path.read_text()
+    assert "\n" not in text
+    state, _ = load_state(state_path)
+    grid = np.linspace(-6.0, 6.0, 17) + 1.5j
+    assert json.loads(text) == ba_eval(state, 1.3 + 0.7j, grid)
+
+
 def test_evolve_honours_config_eps_coll(tmp_path, capsys):
     # poles 5e-7 apart with R = I: a valid state under a 1e-9 floor
     from spincm import new_state
@@ -282,23 +296,31 @@ def test_config_eps_constr_applies_at_load(tmp_path, capsys):
     assert main(args + ["--config", str(config_path)]) == 0
 
 
-def test_verify_and_ba_eval_keep_default_floor_at_load(tmp_path, capsys):
-    # run_suite and kp check collisions at the default floor, so a smaller
-    # configured eps_coll must not let a too-close state through at load
+def test_verify_default_floor_and_ba_eval_config_floor_at_load(tmp_path, capsys):
+    # run_suite checks collisions at the default floor, so a smaller
+    # configured eps_coll must not let a too-close state into verify;
+    # ba-eval honours the configured floor at load and on the grid
     from spincm import new_state
 
-    state_path = tmp_path / "close.json"
-    new_state([0.0, 5e-7], [0.3, 0.3], [[1.0, 0.0], [0.0, 1.0]],
-              [[1.0, 0.0], [0.0, 1.0]], eps_coll=1e-9).save(state_path)
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"eps_coll": 1e-9}))
-    for args in (
-        ["verify", str(state_path), "--out", str(tmp_path / "report.json")],
-        ["ba-eval", str(state_path), "--z", "1.3+0.7i", "--x-min", "-1", "--x-max", "1",
-         "--out", str(tmp_path / "ba.json")],
-    ):
-        assert main(args + ["--config", str(config_path)]) == 2
-        assert "CollidingPoles" in capsys.readouterr().err
+    paths = {}
+    for gap in (5e-7, 5e-10):
+        paths[gap] = tmp_path / f"close_{gap}.json"
+        new_state([0.0, gap], [0.3, 0.3], [[1.0, 0.0], [0.0, 1.0]],
+                  [[1.0, 0.0], [0.0, 1.0]], eps_coll=1e-11).save(paths[gap])
+    config = ["--config", str(config_path)]
+    assert main(["verify", str(paths[5e-7]), "--out", str(tmp_path / "report.json")] + config) == 2
+    assert "CollidingPoles" in capsys.readouterr().err
+    ba = ["--z", "1.3+0.7i", "--x-min", "-1", "--x-max", "1", "--out", str(tmp_path / "ba.json")]
+    assert main(["ba-eval", str(paths[5e-7])] + ba + config) == 0
+    capsys.readouterr()
+    data = json.loads((tmp_path / "ba.json").read_text())
+    assert len(data["grid"]) == 20
+    for key in ("psi_tilde", "psi_dagger_tilde", "V", "w1"):
+        assert np.all(np.isfinite(np.array(data[key], dtype=float)))
+    assert main(["ba-eval", str(paths[5e-10])] + ba + config) == 2
+    assert "CollidingPoles" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

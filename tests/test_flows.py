@@ -22,7 +22,7 @@ from spincm import (
 )
 from spincm.flows import _residue_raw_ab
 from spincm.lax import _assemble, resolvent_residue
-from spincm.phase import EPS_COLL
+from spincm.phase import EPS_COLL, pairs_to_complex
 from spincm.verify import _tangent_relative_error
 
 
@@ -275,8 +275,12 @@ def test_trajectory_export(tmp_path, state32):
     assert "re_x_1" in header and "re_p_3" in header
     assert "drift" in header and "re_H1" in header and "im_H5" in header
     assert len(rows) - 1 == len(traj.t)
-    data = json.loads(json_path.read_text())
+    text = json_path.read_text()
+    assert "\n" not in text  # compact one-line JSON
+    data = json.loads(text)
     assert data["m"] == 2
+    H = pairs_to_complex([sample["hamiltonians"] for sample in data["samples"]])
+    assert np.array_equal(H, traj.hamiltonians)
     assert len(data["samples"]) == len(traj.t)
     assert data["samples"][0]["state"]["n_particles"] == 3
     # every row mirrors its sample exactly, in the PhaseState schema
@@ -286,3 +290,4 @@ def test_trajectory_export(tmp_path, state32):
         assert sample["drift"] == traj.drift[k] == float(row[header.index("drift")])
         assert float(row[header.index("im_H5")]) == traj.hamiltonians[k, 4].imag
         assert float(row[header.index("re_x_2")]) == traj.x[k, 1].real
+

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,8 @@ from spincm import (
     tau,
     w1,
 )
-from spincm.phase import TimeVector
+from spincm.kp import _psi_matrices
+from spincm.phase import TimeVector, pairs_to_complex
 
 from conftest import offgrid_points
 
@@ -271,3 +274,93 @@ def test_ba_sample_fields(state32):
     assert isinstance(s, BASample)
     assert s.z == Z0 and s.x == 4.2
     assert s.c.shape == (3, 2) and s.c_star.shape == (3, 2)
+
+
+def _dense_ba_reference(state, z, grid):
+    """psi, psi+, V and w^(1) per point from the definitions: L assembled
+    by hand and dense solves of (zI - L) and its transpose."""
+    x, p, a, b = state.x, state.p, state.a, state.b
+    n, N = a.shape
+    d = x[:, None] - x[None, :]
+    np.fill_diagonal(d, 1.0)
+    L = -(b @ a.T) / d
+    np.fill_diagonal(L, -p)
+    A = z * np.eye(n) - L
+    c = -np.linalg.solve(A, b)
+    c_star = np.linalg.solve(A.T, a)
+    ref = {"psi_tilde": [], "psi_dagger_tilde": [], "V": [], "w1": []}
+    for xp in grid:
+        psi, psid, V, W = np.eye(N, dtype=complex), np.eye(N, dtype=complex), 0j, 0j
+        for i in range(n):
+            psi = psi + np.outer(a[i], c[i]) / (xp - x[i])
+            psid = psid + np.outer(c_star[i], b[i]) / (xp - x[i])
+            V = V - 2 * np.outer(a[i], b[i]) / (xp - x[i]) ** 2
+            W = W - np.outer(a[i], b[i]) / (xp - x[i])
+        for key, val in zip(ref, (psi, psid, V, W)):
+            ref[key].append(val)
+    return {key: np.array(v) for key, v in ref.items()}, np.linalg.cond(A)
+
+
+@pytest.mark.parametrize("n,N", [(n, N) for n in (1, 3, 30) for N in (1, 4)])
+def test_ba_eval_matches_dense_reference(n, N):
+    s = random_state(n, N, seed=11)
+    grid = offgrid_points(s, 50)
+    for z in (1.3 + 0.7j, -0.8 + 1.9j, 2.5 - 0.4j):
+        out = ba_eval(s, z, grid)
+        ref, cond = _dense_ba_reference(s, z, grid)
+        tol = 1e-13 * cond + 1e-12
+        assert np.array_equal(pairs_to_complex(out["grid"]), grid)
+        for key, want in ref.items():
+            got = pairs_to_complex(out[key])
+            assert got.shape == (50, N, N)
+            assert np.max(np.abs(got - want)) / (1.0 + np.max(np.abs(want))) <= tol, (z, key)
+
+
+def test_ba_eval_pole_hit_names_first_offending_point(state32):
+    grid = np.linspace(-6, 6, 7) + 1.5j
+    grid[2], grid[5] = state32.x[1], state32.x[0]
+    with pytest.raises(PoleHit, match=re.escape(f"x = {grid[2]} ")):
+        ba_eval(state32, Z0, grid)
+    # the grid is pole-checked before the solve, so a z on the spectrum
+    # still reports the pole hit
+    ev = complex(np.linalg.eigvals(build_lax(state32).L)[0])
+    with pytest.raises(PoleHit):
+        ba_eval(state32, ev, grid)
+
+
+def test_ba_eval_spectral_collision_at_eigenvalue(state32):
+    ev = complex(np.linalg.eigvals(build_lax(state32).L)[1])
+    with pytest.raises(SpectralCollision):
+        ba_eval(state32, ev, offgrid_points(state32, 4))
+
+
+def test_ba_eval_empty_grid_skips_the_solve(state32, monkeypatch):
+    import spincm.kp
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_c called for an empty grid")
+
+    monkeypatch.setattr(spincm.kp, "solve_c", no_solve)
+    out = ba_eval(state32, Z0, np.zeros(0, complex))
+    assert out == {"z": [Z0.real, Z0.imag], "grid": [], "psi_tilde": [],
+                   "psi_dagger_tilde": [], "V": [], "w1": []}
+
+
+def test_ba_eval_honours_eps_coll(state32):
+    grid = np.array([state32.x[0] + 1e-7, 4.0 + 1.0j])
+    with pytest.raises(PoleHit):
+        ba_eval(state32, Z0, grid)
+    out = ba_eval(state32, Z0, grid, eps_coll=1e-9)
+    assert np.all(np.isfinite(np.array(out["w1"], dtype=float)))
+
+
+def test_array_x_matches_scalar_x_bit_for_bit(state32):
+    grid = offgrid_points(state32, 5)
+    c, c_star = solve_c(state32, Z0)
+    stacks = (*_psi_matrices(state32, c, c_star, grid), potential_v(state32, grid),
+              w1(state32, grid))
+    for k, x in enumerate(grid):
+        s = psi_pair(state32, None, Z0, x)
+        for got, want in zip(stacks, (s.psi_tilde, s.psi_dagger_tilde,
+                                      potential_v(state32, x), w1(state32, x))):
+            assert np.array_equal(got[k], want)

@@ -106,11 +106,15 @@ def test_state_json_roundtrip(tmp_path, state32):
     for f in ("x", "p", "a", "b"):
         assert np.array_equal(getattr(loaded, f), getattr(state32, f))
     assert np.array_equal(times2.t, times.t)
-    # schema spot checks: complex numbers are [re, im] pairs
-    raw = json.loads(path.read_text())
+    # compact one-line JSON of to_dict; complex numbers are [re, im] pairs
+    text = path.read_text()
+    assert "\n" not in text
+    raw = json.loads(text)
+    assert raw == state32.to_dict(times=times)
     assert raw["n_particles"] == 3 and raw["spin_dim"] == 2
     assert len(raw["x"][0]) == 2
     assert len(raw["a"][0][0]) == 2
+
 
 
 def test_state_from_dict_validates():

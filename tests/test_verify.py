@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -97,6 +98,26 @@ def test_report_serialization(tmp_path, report_default):
         "skipped",
         "details",
     }
+
+
+def test_report_file_is_one_line_and_keeps_nan_and_inf(tmp_path):
+    report = VerificationReport(
+        seed=3, n_particles=2, spin_dim=1, suite_version="1",
+        results=[
+            CheckResult("a", float("nan"), 1e-8, False),
+            CheckResult("b", float("inf"), 1e-10, False, details={"error": "boom"}),
+            CheckResult("c", 1 / 3 * 1e-15, 1e-12, True, details={"z": [1.3, 0.7]}),
+            CheckResult("d", 0.0, 1e-12, True, skipped=True),
+        ],
+    )
+    path = tmp_path / "report.json"
+    report.save(path)
+    text = path.read_text()
+    assert "\n" not in text and "NaN" in text and "Infinity" in text
+    loaded, expected = json.loads(text), report.to_dict()
+    assert math.isnan(loaded["results"][0].pop("residual"))
+    expected["results"][0].pop("residual")
+    assert loaded == expected
 
 
 def test_report_summary_format(report_default):
