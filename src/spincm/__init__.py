@@ -16,7 +16,7 @@ from .errors import (
     StepLimitExceeded,
     ZeroScale,
 )
-from .flows import FlowSpec, Tangent, Trajectory, commutativity_check, check_lax, integrate, vector_field_gradient, vector_field_residue
+from .flows import FlowSpec, Tangent, Trajectory, commutativity_check, check_lax, integrate, integrate_stack, vector_field_gradient, vector_field_residue
 from .kp import (
     BASample,
     TauParams,

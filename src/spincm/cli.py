@@ -79,11 +79,12 @@ def cmd_evolve(args, config):
 
 
 def cmd_verify(args, config):
+    if config.method != "RK4":
+        print(f"note: verify integrates every suite flow with fixed-step RK4; "
+              f"the configured method {config.method} is not used", file=sys.stderr)
     state = None
     if args.state is not None:
-        # verify keeps the default collision floor at load: run_suite
-        # checks collisions at that floor
-        state, _ = load_state(args.state, eps_constr=config.eps_constr)
+        state, _ = load_state(args.state, eps_coll=config.eps_coll, eps_constr=config.eps_constr)
     report = run_suite(
         state=state,
         config=config,

@@ -9,12 +9,15 @@ class CollidingPoles(SpinCMError):
     """Two pole positions are closer than the collision floor.
 
     Carries the (complex) flow time of breakdown in ``time`` when raised
-    during integration; ``time`` is None for static configurations.
+    during integration; ``time`` is None for static configurations. When
+    raised for a stack of phase points, ``row`` is the flat index (C order
+    over the stack axes) of the first colliding point, else None.
     """
 
-    def __init__(self, message, time=None):
+    def __init__(self, message, time=None, row=None):
         super().__init__(message)
         self.time = time
+        self.row = row
 
 
 class ConstraintViolated(SpinCMError):

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import PoleHit, SpectralCollision
-from .flows import FlowSpec, _residue_raw_ab, integrate, vector_field_gradient
+from .flows import FlowSpec, _field, _residue_raw_ab, integrate
 from .lax import _assemble, build_lax, resolvent_residue
 from .phase import EPS_COLL, PhaseState, TimeVector, complex_to_pairs
 
@@ -95,9 +95,9 @@ def _psi_matrices(state, c, c_star, x, eps_coll=EPS_COLL):
     return I + _pole_sum(inv, state.a, c), I + _pole_sum(inv, c_star, state.b)
 
 
-def _psi_x_derivatives(state, c, c_star, x):
+def _psi_x_derivatives(state, c, c_star, x, eps_coll=EPS_COLL):
     """Closed-form first and second x-derivatives of the pole ansatz."""
-    w1_, w2_ = (_inverse_differences(state, x, EPS_COLL, k) for k in (2, 3))
+    w1_, w2_ = (_inverse_differences(state, x, eps_coll, k) for k in (2, 3))
     a, b = state.a, state.b
     return (-_pole_sum(w1_, a, c), 2 * _pole_sum(w2_, a, c),
             -_pole_sum(w1_, c_star, b), 2 * _pole_sum(w2_, c_star, b))
@@ -155,6 +155,7 @@ def linear_problem_residual(
     x_grid,
     dt2: float,
     flow_dt: float | None = None,
+    eps_coll=EPS_COLL,
 ) -> float:
     """Residual of the stripped-gauge t_2 linear problem and its adjoint.
 
@@ -165,19 +166,22 @@ def linear_problem_residual(
         d_t2 psi+ = 2z d_x psi+ - d_x^2 psi+ - psi+ V,
 
     with all x-derivatives in closed form. Returns the max entrywise
-    residual over the grid, both equations.
+    residual over the grid, both equations. Every collision and pole check
+    uses ``eps_coll``.
     """
     flow_dt = flow_dt if flow_dt is not None else dt2 / 4
-    plus = integrate(state, FlowSpec(m=2, t_final=dt2, dt=flow_dt)).state(-1)
-    minus = integrate(state, FlowSpec(m=2, t_final=-dt2, dt=flow_dt)).state(-1)
-    c, c_star = solve_c(state, z)
-    cp, csp = solve_c(plus, z)
-    cm, csm = solve_c(minus, z)
-    psi_p, psid_p = _psi_matrices(plus, cp, csp, x_grid)
-    psi_m, psid_m = _psi_matrices(minus, cm, csm, x_grid)
-    psi, psid = _psi_matrices(state, c, c_star, x_grid)
-    dpsi, d2psi, dpsid, d2psid = _psi_x_derivatives(state, c, c_star, x_grid)
-    V = potential_v(state, x_grid)
+    plus, minus = (
+        integrate(state, FlowSpec(m=2, t_final=t, dt=flow_dt), eps_coll).state(-1)
+        for t in (dt2, -dt2)
+    )
+    c, c_star = solve_c(state, z, eps_coll)
+    cp, csp = solve_c(plus, z, eps_coll)
+    cm, csm = solve_c(minus, z, eps_coll)
+    psi_p, psid_p = _psi_matrices(plus, cp, csp, x_grid, eps_coll)
+    psi_m, psid_m = _psi_matrices(minus, cm, csm, x_grid, eps_coll)
+    psi, psid = _psi_matrices(state, c, c_star, x_grid, eps_coll)
+    dpsi, d2psi, dpsid, d2psid = _psi_x_derivatives(state, c, c_star, x_grid, eps_coll)
+    V = potential_v(state, x_grid, eps_coll)
     lhs = (psi_p - psi_m) / (2 * dt2)
     rhs = 2 * z * dpsi + d2psi + V @ psi
     lhs_adj = (psid_p - psid_m) / (2 * dt2)
@@ -188,11 +192,12 @@ def linear_problem_residual(
     )
 
 
-def _residue_identity_coefficients(state: PhaseState, m: int):
+def _residue_identity_coefficients(state: PhaseState, m: int, eps_coll=EPS_COLL):
     """Per-pole Laurent coefficients of res_inf(z^m psi psi+) in x.
 
-    Returns (first_order, second_order): arrays of shape (n, N, N) with the
-    coefficients of 1/(x - x_i) and 1/(x - x_i)^2, built exactly from the
+    Returns (first_order, second_order, assembly): arrays of shape (n, N, N)
+    with the coefficients of 1/(x - x_i) and 1/(x - x_i)^2, and the Lax
+    assembly (inv, R, L, M) they come from. They are built exactly from the
     resolvent calculus (res z^m c = -L^m b, res z^m c* = (L^m)^T a and the
     double-resolvent convolution K = res z^m (zI-L)^-1 R (zI-L)^-1 for the
     gamma-contracted cross terms). In array form, with inv_ik = 1/(x_i - x_k)
@@ -205,48 +210,49 @@ def _residue_identity_coefficients(state: PhaseState, m: int):
     ``flows._residue_raw_ab`` reads off the same residue equations; no loop
     runs over the poles.
     """
-    inv, R, L, _ = _assemble(state.x, state.p, state.a, state.b, EPS_COLL)
+    assembly = inv, R, L, _ = _assemble(state.x, state.p, state.a, state.b, eps_coll)
     Lm = resolvent_residue(L, m)
     K = resolvent_residue(L, m, R)
     u, v = _residue_raw_ab(state, inv, K, Lm)
     a, b = state.a, state.b
     first = u[:, :, None] * b[:, None, :] + a[:, :, None] * v[:, None, :]
     second = -np.diag(K)[:, None, None] * (a[:, :, None] * b[:, None, :])
-    return first, second
+    return first, second, assembly
 
 
-def residue_identity_residual(state: PhaseState, m: int, x_samples) -> float:
+def residue_identity_residual(state: PhaseState, m: int, x_samples, eps_coll=EPS_COLL) -> float:
     """Entrywise residual of res_inf(z^m psi psi+) = -d_{t_m} w^(1).
 
     The left side comes from the resolvent calculus; the right side is
-    assembled from the Hamiltonian-route tangent as
+    assembled from the Hamiltonian-route tangent, taken from the same Lax
+    assembly as the coefficients, as
     sum_i [d(a_i b_i^T)/(x - x_i) + a_i b_i^T dx_i/(x - x_i)^2]. The trace
     version against d_{t_m} d_x log tau = sum_i dx_i/(x - x_i)^2 is checked
     alongside. Returns the max residual over the sample points.
     """
-    first, second = _residue_identity_coefficients(state, m)
-    f = vector_field_gradient(state, m)
+    first, second, (inv, _, L, M) = _residue_identity_coefficients(state, m, eps_coll)
     a, b = state.a, state.b
+    dx, _, da, db = _field(inv, L, M, a, b, m)
     n = state.n_particles
-    inv1 = _inverse_differences(state, np.atleast_1d(x_samples), EPS_COLL)  # (points, n)
+    inv1 = _inverse_differences(state, np.atleast_1d(x_samples), eps_coll)  # (points, n)
     inv2 = inv1**2
-    first_rhs = f.da[:, :, None] * b[:, None, :] + a[:, :, None] * f.db[:, None, :]
-    second_rhs = f.dx[:, None, None] * (a[:, :, None] * b[:, None, :])
+    first_rhs = da[:, :, None] * b[:, None, :] + a[:, :, None] * db[:, None, :]
+    second_rhs = dx[:, None, None] * (a[:, :, None] * b[:, None, :])
     entry = inv1 @ (first - first_rhs).reshape(n, -1)
     entry += inv2 @ (second - second_rhs).reshape(n, -1)
     lhs_tr = inv1 @ np.einsum("igg->i", first) + inv2 @ np.einsum("igg->i", second)
-    rhs_tr = inv2 @ f.dx
+    rhs_tr = inv2 @ dx
     return max(
         float(np.max(np.abs(entry), initial=0.0)),
         float(np.max(np.abs(lhs_tr - rhs_tr), initial=0.0)),
     )
 
 
-def first_order_pole_cancellation(state: PhaseState, m: int) -> float:
+def first_order_pole_cancellation(state: PhaseState, m: int, eps_coll=EPS_COLL) -> float:
     """max_i |trace of the first-order-pole coefficient|, which equals
     d_{t_m}(b_i^T a_i) and must vanish since the flows preserve the
     normalization."""
-    first, _ = _residue_identity_coefficients(state, m)
+    first = _residue_identity_coefficients(state, m, eps_coll)[0]
     return float(np.max(np.abs(np.trace(first, axis1=1, axis2=2))))
 
 

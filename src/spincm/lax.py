@@ -12,6 +12,7 @@ contour integrator is kept alongside as an independent oracle.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,23 +48,37 @@ class Gradient:
         )
 
 
-def _assemble(x, p, a, b, eps_coll):
-    """Inverse differences, R, L and M of one phase point, from one pass
-    over the pairwise differences x_i - x_k.
+def _diagonal(A):
+    """Writable view of the diagonals of a C-contiguous (..., n, n) array,
+    shape (..., n)."""
+    n = A.shape[-1]
+    return A.reshape(*A.shape[:-2], n * n)[..., :: n + 1]
 
-    Returns (inv, R, L, M) with inv_ik = 1/(x_i - x_k) off the diagonal and
-    inv_ii = 0. Raises CollidingPoles if two poles are within ``eps_coll``.
+
+def _assemble(x, p, a, b, eps_coll):
+    """Inverse differences, R, L and M of one phase point or of a stack of
+    them, from one pass over the pairwise differences x_i - x_k.
+
+    x and p have shape (..., n), a and b (..., n, N); leading axes stack
+    phase points. Returns (inv, R, L, M), each (..., n, n), with
+    inv_ik = 1/(x_i - x_k) off the diagonal and inv_ii = 0. Raises
+    CollidingPoles if two poles of a point are within ``eps_coll``; for a
+    stack its ``row`` is the flat index of the first such point.
     """
-    n = x.shape[0]
-    d = x[:, None] - x[None, :]
-    d.flat[:: n + 1] = np.inf
-    sep = np.abs(d).min()
-    if sep <= eps_coll:
-        raise CollidingPoles(f"minimal pole separation {sep:.3e} <= {eps_coll:.3e}")
+    n = x.shape[-1]
+    d = x[..., :, None] - x[..., None, :]
+    _diagonal(d)[...] = np.inf
+    dist = np.abs(d)
+    if dist.min() <= eps_coll:
+        sep = dist.reshape(-1, n * n).min(axis=1)
+        row = int(np.argmax(sep <= eps_coll)) if d.ndim > 2 else None
+        raise CollidingPoles(
+            f"minimal pole separation {sep[row or 0]:.3e} <= {eps_coll:.3e}", row=row
+        )
     inv = 1.0 / d  # the infinite diagonal gives inv_ii = 0
-    R = b @ a.T
+    R = b @ a.swapaxes(-1, -2)
     L = -R * inv
-    L.flat[:: n + 1] = -p
+    _diagonal(L)[...] = -p
     M = 2.0 * R * inv * inv
     return inv, R, L, M
 
@@ -74,55 +89,98 @@ def build_lax(state: PhaseState, eps_coll=EPS_COLL) -> LaxData:
     return LaxData(L=L, M=M, X=np.diag(state.x), R=R)
 
 
-def hamiltonian(state: PhaseState, m: int) -> complex:
+def hamiltonian(state: PhaseState, m: int, eps_coll=EPS_COLL) -> complex:
     """H_m = tr L^m."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    L = _assemble(state.x, state.p, state.a, state.b, EPS_COLL)[2]
+    L = _assemble(state.x, state.p, state.a, state.b, eps_coll)[2]
     return complex(np.trace(np.linalg.matrix_power(L, m)))
 
 
-def hamiltonians(state: PhaseState, kmax: int = 5, eps_coll=EPS_COLL) -> np.ndarray:
-    """[H_1, ..., H_kmax] from one pass of repeated multiplication."""
-    L = _assemble(state.x, state.p, state.a, state.b, eps_coll)[2]
-    out = np.empty(kmax, dtype=complex)
+def _power_traces(L, kmax=5):
+    """[tr L, ..., tr L^kmax] of one L or of a stack (..., n, n), shape
+    (..., kmax), from one pass of repeated multiplication."""
+    out = np.empty(L.shape[:-2] + (kmax,), dtype=complex)
     P = L
     for k in range(kmax):
-        out[k] = np.trace(P)
+        out[..., k] = np.trace(P, axis1=-2, axis2=-1)
         if k + 1 < kmax:
             P = P @ L
     return out
 
 
-def hamiltonian_h2_direct(state: PhaseState) -> complex:
+def hamiltonians(state: PhaseState, kmax: int = 5, eps_coll=EPS_COLL) -> np.ndarray:
+    """[H_1, ..., H_kmax] from one pass of repeated multiplication."""
+    return _power_traces(_assemble(state.x, state.p, state.a, state.b, eps_coll)[2], kmax)
+
+
+def hamiltonian_h2_direct(state: PhaseState, eps_coll=EPS_COLL) -> complex:
     """H_2 written directly in phase variables:
     sum_i p_i^2 - sum_{i != k} (b_i^T a_k)(b_k^T a_i)/(x_i - x_k)^2."""
-    inv, R, _, _ = _assemble(state.x, state.p, state.a, state.b, EPS_COLL)
+    inv, R, _, _ = _assemble(state.x, state.p, state.a, state.b, eps_coll)
     return complex(np.sum(state.p**2) - np.sum(R * R.T * inv * inv))
 
 
+@functools.lru_cache(maxsize=64)
+def _per_point_m(ms):
+    """Read-only factors of the gradient kernel for the tuple ``ms`` of one
+    m per stacked point, built once per tuple: m, -m, m/2 against (B, n);
+    m, -m against (B, n, n); per further factor of L in L^{m-1}, the mask
+    of the points that take it; the mask of m == 1, or None."""
+    v = np.array(ms)[:, None]
+    mm = v[:, :, None]
+    factors = (v, -v, 0.5 * v, mm, -mm)
+    more = [mm > j for j in range(2, max(ms))]
+    first = mm == 1 if 1 in ms else None
+    for arr in (*factors, *more, first):
+        if arr is not None:
+            arr.setflags(write=False)
+    return (*factors, more, first)
+
+
+def _gradient(inv, L, M, a, b, m):
+    """(dx, dp, da, db) of H_m = tr L^m from one Lax assembly (inv, L, M)
+    with spins (a, b), or from a stack of them along leading axes; m is an
+    int, or for a (B,) stack a (B,) integer array of one m per point.
+
+    Chain rule d tr L^m = m tr(L^{m-1} dL), exploiting the sparsity of
+    dL/dq: dL/dp_i = -E_ii, dL/dx_i = [E_ii, M]/2, and dL/da_i, dL/db_i
+    touch only column i / row i off-diagonal entries. Every point takes
+    L^{m-1} from the same right multiplications as alone."""
+    if isinstance(m, np.ndarray):
+        mv, neg_mv, half_mv, mm, neg_mm, more, first = _per_point_m(tuple(m.tolist()))
+        Lm1 = L
+        for need in more:
+            Lm1 = np.where(need, Lm1 @ L, Lm1)
+        if first is not None:
+            Lm1 = np.where(first, np.eye(L.shape[-1], dtype=complex), Lm1)
+    else:
+        mv, neg_mv, half_mv, mm, neg_mm = m, -m, 0.5 * m, m, -m
+        if m == 1:
+            Lm1 = np.broadcast_to(np.eye(L.shape[-1], dtype=complex), L.shape)
+        else:
+            Lm1 = L
+            for _ in range(m - 2):
+                Lm1 = Lm1 @ L
+    Lm1T = Lm1.swapaxes(-1, -2)
+    dp = neg_mv * Lm1.diagonal(0, -2, -1)
+    # diag(M L^{m-1}) and diag(L^{m-1} M) are the row and column sums of
+    # C_ij = M_ij (L^{m-1})_ji
+    C = M * Lm1T
+    dx = half_mv * (C.sum(axis=-1) - C.sum(axis=-2))
+    # dH/da_i^g = -m sum_{j != i} (L^{m-1})_{ij} b_j^g / (x_j - x_i)
+    da = (mm * Lm1 * inv) @ b
+    # dH/db_i^g = -m sum_{j != i} (L^{m-1})_{ji} a_j^g / (x_i - x_j)
+    db = (neg_mm * Lm1T * inv) @ a
+    return dx, dp, da, db
+
+
 def grad_hamiltonian(state: PhaseState, m: int, eps_coll=EPS_COLL) -> Gradient:
-    """Analytic gradient of H_m = tr L^m by the chain rule
-    d tr L^m = m tr(L^{m-1} dL), exploiting the sparsity of dL/dq:
-    dL/dp_i = -E_ii, dL/dx_i = [E_ii, M]/2, and dL/da_i, dL/db_i touch
-    only column i / row i off-diagonal entries."""
+    """Analytic gradient of H_m = tr L^m; see :func:`_gradient`."""
     if m < 1:
         raise ValueError("m must be >= 1")
     inv, _, L, M = _assemble(state.x, state.p, state.a, state.b, eps_coll)
-    Lm1 = np.eye(state.n_particles, dtype=complex) if m == 1 else L
-    for _ in range(m - 2):
-        Lm1 = Lm1 @ L
-
-    dp = -m * np.diag(Lm1)
-    # diag(M L^{m-1}) and diag(L^{m-1} M) are the row and column sums of
-    # C_ij = M_ij (L^{m-1})_ji
-    C = M * Lm1.T
-    dx = 0.5 * m * (C.sum(axis=1) - C.sum(axis=0))
-    # dH/da_i^g = -m sum_{j != i} (L^{m-1})_{ij} b_j^g / (x_j - x_i)
-    da = (m * Lm1 * inv) @ state.b
-    # dH/db_i^g = -m sum_{j != i} (L^{m-1})_{ji} a_j^g / (x_i - x_j)
-    db = (-m * Lm1.T * inv) @ state.a
-    return Gradient(dx=dx, dp=dp, da=da, db=db)
+    return Gradient(*_gradient(inv, L, M, state.a, state.b, m))
 
 
 def poisson_bracket(state: PhaseState, f_grad: Gradient, g_grad: Gradient) -> complex:

@@ -21,6 +21,7 @@ from .flows import (
     check_lax,
     commutativity_check,
     integrate,
+    integrate_stack,
     vector_field_gradient,
     vector_field_residue,
 )
@@ -32,7 +33,7 @@ from .lax import (
     hamiltonian_h2_direct,
     poisson_bracket,
 )
-from .phase import PhaseState, _freeze, random_state, write_json
+from .phase import EPS_COLL, PhaseState, _freeze, random_state, write_json
 
 SUITE_VERSION = "1"
 
@@ -102,7 +103,8 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def finite_difference_gradient(state: PhaseState, m: int, h: float = 1e-5, axis="real"):
+def finite_difference_gradient(state: PhaseState, m: int, h: float = 1e-5, axis="real",
+                               eps_coll=EPS_COLL):
     """Independent central finite-difference gradient of H_m.
 
     Perturbs every phase variable along the real or imaginary axis; for a
@@ -112,7 +114,8 @@ def finite_difference_gradient(state: PhaseState, m: int, h: float = 1e-5, axis=
     step = h if axis == "real" else 1j * h
 
     def diff(build):
-        return (hamiltonian(build(step), m) - hamiltonian(build(-step), m)) / (2 * step)
+        return (hamiltonian(build(step), m, eps_coll)
+                - hamiltonian(build(-step), m, eps_coll)) / (2 * step)
 
     n, N = state.n_particles, state.spin_dim
     dx = np.empty(n, dtype=complex)
@@ -184,7 +187,8 @@ def scalar_cm_trajectory(x0, v0, t_final, dt):
 
 
 # ---------------------------------------------------------------------------
-# individual checks; each returns (residual, details)
+# individual checks; each returns (residual, details) and checks collisions
+# at cfg.eps_coll
 
 
 def _check_constraint(state, cfg):
@@ -192,14 +196,14 @@ def _check_constraint(state, cfg):
 
 
 def _check_r_identity(state, cfg):
-    lax = build_lax(state)
+    lax = build_lax(state, cfg.eps_coll)
     comm = lax.L @ lax.X - lax.X @ lax.L
     n = state.n_particles
     return float(np.max(np.abs(lax.R - np.eye(n) - comm))), {}
 
 
 def _check_trace_lr(state, cfg):
-    lax = build_lax(state)
+    lax = build_lax(state, cfg.eps_coll)
     worst = 0.0
     for m in range(1, 6):
         Lm = np.linalg.matrix_power(lax.L, m)
@@ -210,24 +214,25 @@ def _check_trace_lr(state, cfg):
 
 
 def _check_h2_direct(state, cfg):
-    h2 = hamiltonian(state, 2)
-    direct = hamiltonian_h2_direct(state)
+    h2 = hamiltonian(state, 2, cfg.eps_coll)
+    direct = hamiltonian_h2_direct(state, cfg.eps_coll)
     return abs(h2 - direct) / (1.0 + abs(h2)), {}
 
 
 def _check_gradient_fd(state, cfg):
     worst = 0.0
     for m in range(1, 5):
-        g = grad_hamiltonian(state, m)
+        g = grad_hamiltonian(state, m, cfg.eps_coll)
         for axis in ("real", "imag"):
-            fd = finite_difference_gradient(state, m, h=FD_STEP, axis=axis)
+            fd = finite_difference_gradient(state, m, h=FD_STEP, axis=axis,
+                                            eps_coll=cfg.eps_coll)
             worst = max(worst, _grad_relative_error(fd, g))
     return worst, {"h": FD_STEP, "m_max": 4}
 
 
 def _check_involution(state, cfg):
-    grads = {m: grad_hamiltonian(state, m) for m in range(1, 5)}
-    hs = {m: hamiltonian(state, m) for m in range(1, 5)}
+    grads = {m: grad_hamiltonian(state, m, cfg.eps_coll) for m in range(1, 5)}
+    hs = {m: hamiltonian(state, m, cfg.eps_coll) for m in range(1, 5)}
     worst = 0.0
     for m in range(1, 5):
         for k in range(m + 1, 5):
@@ -243,7 +248,8 @@ def _check_dual_derivation(state, cfg):
         worst = max(
             worst,
             _tangent_relative_error(
-                vector_field_residue(state, m), vector_field_gradient(state, m)
+                vector_field_residue(state, m, cfg.eps_coll),
+                vector_field_gradient(state, m, cfg.eps_coll),
             ),
         )
     return worst, {"m_max": 4}
@@ -251,16 +257,16 @@ def _check_dual_derivation(state, cfg):
 
 def _check_lax_residual(state, cfg):
     spec = FlowSpec(m=2, t_final=50 * cfg.dt, dt=cfg.dt, record_every=1)
-    traj = integrate(state, spec)
-    return float(np.max(check_lax(traj))), {"dt": cfg.dt}
+    traj = integrate(state, spec, cfg.eps_coll)
+    return float(np.max(check_lax(traj, cfg.eps_coll))), {"dt": cfg.dt}
 
 
 def _conservation_trajectories(state, cfg):
-    out = {}
-    for m in (2, 3):
-        spec = FlowSpec(m=m, t_final=CONSERVATION_T, dt=cfg.dt, record_every=50)
-        out[m] = integrate(state, spec)
-    return out
+    """The t_2 and t_3 flows over [0, CONSERVATION_T], as one 2-row stack."""
+    ms = (2, 3)
+    rows = [(state, FlowSpec(m=m, t_final=CONSERVATION_T, dt=cfg.dt, record_every=50))
+            for m in ms]
+    return dict(zip(ms, integrate_stack(rows, cfg.eps_coll)))
 
 
 def _check_conservation(state, cfg, trajs):
@@ -279,12 +285,13 @@ def _check_constraint_drift(state, cfg, trajs):
 
 def _check_commutativity(state, cfg):
     s = COMMUTATIVITY_S
-    return commutativity_check(state, 2, 3, s, s, cfg.dt), {"s": s, "dt": cfg.dt}
+    res = commutativity_check(state, 2, 3, s, s, cfg.dt, cfg.eps_coll)
+    return res, {"s": s, "dt": cfg.dt}
 
 
 def _check_rank1_residues(state, cfg):
     z = 1.3 + 0.7j
-    c, c_star = kp.solve_c(state, z)
+    c, c_star = kp.solve_c(state, z, cfg.eps_coll)
     worst = 0.0
     for i in range(state.n_particles):
         for res in (np.outer(state.a[i], c[i]), np.outer(c_star[i], state.b[i])):
@@ -299,8 +306,8 @@ def _check_w1_v(state, cfg):
     xs = _offgrid_points(state, 4)
     worst = 0.0
     for x in xs:
-        fd = (kp.w1(state, x + h) - kp.w1(state, x - h)) / (2 * h)
-        v = kp.potential_v(state, x)
+        fd = (kp.w1(state, x + h, cfg.eps_coll) - kp.w1(state, x - h, cfg.eps_coll)) / (2 * h)
+        v = kp.potential_v(state, x, cfg.eps_coll)
         worst = max(worst, float(np.max(np.abs(fd + v / 2) / (1.0 + np.abs(v / 2)))))
     return worst, {"h": h}
 
@@ -308,22 +315,22 @@ def _check_w1_v(state, cfg):
 def _check_t1_shift(state, cfg):
     s = 0.3
     spec = FlowSpec(m=1, t_final=s, dt=cfg.dt)
-    final = integrate(state, spec).state(-1)
+    final = integrate(state, spec, cfg.eps_coll).state(-1)
     worst = float(np.max(np.abs(final.x - (state.x - s))))
     worst = max(worst, float(np.max(np.abs(final.p - state.p))))
     worst = max(worst, float(np.max(np.abs(final.a - state.a))))
     worst = max(worst, float(np.max(np.abs(final.b - state.b))))
     for x in _offgrid_points(state, 3):
-        worst = max(
-            worst, float(np.max(np.abs(kp.w1(final, x) - kp.w1(state, x + s))))
-        )
+        shifted = kp.w1(final, x, cfg.eps_coll) - kp.w1(state, x + s, cfg.eps_coll)
+        worst = max(worst, float(np.max(np.abs(shifted))))
     return worst, {"s": s}
 
 
 def _check_linear_problem(state, cfg):
     z = 1.3 + 0.7j
     xs = _offgrid_points(state, 6)
-    res = kp.linear_problem_residual(state, None, z, xs, LINEAR_PROBLEM_DT2)
+    res = kp.linear_problem_residual(state, None, z, xs, LINEAR_PROBLEM_DT2,
+                                     eps_coll=cfg.eps_coll)
     return res, {"z": [z.real, z.imag], "dt2": LINEAR_PROBLEM_DT2}
 
 
@@ -331,21 +338,21 @@ def _check_residue_identity(state, cfg):
     xs = _offgrid_points(state, 5)
     worst = 0.0
     for m in (1, 2, 3):
-        worst = max(worst, kp.residue_identity_residual(state, m, xs))
+        worst = max(worst, kp.residue_identity_residual(state, m, xs, cfg.eps_coll))
     return worst, {"m": [1, 2, 3]}
 
 
 def _check_first_order_cancellation(state, cfg):
     worst = 0.0
     for m in (1, 2, 3):
-        worst = max(worst, kp.first_order_pole_cancellation(state, m))
+        worst = max(worst, kp.first_order_pole_cancellation(state, m, cfg.eps_coll))
     return worst, {"m": [1, 2, 3]}
 
 
 def _check_n1_reduction(state, cfg):
     T, dt = 0.5, 5e-4
     spec = FlowSpec(m=2, t_final=T, dt=dt, record_every=200)
-    traj = integrate(state, spec)
+    traj = integrate(state, spec, cfg.eps_coll)
     ref_t, ref_x = scalar_cm_trajectory(state.x, 2 * state.p, T, dt)
     k = np.rint(traj.t.real / dt).astype(int)
     return float(np.max(np.abs(traj.x - ref_x[k]))), {"T": T, "dt": dt}

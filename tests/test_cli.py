@@ -296,10 +296,10 @@ def test_config_eps_constr_applies_at_load(tmp_path, capsys):
     assert main(args + ["--config", str(config_path)]) == 0
 
 
-def test_verify_default_floor_and_ba_eval_config_floor_at_load(tmp_path, capsys):
-    # run_suite checks collisions at the default floor, so a smaller
-    # configured eps_coll must not let a too-close state into verify;
-    # ba-eval honours the configured floor at load and on the grid
+def test_verify_and_ba_eval_honour_config_floor(tmp_path, capsys):
+    # verify loads the state at the configured eps_coll and run_suite
+    # checks every collision at it; ba-eval honours the configured floor
+    # at load and on the grid
     from spincm import new_state
 
     config_path = tmp_path / "config.json"
@@ -310,7 +310,13 @@ def test_verify_default_floor_and_ba_eval_config_floor_at_load(tmp_path, capsys)
         new_state([0.0, gap], [0.3, 0.3], [[1.0, 0.0], [0.0, 1.0]],
                   [[1.0, 0.0], [0.0, 1.0]], eps_coll=1e-11).save(paths[gap])
     config = ["--config", str(config_path)]
-    assert main(["verify", str(paths[5e-7]), "--out", str(tmp_path / "report.json")] + config) == 2
+    report_path = tmp_path / "report.json"
+    assert main(["verify", str(paths[5e-7]), "--out", str(report_path)] + config) in (0, 1)
+    assert "CollidingPoles" not in capsys.readouterr().err
+    results = json.loads(report_path.read_text())["results"]
+    assert len(results) == 18
+    assert not [r for r in results if "1.000e-06" in r["details"].get("error", "")]
+    assert main(["verify", str(paths[5e-10])] + config) == 2
     assert "CollidingPoles" in capsys.readouterr().err
     ba = ["--z", "1.3+0.7i", "--x-min", "-1", "--x-max", "1", "--out", str(tmp_path / "ba.json")]
     assert main(["ba-eval", str(paths[5e-7])] + ba + config) == 0
@@ -384,3 +390,32 @@ def test_verify_config_dt_and_threshold_reach_the_report(tmp_path, capsys):
     assert results["constraint"]["threshold"] == 1e-12
     for name in ("lax_residual", "conservation", "constraint_drift", "commutativity"):
         assert results[name]["details"]["dt"] == 2e-3
+
+
+def test_verify_notes_that_it_ignores_method(tmp_path, capsys):
+    # every suite flow is fixed-step RK4; a configured RK45 is named on
+    # stderr and changes neither the exit code nor the report
+    reports = {}
+    for method in ("RK4", "RK45"):
+        config_path = tmp_path / f"{method}.json"
+        config_path.write_text(json.dumps({"method": method, "dt": 4e-3}))
+        reports[method] = tmp_path / f"report_{method}.json"
+        rc = main(["verify", "--particles", "2", "--spin", "1", "--config", str(config_path),
+                   "--out", str(reports[method])])
+        out, err = capsys.readouterr()
+        assert rc == (0 if "overall: pass" in out else 1)
+        if method == "RK4":
+            assert err == ""
+            rc_rk4 = rc
+        else:
+            assert rc == rc_rk4
+            assert len(err.splitlines()) == 1
+            assert "RK45" in err and "fixed-step RK4" in err
+
+    def results(path):
+        data = json.loads(path.read_text())
+        for r in data["results"]:
+            r["details"].pop("seconds", None)
+        return data
+
+    assert results(reports["RK45"]) == results(reports["RK4"])

@@ -1,12 +1,14 @@
 import csv
 import json
-from dataclasses import replace
+import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from spincm import (
     CollidingPoles,
+    DimensionMismatch,
     FlowSpec,
     InsufficientSamples,
     IntegrationFailed,
@@ -14,15 +16,23 @@ from spincm import (
     build_lax,
     check_lax,
     commutativity_check,
+    hamiltonians,
     integrate,
+    integrate_stack,
     new_state,
     random_state,
     vector_field_gradient,
     vector_field_residue,
 )
-from spincm.flows import _residue_raw_ab
+from spincm.flows import (
+    Trajectory,
+    _gauge_invariant_observables,
+    _pack,
+    _record,
+    _residue_raw_ab,
+)
 from spincm.lax import _assemble, resolvent_residue
-from spincm.phase import EPS_COLL, pairs_to_complex
+from spincm.phase import EPS_COLL, PhaseState, pairs_to_complex
 from spincm.verify import _tangent_relative_error
 
 
@@ -291,3 +301,178 @@ def test_trajectory_export(tmp_path, state32):
         assert float(row[header.index("im_H5")]) == traj.hamiltonians[k, 4].imag
         assert float(row[header.index("re_x_2")]) == traj.x[k, 1].real
 
+
+
+# ---------------------------------------------------------------------------
+# the stacked integrator
+
+
+def _unstacked_rk4(state, spec):
+    """Reference RK4 on one packed vector, stepped through the single-state
+    vector_field_gradient and recorded sample by sample through
+    lax.hamiltonians and PhaseState.constraint_drift."""
+    n, N = state.n_particles, state.spin_dim
+
+    def unpack(y):
+        return PhaseState(y[:n], y[n : 2 * n], y[2 * n : 2 * n + n * N].reshape(n, N),
+                          y[2 * n + n * N :].reshape(n, N))
+
+    def rhs(y):
+        f = vector_field_gradient(unpack(y), spec.m)
+        return np.concatenate([f.dx, f.dp, f.da.ravel(), f.db.ravel()]) * u
+
+    tfin = complex(spec.t_final)
+    S = abs(tfin)
+    u = tfin / S
+    n_steps = max(1, math.ceil(S / spec.dt))
+    h = S / n_steps
+    y = np.concatenate([state.x, state.p, state.a.ravel(), state.b.ravel()]).astype(complex)
+    times, rows = [0.0], [y]
+    for step in range(n_steps):
+        k1 = rhs(y)
+        k2 = rhs(y + h / 2 * k1)
+        k3 = rhs(y + h / 2 * k2)
+        k4 = rhs(y + h * k3)
+        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        if (step + 1) % spec.record_every == 0 or step + 1 == n_steps:
+            times.append((step + 1) * h * u)
+            rows.append(y)
+    samples = [unpack(y) for y in rows]
+    return (np.array(times, dtype=complex), np.array(rows),
+            np.array([st.constraint_drift() for st in samples]),
+            np.array([hamiltonians(st) for st in samples]))
+
+
+def _assert_same_trajectory(got, want):
+    for f in fields(Trajectory):
+        u, v = getattr(got, f.name), getattr(want, f.name)
+        assert np.asarray(u).dtype == np.asarray(v).dtype, f.name
+        assert np.array_equal(u, v), f.name
+
+
+@pytest.mark.parametrize("record_every", [1, 7])
+@pytest.mark.parametrize("t_final", [0.012, 0.009 + 0.006j], ids=["real", "complex"])
+@pytest.mark.parametrize("n", [1, 3, 8, 30])
+def test_stack_rows_equal_single_row_integrate(n, t_final, record_every):
+    states = [random_state(n, 2, seed=s) for s in range(4)]
+    for ms in ([1, 2, 3, 4], [4, 2], [3, 3]):
+        rows = [(st, FlowSpec(m=m, t_final=t_final, dt=1e-3, record_every=record_every))
+                for st, m in zip(states, ms)]
+        trajs = integrate_stack(rows)
+        assert [tr.m for tr in trajs] == ms
+        for (st, spec), got in zip(rows, trajs):
+            _assert_same_trajectory(got, integrate(st, spec))
+            t, packed, drift, H = _unstacked_rk4(st, spec)
+            n_, N = st.n_particles, st.spin_dim
+            assert np.array_equal(got.t, t)
+            assert np.array_equal(got.x, packed[:, :n_])
+            assert np.array_equal(got.p, packed[:, n_ : 2 * n_])
+            assert np.array_equal(got.a.reshape(len(t), -1), packed[:, 2 * n_ : 2 * n_ + n_ * N])
+            assert np.array_equal(got.b.reshape(len(t), -1), packed[:, 2 * n_ + n_ * N :])
+            assert np.array_equal(got.drift, drift)
+            assert np.array_equal(got.hamiltonians, H)
+
+
+def test_vector_field_gradient_of_a_stack_equals_each_point():
+    states = [random_state(5, 3, seed=s) for s in range(3)]
+    stack = PhaseState(*(np.stack([getattr(st, f) for st in states]) for f in "xpab"))
+    for ms in ([2, 2, 2], [1, 3, 4], [4, 1, 1]):
+        m = ms[0] if len(set(ms)) == 1 else np.array(ms)
+        f = vector_field_gradient(stack, m)
+        for st, mr, k in zip(states, ms, range(3)):
+            g = vector_field_gradient(st, mr)
+            for name in ("dx", "dp", "da", "db"):
+                assert np.array_equal(getattr(f, name)[k], getattr(g, name))
+    with pytest.raises(ValueError):
+        vector_field_gradient(stack, np.array([1, 0, 2]))
+
+
+@pytest.mark.parametrize("n", [3, 100])
+def test_stacked_record_equals_per_row_hamiltonians_and_drift(n):
+    # at n = 100 a two-row stack is recorded in chunks of a few samples
+    rows = [(random_state(n, 4, seed=s), FlowSpec(m=m, t_final=0.01, dt=1e-3))
+            for s, m in ((1, 2), (2, 3))]
+    for traj in integrate_stack(rows):
+        for k in range(len(traj.t)):
+            st = traj.state(k)
+            assert np.array_equal(traj.hamiltonians[k], hamiltonians(st))
+            assert traj.drift[k] == st.constraint_drift()
+
+
+def _free_pair(x, p):
+    """Two uncoupled poles (R = I): each moves on a straight line."""
+    eye = [[1.0, 0.0], [0.0, 1.0]]
+    return new_state(x, p, eye, eye, eps_coll=1e-11)
+
+
+def test_stack_collision_names_the_row_its_m_and_time():
+    meet2 = _free_pair([-1e-4, 1e-4], [1e-4, -1e-4])  # dx/dt_2 = 2p: meet at t = 0.5
+    meet3 = _free_pair([-3e-5, 3e-5], [0.0, 0.01])  # dx/dt_3 = -3p^2: meet at t = 0.2
+    apart = _free_pair([-1.0, 1.0], [0.1, 0.2])  # separates under t_2 and t_3
+    cases = [
+        ([(apart, 2), (meet3, 3)], 1, 3, 0.2),
+        ([(meet2, 2), (apart, 3)], 0, 2, 0.5),
+        ([(meet2, 2), (meet3, 3)], 1, 3, 0.2),  # the earliest collision stops the stack
+        ([(meet3, 3), (meet2, 2)], 0, 3, 0.2),
+    ]
+    for pairs, row, m, t in cases:
+        rows = [(st, FlowSpec(m=mm, t_final=1.0, dt=1e-3)) for st, mm in pairs]
+        with pytest.raises(CollidingPoles, match=f"t_{m} flow") as err:
+            integrate_stack(rows, eps_coll=1e-9)
+        assert err.value.row == row
+        assert err.value.time == pytest.approx(t, abs=1e-3)
+        with pytest.raises(CollidingPoles) as alone:
+            integrate(*rows[row], eps_coll=1e-9)
+        assert alone.value.time == err.value.time
+    # a collision at the end of the segment
+    with pytest.raises(CollidingPoles, match="t_3 flow") as err:
+        integrate_stack([(apart, FlowSpec(m=2, t_final=0.2, dt=1e-3)),
+                         (meet3, FlowSpec(m=3, t_final=0.2, dt=1e-3))], eps_coll=1e-9)
+    assert err.value.row == 1
+    assert err.value.time == pytest.approx(0.2, abs=1e-12)
+
+
+def test_recorded_sample_collision_names_its_row_m_and_time():
+    # a collision seen only at a recorded sample: the t_final = 0 stack,
+    # then a chunked record (n = 100, B = 2) whose row 1 collides at
+    # sample 5 and row 0 at sample 7
+    apart = _free_pair([-1.0, 1.0], [0.1, 0.2])
+    close = _free_pair([-3e-5, 3e-5], [0.0, 0.01])
+    rows = [(apart, FlowSpec(m=2, t_final=0, dt=1e-3)), (close, FlowSpec(m=3, t_final=0, dt=1e-3))]
+    with pytest.raises(CollidingPoles, match="t_3 flow") as err:
+        integrate_stack(rows, eps_coll=1e-4)
+    assert (err.value.row, err.value.time) == (1, 0)
+    states = [random_state(100, 2, seed=s) for s in (1, 2)]
+    Y = np.array([[_pack(st) for st in states]] * 9)
+    for j, r in ((5, 1), (7, 0)):
+        Y[j, r, 1] = Y[j, r, 0] + 1e-8  # x_2 next to x_1
+    times = np.arange(9) * (0.01 + 0.02j)
+    with pytest.raises(CollidingPoles, match="t_4 flow") as err:
+        _record([2, 4], times, Y, 100, 2, 1e-6)
+    assert (err.value.row, err.value.time) == (1, times[5])
+
+
+def test_integrate_stack_rejects_mixed_specs(state32):
+    spec = FlowSpec(m=2, t_final=0.01, dt=1e-3)
+    for other in (replace(spec, t_final=0.02), replace(spec, dt=2e-3),
+                  replace(spec, record_every=2), replace(spec, max_steps=100),
+                  replace(spec, method="RK45", m=3)):
+        with pytest.raises(ValueError, match="differ only in m"):
+            integrate_stack([(state32, spec), (state32, other)])
+    rk45 = replace(spec, method="RK45")
+    with pytest.raises(ValueError, match="RK45"):
+        integrate_stack([(state32, rk45), (state32, replace(rk45, m=3))])
+    _assert_same_trajectory(integrate_stack([(state32, rk45)])[0], integrate(state32, rk45))
+    with pytest.raises(DimensionMismatch):
+        integrate_stack([(state32, spec), (random_state(4, 2, seed=1), spec)])
+
+
+def test_commutativity_legs_as_stacks_equal_sequential_legs(state32):
+    def leg(st, m, s):
+        return integrate(st, FlowSpec(m=m, t_final=s, dt=1e-3)).state(-1)
+
+    s = 0.05
+    ab = leg(leg(state32, 2, s), 3, s)
+    ba = leg(leg(state32, 3, s), 2, s)
+    ref = np.max(np.abs(_gauge_invariant_observables(ab) - _gauge_invariant_observables(ba)))
+    assert commutativity_check(state32, 2, 3, s, s, 1e-3) == ref

@@ -218,7 +218,7 @@ def test_residue_identity_coefficients_single_particle_exact(N):
         s = random_state(1, N, seed=seed)
         a, b, p = s.a[0], s.b[0], s.p[0]
         for m in range(1, 5):
-            first, second = _residue_identity_coefficients(s, m)
+            first, second, _ = _residue_identity_coefficients(s, m)
             expected = -m * (-p) ** (m - 1) * (b @ a) * np.outer(a, b)
             scale = 1.0 + np.max(np.abs(expected))
             assert np.max(np.abs(first[0])) <= 1e-14 * scale

@@ -10,6 +10,7 @@ from spincm import (
     PhaseState,
     VerificationReport,
     grad_hamiltonian,
+    new_state,
     random_state,
     run_suite,
 )
@@ -173,3 +174,21 @@ def test_scalar_cm_oracle_symmetric_pair():
     )
     assert np.max(np.abs(xs[:, 0] + xs[:, 1])) <= 1e-10
     assert 0.0 < (xs[-1][1] - xs[-1][0]).real < 2.0
+
+
+def test_suite_checks_collisions_at_the_configured_floor():
+    # two uncoupled poles (R = I) 5e-7 apart, below the default floor
+    eye = [[1.0, 0.0], [0.0, 1.0]]
+    s = new_state([0.0, 5e-7], [0.3, 0.3], eye, eye, eps_coll=1e-11)
+    report = run_suite(state=s, config=Config(eps_coll=1e-9))
+    assert report.all_passed()
+    assert [r.name for r in report.results if r.skipped] == ["n1_reduction"]
+    assert not [r.name for r in report.results if "error" in r.details]
+    # at the default floor every check that assembles the Lax data, or
+    # integrates, stops on the collision
+    report = run_suite(state=s)
+    errors = {r.name: r.details["error"] for r in report.results if "error" in r.details}
+    assert len(errors) == 13
+    assert all("<= 1.000e-06" in e for e in errors.values())
+    assert {r.name for r in report.results if r.skipped} == {
+        "conservation", "constraint_drift", "n1_reduction"}
