@@ -34,7 +34,7 @@ print()
 
 print("=== stripped-gauge t_2 linear problem (central differences) ===")
 for dt2 in (2e-4, 1e-4):
-    res = linear_problem_residual(state, None, z, pts, dt2=dt2)
+    res = linear_problem_residual(state, z, pts, dt2=dt2)
     print(f"dt2 = {dt2:.0e}: residual = {res:.3e}")
 print("(the ~4x drop per halving is the second-order signature)")
 print()

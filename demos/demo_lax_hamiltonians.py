@@ -25,7 +25,8 @@ print("positions:", np.round(state.x, 4))
 print("momenta:  ", np.round(state.p, 4))
 print()
 
-comm = lax.L @ lax.X - lax.X @ lax.L
+X = np.diag(state.x)
+comm = lax.L @ X - X @ lax.L
 print("max |R - I - [L, X]| =", np.max(np.abs(lax.R - np.eye(4) - comm)))
 print()
 

@@ -27,7 +27,7 @@ from .errors import (
     IntegrationFailed,
     StepLimitExceeded,
 )
-from .lax import _assemble, _gradient, _power_traces, hamiltonians, resolvent_residue
+from .lax import LaxData, _gradient, build_lax, hamiltonians, resolvent_residue
 from .phase import EPS_COLL, PhaseState, complex_to_pairs, write_json
 
 
@@ -128,10 +128,10 @@ def _re_im(z):
     return np.stack([z.real, z.imag], axis=-1).reshape(len(z), -1)
 
 
-def _field(inv, L, M, a, b, m):
-    """(dx, dp, da, db) of the H_m vector field from one Lax assembly of a
+def _field(lax: LaxData, a, b, m):
+    """(dx, dp, da, db) of the H_m vector field from the Lax assembly of a
     phase point or a stack, see :func:`lax._gradient`."""
-    dx, dp, da, db = _gradient(inv, L, M, a, b, m)
+    dx, dp, da, db = _gradient(lax, a, b, m)
     return dp, -dx, db, -da
 
 
@@ -145,22 +145,25 @@ def vector_field_gradient(state: PhaseState, m: int, eps_coll=EPS_COLL) -> Tange
     """
     if (m.min() if isinstance(m, np.ndarray) else m) < 1:
         raise ValueError("m must be >= 1")
-    inv, _, L, M = _assemble(state.x, state.p, state.a, state.b, eps_coll)
-    return Tangent(*_field(inv, L, M, state.a, state.b, m))
+    return Tangent(*_field(build_lax(state, eps_coll), state.a, state.b, m))
 
 
-def _residue_raw_ab(state: PhaseState, inv, K, Lm):
-    """Spin-vector rates read off literally from the first-order-pole
-    residue equations, before any gauge choice: with G = (zI-L)^-1,
+def _residue_rates(state: PhaseState, lax: LaxData, m):
+    """(L^m, K, da, db) of the residue route from the Lax assembly ``lax``.
+
+    With G = (zI-L)^-1, res_inf z^m G = L^m and K = res_inf z^m GRG is the
+    double-resolvent convolution; (da, db) are the spin-vector rates read
+    off literally from the first-order-pole residue equations, before any
+    gauge choice:
 
       da_i = res_inf z^m (G^T a)_i - sum_{k != i} a_k (GRG)_ki / (x_i - x_k),
-      db_i = -res_inf z^m (G b)_i - sum_{k != i} b_k (GRG)_ik / (x_i - x_k),
-
-    where res_inf z^m GRG = K is the double-resolvent convolution and
-    inv_ik = 1/(x_i - x_k), inv_ii = 0, comes from the Lax assembly."""
-    da = Lm.T @ state.a - (K.T * inv) @ state.a
-    db = -(Lm @ state.b) - (K * inv) @ state.b
-    return da, db
+      db_i = -res_inf z^m (G b)_i - sum_{k != i} b_k (GRG)_ik / (x_i - x_k).
+    """
+    Lm = resolvent_residue(lax.L, m)
+    K = resolvent_residue(lax.L, m, lax.R)
+    da = Lm.T @ state.a - (K.T * lax.inv) @ state.a
+    db = -(Lm @ state.b) - (K * lax.inv) @ state.b
+    return Lm, K, da, db
 
 
 def vector_field_residue(state: PhaseState, m: int, eps_coll=EPS_COLL) -> Tangent:
@@ -177,15 +180,13 @@ def vector_field_residue(state: PhaseState, m: int, eps_coll=EPS_COLL) -> Tangen
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    inv, R, L, M = _assemble(state.x, state.p, state.a, state.b, eps_coll)
-    K = resolvent_residue(L, m, R)
-    Lm = resolvent_residue(L, m)
+    lax = build_lax(state, eps_coll)
+    Lm, K, da_raw, db_raw = _residue_rates(state, lax, m)
     xdot = -np.diag(K)
-    da_raw, db_raw = _residue_raw_ab(state, inv, K, Lm)
     mu = np.diag(Lm)[:, None]  # free diagonal gauge rate of the split
     adot = da_raw - mu * state.a
     bdot = db_raw + mu * state.b
-    pdot = _field(inv, L, M, state.a, state.b, m)[1]
+    pdot = _field(lax, state.a, state.b, m)[1]
     return Tangent(dx=xdot, dp=pdot, da=adot, db=bdot)
 
 
@@ -227,13 +228,12 @@ def _record(ms, times, Y, n, N, eps_coll) -> list[Trajectory]:
     chunk = max(1, RECORD_CHUNK // (B * n * n))
     for lo in range(0, k, chunk):
         try:
-            L = _assemble(*_unpack(Y[lo : lo + chunk], n, N), eps_coll)[2]
+            H[lo : lo + chunk] = hamiltonians(PhaseState(*_unpack(Y[lo : lo + chunk], n, N)),
+                                              eps_coll=eps_coll)
         except CollidingPoles as exc:
             j, r = divmod(lo * B + exc.row, B)
             raise _at_time(exc, complex(times[j]), ms[r], r) from None
-        H[lo : lo + chunk] = _power_traces(L)
-    _, _, a, b = _unpack(Y, n, N)
-    drift = np.max(np.abs(np.einsum("...ig,...ig->...i", b, a) - 1.0), axis=-1)
+    drift = np.max(np.abs(PhaseState(*_unpack(Y, n, N)).constraint_values() - 1.0), axis=-1)
     out = []
     for r in range(B):
         block = np.ascontiguousarray(Y[:, r])
@@ -349,7 +349,8 @@ def check_lax(trajectory: Trajectory, eps_coll=EPS_COLL) -> np.ndarray:
     if np.max(np.abs(hs - hs[0])) > 1e-12 * max(1.0, np.abs(hs[0])):
         raise InsufficientSamples("check_lax needs uniformly spaced samples")
     h = hs[0]
-    L, M = _assemble(tr.x, tr.p, tr.a, tr.b, eps_coll)[2:]
+    lax = build_lax(PhaseState(tr.x, tr.p, tr.a, tr.b), eps_coll)
+    L, M = lax.L, lax.M
     dL = (-L[4:] + 8 * L[3:-1] - 8 * L[1:-3] + L[:-4]) / (12 * h)
     Lk, Mk = L[2:-2], M[2:-2]
     return np.max(np.abs(dL - (Mk @ Lk - Lk @ Mk)), axis=(1, 2))

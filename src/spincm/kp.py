@@ -12,11 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import PoleHit, SpectralCollision
-from .flows import FlowSpec, _field, _residue_raw_ab, integrate
-from .lax import _assemble, build_lax, resolvent_residue
+from .flows import FlowSpec, _field, _residue_rates, integrate
+from .lax import build_lax
 from .phase import EPS_COLL, PhaseState, TimeVector, complex_to_pairs
 
 #: condition-number ceiling for (zI - L) solves
@@ -53,7 +52,7 @@ class TauParams:
 
 
 def solve_c(state: PhaseState, z: complex, eps_coll=EPS_COLL):
-    """Vectors c_i, c*_i from one LU factorization of (zI - L):
+    """Vectors c_i, c*_i from two solves with (zI - L):
 
     c_i = -sum_k (zI-L)^-1_ik b_k,   c*_i = sum_k (zI-L)^-1_ki a_k.
 
@@ -65,10 +64,9 @@ def solve_c(state: PhaseState, z: complex, eps_coll=EPS_COLL):
     A = z * np.eye(state.n_particles, dtype=complex) - L
     if np.linalg.cond(A) > COND_LIMIT:
         raise SpectralCollision(f"z = {z} is numerically on the spectrum of L")
-    lu, piv = scipy.linalg.lu_factor(A)
-    c = -scipy.linalg.lu_solve((lu, piv), state.b)
+    c = -np.linalg.solve(A, state.b)
     # transposed (not conjugated) solve gives the row-resolvent contraction
-    c_star = scipy.linalg.lu_solve((lu, piv), state.a, trans=1)
+    c_star = np.linalg.solve(A.T, state.a)
     return c, c_star
 
 
@@ -148,19 +146,13 @@ def dlog_tau_dx(state: PhaseState, x: complex, params: TauParams = TauParams()) 
     return complex(params.A + np.sum(1.0 / (x - state.x)))
 
 
-def linear_problem_residual(
-    state: PhaseState,
-    times: TimeVector | None,
-    z: complex,
-    x_grid,
-    dt2: float,
-    flow_dt: float | None = None,
-    eps_coll=EPS_COLL,
-) -> float:
+def linear_problem_residual(state: PhaseState, z: complex, x_grid, dt2: float,
+                            eps_coll=EPS_COLL) -> float:
     """Residual of the stripped-gauge t_2 linear problem and its adjoint.
 
-    The state is evolved by +-dt2 along the t_2 flow; d/dt_2 of the wave
-    matrices is taken by central differences and compared against
+    The state is evolved by +-dt2 along the t_2 flow in RK4 steps of
+    dt2/4; d/dt_2 of the wave matrices is taken by central differences and
+    compared against
 
         d_t2 psi  = 2z d_x psi  + d_x^2 psi  + V psi,
         d_t2 psi+ = 2z d_x psi+ - d_x^2 psi+ - psi+ V,
@@ -169,9 +161,8 @@ def linear_problem_residual(
     residual over the grid, both equations. Every collision and pole check
     uses ``eps_coll``.
     """
-    flow_dt = flow_dt if flow_dt is not None else dt2 / 4
     plus, minus = (
-        integrate(state, FlowSpec(m=2, t_final=t, dt=flow_dt), eps_coll).state(-1)
+        integrate(state, FlowSpec(m=2, t_final=t, dt=dt2 / 4), eps_coll).state(-1)
         for t in (dt2, -dt2)
     )
     c, c_star = solve_c(state, z, eps_coll)
@@ -195,9 +186,9 @@ def linear_problem_residual(
 def _residue_identity_coefficients(state: PhaseState, m: int, eps_coll=EPS_COLL):
     """Per-pole Laurent coefficients of res_inf(z^m psi psi+) in x.
 
-    Returns (first_order, second_order, assembly): arrays of shape (n, N, N)
-    with the coefficients of 1/(x - x_i) and 1/(x - x_i)^2, and the Lax
-    assembly (inv, R, L, M) they come from. They are built exactly from the
+    Returns (first_order, second_order, lax): arrays of shape (n, N, N)
+    with the coefficients of 1/(x - x_i) and 1/(x - x_i)^2, and the
+    LaxData they come from. They are built exactly from the
     resolvent calculus (res z^m c = -L^m b, res z^m c* = (L^m)^T a and the
     double-resolvent convolution K = res z^m (zI-L)^-1 R (zI-L)^-1 for the
     gamma-contracted cross terms). In array form, with inv_ik = 1/(x_i - x_k)
@@ -207,17 +198,15 @@ def _residue_identity_coefficients(state: PhaseState, m: int, eps_coll=EPS_COLL)
         first_i = u_i b_i^T + a_i v_i^T,  second_i = -K_ii a_i b_i^T,
 
     where o is the entrywise product and (u, v) are the raw spin rates that
-    ``flows._residue_raw_ab`` reads off the same residue equations; no loop
+    ``flows._residue_rates`` reads off the same residue equations; no loop
     runs over the poles.
     """
-    assembly = inv, R, L, _ = _assemble(state.x, state.p, state.a, state.b, eps_coll)
-    Lm = resolvent_residue(L, m)
-    K = resolvent_residue(L, m, R)
-    u, v = _residue_raw_ab(state, inv, K, Lm)
+    lax = build_lax(state, eps_coll)
+    _, K, u, v = _residue_rates(state, lax, m)
     a, b = state.a, state.b
     first = u[:, :, None] * b[:, None, :] + a[:, :, None] * v[:, None, :]
     second = -np.diag(K)[:, None, None] * (a[:, :, None] * b[:, None, :])
-    return first, second, assembly
+    return first, second, lax
 
 
 def residue_identity_residual(state: PhaseState, m: int, x_samples, eps_coll=EPS_COLL) -> float:
@@ -230,9 +219,9 @@ def residue_identity_residual(state: PhaseState, m: int, x_samples, eps_coll=EPS
     version against d_{t_m} d_x log tau = sum_i dx_i/(x - x_i)^2 is checked
     alongside. Returns the max residual over the sample points.
     """
-    first, second, (inv, _, L, M) = _residue_identity_coefficients(state, m, eps_coll)
+    first, second, lax = _residue_identity_coefficients(state, m, eps_coll)
     a, b = state.a, state.b
-    dx, _, da, db = _field(inv, L, M, a, b, m)
+    dx, _, da, db = _field(lax, a, b, m)
     n = state.n_particles
     inv1 = _inverse_differences(state, np.atleast_1d(x_samples), eps_coll)  # (points, n)
     inv2 = inv1**2

@@ -23,13 +23,15 @@ from .phase import EPS_COLL, PhaseState
 
 @dataclass(frozen=True)
 class LaxData:
-    """Matrices derived from a phase point: L, M, X = diag(x) and the
-    pairing matrix R with R_ij = b_i^T a_j, which satisfies R = I + [L, X]."""
+    """Lax assembly of a phase point, or of a stack of them along leading
+    axes, each field (..., n, n): the inverse differences
+    inv_ik = 1/(x_i - x_k) with inv_ii = 0, the pairing matrix
+    R_ij = b_i^T a_j, which satisfies R = I + [L, diag(x)], and L, M."""
 
+    inv: np.ndarray
+    R: np.ndarray
     L: np.ndarray
     M: np.ndarray
-    X: np.ndarray
-    R: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -55,16 +57,16 @@ def _diagonal(A):
     return A.reshape(*A.shape[:-2], n * n)[..., :: n + 1]
 
 
-def _assemble(x, p, a, b, eps_coll):
-    """Inverse differences, R, L and M of one phase point or of a stack of
-    them, from one pass over the pairwise differences x_i - x_k.
+def build_lax(state: PhaseState, eps_coll=EPS_COLL) -> LaxData:
+    """The Lax assembly of a phase point or of a stack of them, from one
+    pass over the pairwise differences x_i - x_k.
 
-    x and p have shape (..., n), a and b (..., n, N); leading axes stack
-    phase points. Returns (inv, R, L, M), each (..., n, n), with
-    inv_ik = 1/(x_i - x_k) off the diagonal and inv_ii = 0. Raises
-    CollidingPoles if two poles of a point are within ``eps_coll``; for a
-    stack its ``row`` is the flat index of the first such point.
+    The arrays of ``state`` may carry leading axes that stack phase points:
+    x and p (..., n), a and b (..., n, N). Raises CollidingPoles if two
+    poles of a point are within ``eps_coll``; for a stack its ``row`` is
+    the flat index of the first such point.
     """
+    x = state.x
     n = x.shape[-1]
     d = x[..., :, None] - x[..., None, :]
     _diagonal(d)[...] = np.inf
@@ -76,30 +78,25 @@ def _assemble(x, p, a, b, eps_coll):
             f"minimal pole separation {sep[row or 0]:.3e} <= {eps_coll:.3e}", row=row
         )
     inv = 1.0 / d  # the infinite diagonal gives inv_ii = 0
-    R = b @ a.swapaxes(-1, -2)
+    R = state.spin_pairings()
     L = -R * inv
-    _diagonal(L)[...] = -p
+    _diagonal(L)[...] = -state.p
     M = 2.0 * R * inv * inv
-    return inv, R, L, M
-
-
-def build_lax(state: PhaseState, eps_coll=EPS_COLL) -> LaxData:
-    """Assemble L, M, X, R from a phase point."""
-    _, R, L, M = _assemble(state.x, state.p, state.a, state.b, eps_coll)
-    return LaxData(L=L, M=M, X=np.diag(state.x), R=R)
+    return LaxData(inv=inv, R=R, L=L, M=M)
 
 
 def hamiltonian(state: PhaseState, m: int, eps_coll=EPS_COLL) -> complex:
     """H_m = tr L^m."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    L = _assemble(state.x, state.p, state.a, state.b, eps_coll)[2]
+    L = build_lax(state, eps_coll).L
     return complex(np.trace(np.linalg.matrix_power(L, m)))
 
 
-def _power_traces(L, kmax=5):
-    """[tr L, ..., tr L^kmax] of one L or of a stack (..., n, n), shape
-    (..., kmax), from one pass of repeated multiplication."""
+def hamiltonians(state: PhaseState, kmax: int = 5, eps_coll=EPS_COLL) -> np.ndarray:
+    """[H_1, ..., H_kmax] from one pass of repeated multiplication, shape
+    (kmax,) for a phase point and (..., kmax) for a stack."""
+    L = build_lax(state, eps_coll).L
     out = np.empty(L.shape[:-2] + (kmax,), dtype=complex)
     P = L
     for k in range(kmax):
@@ -109,16 +106,11 @@ def _power_traces(L, kmax=5):
     return out
 
 
-def hamiltonians(state: PhaseState, kmax: int = 5, eps_coll=EPS_COLL) -> np.ndarray:
-    """[H_1, ..., H_kmax] from one pass of repeated multiplication."""
-    return _power_traces(_assemble(state.x, state.p, state.a, state.b, eps_coll)[2], kmax)
-
-
 def hamiltonian_h2_direct(state: PhaseState, eps_coll=EPS_COLL) -> complex:
     """H_2 written directly in phase variables:
     sum_i p_i^2 - sum_{i != k} (b_i^T a_k)(b_k^T a_i)/(x_i - x_k)^2."""
-    inv, R, _, _ = _assemble(state.x, state.p, state.a, state.b, eps_coll)
-    return complex(np.sum(state.p**2) - np.sum(R * R.T * inv * inv))
+    lax = build_lax(state, eps_coll)
+    return complex(np.sum(state.p**2) - np.sum(lax.R * lax.R.T * lax.inv * lax.inv))
 
 
 @functools.lru_cache(maxsize=64)
@@ -138,15 +130,17 @@ def _per_point_m(ms):
     return (*factors, more, first)
 
 
-def _gradient(inv, L, M, a, b, m):
-    """(dx, dp, da, db) of H_m = tr L^m from one Lax assembly (inv, L, M)
-    with spins (a, b), or from a stack of them along leading axes; m is an
-    int, or for a (B,) stack a (B,) integer array of one m per point.
+def _gradient(lax: LaxData, a, b, m):
+    """(dx, dp, da, db) of H_m = tr L^m from the Lax assembly ``lax`` of a
+    phase point with spins (a, b), or of a stack of them along leading
+    axes; m is an int, or for a (B,) stack a (B,) integer array of one m
+    per point.
 
     Chain rule d tr L^m = m tr(L^{m-1} dL), exploiting the sparsity of
     dL/dq: dL/dp_i = -E_ii, dL/dx_i = [E_ii, M]/2, and dL/da_i, dL/db_i
     touch only column i / row i off-diagonal entries. Every point takes
     L^{m-1} from the same right multiplications as alone."""
+    inv, L, M = lax.inv, lax.L, lax.M
     if isinstance(m, np.ndarray):
         mv, neg_mv, half_mv, mm, neg_mm, more, first = _per_point_m(tuple(m.tolist()))
         Lm1 = L
@@ -179,8 +173,7 @@ def grad_hamiltonian(state: PhaseState, m: int, eps_coll=EPS_COLL) -> Gradient:
     """Analytic gradient of H_m = tr L^m; see :func:`_gradient`."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    inv, _, L, M = _assemble(state.x, state.p, state.a, state.b, eps_coll)
-    return Gradient(*_gradient(inv, L, M, state.a, state.b, m))
+    return Gradient(*_gradient(build_lax(state, eps_coll), state.a, state.b, m))
 
 
 def poisson_bracket(state: PhaseState, f_grad: Gradient, g_grad: Gradient) -> complex:
@@ -222,17 +215,17 @@ def resolvent_residue(L, m: int, A=None):
     return K
 
 
-def contour_residue(L, m: int, A=None, nodes: int = 256, radius_factor: float = 2.0):
+def contour_residue(L, m: int, A=None, nodes: int = 256):
     """Trapezoid-rule contour oracle for :func:`resolvent_residue`.
 
-    Integrates over the circle of radius radius_factor * (||L||_inf + 1),
+    Integrates over the circle of radius 2 (||L||_inf + 1),
     which encloses the spectrum since the spectral radius is bounded by any
     induced norm. Exponentially accurate in the node count.
     """
     L = np.asarray(L, dtype=complex)
     n = L.shape[0]
     I = np.eye(n, dtype=complex)
-    r = radius_factor * (np.linalg.norm(L, np.inf) + 1.0)
+    r = 2.0 * (np.linalg.norm(L, np.inf) + 1.0)
     acc = np.zeros((n, n), dtype=complex)
     for k in range(nodes):
         z = r * np.exp(2j * np.pi * k / nodes)

@@ -25,6 +25,8 @@ from .errors import (
 EPS_COLL = 1e-6
 #: default tolerance on |b_i^T a_i - 1| at construction
 EPS_CONSTR = 1e-10
+#: candidate draws per pole and per spin vector in random_state
+DRAW_RETRIES = 50
 
 
 def _freeze(arr):
@@ -39,7 +41,9 @@ class PhaseState:
 
     Fields are plain numpy arrays: ``x``, ``p`` of shape (n_particles,) and
     ``a``, ``b`` of shape (n_particles, spin_dim). The constructor does not
-    validate; use :func:`new_state` for validated construction.
+    validate; use :func:`new_state` for validated construction. Leading
+    axes may stack phase points; the sizes, pairings and constraint values
+    are then per point.
     """
 
     x: np.ndarray
@@ -49,15 +53,15 @@ class PhaseState:
 
     @property
     def n_particles(self):
-        return self.x.shape[0]
+        return self.x.shape[-1]
 
     @property
     def spin_dim(self):
-        return self.a.shape[1]
+        return self.a.shape[-1]
 
     def constraint_values(self):
         """b_i^T a_i for every particle (bilinear, no conjugation)."""
-        return np.einsum("ig,ig->i", self.b, self.a)
+        return np.einsum("...ig,...ig->...i", self.b, self.a)
 
     def constraint_drift(self):
         """max_i |b_i^T a_i - 1|."""
@@ -74,7 +78,7 @@ class PhaseState:
 
     def spin_pairings(self):
         """Matrix R with R_ij = b_i^T a_j."""
-        return self.b @ self.a.T
+        return self.b @ self.a.swapaxes(-1, -2)
 
     def to_dict(self, times=None):
         out = {
@@ -163,7 +167,7 @@ def new_state(x, p, a, b, eps_coll=EPS_COLL, eps_constr=EPS_CONSTR):
     return state
 
 
-def random_state(n_particles, spin_dim, seed, separation=1.0, max_retries=50):
+def random_state(n_particles, spin_dim, seed, separation=1.0):
     """Deterministic random phase point with exact spin normalization.
 
     Poles are placed sequentially in a complex box, rejecting candidates
@@ -185,7 +189,7 @@ def random_state(n_particles, spin_dim, seed, separation=1.0, max_retries=50):
 
     x = np.empty(n_particles, dtype=complex)
     for i in range(n_particles):
-        for _ in range(max_retries):
+        for _ in range(DRAW_RETRIES):
             cand = cbox((), half)
             if i == 0 or np.min(np.abs(x[:i] - cand)) >= separation:
                 x[i] = cand
@@ -198,7 +202,7 @@ def random_state(n_particles, spin_dim, seed, separation=1.0, max_retries=50):
     a = cbox((n_particles, spin_dim), 1.0)
     b = np.empty_like(a)
     for i in range(n_particles):
-        for _ in range(max_retries):
+        for _ in range(DRAW_RETRIES):
             cand = cbox(spin_dim, 1.0)
             pairing = cand @ a[i]
             if abs(pairing) >= 1e-3:

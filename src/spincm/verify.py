@@ -197,7 +197,8 @@ def _check_constraint(state, cfg):
 
 def _check_r_identity(state, cfg):
     lax = build_lax(state, cfg.eps_coll)
-    comm = lax.L @ lax.X - lax.X @ lax.L
+    X = np.diag(state.x)
+    comm = lax.L @ X - X @ lax.L
     n = state.n_particles
     return float(np.max(np.abs(lax.R - np.eye(n) - comm))), {}
 
@@ -329,8 +330,7 @@ def _check_t1_shift(state, cfg):
 def _check_linear_problem(state, cfg):
     z = 1.3 + 0.7j
     xs = _offgrid_points(state, 6)
-    res = kp.linear_problem_residual(state, None, z, xs, LINEAR_PROBLEM_DT2,
-                                     eps_coll=cfg.eps_coll)
+    res = kp.linear_problem_residual(state, z, xs, LINEAR_PROBLEM_DT2, eps_coll=cfg.eps_coll)
     return res, {"z": [z.real, z.imag], "dt2": LINEAR_PROBLEM_DT2}
 
 

@@ -183,15 +183,15 @@ def test_dlog_tau_matches_finite_differences(state32):
 
 def test_linear_problem_residual_small(state32):
     grid = offgrid_points(state32, 5)
-    res = linear_problem_residual(state32, None, Z0, grid, dt2=1e-4)
+    res = linear_problem_residual(state32, Z0, grid, dt2=1e-4)
     assert res <= 1e-6
 
 
 def test_linear_problem_residual_second_order(state32):
     # central differencing in t_2: residual must shrink ~4x per halving
     grid = offgrid_points(state32, 3)
-    r1 = linear_problem_residual(state32, None, Z0, grid, dt2=2e-4)
-    r2 = linear_problem_residual(state32, None, Z0, grid, dt2=1e-4)
+    r1 = linear_problem_residual(state32, Z0, grid, dt2=2e-4)
+    r2 = linear_problem_residual(state32, Z0, grid, dt2=1e-4)
     assert 3.5 <= r1 / r2 <= 4.5
 
 

@@ -1,9 +1,13 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from spincm import (
     CollidingPoles,
     DimensionMismatch,
+    LaxData,
+    PhaseState,
     build_lax,
     contour_residue,
     grad_hamiltonian,
@@ -42,7 +46,8 @@ def test_r_identity_random():
     for seed in range(10):
         s = random_state(4, 2, seed=seed)
         lax = build_lax(s)
-        comm = lax.L @ lax.X - lax.X @ lax.L
+        X = np.diag(s.x)
+        comm = lax.L @ X - X @ lax.L
         assert np.max(np.abs(lax.R - np.eye(4) - comm)) <= 1e-12
 
 
@@ -120,6 +125,37 @@ def test_lax_assembly_honours_eps_coll():
     assert np.all(np.isfinite(build_lax(s, eps_coll=1e-9).L))
     assert np.isfinite(hamiltonians(s, eps_coll=1e-9)).all()
     assert np.isfinite(grad_hamiltonian(s, 2, eps_coll=1e-9).max_abs())
+
+
+def _stack(states, shape):
+    """The phase points ``states`` as one PhaseState with leading axes ``shape``."""
+    arrays = [np.stack([getattr(s, f) for s in states]) for f in "xpab"]
+    return PhaseState(*(v.reshape(*shape, *v.shape[1:]) for v in arrays))
+
+
+@pytest.mark.parametrize("n", [1, 3, 30])
+def test_stacked_build_lax_equals_each_point(n):
+    states = [random_state(n, 2, seed=s) for s in range(4)]
+    stack = _stack(states, (2, 2))
+    stacked, H = build_lax(stack), hamiltonians(stack)
+    assert [f.name for f in fields(LaxData)] == ["inv", "R", "L", "M"]
+    for k, s in enumerate(states):
+        one = build_lax(s)
+        for f in ("inv", "R", "L", "M"):
+            assert np.array_equal(getattr(stacked, f)[divmod(k, 2)], getattr(one, f))
+        assert np.array_equal(H[divmod(k, 2)], hamiltonians(s))
+
+
+def test_stacked_collision_names_the_first_colliding_point():
+    ok = random_state(3, 2, seed=1)
+    bad = PhaseState(x=np.array([0.0, 5e-7, 2.0], dtype=complex), p=ok.p, a=ok.a, b=ok.b)
+    for states, shape, row in (([ok, bad, ok, bad], (4,), 1), ([ok, ok, ok, bad], (2, 2), 3)):
+        with pytest.raises(CollidingPoles, match="5.000e-07") as err:
+            build_lax(_stack(states, shape))
+        assert err.value.row == row
+    with pytest.raises(CollidingPoles) as err:
+        build_lax(bad)
+    assert err.value.row is None
 
 
 def test_poisson_bracket_antisymmetry(state32):

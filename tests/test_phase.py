@@ -7,6 +7,7 @@ from spincm import (
     CollidingPoles,
     ConstraintViolated,
     DimensionMismatch,
+    PhaseState,
     ZeroScale,
     build_lax,
     gauge_rescale,
@@ -43,6 +44,17 @@ def test_new_state_constraint_violated():
 def test_new_state_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         new_state([0.0, 1.0], [0.0], [[1.0]], [[1.0]])
+
+
+def test_stacked_state_reports_per_point_values():
+    states = [random_state(4, 3, seed=s) for s in range(2)]
+    stack = PhaseState(*(np.stack([getattr(s, f) for s in states]) for f in "xpab"))
+    assert (stack.n_particles, stack.spin_dim) == (4, 3)
+    pairings, values = stack.spin_pairings(), stack.constraint_values()
+    assert pairings.shape == (2, 4, 4) and values.shape == (2, 4)
+    for k, s in enumerate(states):
+        assert np.array_equal(pairings[k], s.spin_pairings())
+        assert np.array_equal(values[k], s.constraint_values())
 
 
 def test_random_state_deterministic():
