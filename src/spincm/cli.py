@@ -54,13 +54,17 @@ def cmd_gen(args, config):
 
 def cmd_evolve(args, config):
     state, _ = load_state(args.state, eps_coll=config.eps_coll, eps_constr=config.eps_constr)
-    spec = FlowSpec(
-        m=args.m,
-        t_final=args.T,
-        dt=args.dt if args.dt is not None else config.dt,
-        method=args.method if args.method is not None else config.method,
-        record_every=args.record_every,
-    )
+    try:
+        spec = FlowSpec(
+            m=args.m,
+            t_final=args.T,
+            dt=args.dt if args.dt is not None else config.dt,
+            method=args.method if args.method is not None else config.method,
+            record_every=args.record_every,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         traj = integrate(state, spec, eps_coll=config.eps_coll)
     except CollidingPoles as exc:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
@@ -31,6 +32,11 @@ DEFAULT_THRESHOLDS = {
 }
 
 
+def _positive_finite(val):
+    """val > 0 and finite; NaN fails, a non-number raises TypeError."""
+    return math.isfinite(val) and val > 0
+
+
 @dataclass
 class Config:
     """Tolerances, integrator defaults and suite thresholds."""
@@ -43,13 +49,13 @@ class Config:
 
     def __post_init__(self):
         for name in ("eps_coll", "eps_constr", "dt"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not _positive_finite(getattr(self, name)):
+                raise ValueError(f"{name} must be positive and finite")
         if self.method not in ("RK4", "RK45"):
             raise ValueError("method must be RK4 or RK45")
         for key, val in self.thresholds.items():
-            if val <= 0:
-                raise ValueError(f"threshold {key} must be positive")
+            if not _positive_finite(val):
+                raise ValueError(f"threshold {key} must be positive and finite")
 
     @classmethod
     def load(cls, path) -> "Config":

@@ -6,17 +6,19 @@ route through the resolvent calculus. Integration is fixed-step RK4 by
 default (embedded RK45 optional) along the straight segment from 0 to a
 complex t_final, with constraint drift and H_1..H_5 recorded at every sample.
 
-The one integrator, :func:`integrate_stack`, steps a (B, dim) block of
-packed phase points that share (n, N) and a FlowSpec up to a per-row m, with
-one :func:`vector_field_gradient` of the whole stack per right-hand-side
-call; :func:`integrate` is its one-row case.
+The one integrator, :func:`integrate_stack`, steps a ragged stack: a
+(B, dim) block of packed phase points that share (n, N) and the method,
+while each row keeps its own m, endpoint, step size and record_every. Each
+right-hand-side call is one :func:`vector_field_gradient` of the rows still
+active; a row leaves the block after its last step, or at its own pole
+collision, which ends no other row. :func:`integrate` is its one-row case.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +27,7 @@ from .errors import (
     DimensionMismatch,
     InsufficientSamples,
     IntegrationFailed,
+    SpinCMError,
     StepLimitExceeded,
 )
 from .lax import LaxData, _gradient, build_lax, hamiltonians, resolvent_residue
@@ -55,8 +58,10 @@ class FlowSpec:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("hierarchy index m must be >= 1")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be positive and finite, not {self.dt}")
+        if not np.isfinite(self.t_final):
+            raise ValueError(f"t_final must be finite, not {self.t_final}")
         if self.method not in ("RK4", "RK45"):
             raise ValueError("method must be RK4 or RK45")
         if self.record_every < 1:
@@ -216,123 +221,202 @@ def _at_time(exc, t, m, row):
 RECORD_CHUNK = 1 << 16
 
 
-def _record(ms, times, Y, n, N, eps_coll) -> list[Trajectory]:
-    """One Trajectory per row of the packed samples Y (k, B, dim) at the k
-    flow times, with H_1..H_5 and the drift of all samples from stacked
-    passes. The earliest sample within eps_coll, then its lowest row,
-    raises CollidingPoles with its flow time and its row's m."""
-    Y = np.asarray(Y, dtype=complex)
-    k, B = Y.shape[:2]
+def _record(row, m, times, Y, n, N, eps_coll):
+    """The Trajectory of stack row ``row`` from its packed samples Y (k, dim)
+    at the k flow times, with H_1..H_5 and the drift of all samples from
+    stacked passes; or, if a sample has two poles within eps_coll, the
+    CollidingPoles of the earliest one, with its flow time."""
+    Y = np.array(Y, dtype=complex)
     times = np.asarray(times, dtype=complex)
-    H = np.empty((k, B, 5), dtype=complex)
-    chunk = max(1, RECORD_CHUNK // (B * n * n))
-    for lo in range(0, k, chunk):
+    H = np.empty((len(Y), 5), dtype=complex)
+    chunk = max(1, RECORD_CHUNK // (n * n))
+    for lo in range(0, len(Y), chunk):
         try:
             H[lo : lo + chunk] = hamiltonians(PhaseState(*_unpack(Y[lo : lo + chunk], n, N)),
                                               eps_coll=eps_coll)
         except CollidingPoles as exc:
-            j, r = divmod(lo * B + exc.row, B)
-            raise _at_time(exc, complex(times[j]), ms[r], r) from None
+            return _at_time(exc, complex(times[lo + exc.row]), m, row)
     drift = np.max(np.abs(PhaseState(*_unpack(Y, n, N)).constraint_values() - 1.0), axis=-1)
-    out = []
-    for r in range(B):
-        block = np.ascontiguousarray(Y[:, r])
-        block.setflags(write=False)
-        out.append(Trajectory(times.copy(), *_unpack(block, n, N), drift=drift[:, r].copy(),
-                              hamiltonians=H[:, r].copy(), m=int(ms[r])))
-    return out
+    Y.setflags(write=False)
+    return Trajectory(times, *_unpack(Y, n, N), drift=drift, hamiltonians=H, m=int(m))
 
 
 def integrate(state: PhaseState, spec: FlowSpec, eps_coll=EPS_COLL) -> Trajectory:
     """Integrate the t_m flow from 0 to spec.t_final: the one-row case of
-    :func:`integrate_stack`."""
-    return integrate_stack([(state, spec)], eps_coll)[0]
+    :func:`integrate_stack`, raising the error that ends the row."""
+    return _trajectories(integrate_stack([(state, spec)], eps_coll))[0]
 
 
-def integrate_stack(rows, eps_coll=EPS_COLL) -> list[Trajectory]:
-    """Integrate B flows in lockstep and return one Trajectory per row.
+def _tangent(y, m, u, n, N, eps_coll):
+    """u F_m(y) for every row of the packed block y (B, dim), packed the
+    same way: one vector_field_gradient of the stack, one concatenation of
+    its fields and one multiply."""
+    f = vector_field_gradient(PhaseState(*_unpack(y, n, N)), m, eps_coll)
+    B = len(y)
+    # F * u, not u * F: numpy's complex product does not commute bit for bit
+    return np.concatenate([f.dx, f.dp, f.da.reshape(B, -1), f.db.reshape(B, -1)], axis=1) * u
+
+
+def _per_row(vals, column=True):
+    """vals[0] when every active row shares it, which keeps numpy on its
+    scalar paths; else one value per row, as a (B, 1) column or, with
+    column=False, a (B,) array. Columns are complex: numpy casts a real
+    factor of a complex product to complex anyway, and casting per call
+    costs more than the product."""
+    if len(set(vals)) == 1:
+        return vals[0]
+    return np.array(vals, dtype=complex)[:, None] if column else np.array(vals)
+
+
+def integrate_stack(rows, eps_coll=EPS_COLL) -> list:
+    """Integrate B flows as one ragged stack; one entry per row, its
+    Trajectory or the SpinCMError that ended it.
 
     ``rows`` is a list of (PhaseState, FlowSpec) pairs. The states share
-    (n, N), else DimensionMismatch; the specs may differ only in m, else
-    ValueError, and RK45 takes a single row. Each segment is parameterized
-    by arc length s in [0, |t_final|] with dy/ds = u F_m(y),
-    u = t_final/|t_final|. Row results are bit-identical to integrating
-    each row alone.
+    (n, N), else DimensionMismatch; the specs share their method, else
+    ValueError, and RK45 takes a single row. Each row keeps its own m,
+    t_final (real, complex or 0), dt, record_every and max_steps. Its
+    segment is parameterized by arc length s in [0, |t_final|] with
+    dy/ds = u F_m(y), u = t_final/|t_final|, and stepped in
+    ceil(|t_final|/dt) steps of equal length h. h and u are scalars while
+    the active rows share them, else (B, 1) columns, and a row leaves the
+    block after its last step.
+    Each right-hand-side call is one vector_field_gradient of the active
+    block. Every row is bit-identical to integrating it alone.
 
-    The collision floor eps_coll is checked at every right-hand-side call,
-    inside the Lax assembly, and at every recorded sample. A pole
-    separation at or below it in any row stops the stack with
-    CollidingPoles carrying the flow time, the row index in ``row`` and the
-    row's m in the message (the lowest row if several collide at once). A
-    failed RK45 solve raises IntegrationFailed. The constraint is
-    monitored, never re-projected.
+    A row whose step count exceeds its max_steps ends with
+    StepLimitExceeded before any step. The collision floor eps_coll is
+    checked at every right-hand-side call, inside the Lax assembly, and at
+    every recorded sample. A pole separation at or below it ends only its
+    own row, with CollidingPoles carrying the flow time, the row index in
+    ``row`` and the row's m in the message; the current stage is then
+    evaluated again for the rows that remain. A failed RK45 solve ends its
+    row with IntegrationFailed. The constraint is monitored, never
+    re-projected.
     """
     states, specs = zip(*rows)
-    spec = specs[0]
-    if any(replace(sp, m=spec.m) != spec for sp in specs):
-        raise ValueError("the flow specs of a stack may differ only in m")
-    if spec.method == "RK45" and len(rows) > 1:
+    method = specs[0].method
+    if any(sp.method != method for sp in specs):
+        raise ValueError("the flow specs of a stack must share the method")
+    if method == "RK45" and len(rows) > 1:
         raise ValueError("RK45 integrates a single row")
     n, N = states[0].n_particles, states[0].spin_dim
     if any((st.n_particles, st.spin_dim) != (n, N) for st in states):
         raise DimensionMismatch("the states of a stack must share (n_particles, spin_dim)")
+    B = len(rows)
     ms = [sp.m for sp in specs]
-    # one m for the whole stack keeps the kernel on its scalar path
-    m = ms[0] if len(set(ms)) == 1 else np.array(ms)
-    tfin = complex(spec.t_final)
-    y = np.stack([_pack(st) for st in states])
-    if tfin == 0:
-        return _record(ms, [0.0], [y], n, N, eps_coll)
+    out = [None] * B
+    steps, hs, us = [0] * B, [0.0] * B, [1.0] * B
+    for r, sp in enumerate(specs):
+        tfin = complex(sp.t_final)
+        if tfin == 0:
+            continue
+        S = abs(tfin)
+        if S / sp.dt > sp.max_steps:
+            out[r] = StepLimitExceeded(
+                f"|t_final|/dt = {S / sp.dt:.6g} steps exceed the budget {sp.max_steps}")
+            continue
+        steps[r] = max(1, math.ceil(S / sp.dt))
+        hs[r], us[r] = S / steps[r], tfin / S
+    y0 = np.stack([_pack(st) for st in states])
+    times = [[0.0] for _ in range(B)]
+    samples = [[y] for y in y0]
 
-    S = abs(tfin)
-    u = tfin / S
-    n_steps = max(1, math.ceil(S / spec.dt))
-    if n_steps > spec.max_steps:
-        raise StepLimitExceeded(f"{n_steps} steps exceed the budget {spec.max_steps}")
-    h = S / n_steps
-
-    def rhs(s, y, out):
-        """Write u F(y) of every row into the (x, p, a, b) views ``out``."""
-        try:
-            f = vector_field_gradient(PhaseState(*_unpack(y, n, N)), m, eps_coll)
-        except CollidingPoles as exc:
-            raise _at_time(exc, s * u, ms[exc.row], exc.row) from None
-        for v, o in zip((f.dx, f.dp, f.da, f.db), out):
-            np.multiply(v, u, out=o)
-
-    if spec.method == "RK45":
+    if method == "RK45" and steps[0]:
         from scipy.integrate import solve_ivp
 
+        m, h, u = ms[0], hs[0], us[0]
+
         def fun(s, v):
-            # solve_ivp keeps the stage vectors it is given, so each call
-            # gets a fresh one
-            out = np.empty((1, v.size), dtype=complex)
-            rhs(s, v[None], _unpack(out, n, N))
-            return out[0]
+            try:
+                return _tangent(v[None], m, u, n, N, eps_coll)[0]
+            except CollidingPoles as exc:
+                raise _at_time(exc, s * u, m, 0) from None
 
         # the RK4 sampling grid; n_steps * h can round past the span's end
-        s_eval = np.append(np.arange(0, n_steps, spec.record_every), n_steps) * h
+        S = abs(complex(specs[0].t_final))
+        s_eval = np.append(np.arange(0, steps[0], specs[0].record_every), steps[0]) * h
         s_eval[-1] = S
-        sol = solve_ivp(fun, (0.0, S), y[0], method="RK45", t_eval=s_eval,
-                        rtol=1e-10, atol=1e-12)
-        if not sol.success:
-            raise IntegrationFailed(f"RK45 integration failed: {sol.message}")
-        return _record(ms, sol.t * u, sol.y.T[:, None], n, N, eps_coll)
+        try:
+            sol = solve_ivp(fun, (0.0, S), y0[0], method="RK45", t_eval=s_eval,
+                            rtol=1e-10, atol=1e-12)
+        except CollidingPoles as exc:
+            out[0] = exc
+        else:
+            if sol.success:
+                times[0], samples[0] = sol.t * u, sol.y.T
+            else:
+                out[0] = IntegrationFailed(f"RK45 integration failed: {sol.message}")
+    elif method == "RK4":
+        _rk4(y0, ms, steps, hs, us, [sp.record_every for sp in specs], times, samples, out,
+             n, N, eps_coll)
+    return [res if res is not None else _record(r, ms[r], times[r], samples[r], n, N, eps_coll)
+            for r, res in enumerate(out)]
 
-    k1, k2, k3, k4 = ks = [np.empty_like(y) for _ in range(4)]
-    o1, o2, o3, o4 = (_unpack(k, n, N) for k in ks)
-    times, samples = [0.0], [y]
-    for step in range(n_steps):
-        s = step * h
-        rhs(s, y, o1)
-        rhs(s + h / 2, y + h / 2 * k1, o2)
-        rhs(s + h / 2, y + h / 2 * k2, o3)
-        rhs(s + h, y + h * k3, o4)
-        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if (step + 1) % spec.record_every == 0 or step + 1 == n_steps:
-            times.append((step + 1) * h * u)
-            samples.append(y)
-    return _record(ms, times, samples, n, N, eps_coll)
+
+def _first_error(results):
+    """The error of the :func:`integrate_stack` results that ended its row
+    first: the earliest flow time, the lowest row on a tie. An error raised
+    before any step (StepLimitExceeded) counts as time 0. None if every row
+    finished."""
+    errors = [res for res in results if isinstance(res, SpinCMError)]
+    return min(errors, key=lambda exc: abs(getattr(exc, "time", None) or 0), default=None)
+
+
+def _trajectories(results):
+    """The Trajectories of :func:`integrate_stack` results, if every row
+    finished; else raise the first error."""
+    exc = _first_error(results)
+    if exc is not None:
+        raise exc
+    return results
+
+
+def _rk4(y0, ms, steps, hs, us, every, times, samples, out, n, N, eps_coll):
+    """Fixed-step RK4 of the rows with steps to take, as one block that
+    shrinks as rows end: append each row's recorded times and samples, and
+    set out[r] to the CollidingPoles that ends row r."""
+    act = [r for r, k in enumerate(steps) if k]
+    y, ks = y0[act], []
+    m = c = c6 = u = None
+
+    def keep(idx):
+        """Keep the block rows ``idx``; set the per-row m, step factors
+        (h/2, h/2, h), h/6 and direction u of the rows left."""
+        nonlocal act, y, ks, m, c, c6, u
+        act = [act[i] for i in idx]
+        y, ks = y[idx], [k[idx] for k in ks]
+        m = _per_row([ms[r] for r in act], column=False)
+        c = [_per_row([hs[r] / 2 for r in act])] * 2 + [_per_row([hs[r] for r in act])]
+        c6 = _per_row([hs[r] / 6 for r in act])
+        u = _per_row([us[r] for r in act])
+
+    keep(range(len(act)))
+    step = 0
+    while act:
+        ks = []
+        for stage in range(4):
+            while act:
+                z = y + c[stage - 1] * ks[-1] if stage else y
+                try:
+                    ks.append(_tangent(z, m, u, n, N, eps_coll))
+                    break
+                except CollidingPoles as exc:
+                    r = act[exc.row]
+                    s = step * hs[r] + (0.0, hs[r] / 2, hs[r] / 2, hs[r])[stage]
+                    out[r] = _at_time(exc, s * us[r], ms[r], r)
+                    keep([i for i in range(len(act)) if i != exc.row])
+        if not act:
+            return
+        k1, k2, k3, k4 = ks
+        y = y + c6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        step += 1
+        for i, r in enumerate(act):
+            if step % every[r] == 0 or step == steps[r]:
+                times[r].append(step * hs[r] * us[r])
+                samples[r].append(y[i])
+        if any(step == steps[r] for r in act):
+            keep([i for i, r in enumerate(act) if step < steps[r]])
 
 
 def check_lax(trajectory: Trajectory, eps_coll=EPS_COLL) -> np.ndarray:
@@ -370,18 +454,15 @@ def _gauge_invariant_observables(state: PhaseState, eps_coll=EPS_COLL):
 
 def commutativity_check(state, m1, m2, s1, s2, dt, eps_coll=EPS_COLL) -> float:
     """Max distance of gauge-invariant observables between flowing
-    (t_{m1} by s1, then t_{m2} by s2) and the reverse order. With s1 == s2
-    the first legs run as one 2-row stack, and the second legs as another."""
+    (t_{m1} by s1, then t_{m2} by s2) and the reverse order. The first legs
+    run as one 2-row stack, and the second legs as another; a leg that
+    fails raises the first error of its stack."""
     if m1 == m2:
         raise ValueError("m1 and m2 must differ")
 
     def legs(starts, flows):
         rows = [(st, FlowSpec(m=m, t_final=s, dt=dt)) for st, (m, s) in zip(starts, flows)]
-        if s1 == s2:
-            trajs = integrate_stack(rows, eps_coll)
-        else:
-            trajs = [integrate(st, spec, eps_coll) for st, spec in rows]
-        return [tr.state(-1) for tr in trajs]
+        return [tr.state(-1) for tr in _trajectories(integrate_stack(rows, eps_coll))]
 
     first = legs([state, state], [(m1, s1), (m2, s2)])
     ab, ba = legs(first, [(m2, s2), (m1, s1)])

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PoleHit, SpectralCollision
-from .flows import FlowSpec, _field, _residue_rates, integrate
+from .flows import FlowSpec, _field, _residue_rates, _trajectories, integrate_stack
 from .lax import build_lax
 from .phase import EPS_COLL, PhaseState, TimeVector, complex_to_pairs
 
@@ -151,8 +151,8 @@ def linear_problem_residual(state: PhaseState, z: complex, x_grid, dt2: float,
     """Residual of the stripped-gauge t_2 linear problem and its adjoint.
 
     The state is evolved by +-dt2 along the t_2 flow in RK4 steps of
-    dt2/4; d/dt_2 of the wave matrices is taken by central differences and
-    compared against
+    dt2/4, as one 2-row stack; d/dt_2 of the wave matrices is taken by
+    central differences and compared against
 
         d_t2 psi  = 2z d_x psi  + d_x^2 psi  + V psi,
         d_t2 psi+ = 2z d_x psi+ - d_x^2 psi+ - psi+ V,
@@ -161,10 +161,8 @@ def linear_problem_residual(state: PhaseState, z: complex, x_grid, dt2: float,
     residual over the grid, both equations. Every collision and pole check
     uses ``eps_coll``.
     """
-    plus, minus = (
-        integrate(state, FlowSpec(m=2, t_final=t, dt=dt2 / 4), eps_coll).state(-1)
-        for t in (dt2, -dt2)
-    )
+    rows = [(state, FlowSpec(m=2, t_final=t, dt=dt2 / 4)) for t in (dt2, -dt2)]
+    plus, minus = (tr.state(-1) for tr in _trajectories(integrate_stack(rows, eps_coll)))
     c, c_star = solve_c(state, z, eps_coll)
     cp, csp = solve_c(plus, z, eps_coll)
     cm, csm = solve_c(minus, z, eps_coll)

@@ -18,9 +18,10 @@ from .errors import SpinCMError
 from .flows import (
     FlowSpec,
     Tangent,
+    _first_error,
+    _trajectories,
     check_lax,
     commutativity_check,
-    integrate,
     integrate_stack,
     vector_field_gradient,
     vector_field_residue,
@@ -40,6 +41,9 @@ SUITE_VERSION = "1"
 #: settings of individual checks
 CONSERVATION_T = 1.0
 COMMUTATIVITY_S = 0.1
+LAX_RESIDUAL_STEPS = 50
+T1_SHIFT_S = 0.3
+N1_REDUCTION_T, N1_REDUCTION_DT = 0.5, 5e-4
 LINEAR_PROBLEM_DT2 = 1e-4
 FD_STEP = 1e-5
 
@@ -61,6 +65,8 @@ class VerificationReport:
     spin_dim: int
     suite_version: str
     results: list[CheckResult] = field(default_factory=list)
+    #: wall time of the suite's shared flow stack, outside every check's seconds
+    integration_seconds: float = 0.0
 
     def all_passed(self):
         return all(r.passed for r in self.results if not r.skipped)
@@ -72,6 +78,7 @@ class VerificationReport:
             "spin_dim": self.spin_dim,
             "suite_version": self.suite_version,
             "all_passed": self.all_passed(),
+            "integration_seconds": self.integration_seconds,
             "results": [
                 {
                     "name": r.name,
@@ -256,23 +263,32 @@ def _check_dual_derivation(state, cfg):
     return worst, {"m_max": 4}
 
 
-def _check_lax_residual(state, cfg):
-    spec = FlowSpec(m=2, t_final=50 * cfg.dt, dt=cfg.dt, record_every=1)
-    traj = integrate(state, spec, cfg.eps_coll)
+def _suite_flows(state, cfg):
+    """Every flow of ``state`` that the checks read, as one ragged stack:
+    {name: Trajectory, or the SpinCMError that ended the flow}. The t_2 and
+    t_3 flows over [0, CONSERVATION_T] serve conservation and
+    constraint_drift; n1_reduction runs at spin_dim 1 only."""
+    specs = {
+        "t2": FlowSpec(m=2, t_final=CONSERVATION_T, dt=cfg.dt, record_every=50),
+        "t3": FlowSpec(m=3, t_final=CONSERVATION_T, dt=cfg.dt, record_every=50),
+        "lax_residual": FlowSpec(m=2, t_final=LAX_RESIDUAL_STEPS * cfg.dt, dt=cfg.dt),
+        "t1_shift": FlowSpec(m=1, t_final=T1_SHIFT_S, dt=cfg.dt),
+    }
+    if state.spin_dim == 1:
+        specs["n1_reduction"] = FlowSpec(m=2, t_final=N1_REDUCTION_T, dt=N1_REDUCTION_DT,
+                                         record_every=200)
+    rows = [(state, spec) for spec in specs.values()]
+    return dict(zip(specs, integrate_stack(rows, cfg.eps_coll)))
+
+
+def _check_lax_residual(state, cfg, flow):
+    traj = _trajectories([flow])[0]
     return float(np.max(check_lax(traj, cfg.eps_coll))), {"dt": cfg.dt}
-
-
-def _conservation_trajectories(state, cfg):
-    """The t_2 and t_3 flows over [0, CONSERVATION_T], as one 2-row stack."""
-    ms = (2, 3)
-    rows = [(state, FlowSpec(m=m, t_final=CONSERVATION_T, dt=cfg.dt, record_every=50))
-            for m in ms]
-    return dict(zip(ms, integrate_stack(rows, cfg.eps_coll)))
 
 
 def _check_conservation(state, cfg, trajs):
     worst = 0.0
-    for traj in trajs.values():
+    for traj in trajs:
         H = traj.hamiltonians
         dev = np.abs(H[1:] - H[0]) / (1.0 + np.abs(H[0]))
         worst = max(worst, float(np.max(dev, initial=0.0)))
@@ -280,7 +296,7 @@ def _check_conservation(state, cfg, trajs):
 
 
 def _check_constraint_drift(state, cfg, trajs):
-    worst = max(float(np.max(traj.drift)) for traj in trajs.values())
+    worst = max(float(np.max(traj.drift)) for traj in trajs)
     return worst, {"T": CONSERVATION_T, "dt": cfg.dt}
 
 
@@ -313,10 +329,9 @@ def _check_w1_v(state, cfg):
     return worst, {"h": h}
 
 
-def _check_t1_shift(state, cfg):
-    s = 0.3
-    spec = FlowSpec(m=1, t_final=s, dt=cfg.dt)
-    final = integrate(state, spec, cfg.eps_coll).state(-1)
+def _check_t1_shift(state, cfg, flow):
+    s = T1_SHIFT_S
+    final = _trajectories([flow])[0].state(-1)
     worst = float(np.max(np.abs(final.x - (state.x - s))))
     worst = max(worst, float(np.max(np.abs(final.p - state.p))))
     worst = max(worst, float(np.max(np.abs(final.a - state.a))))
@@ -349,10 +364,9 @@ def _check_first_order_cancellation(state, cfg):
     return worst, {"m": [1, 2, 3]}
 
 
-def _check_n1_reduction(state, cfg):
-    T, dt = 0.5, 5e-4
-    spec = FlowSpec(m=2, t_final=T, dt=dt, record_every=200)
-    traj = integrate(state, spec, cfg.eps_coll)
+def _check_n1_reduction(state, cfg, flow):
+    T, dt = N1_REDUCTION_T, N1_REDUCTION_DT
+    traj = _trajectories([flow])[0]
     ref_t, ref_x = scalar_cm_trajectory(state.x, 2 * state.p, T, dt)
     k = np.rint(traj.t.real / dt).astype(int)
     return float(np.max(np.abs(traj.x - ref_x[k]))), {"T": T, "dt": dt}
@@ -372,9 +386,12 @@ def _offgrid_points(state, count):
 
 def run_suite(state=None, config=None, seed=42, n_particles=3, spin_dim=2):
     """Run every enabled check on a given state (or on a freshly generated
-    one for (seed, n_particles, spin_dim)) and collect a report. Individual
-    check errors are recorded as failures; checks whose prerequisite
-    integration broke down are marked skipped."""
+    one for (seed, n_particles, spin_dim)) and collect a report. The flows
+    the checks read run first, as one stack (see :func:`_suite_flows`),
+    timed in ``integration_seconds``. Individual check errors, a flow that
+    ended early included, are recorded as failures; conservation and
+    constraint_drift are marked skipped when their t_2/t_3 pair broke down,
+    naming the pair's first error."""
     cfg = config if config is not None else Config()
     if state is None:
         state = random_state(n_particles, spin_dim, seed)
@@ -387,6 +404,9 @@ def run_suite(state=None, config=None, seed=42, n_particles=3, spin_dim=2):
         spin_dim=state.spin_dim,
         suite_version=SUITE_VERSION,
     )
+    t0 = time.perf_counter()
+    flows = _suite_flows(state, cfg)
+    report.integration_seconds = round(time.perf_counter() - t0, 4)
 
     def run(name, fn, skip_reason=None):
         thr = cfg.thresholds[name]
@@ -419,32 +439,23 @@ def run_suite(state=None, config=None, seed=42, n_particles=3, spin_dim=2):
     run("gradient_fd", lambda: _check_gradient_fd(state, cfg))
     run("involution", lambda: _check_involution(state, cfg))
     run("dual_derivation", lambda: _check_dual_derivation(state, cfg))
-    run("lax_residual", lambda: _check_lax_residual(state, cfg))
+    run("lax_residual", lambda: _check_lax_residual(state, cfg, flows["lax_residual"]))
 
-    trajs, traj_error = None, None
-    try:
-        trajs = _conservation_trajectories(state, cfg)
-    except SpinCMError as exc:
-        traj_error = f"integration failed: {exc}"
-    run(
-        "conservation",
-        (lambda: _check_conservation(state, cfg, trajs)) if trajs else None,
-        skip_reason=traj_error,
-    )
-    run(
-        "constraint_drift",
-        (lambda: _check_constraint_drift(state, cfg, trajs)) if trajs else None,
-        skip_reason=traj_error,
-    )
+    trajs = [flows["t2"], flows["t3"]]
+    exc = _first_error(trajs)
+    traj_error = f"integration failed: {exc}" if exc is not None else None
+    run("conservation", lambda: _check_conservation(state, cfg, trajs), skip_reason=traj_error)
+    run("constraint_drift", lambda: _check_constraint_drift(state, cfg, trajs),
+        skip_reason=traj_error)
     run("commutativity", lambda: _check_commutativity(state, cfg))
     run("rank1_residues", lambda: _check_rank1_residues(state, cfg))
     run("w1_v_consistency", lambda: _check_w1_v(state, cfg))
-    run("t1_shift", lambda: _check_t1_shift(state, cfg))
+    run("t1_shift", lambda: _check_t1_shift(state, cfg, flows["t1_shift"]))
     run("linear_problem", lambda: _check_linear_problem(state, cfg))
     run("residue_identity", lambda: _check_residue_identity(state, cfg))
     run("first_order_cancellation", lambda: _check_first_order_cancellation(state, cfg))
     if state.spin_dim == 1:
-        run("n1_reduction", lambda: _check_n1_reduction(state, cfg))
+        run("n1_reduction", lambda: _check_n1_reduction(state, cfg, flows["n1_reduction"]))
     else:
         run("n1_reduction", None, skip_reason="only defined for spin_dim == 1")
     return report

@@ -338,9 +338,12 @@ def test_verify_and_ba_eval_honour_config_floor(tmp_path, capsys):
         ('{"contour_nodes": 256}', "unknown key(s): contour_nodes"),  # removed setting
         ('{"thresholds": {"residue_idenity": 1e-9}}', "unknown key(s): thresholds.residue_idenity"),
         ('{"method": "Euler"}', "method must be RK4 or RK45"),
+        ('{"dt": NaN}', "dt must be positive and finite"),
+        ('{"eps_coll": Infinity}', "eps_coll must be positive and finite"),
+        ('{"thresholds": {"conservation": NaN}}', "threshold conservation must be positive and finite"),
     ],
     ids=["malformed", "unknown-key", "non-positive", "removed-setting", "unknown-threshold",
-         "bad-method"],
+         "bad-method", "nan-dt", "infinite-floor", "nan-threshold"],
 )
 def test_bad_config_file_exits_2_with_one_line(tmp_path, capsys, text, reason):
     config_path = tmp_path / "config.json"
@@ -355,6 +358,42 @@ def test_bad_config_file_exits_2_with_one_line(tmp_path, capsys, text, reason):
     assert len(lines) == 1
     assert lines[0].startswith("error: ConfigError: ") and reason in lines[0]
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "flag,reason",
+    [
+        (["--dt", "0"], "dt must be positive and finite"),
+        (["--dt", "nan"], "dt must be positive and finite"),
+        (["--dt", "inf"], "dt must be positive and finite"),
+        (["--T=nan"], "t_final must be finite"),
+        (["--T=1e400"], "t_final must be finite"),
+        (["--T=0.1+1e400i"], "t_final must be finite"),
+    ],
+    ids=["dt-zero", "dt-nan", "dt-inf", "T-nan", "T-overflow", "T-imag-overflow"],
+)
+def test_evolve_rejects_non_finite_spec_with_one_line(tmp_path, capsys, flag, reason):
+    state_path = _gen(tmp_path, capsys)
+    prefix = tmp_path / "t"
+    rc = main(["evolve", str(state_path), "--m", "2", "--T", "0.1", *flag, "--out", str(prefix)])
+    captured = capsys.readouterr()
+    assert rc == 2  # 1 is verify's FAIL verdict
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and reason in lines[0]
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_verify_rejects_nan_config_dt(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text('{"dt": NaN}')
+    rc = main(["verify", "--config", str(config_path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: ConfigError: {config_path}: dt must be positive and finite"]
 
 
 def test_evolve_reports_max_deviation_over_all_samples(tmp_path, capsys):
@@ -414,6 +453,7 @@ def test_verify_notes_that_it_ignores_method(tmp_path, capsys):
 
     def results(path):
         data = json.loads(path.read_text())
+        data.pop("integration_seconds")
         for r in data["results"]:
             r["details"].pop("seconds", None)
         return data

@@ -26,6 +26,7 @@ from spincm import (
 )
 from spincm.flows import (
     Trajectory,
+    _first_error,
     _gauge_invariant_observables,
     _pack,
     _record,
@@ -319,9 +320,9 @@ def _unstacked_rk4(state, spec):
 
     tfin = complex(spec.t_final)
     S = abs(tfin)
-    u = tfin / S
-    n_steps = max(1, math.ceil(S / spec.dt))
-    h = S / n_steps
+    u = tfin / S if S else 1.0
+    n_steps = max(1, math.ceil(S / spec.dt)) if S else 0
+    h = S / n_steps if S else 0.0
     y = np.concatenate([state.x, state.p, state.a.ravel(), state.b.ravel()]).astype(complex)
     times, rows = [0.0], [y]
     for step in range(n_steps):
@@ -350,15 +351,24 @@ def _assert_same_trajectory(got, want):
 @pytest.mark.parametrize("t_final", [0.012, 0.009 + 0.006j], ids=["real", "complex"])
 @pytest.mark.parametrize("n", [1, 3, 8, 30])
 def test_stack_rows_equal_single_row_integrate(n, t_final, record_every):
-    states = [random_state(n, 2, seed=s) for s in range(4)]
-    for ms in ([1, 2, 3, 4], [4, 2], [3, 3]):
-        rows = [(st, FlowSpec(m=m, t_final=t_final, dt=1e-3, record_every=record_every))
-                for st, m in zip(states, ms)]
+    states = [random_state(n, 2, seed=s) for s in range(5)]
+    spec = FlowSpec(m=2, t_final=t_final, dt=1e-3, record_every=record_every)
+    stacks = [[replace(spec, m=m) for m in ms] for ms in ([1, 2, 3, 4], [4, 2], [3, 3])]
+    # ragged: each row its own endpoint (real, complex or 0), step, record_every and budget
+    stacks.append([
+        spec,
+        replace(spec, m=3, t_final=0),
+        replace(spec, m=1, t_final=1j * t_final, dt=7e-4),
+        replace(spec, m=4, t_final=-t_final / 2, record_every=3, max_steps=100),
+        replace(spec, m=3, dt=2e-3, record_every=1),
+    ])
+    for specs in stacks:
+        rows = list(zip(states, specs))
         trajs = integrate_stack(rows)
-        assert [tr.m for tr in trajs] == ms
-        for (st, spec), got in zip(rows, trajs):
-            _assert_same_trajectory(got, integrate(st, spec))
-            t, packed, drift, H = _unstacked_rk4(st, spec)
+        assert [tr.m for tr in trajs] == [sp.m for sp in specs]
+        for (st, sp), got in zip(rows, trajs):
+            _assert_same_trajectory(got, integrate(st, sp))
+            t, packed, drift, H = _unstacked_rk4(st, sp)
             n_, N = st.n_particles, st.spin_dim
             assert np.array_equal(got.t, t)
             assert np.array_equal(got.x, packed[:, :n_])
@@ -367,6 +377,7 @@ def test_stack_rows_equal_single_row_integrate(n, t_final, record_every):
             assert np.array_equal(got.b.reshape(len(t), -1), packed[:, 2 * n_ + n_ * N :])
             assert np.array_equal(got.drift, drift)
             assert np.array_equal(got.hamiltonians, H)
+    assert len(trajs[1].t) == 1 and trajs[1].t[0] == 0  # the ragged stack's t_final = 0 row
 
 
 def test_vector_field_gradient_of_a_stack_equals_each_point():
@@ -404,57 +415,80 @@ def _free_pair(x, p):
 def test_stack_collision_names_the_row_its_m_and_time():
     meet2 = _free_pair([-1e-4, 1e-4], [1e-4, -1e-4])  # dx/dt_2 = 2p: meet at t = 0.5
     meet3 = _free_pair([-3e-5, 3e-5], [0.0, 0.01])  # dx/dt_3 = -3p^2: meet at t = 0.2
-    apart = _free_pair([-1.0, 1.0], [0.1, 0.2])  # separates under t_2 and t_3
-    cases = [
-        ([(apart, 2), (meet3, 3)], 1, 3, 0.2),
-        ([(meet2, 2), (apart, 3)], 0, 2, 0.5),
-        ([(meet2, 2), (meet3, 3)], 1, 3, 0.2),  # the earliest collision stops the stack
-        ([(meet3, 3), (meet2, 2)], 0, 3, 0.2),
+    apart = _free_pair([-1.0, 1.0], [0.1, 0.2])  # separates under t_1, t_2 and t_3
+    one = FlowSpec(m=2, t_final=1.0, dt=1e-3)
+    cases = [  # rows, then {row: (m, collision time)}
+        ([(apart, one), (meet3, replace(one, m=3))], {1: (3, 0.2)}),
+        ([(meet2, one), (apart, replace(one, m=3))], {0: (2, 0.5)}),
+        ([(meet2, one), (meet3, replace(one, m=3))], {0: (2, 0.5), 1: (3, 0.2)}),
+        # rows that end before, at and after the collisions, with their own
+        # steps and endpoints; the block index of a collision is not its row
+        ([(apart, replace(one, t_final=0.1 + 0.05j, dt=7e-4)), (meet3, replace(one, m=3)),
+          (apart, replace(one, m=1, t_final=0)), (meet2, replace(one, dt=2e-3, record_every=5)),
+          (apart, replace(one, m=3, t_final=-0.7))], {1: (3, 0.2), 3: (2, 0.5)}),
+        # a collision at the end of a segment, seen by the last sample
+        ([(apart, replace(one, t_final=0.2)), (meet3, replace(one, m=3, t_final=0.2))],
+         {1: (3, 0.2)}),
     ]
-    for pairs, row, m, t in cases:
-        rows = [(st, FlowSpec(m=mm, t_final=1.0, dt=1e-3)) for st, mm in pairs]
-        with pytest.raises(CollidingPoles, match=f"t_{m} flow") as err:
-            integrate_stack(rows, eps_coll=1e-9)
-        assert err.value.row == row
-        assert err.value.time == pytest.approx(t, abs=1e-3)
-        with pytest.raises(CollidingPoles) as alone:
-            integrate(*rows[row], eps_coll=1e-9)
-        assert alone.value.time == err.value.time
-    # a collision at the end of the segment
-    with pytest.raises(CollidingPoles, match="t_3 flow") as err:
-        integrate_stack([(apart, FlowSpec(m=2, t_final=0.2, dt=1e-3)),
-                         (meet3, FlowSpec(m=3, t_final=0.2, dt=1e-3))], eps_coll=1e-9)
-    assert err.value.row == 1
-    assert err.value.time == pytest.approx(0.2, abs=1e-12)
+    for rows, errors in cases:
+        out = integrate_stack(rows, eps_coll=1e-9)
+        for r, (row, got) in enumerate(zip(rows, out)):
+            if r not in errors:
+                _assert_same_trajectory(got, integrate(*row, eps_coll=1e-9))
+                continue
+            m, t = errors[r]
+            assert isinstance(got, CollidingPoles) and f"t_{m} flow" in str(got)
+            assert got.row == r
+            assert got.time == pytest.approx(t, abs=1e-3)
+            with pytest.raises(CollidingPoles) as alone:
+                integrate(*row, eps_coll=1e-9)
+            assert (alone.value.time, str(alone.value)) == (got.time, str(got))
+        # the earliest collision is the stack's first error
+        first = min(errors, key=lambda r: errors[r][1])
+        assert _first_error(out) is out[first]
+    assert out[1].time == pytest.approx(0.2, abs=1e-12)
+
+
+def test_stack_step_budget_ends_only_its_row(state32):
+    spec = FlowSpec(m=2, t_final=0.01, dt=1e-3)
+    over = replace(spec, max_steps=9)
+    out = integrate_stack([(state32, over), (state32, spec)])
+    assert isinstance(out[0], StepLimitExceeded)
+    _assert_same_trajectory(out[1], integrate(state32, spec))
+    assert _first_error(out) is out[0]
+    with pytest.raises(StepLimitExceeded):
+        integrate(state32, over)
+    # a step count past any float still ends in StepLimitExceeded
+    with pytest.raises(StepLimitExceeded):
+        integrate(state32, replace(spec, t_final=1e300, dt=1e-300))
 
 
 def test_recorded_sample_collision_names_its_row_m_and_time():
     # a collision seen only at a recorded sample: the t_final = 0 stack,
-    # then a chunked record (n = 100, B = 2) whose row 1 collides at
-    # sample 5 and row 0 at sample 7
+    # then chunked records (n = 100) whose row 1 collides at samples 5 and
+    # 7 and row 0 at sample 7, in its second chunk
     apart = _free_pair([-1.0, 1.0], [0.1, 0.2])
     close = _free_pair([-3e-5, 3e-5], [0.0, 0.01])
     rows = [(apart, FlowSpec(m=2, t_final=0, dt=1e-3)), (close, FlowSpec(m=3, t_final=0, dt=1e-3))]
-    with pytest.raises(CollidingPoles, match="t_3 flow") as err:
-        integrate_stack(rows, eps_coll=1e-4)
-    assert (err.value.row, err.value.time) == (1, 0)
+    out = integrate_stack(rows, eps_coll=1e-4)
+    _assert_same_trajectory(out[0], integrate(*rows[0], eps_coll=1e-4))
+    assert isinstance(out[1], CollidingPoles) and "t_3 flow" in str(out[1])
+    assert (out[1].row, out[1].time) == (1, 0)
     states = [random_state(100, 2, seed=s) for s in (1, 2)]
     Y = np.array([[_pack(st) for st in states]] * 9)
-    for j, r in ((5, 1), (7, 0)):
+    for j, r in ((5, 1), (7, 1), (7, 0)):
         Y[j, r, 1] = Y[j, r, 0] + 1e-8  # x_2 next to x_1
     times = np.arange(9) * (0.01 + 0.02j)
-    with pytest.raises(CollidingPoles, match="t_4 flow") as err:
-        _record([2, 4], times, Y, 100, 2, 1e-6)
-    assert (err.value.row, err.value.time) == (1, times[5])
+    for r, m, j in ((0, 2, 7), (1, 4, 5)):
+        got = _record(r, m, times, Y[:, r], 100, 2, 1e-6)
+        assert isinstance(got, CollidingPoles) and f"t_{m} flow" in str(got)
+        assert (got.row, got.time) == (r, times[j])
 
 
 def test_integrate_stack_rejects_mixed_specs(state32):
     spec = FlowSpec(m=2, t_final=0.01, dt=1e-3)
-    for other in (replace(spec, t_final=0.02), replace(spec, dt=2e-3),
-                  replace(spec, record_every=2), replace(spec, max_steps=100),
-                  replace(spec, method="RK45", m=3)):
-        with pytest.raises(ValueError, match="differ only in m"):
-            integrate_stack([(state32, spec), (state32, other)])
+    with pytest.raises(ValueError, match="share the method"):
+        integrate_stack([(state32, spec), (state32, replace(spec, method="RK45", m=3))])
     rk45 = replace(spec, method="RK45")
     with pytest.raises(ValueError, match="RK45"):
         integrate_stack([(state32, rk45), (state32, replace(rk45, m=3))])
@@ -467,8 +501,9 @@ def test_commutativity_legs_as_stacks_equal_sequential_legs(state32):
     def leg(st, m, s):
         return integrate(st, FlowSpec(m=m, t_final=s, dt=1e-3)).state(-1)
 
-    s = 0.05
-    ab = leg(leg(state32, 2, s), 3, s)
-    ba = leg(leg(state32, 3, s), 2, s)
-    ref = np.max(np.abs(_gauge_invariant_observables(ab) - _gauge_invariant_observables(ba)))
-    assert commutativity_check(state32, 2, 3, s, s, 1e-3) == ref
+    # equal spans, then ragged legs: a complex second span, and m = 1
+    for m1, m2, s1, s2 in ((2, 3, 0.05, 0.05), (2, 3, 0.05, 0.03 + 0.02j), (1, 2, 0.2, 0.1)):
+        ab = leg(leg(state32, m1, s1), m2, s2)
+        ba = leg(leg(state32, m2, s2), m1, s1)
+        ref = np.max(np.abs(_gauge_invariant_observables(ab) - _gauge_invariant_observables(ba)))
+        assert commutativity_check(state32, m1, m2, s1, s2, 1e-3) == ref

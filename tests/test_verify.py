@@ -101,6 +101,35 @@ def test_report_serialization(tmp_path, report_default):
     }
 
 
+def test_report_times_the_shared_flow_stack(report_default):
+    data = report_default.to_dict()
+    assert set(data) == {"seed", "n_particles", "spin_dim", "suite_version", "all_passed",
+                         "integration_seconds", "results"}
+    assert isinstance(data["integration_seconds"], float)
+    assert data["integration_seconds"] >= 0
+    # the flows run once, outside the checks that read them
+    seconds = {r.name: r.details["seconds"] for r in report_default.results if not r.skipped}
+    assert data["integration_seconds"] > seconds["conservation"]
+
+
+def test_suite_collision_ends_only_its_own_flow():
+    # uncoupled poles (R = I): the first pair meets under t_2 at t = 0.5,
+    # the second under t_3 at t = 0.2, and neither meets under t_1
+    eye = np.eye(4).tolist()
+    s = new_state([-1e-4, 1e-4, 3 - 3e-5, 3 + 3e-5], [1e-4, -1e-4, 0.0, 0.01], eye, eye)
+    report = run_suite(state=s)
+    byname = {r.name: r for r in report.results}
+    for name in ("lax_residual", "t1_shift"):
+        assert "error" not in byname[name].details
+        assert byname[name].passed
+    for name in ("conservation", "constraint_drift"):
+        reason = byname[name].details["reason"]
+        assert byname[name].skipped
+        assert reason.startswith("integration failed: pole collision in the t_3 flow")
+    assert {r.name for r in report.results if r.skipped} == {
+        "conservation", "constraint_drift", "n1_reduction"}
+
+
 def test_report_file_is_one_line_and_keeps_nan_and_inf(tmp_path):
     report = VerificationReport(
         seed=3, n_particles=2, spin_dim=1, suite_version="1",
