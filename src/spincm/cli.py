@@ -18,7 +18,7 @@ from .errors import CollidingPoles, SpinCMError
 from .flows import FlowSpec, integrate
 from .lax import hamiltonians
 from .phase import load_state, random_state, write_json
-from .verify import run_suite
+from .verify import _scaled_error, run_suite
 
 
 def parse_complex(text: str) -> complex:
@@ -43,7 +43,11 @@ def _print_hamiltonians(state):
 
 
 def cmd_gen(args, config):
-    state = random_state(args.particles, args.spin, args.seed, separation=args.separation)
+    try:
+        state = random_state(args.particles, args.spin, args.seed, separation=args.separation)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     state.save(args.out)
     print(f"wrote {args.out} (particles={args.particles}, spin={args.spin}, seed={args.seed})")
     print(f"min separation = {state.min_separation():.6e}")
@@ -73,8 +77,7 @@ def cmd_evolve(args, config):
         return 2
     traj.export_csv(args.out + ".csv")
     traj.export_json(args.out + ".json")
-    H = traj.hamiltonians
-    dev = np.max(np.abs(H - H[0]) / (1.0 + np.abs(H[0])))
+    dev = _scaled_error(traj.hamiltonians, traj.hamiltonians[0])
     drift = np.max(traj.drift)
     print(f"wrote {args.out}.csv and {args.out}.json ({len(traj.t)} samples)")
     print(f"max scaled Hamiltonian deviation over flow: {dev:.3e}")
@@ -105,11 +108,13 @@ def cmd_verify(args, config):
 
 def cmd_ba_eval(args, config):
     state, _ = load_state(args.state, eps_coll=config.eps_coll, eps_constr=config.eps_constr)
-    grid = np.linspace(args.x_min, args.x_max, args.x_points) + 1j * args.x_imag
     try:
+        if not np.isfinite([args.x_min, args.x_max, args.x_imag]).all():
+            raise ValueError("--x-min, --x-max and --x-imag must be finite")
+        grid = np.linspace(args.x_min, args.x_max, args.x_points) + 1j * args.x_imag
         data = kp.ba_eval(state, args.z, grid, eps_coll=config.eps_coll)
-    except SpinCMError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     write_json(args.out, data)
     print(f"wrote {args.out} ({args.x_points} grid points)")
@@ -117,9 +122,12 @@ def cmd_ba_eval(args, config):
 
 
 def build_parser():
+    # each command declares only the flags it reads
+    configured = argparse.ArgumentParser(add_help=False)
+    configured.add_argument("--config", default=None, help="path to a JSON config file")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=42, help="generator seed")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=None, help="path to a JSON config file")
-    common.add_argument("--seed", type=int, default=42, help="generator seed")
     common.add_argument("--out", default=None, help="output path (or prefix)")
 
     parser = argparse.ArgumentParser(
@@ -128,13 +136,13 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("gen", parents=[common], help="generate a random phase point")
+    g = sub.add_parser("gen", parents=[seeded, common], help="generate a random phase point")
     g.add_argument("--particles", type=_positive_int, required=True)
     g.add_argument("--spin", type=_positive_int, required=True)
     g.add_argument("--separation", type=float, default=1.0)
     g.set_defaults(fn=cmd_gen, default_out="state.json")
 
-    e = sub.add_parser("evolve", parents=[common], help="integrate a hierarchy flow")
+    e = sub.add_parser("evolve", parents=[configured, common], help="integrate a hierarchy flow")
     e.add_argument("state", help="state JSON file")
     e.add_argument("--m", type=_positive_int, required=True, help="hierarchy time index")
     e.add_argument("--T", type=parse_complex, required=True, help="flow endpoint")
@@ -143,13 +151,14 @@ def build_parser():
     e.add_argument("--record-every", type=_positive_int, default=1)
     e.set_defaults(fn=cmd_evolve, default_out="trajectory")
 
-    v = sub.add_parser("verify", parents=[common], help="run the verification suite")
+    v = sub.add_parser("verify", parents=[configured, seeded, common],
+                       help="run the verification suite")
     v.add_argument("state", nargs="?", default=None, help="state JSON file (optional)")
     v.add_argument("--particles", type=_positive_int, default=3)
     v.add_argument("--spin", type=_positive_int, default=2)
     v.set_defaults(fn=cmd_verify, default_out=None)
 
-    b = sub.add_parser("ba-eval", parents=[common],
+    b = sub.add_parser("ba-eval", parents=[configured, common],
                        help="evaluate Baker-Akhiezer data on an x grid")
     b.add_argument("state", help="state JSON file")
     b.add_argument("--z", type=parse_complex, required=True)
@@ -169,7 +178,7 @@ def main(argv=None) -> int:
     if args.out is None:
         args.out = args.default_out
     try:
-        config = Config.load(args.config) if args.config else Config()
+        config = Config.load(args.config) if getattr(args, "config", None) else Config()
         return args.fn(args, config)
     except SpinCMError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -41,7 +41,7 @@ class SpectralCollision(SpinCMError):
 
 
 class PoleHit(SpinCMError):
-    """An evaluation point x is too close to a pole x_i."""
+    """An evaluation point x is too close to a pole x_i, or is not finite."""
 
 
 class InsufficientSamples(SpinCMError):

@@ -57,9 +57,12 @@ def solve_c(state: PhaseState, z: complex, eps_coll=EPS_COLL):
     c_i = -sum_k (zI-L)^-1_ik b_k,   c*_i = sum_k (zI-L)^-1_ki a_k.
 
     c, c* do not depend on x: one call serves a scalar x or an array of x.
-    Raises SpectralCollision when (zI - L) is worse conditioned than
-    COND_LIMIT, CollidingPoles when two poles are within ``eps_coll``.
+    Raises ValueError for a non-finite z, SpectralCollision when (zI - L)
+    is worse conditioned than COND_LIMIT, CollidingPoles when two poles
+    are within ``eps_coll``.
     """
+    if not np.isfinite(z):
+        raise ValueError(f"z = {z} is not finite")
     L = build_lax(state, eps_coll).L
     A = z * np.eye(state.n_particles, dtype=complex) - L
     if np.linalg.cond(A) > COND_LIMIT:
@@ -72,11 +75,15 @@ def solve_c(state: PhaseState, z: complex, eps_coll=EPS_COLL):
 
 def _inverse_differences(state, x, eps_coll, power=1):
     """1/(x - x_i)^power, shape x.shape + (n,) for a scalar or an array x;
-    PoleHit names the first point within ``eps_coll`` of a pole."""
-    d = np.asarray(x, dtype=complex)[..., None] - state.x
-    hit = (np.abs(d) < eps_coll).any(axis=-1).ravel()
-    if hit.any():
-        raise PoleHit(f"evaluation point x = {np.ravel(x)[hit.argmax()]} hits a pole")
+    PoleHit names the first point that is not finite or lies within
+    ``eps_coll`` of a pole."""
+    x = np.asarray(x, dtype=complex)
+    d = x[..., None] - state.x
+    ok = np.isfinite(x) & (np.abs(d) >= eps_coll).all(axis=-1)  # a NaN distance fails >=
+    if not ok.all():
+        x0 = x.ravel()[ok.ravel().argmin()]
+        raise PoleHit(f"evaluation point x = {x0} "
+                      + ("hits a pole" if np.isfinite(x0) else "is not finite"))
     return 1.0 / d**power
 
 

@@ -85,12 +85,14 @@ def build_lax(state: PhaseState, eps_coll=EPS_COLL) -> LaxData:
     return LaxData(inv=inv, R=R, L=L, M=M)
 
 
-def hamiltonian(state: PhaseState, m: int, eps_coll=EPS_COLL) -> complex:
-    """H_m = tr L^m."""
+def hamiltonian(state: PhaseState, m: int, eps_coll=EPS_COLL):
+    """H_m = tr L^m, a complex for a phase point and an array (...) for a
+    stack; each point's value is bit-identical to its own call."""
     if m < 1:
         raise ValueError("m must be >= 1")
     L = build_lax(state, eps_coll).L
-    return complex(np.trace(np.linalg.matrix_power(L, m)))
+    H = np.trace(np.linalg.matrix_power(L, m), axis1=-2, axis2=-1)
+    return complex(H) if H.ndim == 0 else H
 
 
 def hamiltonians(state: PhaseState, kmax: int = 5, eps_coll=EPS_COLL) -> np.ndarray:

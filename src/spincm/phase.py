@@ -177,8 +177,8 @@ def random_state(n_particles, spin_dim, seed, separation=1.0):
     """
     if n_particles < 1 or spin_dim < 1:
         raise DimensionMismatch("n_particles and spin_dim must be >= 1")
-    if separation <= 0:
-        raise ValueError("separation must be positive")
+    if not 0 < separation < np.inf:  # NaN fails both comparisons
+        raise ValueError(f"separation must be positive and finite, got {separation}")
     rng = np.random.default_rng(seed)
     half = 0.75 * separation * max(2.0, float(n_particles))
 

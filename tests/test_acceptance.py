@@ -24,8 +24,7 @@ from spincm import (
 from spincm.flows import FlowSpec, check_lax
 from spincm.lax import hamiltonian_h2_direct
 from spincm.verify import (
-    _grad_relative_error,
-    _tangent_relative_error,
+    _scaled_error,
     finite_difference_gradient,
     scalar_cm_trajectory,
 )
@@ -84,7 +83,7 @@ def test_03_gradient_correctness(report):
         for m in range(1, 5):
             g = grad_hamiltonian(s, m)
             fd = finite_difference_gradient(s, m, h=1e-5)
-            worst = max(worst, _grad_relative_error(fd, g))
+            worst = max(worst, _scaled_error(fd, g))
     report("gradient-vs-fd", worst, 1e-6)
 
 
@@ -107,7 +106,7 @@ def test_05_dual_derivation(report):
         for m in range(1, 5):
             worst = max(
                 worst,
-                _tangent_relative_error(
+                _scaled_error(
                     vector_field_residue(s, m), vector_field_gradient(s, m)
                 ),
             )

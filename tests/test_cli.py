@@ -348,8 +348,8 @@ def test_verify_and_ba_eval_honour_config_floor(tmp_path, capsys):
 def test_bad_config_file_exits_2_with_one_line(tmp_path, capsys, text, reason):
     config_path = tmp_path / "config.json"
     config_path.write_text(text)
-    out_path = tmp_path / "state.json"
-    rc = main(["gen", "--particles", "2", "--spin", "1", "--config", str(config_path),
+    out_path = tmp_path / "report.json"
+    rc = main(["verify", "--particles", "2", "--spin", "1", "--config", str(config_path),
                "--out", str(out_path)])
     captured = capsys.readouterr()
     assert rc == 2
@@ -358,6 +358,53 @@ def test_bad_config_file_exits_2_with_one_line(tmp_path, capsys, text, reason):
     assert len(lines) == 1
     assert lines[0].startswith("error: ConfigError: ") and reason in lines[0]
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "command,flag,reason",
+    [
+        ("gen", "--separation=nan", "separation must be positive and finite, got nan"),
+        ("gen", "--separation=inf", "separation must be positive and finite, got inf"),
+        ("gen", "--separation=0", "separation must be positive and finite, got 0.0"),
+        ("gen", "--separation=-1", "separation must be positive and finite, got -1.0"),
+        ("ba-eval", "--z=nan", "z = (nan+0j) is not finite"),
+        ("ba-eval", "--z=1e400", "z = (inf+0j) is not finite"),
+        ("ba-eval", "--x-min=nan", "--x-min, --x-max and --x-imag must be finite"),
+        ("ba-eval", "--x-max=inf", "--x-min, --x-max and --x-imag must be finite"),
+        ("ba-eval", "--x-imag=nan", "--x-min, --x-max and --x-imag must be finite"),
+    ],
+    ids=["separation-nan", "separation-inf", "separation-zero", "separation-negative",
+         "z-nan", "z-overflow", "x-min-nan", "x-max-inf", "x-imag-nan"],
+)
+def test_out_of_range_numbers_exit_2_with_one_line(tmp_path, capsys, command, flag, reason):
+    out_path = tmp_path / "out.json"
+    if command == "gen":
+        argv = ["gen", "--particles", "2", "--spin", "1"]
+    else:
+        argv = ["ba-eval", str(_gen(tmp_path, capsys)), "--z", "1.3+0.7i",
+                "--x-min", "-1", "--x-max", "1"]
+    rc = main(argv + [flag, "--out", str(out_path)])  # the later flag wins
+    captured = capsys.readouterr()
+    assert rc == 2  # 1 is verify's FAIL verdict
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {reason}"]
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--particles", "2", "--spin", "1", "--config", "config.json"],
+        ["evolve", "state.json", "--m", "2", "--T", "0.1", "--seed", "1"],
+        ["ba-eval", "state.json", "--z", "1", "--x-min", "-1", "--x-max", "1", "--seed", "1"],
+    ],
+    ids=["gen-config", "evolve-seed", "ba-eval-seed"],
+)
+def test_commands_declare_only_the_flags_they_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

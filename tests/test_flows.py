@@ -33,7 +33,7 @@ from spincm.flows import (
     _residue_rates,
 )
 from spincm.phase import PhaseState, pairs_to_complex
-from spincm.verify import _tangent_relative_error
+from spincm.verify import _scaled_error
 
 
 def test_flowspec_validation():
@@ -98,7 +98,7 @@ def test_residue_field_t1(state32):
 def test_residue_equals_gradient_route(m):
     for seed in range(5):
         s = random_state(3, 2, seed=seed)
-        err = _tangent_relative_error(
+        err = _scaled_error(
             vector_field_residue(s, m), vector_field_gradient(s, m)
         )
         assert err <= 1e-12

@@ -129,6 +129,24 @@ def test_w1_and_v_pole_hit(state32):
         potential_v(state32, complex(state32.x[1]))
 
 
+@pytest.mark.parametrize("bad", [complex("nan"), complex("inf"), complex(0.5, float("nan"))])
+def test_non_finite_point_is_named(state32, bad):
+    # a NaN distance never falls below eps_coll, so the pole test alone
+    # would let the point through
+    grid = np.array([0.1 + 3j, bad, 0.2 + 3j])
+    for call in (w1, potential_v, lambda s, x: ba_eval(s, Z0, x)):
+        with pytest.raises(PoleHit, match=re.escape(f"x = {grid[1]} is not finite")):
+            call(state32, grid)
+    with pytest.raises(PoleHit, match="is not finite"):
+        w1(state32, bad)
+
+
+@pytest.mark.parametrize("z", [complex("nan"), complex("inf"), complex(1.0, float("inf"))])
+def test_solve_c_rejects_non_finite_z(state32, z):
+    with pytest.raises(ValueError, match=re.escape(f"z = {z} is not finite")):
+        solve_c(state32, z)
+
+
 def test_v_is_minus_two_dx_w1(state32):
     h = 1e-6
     for x in offgrid_points(state32, 4):

@@ -19,7 +19,7 @@ from spincm import (
     resolvent_residue,
 )
 from spincm.lax import hamiltonian_h2_direct
-from spincm.verify import _grad_relative_error, finite_difference_gradient
+from spincm.verify import _scaled_error, finite_difference_gradient
 
 
 def test_build_lax_single_particle():
@@ -99,7 +99,7 @@ def test_grad_h2_single_particle():
 def test_grad_matches_finite_differences(state32, m, axis):
     g = grad_hamiltonian(state32, m)
     fd = finite_difference_gradient(state32, m, h=1e-5, axis=axis)
-    assert _grad_relative_error(fd, g) <= 1e-6
+    assert _scaled_error(fd, g) <= 1e-6
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -111,7 +111,7 @@ def test_grad_matches_finite_differences_other_sizes(n, N, m):
     g = grad_hamiltonian(s, m)
     for axis in ("real", "imag"):
         fd = finite_difference_gradient(s, m, h=1e-5, axis=axis)
-        assert _grad_relative_error(fd, g) <= 1e-6
+        assert _scaled_error(fd, g) <= 1e-6
 
 
 def test_lax_assembly_honours_eps_coll():
@@ -138,12 +138,16 @@ def test_stacked_build_lax_equals_each_point(n):
     states = [random_state(n, 2, seed=s) for s in range(4)]
     stack = _stack(states, (2, 2))
     stacked, H = build_lax(stack), hamiltonians(stack)
+    Hm = {m: hamiltonian(stack, m) for m in range(1, 6)}
     assert [f.name for f in fields(LaxData)] == ["inv", "R", "L", "M"]
     for k, s in enumerate(states):
         one = build_lax(s)
         for f in ("inv", "R", "L", "M"):
             assert np.array_equal(getattr(stacked, f)[divmod(k, 2)], getattr(one, f))
         assert np.array_equal(H[divmod(k, 2)], hamiltonians(s))
+        for m, h in Hm.items():
+            assert h.shape == (2, 2)
+            assert h[divmod(k, 2)] == hamiltonian(s, m)  # bit for bit
 
 
 def test_stacked_collision_names_the_first_colliding_point():

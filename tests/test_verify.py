@@ -6,16 +6,20 @@ import pytest
 
 from spincm import (
     CheckResult,
+    CollidingPoles,
     Config,
+    Gradient,
     PhaseState,
     VerificationReport,
     grad_hamiltonian,
     new_state,
     random_state,
     run_suite,
+    solve_c,
 )
+from spincm import verify
 from spincm.verify import (
-    _grad_relative_error,
+    _scaled_error,
     finite_difference_gradient,
     scalar_cm_trajectory,
 )
@@ -181,7 +185,48 @@ def test_fd_gradient_oracle_axes_agree(state32):
     g = grad_hamiltonian(state32, 3)
     for axis in ("real", "imag"):
         fd = finite_difference_gradient(state32, 3, h=1e-5, axis=axis)
-        assert _grad_relative_error(fd, g) <= 1e-6
+        assert _scaled_error(fd, g) <= 1e-6
+
+
+def test_scaled_error_is_one_rule_over_arrays_and_fields(state32):
+    assert _scaled_error(np.array([1.0, 5.0]), np.array([0.0, 1.0])) == 2.0  # max(1/1, 4/2)
+    assert _scaled_error(np.empty((0, 5)), np.ones(5)) == 0.0  # a flow with one sample
+    g = grad_hamiltonian(state32, 2)
+    assert _scaled_error(g, g) == 0.0
+    db = np.array(g.db)
+    db[1, 0] += 1 + abs(db[1, 0])  # the last field, one entry
+    assert _scaled_error(Gradient(g.dx, g.dp, g.da, db), g) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_rank1_residues_is_the_worst_singular_value_ratio(N):
+    # one batched SVD of the 2n outer products a_i c_i^T and c*_i b_i^T
+    s = random_state(3, N, seed=5)
+    c, c_star = solve_c(s, 1.3 + 0.7j)
+    worst = 0.0
+    for i in range(3):
+        for res in (np.outer(s.a[i], c[i]), np.outer(c_star[i], s.b[i])):
+            sv = np.linalg.svd(res, compute_uv=False)
+            worst = max(worst, float(sv[1] / sv[0]) if N > 1 else 0.0)
+    assert verify._check_rank1_residues(s, Config())[0] == worst
+    assert N == 1 or worst > 0.0  # rounding leaves a nonzero second singular value
+
+
+def test_fd_gradient_chunks_leave_every_bit(state32, monkeypatch):
+    whole = finite_difference_gradient(state32, 3, axis="imag")
+    # fewer entries than one L holds: one perturbed point per chunk
+    monkeypatch.setattr(verify, "RECORD_CHUNK", 1)
+    chunked = finite_difference_gradient(state32, 3, axis="imag")
+    for f in ("dx", "dp", "da", "db"):
+        assert np.array_equal(getattr(chunked, f), getattr(whole, f))
+
+
+def test_fd_gradient_raises_when_a_perturbed_point_collides():
+    # x_1 - x_0 = h + 5e-7: the point is valid, x_0 + h lies within eps_coll of x_1
+    s = new_state([0.0, 1e-5 + 5e-7], [0.1, 0.2], [[1.0], [1.0]], [[1.0], [1.0]])
+    with pytest.raises(CollidingPoles, match="5.000e-07") as err:
+        finite_difference_gradient(s, 2, h=1e-5)
+    assert err.value.row is None and err.value.time is None
 
 
 def test_scalar_cm_oracle_free_particle():
