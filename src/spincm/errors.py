@@ -53,7 +53,15 @@ class StepLimitExceeded(SpinCMError):
 
 
 class IntegrationFailed(SpinCMError):
-    """The adaptive solver gave up before reaching the end of the segment."""
+    """The adaptive solver gave up before reaching the end of the segment,
+    or a recorded sample of a flow is not finite. For the latter, ``time``
+    is the flow time of the first such sample and ``row`` its stack row,
+    as for CollidingPoles; both are None otherwise."""
+
+    def __init__(self, message, time=None, row=None):
+        super().__init__(message)
+        self.time = time
+        self.row = row
 
 
 class ConfigError(SpinCMError):

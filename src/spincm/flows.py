@@ -16,7 +16,6 @@ collision, which ends no other row. :func:`integrate` is its one-row case.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -100,10 +99,12 @@ class Trajectory:
         header += [f"{c}_H{k + 1}" for k in range(5) for c in ("re", "im")]
         cols = [_re_im(self.t[:, None]), _re_im(self.x), _re_im(self.p),
                 self.drift[:, None], _re_im(self.hamiltonians)]
+        # the bytes csv.writer writes: repr of every number, "\r\n" ends a row
+        lines = [",".join(header)]
+        lines += [",".join(map(repr, [step, *row]))
+                  for step, row in enumerate(np.hstack(cols).tolist())]
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            w.writerows([step, *row] for step, row in enumerate(np.hstack(cols).tolist()))
+            fh.write("\r\n".join(lines) + "\r\n")
 
     def export_json(self, path):
         """JSON mirror of the PhaseState schema per sample."""
@@ -224,18 +225,25 @@ RECORD_CHUNK = 1 << 16
 def _record(row, m, times, Y, n, N, eps_coll):
     """The Trajectory of stack row ``row`` from its packed samples Y (k, dim)
     at the k flow times, with H_1..H_5 and the drift of all samples from
-    stacked passes; or, if a sample has two poles within eps_coll, the
-    CollidingPoles of the earliest one, with its flow time."""
+    stacked passes; or the error of the earliest sample that ends the row:
+    CollidingPoles if it has two poles within eps_coll, IntegrationFailed
+    if it is not finite, each with its flow time."""
     Y = np.array(Y, dtype=complex)
     times = np.asarray(times, dtype=complex)
+    finite = np.isfinite(Y).all(axis=1)
+    k_bad = len(Y) if finite.all() else int(np.argmin(finite))
     H = np.empty((len(Y), 5), dtype=complex)
     chunk = max(1, RECORD_CHUNK // (n * n))
-    for lo in range(0, len(Y), chunk):
+    for lo in range(0, k_bad, chunk):
+        hi = min(lo + chunk, k_bad)
         try:
-            H[lo : lo + chunk] = hamiltonians(PhaseState(*_unpack(Y[lo : lo + chunk], n, N)),
-                                              eps_coll=eps_coll)
+            H[lo:hi] = hamiltonians(PhaseState(*_unpack(Y[lo:hi], n, N)), eps_coll=eps_coll)
         except CollidingPoles as exc:
             return _at_time(exc, complex(times[lo + exc.row]), m, row)
+    if k_bad < len(Y):
+        t = complex(times[k_bad])
+        return IntegrationFailed(f"the t_{m} flow left the finite numbers at t = {t}",
+                                 time=t, row=row)
     drift = np.max(np.abs(PhaseState(*_unpack(Y, n, N)).constraint_values() - 1.0), axis=-1)
     Y.setflags(write=False)
     return Trajectory(times, *_unpack(Y, n, N), drift=drift, hamiltonians=H, m=int(m))
@@ -291,8 +299,10 @@ def integrate_stack(rows, eps_coll=EPS_COLL) -> list:
     own row, with CollidingPoles carrying the flow time, the row index in
     ``row`` and the row's m in the message; the current stage is then
     evaluated again for the rows that remain. A failed RK45 solve ends its
-    row with IntegrationFailed. The constraint is monitored, never
-    re-projected.
+    row with IntegrationFailed, and so does a recorded sample that is not
+    finite (an overflow with no collision), with the flow time of the
+    first such sample and the row in ``row``. The constraint is
+    monitored, never re-projected.
     """
     states, specs = zip(*rows)
     method = specs[0].method

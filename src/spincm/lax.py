@@ -5,9 +5,12 @@ The Lax matrix of the Gibbons-Hermsen system is
     L_ii = -p_i,   L_ik = -(b_i^T a_k)/(x_i - x_k)   (i != k),
 
 with auxiliary matrix M_ik = 2 (b_i^T a_k)/(x_i - x_k)^2 (zero diagonal).
-The conserved Hamiltonians are H_m = tr L^m. Residues at infinity of the
-resolvent (zI - L)^-1 are evaluated exactly as matrix polynomials; a numeric
-contour integrator is kept alongside as an independent oracle.
+The conserved Hamiltonians are H_m = tr L^m: :func:`hamiltonian` takes one
+through ``matrix_power``, and :func:`hamiltonians` takes H_1..H_kmax from
+the powers up to L^max(3, ceil(kmax/2)), H_k for k >= 4 as the trace of a
+product of two of them. Residues at infinity of the resolvent (zI - L)^-1
+are evaluated exactly as matrix polynomials; a numeric contour integrator
+is kept alongside as an independent oracle.
 """
 
 from __future__ import annotations
@@ -70,18 +73,24 @@ def build_lax(state: PhaseState, eps_coll=EPS_COLL) -> LaxData:
     n = x.shape[-1]
     d = x[..., :, None] - x[..., None, :]
     _diagonal(d)[...] = np.inf
-    dist = np.abs(d)
-    if dist.min() <= eps_coll:
-        sep = dist.reshape(-1, n * n).min(axis=1)
+    # fmin skips NaN: a point that is not finite hides no other's collision
+    if np.fmin.reduce(np.abs(d), axis=None) <= eps_coll:
+        sep = np.abs(d).reshape(-1, n * n).min(axis=1)
         row = int(np.argmax(sep <= eps_coll)) if d.ndim > 2 else None
         raise CollidingPoles(
             f"minimal pole separation {sep[row or 0]:.3e} <= {eps_coll:.3e}", row=row
         )
-    inv = 1.0 / d  # the infinite diagonal gives inv_ii = 0
+    # in place from here on, each product in the order of -R * inv and
+    # 2.0 * R * inv * inv: inv takes the buffer of d, and the infinite
+    # diagonal gives inv_ii = 0
+    inv = np.divide(1.0, d, out=d)
     R = state.spin_pairings()
-    L = -R * inv
+    L = np.negative(R)
+    L *= inv
     _diagonal(L)[...] = -state.p
-    M = 2.0 * R * inv * inv
+    M = np.multiply(2.0, R)
+    M *= inv
+    M *= inv
     return LaxData(inv=inv, R=R, L=L, M=M)
 
 
@@ -96,15 +105,26 @@ def hamiltonian(state: PhaseState, m: int, eps_coll=EPS_COLL):
 
 
 def hamiltonians(state: PhaseState, kmax: int = 5, eps_coll=EPS_COLL) -> np.ndarray:
-    """[H_1, ..., H_kmax] from one pass of repeated multiplication, shape
-    (kmax,) for a phase point and (..., kmax) for a stack."""
+    """[H_1, ..., H_kmax], shape (kmax,) for a phase point and (..., kmax)
+    for a stack.
+
+    H_1..H_3 are the traces of the repeated right products L, L L and
+    (L L) L. Each H_k with k >= 4 is the trace of a product of two powers,
+    sum_ij (L^{k-j})_ij (L^j)_ji with j = max(3, ceil(k/2)), so only the
+    powers up to L^j are multiplied out: two products for kmax <= 6. The
+    route to each H_k does not depend on kmax.
+    """
     L = build_lax(state, eps_coll).L
     out = np.empty(L.shape[:-2] + (kmax,), dtype=complex)
-    P = L
-    for k in range(kmax):
-        out[..., k] = np.trace(P, axis1=-2, axis2=-1)
-        if k + 1 < kmax:
-            P = P @ L
+    P = [None, L]  # P[j] = L^j
+    while len(P) <= min(kmax, max(3, (kmax + 1) // 2)):
+        P.append(P[-1] @ L)
+    for k in range(1, kmax + 1):
+        if k <= 3:
+            out[..., k - 1] = np.trace(P[k], axis1=-2, axis2=-1)
+        else:
+            j = max(3, (k + 1) // 2)
+            out[..., k - 1] = (P[k - j] * P[j].swapaxes(-1, -2)).sum(axis=(-2, -1))
     return out
 
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from spincm import ba_eval, load_state, random_state
+from spincm import ba_eval, load_state, new_state, random_state
 from spincm.cli import main, parse_complex
 
 
@@ -294,6 +294,18 @@ def test_config_eps_constr_applies_at_load(tmp_path, capsys):
     assert main(args) == 2
     assert "ConstraintViolated" in capsys.readouterr().err
     assert main(args + ["--config", str(config_path)]) == 0
+
+
+def test_verify_fails_a_flow_that_leaves_the_finite_numbers(tmp_path, capsys):
+    path = tmp_path / "close.json"
+    new_state([0, 1.05e-5], [0.1, 0.2], [[1], [1]], [[1], [1]]).save(path)
+    with pytest.warns(RuntimeWarning):  # numpy overflow in the +-dt_2 flows
+        rc = main(["verify", str(path)])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    line = next(ln for ln in out.splitlines() if ln.startswith("linear_problem"))
+    assert line.split()[1:] == ["inf", "1.0e-06", "FAIL"]
+    assert "Traceback" not in out + err
 
 
 def test_verify_and_ba_eval_honour_config_floor(tmp_path, capsys):

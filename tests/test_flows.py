@@ -485,6 +485,68 @@ def test_recorded_sample_collision_names_its_row_m_and_time():
         assert (got.row, got.time) == (r, times[j])
 
 
+def test_non_finite_sample_ends_its_row_with_its_m_and_time():
+    # recorded in chunks (n = 100): row 0 leaves the finite numbers at
+    # sample 6 (in b, not x) before its collision at sample 7; row 1
+    # collides at sample 5 before it does at sample 7
+    states = [random_state(100, 2, seed=s) for s in (1, 2)]
+    Y = np.array([[_pack(st) for st in states]] * 9)
+    Y[6, 0, -1] = np.inf
+    Y[8, 0, 0] = np.nan
+    Y[7, 1, 3] = np.nan
+    for j, r in ((7, 0), (5, 1)):
+        Y[j, r, 1] = Y[j, r, 0] + 1e-8
+    times = np.arange(9) * (0.01 + 0.02j)
+    got = _record(0, 3, times, Y[:, 0], 100, 2, 1e-6)
+    assert isinstance(got, IntegrationFailed) and "t_3 flow" in str(got)
+    assert (got.row, got.time) == (0, times[6])
+    got = _record(1, 2, times, Y[:, 1], 100, 2, 1e-6)
+    assert isinstance(got, CollidingPoles) and (got.row, got.time) == (1, times[5])
+    # an RK4 flow that overflows with no collision, between rows that finish
+    # or collide; it warns on the way (numpy overflow in the Lax products)
+    close = new_state([0, 1.05e-5], [0.1, 0.2], [[1], [1]], [[1], [1]])
+    far = new_state([-1, 1.0], [0.1, 0.2], [[1], [1]], [[1], [1]])
+    spec = FlowSpec(m=2, t_final=1e-4, dt=2.5e-5)
+    rows = [(far, spec), (close, spec), (close, replace(spec, t_final=-1e-4, record_every=3)),
+            (close, replace(spec, m=3))]
+    with pytest.warns(RuntimeWarning):
+        out = integrate_stack(rows)
+    _assert_same_trajectory(out[0], integrate(*rows[0]))
+    for r, m, t in ((1, 2, 5e-5), (2, 2, -7.5e-5)):
+        assert isinstance(out[r], IntegrationFailed) and f"t_{m} flow" in str(out[r])
+        assert out[r].row == r and out[r].time == pytest.approx(t, abs=1e-18)
+    assert isinstance(out[3], CollidingPoles) and out[3].row == 3
+    assert _first_error(out) is out[3]  # the collision, at t = 1.25e-5, came first
+
+
+def test_export_csv_writes_the_bytes_of_csv_writer(tmp_path):
+    rng = np.random.default_rng(3)
+    for n in (1, 4):
+        k = 5
+        z = lambda *s: rng.standard_normal(s) + 1j * rng.standard_normal(s)
+        H = z(k, 5)
+        H[0, 0], H[1, 1], H[2, 2], H[3, 3] = -0.0, 5e-324 - 0.0j, 1e300 + 1e-300j, -1e300
+        x = z(k, n)
+        x[0, 0] = complex(-0.0, 2.5e-310)
+        traj = Trajectory(t=z(k), x=x, p=z(k, n), a=z(k, n, 2), b=z(k, n, 2),
+                          drift=np.array([0.0, -0.0, 5e-324, 1e300, 0.125]), hamiltonians=H, m=2)
+        path = tmp_path / f"traj{n}.csv"
+        traj.export_csv(path)
+        ref = tmp_path / f"ref{n}.csv"
+        with open(ref, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["step", "re_t", "im_t"]
+                       + [f"{c}_{v}_{i + 1}" for v in "xp" for i in range(n) for c in ("re", "im")]
+                       + ["drift"] + [f"{c}_H{j + 1}" for j in range(5) for c in ("re", "im")])
+            for s in range(k):
+                w.writerow([s] + [float(f(v)) for v in (traj.t[s], *traj.x[s], *traj.p[s])
+                                  for f in (np.real, np.imag)]
+                           + [float(traj.drift[s])]
+                           + [float(f(h)) for h in traj.hamiltonians[s] for f in (np.real, np.imag)])
+        assert path.read_bytes() == ref.read_bytes()
+        assert b"-0.0" in path.read_bytes() and b"5e-324" in path.read_bytes()
+
+
 def test_integrate_stack_rejects_mixed_specs(state32):
     spec = FlowSpec(m=2, t_final=0.01, dt=1e-3)
     with pytest.raises(ValueError, match="share the method"):

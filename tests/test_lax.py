@@ -77,6 +77,38 @@ def test_hamiltonians_vector(state32):
         assert hs[m - 1] == pytest.approx(hamiltonian(state32, m), abs=1e-13)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 30, 100])
+def test_hamiltonians_match_matrix_power_oracle(n):
+    s = random_state(n, 4, seed=n)
+    for kmax in range(1, 8):
+        hs = hamiltonians(s, kmax=kmax)
+        assert hs.shape == (kmax,)
+        want = np.array([hamiltonian(s, m) for m in range(1, kmax + 1)])
+        assert _scaled_error(hs, want) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 3, 30])
+def test_hamiltonians_take_one_route_per_h(n):
+    s = random_state(n, 2, seed=n + 5)
+    full = hamiltonians(s, kmax=7)
+    for k in range(1, 8):
+        assert hamiltonians(s, kmax=k).tobytes() == full[:k].tobytes()
+    # H_1..H_3 are the traces of the repeated right products, bit for bit
+    L = build_lax(s).L
+    P2 = L @ L
+    assert full[:3].tobytes() == np.array([np.trace(L), np.trace(P2), np.trace(P2 @ L)]).tobytes()
+
+
+def test_a_non_finite_point_hides_no_collision_of_the_stack():
+    bad = new_state([0.0, 1.0], [0.1, 0.2], [[1.0], [1.0]], [[1.0], [1.0]])
+    close = new_state([0.0, 5e-7], [0.1, 0.2], [[1.0], [1.0]], [[1.0], [1.0]], eps_coll=1e-9)
+    stack = _stack([bad, close], (2,))
+    stack.x[0, 1] = np.nan
+    with pytest.raises(CollidingPoles) as err:
+        build_lax(stack)
+    assert err.value.row == 1
+
+
 def test_grad_h1_constant(state32):
     g = grad_hamiltonian(state32, 1)
     assert np.allclose(g.dp, -1.0, atol=1e-15)

@@ -134,6 +134,17 @@ def test_suite_collision_ends_only_its_own_flow():
         "conservation", "constraint_drift", "n1_reduction"}
 
 
+def test_suite_records_a_flow_that_leaves_the_finite_numbers():
+    # poles just above the floor: the +-dt_2 flows of linear_problem
+    # overflow with no collision, which numpy warns about on the way
+    s = new_state([0, 1.05e-5], [0.1, 0.2], [[1], [1]], [[1], [1]])
+    with pytest.warns(RuntimeWarning):
+        report = run_suite(state=s)
+    res = {r.name: r for r in report.results}["linear_problem"]
+    assert not res.passed and res.residual == math.inf
+    assert res.details["error"].startswith("the t_2 flow left the finite numbers at t = ")
+
+
 def test_report_file_is_one_line_and_keeps_nan_and_inf(tmp_path):
     report = VerificationReport(
         seed=3, n_particles=2, spin_dim=1, suite_version="1",
