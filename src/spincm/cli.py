@@ -15,10 +15,10 @@ import numpy as np
 from . import kp
 from .config import Config
 from .errors import CollidingPoles, SpinCMError
-from .flows import FlowSpec, integrate
+from .flows import METHODS, FlowSpec, integrate
 from .lax import hamiltonians
 from .phase import load_state, random_state, write_json
-from .verify import _scaled_error, run_suite
+from .verify import SUITE_METHOD, _scaled_error, run_suite
 
 
 def parse_complex(text: str) -> complex:
@@ -86,9 +86,10 @@ def cmd_evolve(args, config):
 
 
 def cmd_verify(args, config):
-    if config.method != "RK4":
-        print(f"note: verify integrates every suite flow with fixed-step RK4; "
-              f"the configured method {config.method} is not used", file=sys.stderr)
+    if config.method != Config.method:
+        print(f"note: verify integrates every suite flow with {SUITE_METHOD} at its pinned "
+              f"tolerances; the configured method ({config.method}) applies to evolve only",
+              file=sys.stderr)
     state = None
     if args.state is not None:
         state, _ = load_state(args.state, eps_coll=config.eps_coll, eps_constr=config.eps_constr)
@@ -147,7 +148,7 @@ def build_parser():
     e.add_argument("--m", type=_positive_int, required=True, help="hierarchy time index")
     e.add_argument("--T", type=parse_complex, required=True, help="flow endpoint")
     e.add_argument("--dt", type=float, default=None)
-    e.add_argument("--method", choices=("RK4", "RK45"), default=None)
+    e.add_argument("--method", choices=METHODS, default=None)
     e.add_argument("--record-every", type=_positive_int, default=1)
     e.set_defaults(fn=cmd_evolve, default_out="trajectory")
 

@@ -53,10 +53,9 @@ class StepLimitExceeded(SpinCMError):
 
 
 class IntegrationFailed(SpinCMError):
-    """The adaptive solver gave up before reaching the end of the segment,
-    or a recorded sample of a flow is not finite. For the latter, ``time``
-    is the flow time of the first such sample and ``row`` its stack row,
-    as for CollidingPoles; both are None otherwise."""
+    """A flow left the finite numbers, or its DOP853 step fell below 10 ulp
+    of its segment. ``time`` is the flow time where it happened and ``row``
+    its stack row, as for CollidingPoles."""
 
     def __init__(self, message, time=None, row=None):
         super().__init__(message)

@@ -2,21 +2,25 @@
 
 Each flow is realized by two independently derived vector fields: the
 Hamiltonian (gradient) route through the H_m gradient kernel, and the residue
-route through the resolvent calculus. Integration is fixed-step RK4 by
-default (embedded RK45 optional) along the straight segment from 0 to a
-complex t_final, with constraint drift and H_1..H_5 recorded at every sample.
+route through the resolvent calculus. Integration runs along the straight
+segment from 0 to a complex t_final, with constraint drift and H_1..H_5
+recorded at every sample, by one of two steppers: fixed-step RK4 (the
+default), or DOP853, the embedded 8(5,3) Runge-Kutta pair of Dormand and
+Prince whose step follows its error estimate (:mod:`spincm.dop853`).
 
 The one integrator, :func:`integrate_stack`, steps a ragged stack: a
 (B, dim) block of packed phase points that share (n, N) and the method,
 while each row keeps its own m, endpoint, step size and record_every. Each
 right-hand-side call is one :func:`vector_field_gradient` of the rows still
 active; a row leaves the block after its last step, or at its own pole
-collision, which ends no other row. :func:`integrate` is its one-row case.
+collision or loss of finite values, which ends no other row.
+:func:`integrate` is its one-row case.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +35,11 @@ from .errors import (
 )
 from .lax import LaxData, _gradient, build_lax, hamiltonians, resolvent_residue
 from .phase import EPS_COLL, PhaseState, complex_to_pairs, write_json
+
+#: the steppers of integrate_stack
+METHODS = ("RK4", "DOP853")
+#: a record_every past any step count: the row records only its endpoint
+ENDPOINT_ONLY = sys.maxsize
 
 
 @dataclass(frozen=True)
@@ -61,8 +70,8 @@ class FlowSpec:
             raise ValueError(f"dt must be positive and finite, not {self.dt}")
         if not np.isfinite(self.t_final):
             raise ValueError(f"t_final must be finite, not {self.t_final}")
-        if self.method not in ("RK4", "RK45"):
-            raise ValueError("method must be RK4 or RK45")
+        if self.method not in METHODS:
+            raise ValueError(f"method must be {' or '.join(METHODS)}")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
 
@@ -218,6 +227,13 @@ def _at_time(exc, t, m, row):
     return CollidingPoles(f"pole collision in the t_{m} flow: {exc}", time=t, row=row)
 
 
+def _not_finite(t, m, row):
+    """IntegrationFailed of stack row ``row``, whose t_m flow is no longer
+    finite at flow time t."""
+    return IntegrationFailed(f"the t_{m} flow left the finite numbers at t = {t}",
+                             time=t, row=row)
+
+
 #: complex entries of one L stack in _record; bounds its temporaries
 RECORD_CHUNK = 1 << 16
 
@@ -241,9 +257,7 @@ def _record(row, m, times, Y, n, N, eps_coll):
         except CollidingPoles as exc:
             return _at_time(exc, complex(times[lo + exc.row]), m, row)
     if k_bad < len(Y):
-        t = complex(times[k_bad])
-        return IntegrationFailed(f"the t_{m} flow left the finite numbers at t = {t}",
-                                 time=t, row=row)
+        return _not_finite(complex(times[k_bad]), m, row)
     drift = np.max(np.abs(PhaseState(*_unpack(Y, n, N)).constraint_values() - 1.0), axis=-1)
     Y.setflags(write=False)
     return Trajectory(times, *_unpack(Y, n, N), drift=drift, hamiltonians=H, m=int(m))
@@ -282,34 +296,35 @@ def integrate_stack(rows, eps_coll=EPS_COLL) -> list:
 
     ``rows`` is a list of (PhaseState, FlowSpec) pairs. The states share
     (n, N), else DimensionMismatch; the specs share their method, else
-    ValueError, and RK45 takes a single row. Each row keeps its own m,
-    t_final (real, complex or 0), dt, record_every and max_steps. Its
-    segment is parameterized by arc length s in [0, |t_final|] with
-    dy/ds = u F_m(y), u = t_final/|t_final|, and stepped in
-    ceil(|t_final|/dt) steps of equal length h. h and u are scalars while
-    the active rows share them, else (B, 1) columns, and a row leaves the
-    block after its last step.
+    ValueError. Each row keeps its own m, t_final (real, complex or 0), dt,
+    record_every and max_steps. Its segment is parameterized by arc length
+    s in [0, |t_final|] with dy/ds = u F_m(y), u = t_final/|t_final|, on a
+    grid of ceil(|t_final|/dt) steps of equal length h; the row records its
+    sample at every record_every-th grid point and at the last one.
+    RK4 takes every grid step; h and u are scalars while the active rows
+    share them, else (B, 1) columns. DOP853 (:func:`spincm.dop853.dop853`)
+    chooses each row's steps by its error estimate and never steps across
+    a recorded grid point, so both methods record at the same flow times.
+    With either, every row is bit-identical to integrating it alone.
     Each right-hand-side call is one vector_field_gradient of the active
-    block. Every row is bit-identical to integrating it alone.
+    block, and a row leaves the block after its last step.
 
-    A row whose step count exceeds its max_steps ends with
+    A row whose grid has more than max_steps steps ends with
     StepLimitExceeded before any step. The collision floor eps_coll is
     checked at every right-hand-side call, inside the Lax assembly, and at
     every recorded sample. A pole separation at or below it ends only its
     own row, with CollidingPoles carrying the flow time, the row index in
     ``row`` and the row's m in the message; the current stage is then
-    evaluated again for the rows that remain. A failed RK45 solve ends its
-    row with IntegrationFailed, and so does a recorded sample that is not
-    finite (an overflow with no collision), with the flow time of the
-    first such sample and the row in ``row``. The constraint is
+    evaluated again for the rows that remain. Every step is tested for
+    finite values: a row that leaves them (an overflow with no collision)
+    ends there with IntegrationFailed, with the flow time and the row, and
+    numpy's warnings on the way are not raised. The constraint is
     monitored, never re-projected.
     """
     states, specs = zip(*rows)
     method = specs[0].method
     if any(sp.method != method for sp in specs):
         raise ValueError("the flow specs of a stack must share the method")
-    if method == "RK45" and len(rows) > 1:
-        raise ValueError("RK45 integrates a single row")
     n, N = states[0].n_particles, states[0].spin_dim
     if any((st.n_particles, st.spin_dim) != (n, N) for st in states):
         raise DimensionMismatch("the states of a stack must share (n_particles, spin_dim)")
@@ -331,35 +346,16 @@ def integrate_stack(rows, eps_coll=EPS_COLL) -> list:
     y0 = np.stack([_pack(st) for st in states])
     times = [[0.0] for _ in range(B)]
     samples = [[y] for y in y0]
-
-    if method == "RK45" and steps[0]:
-        from scipy.integrate import solve_ivp
-
-        m, h, u = ms[0], hs[0], us[0]
-
-        def fun(s, v):
-            try:
-                return _tangent(v[None], m, u, n, N, eps_coll)[0]
-            except CollidingPoles as exc:
-                raise _at_time(exc, s * u, m, 0) from None
-
-        # the RK4 sampling grid; n_steps * h can round past the span's end
-        S = abs(complex(specs[0].t_final))
-        s_eval = np.append(np.arange(0, steps[0], specs[0].record_every), steps[0]) * h
-        s_eval[-1] = S
-        try:
-            sol = solve_ivp(fun, (0.0, S), y0[0], method="RK45", t_eval=s_eval,
-                            rtol=1e-10, atol=1e-12)
-        except CollidingPoles as exc:
-            out[0] = exc
+    every = [sp.record_every for sp in specs]
+    # a stage past the finite numbers warns; the finiteness test reports it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if method == "RK4":
+            _rk4(y0, ms, steps, hs, us, every, times, samples, out, n, N, eps_coll)
         else:
-            if sol.success:
-                times[0], samples[0] = sol.t * u, sol.y.T
-            else:
-                out[0] = IntegrationFailed(f"RK45 integration failed: {sol.message}")
-    elif method == "RK4":
-        _rk4(y0, ms, steps, hs, us, [sp.record_every for sp in specs], times, samples, out,
-             n, N, eps_coll)
+            from .dop853 import dop853  # loaded at the first DOP853 flow
+
+            dop853(y0, ms, steps, hs, us, every, [sp.max_steps for sp in specs], times, samples,
+                   out, n, N, eps_coll)
     return [res if res is not None else _record(r, ms[r], times[r], samples[r], n, N, eps_coll)
             for r, res in enumerate(out)]
 
@@ -385,7 +381,7 @@ def _trajectories(results):
 def _rk4(y0, ms, steps, hs, us, every, times, samples, out, n, N, eps_coll):
     """Fixed-step RK4 of the rows with steps to take, as one block that
     shrinks as rows end: append each row's recorded times and samples, and
-    set out[r] to the CollidingPoles that ends row r."""
+    set out[r] to the CollidingPoles or IntegrationFailed that ends row r."""
     act = [r for r, k in enumerate(steps) if k]
     y, ks = y0[act], []
     m = c = c6 = u = None
@@ -421,12 +417,15 @@ def _rk4(y0, ms, steps, hs, us, every, times, samples, out, n, N, eps_coll):
         k1, k2, k3, k4 = ks
         y = y + c6 * (k1 + 2 * k2 + 2 * k3 + k4)
         step += 1
+        finite = np.isfinite(y).all(axis=1)
         for i, r in enumerate(act):
-            if step % every[r] == 0 or step == steps[r]:
+            if not finite[i]:
+                out[r] = _not_finite(step * hs[r] * us[r], ms[r], r)
+            elif step % every[r] == 0 or step == steps[r]:
                 times[r].append(step * hs[r] * us[r])
                 samples[r].append(y[i])
-        if any(step == steps[r] for r in act):
-            keep([i for i, r in enumerate(act) if step < steps[r]])
+        if not finite.all() or any(step == steps[r] for r in act):
+            keep([i for i, r in enumerate(act) if finite[i] and step < steps[r]])
 
 
 def check_lax(trajectory: Trajectory, eps_coll=EPS_COLL) -> np.ndarray:
@@ -464,14 +463,16 @@ def _gauge_invariant_observables(state: PhaseState, eps_coll=EPS_COLL):
 
 def commutativity_check(state, m1, m2, s1, s2, dt, eps_coll=EPS_COLL) -> float:
     """Max distance of gauge-invariant observables between flowing
-    (t_{m1} by s1, then t_{m2} by s2) and the reverse order. The first legs
-    run as one 2-row stack, and the second legs as another; a leg that
-    fails raises the first error of its stack."""
+    (t_{m1} by s1, then t_{m2} by s2) and the reverse order. Each leg is a
+    DOP853 row on the grid dt that records only its endpoint. The first
+    legs run as one 2-row stack, and the second legs as another; a leg
+    that fails raises the first error of its stack."""
     if m1 == m2:
         raise ValueError("m1 and m2 must differ")
 
     def legs(starts, flows):
-        rows = [(st, FlowSpec(m=m, t_final=s, dt=dt)) for st, (m, s) in zip(starts, flows)]
+        rows = [(st, FlowSpec(m=m, t_final=s, dt=dt, method="DOP853", record_every=ENDPOINT_ONLY))
+                for st, (m, s) in zip(starts, flows)]
         return [tr.state(-1) for tr in _trajectories(integrate_stack(rows, eps_coll))]
 
     first = legs([state, state], [(m1, s1), (m2, s2)])

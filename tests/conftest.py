@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spincm import random_state
+from spincm import build_lax, random_state
 
 
 @pytest.fixture
@@ -20,3 +20,13 @@ def offgrid_points(state, count, seed=1234, margin=0.3):
         if np.min(np.abs(cand - state.x)) > margin:
             pts.append(cand)
     return np.array(pts)
+
+
+def exact_flow_poles(state, m, t):
+    """Poles of the t_m flow of ``state`` at the flow times t (k,), with no
+    step error: the rank identity R = I + [L, X] makes the flow linear in
+    X, X(t) = diag(x_0) - m t L_0^(m-1), whose eigenvalues are the poles.
+    Returns (k, n) rows in no order; compare them with
+    verify.matched_pole_error."""
+    Q = m * np.linalg.matrix_power(build_lax(state).L, m - 1)
+    return np.linalg.eigvals(np.diag(state.x) - np.multiply.outer(np.asarray(t), Q))

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -299,9 +300,13 @@ def test_config_eps_constr_applies_at_load(tmp_path, capsys):
 def test_verify_fails_a_flow_that_leaves_the_finite_numbers(tmp_path, capsys):
     path = tmp_path / "close.json"
     new_state([0, 1.05e-5], [0.1, 0.2], [[1], [1]], [[1], [1]]).save(path)
-    with pytest.warns(RuntimeWarning):  # numpy overflow in the +-dt_2 flows
+    # the +-dt_2 flows overflow; each row ends at its first non-finite
+    # step, with no numpy warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         rc = main(["verify", str(path)])
     out, err = capsys.readouterr()
+    assert err == ""
     assert rc == 1
     line = next(ln for ln in out.splitlines() if ln.startswith("linear_problem"))
     assert line.split()[1:] == ["inf", "1.0e-06", "FAIL"]
@@ -349,7 +354,7 @@ def test_verify_and_ba_eval_honour_config_floor(tmp_path, capsys):
         ('{"eps_coll": -1}', "eps_coll must be positive"),
         ('{"contour_nodes": 256}', "unknown key(s): contour_nodes"),  # removed setting
         ('{"thresholds": {"residue_idenity": 1e-9}}', "unknown key(s): thresholds.residue_idenity"),
-        ('{"method": "Euler"}', "method must be RK4 or RK45"),
+        ('{"method": "RK45"}', "method must be RK4 or DOP853"),  # removed method
         ('{"dt": NaN}', "dt must be positive and finite"),
         ('{"eps_coll": Infinity}', "eps_coll must be positive and finite"),
         ('{"thresholds": {"conservation": NaN}}', "threshold conservation must be positive and finite"),
@@ -456,12 +461,12 @@ def test_verify_rejects_nan_config_dt(tmp_path, capsys):
 
 
 def test_evolve_reports_max_deviation_over_all_samples(tmp_path, capsys):
-    # RK45 from a state whose H deviation peaks before the last sample: the
-    # printed value must be the max over every recorded sample
+    # DOP853 from a state whose H deviation peaks before the last sample:
+    # the printed value must be the max over every recorded sample
     state_path = _gen(tmp_path, capsys, seed=1, particles=5, spin=1)
     prefix = tmp_path / "t2"
     rc = main(["evolve", str(state_path), "--m", "2", "--T", "0.3", "--dt", "1e-3",
-               "--method", "RK45", "--record-every", "10", "--out", str(prefix)])
+               "--method", "DOP853", "--record-every", "10", "--out", str(prefix)])
     out = capsys.readouterr().out
     assert rc == 0
     printed = float(out.split("deviation over flow: ")[1].split()[0])
@@ -491,10 +496,11 @@ def test_verify_config_dt_and_threshold_reach_the_report(tmp_path, capsys):
 
 
 def test_verify_notes_that_it_ignores_method(tmp_path, capsys):
-    # every suite flow is fixed-step RK4; a configured RK45 is named on
-    # stderr and changes neither the exit code nor the report
+    # every suite flow is DOP853 at the pinned tolerances; a configured
+    # method other than the default is named on stderr and changes neither
+    # the exit code nor the report
     reports = {}
-    for method in ("RK4", "RK45"):
+    for method in ("RK4", "DOP853"):
         config_path = tmp_path / f"{method}.json"
         config_path.write_text(json.dumps({"method": method, "dt": 4e-3}))
         reports[method] = tmp_path / f"report_{method}.json"
@@ -507,8 +513,9 @@ def test_verify_notes_that_it_ignores_method(tmp_path, capsys):
             rc_rk4 = rc
         else:
             assert rc == rc_rk4
-            assert len(err.splitlines()) == 1
-            assert "RK45" in err and "fixed-step RK4" in err
+            assert err.splitlines() == [
+                "note: verify integrates every suite flow with DOP853 at its pinned tolerances; "
+                "the configured method (DOP853) applies to evolve only"]
 
     def results(path):
         data = json.loads(path.read_text())
@@ -517,4 +524,4 @@ def test_verify_notes_that_it_ignores_method(tmp_path, capsys):
             r["details"].pop("seconds", None)
         return data
 
-    assert results(reports["RK45"]) == results(reports["RK4"])
+    assert results(reports["DOP853"]) == results(reports["RK4"])

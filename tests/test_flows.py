@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -32,8 +33,11 @@ from spincm.flows import (
     _record,
     _residue_rates,
 )
+from spincm import Config, dop853, flows
 from spincm.phase import PhaseState, pairs_to_complex
-from spincm.verify import _scaled_error
+from spincm.verify import _scaled_error, _suite_flows, matched_pole_error
+
+from conftest import exact_flow_poles
 
 
 def test_flowspec_validation():
@@ -147,24 +151,25 @@ def test_integrate_conserves_hamiltonians(state32):
         assert drift <= 1e-9
 
 
-def test_integrate_rk45(state32):
+def test_integrate_dop853(state32):
     traj = integrate(
-        state32, FlowSpec(m=2, t_final=0.5, dt=1e-2, method="RK45", record_every=10)
+        state32, FlowSpec(m=2, t_final=0.5, dt=1e-2, method="DOP853", record_every=10,
+                          max_steps=1000)  # a stepping fault fails, not hangs
     )
     h0 = traj.hamiltonians[0]
-    hT = traj.hamiltonians[-1]
-    assert np.max(np.abs(hT - h0) / (1 + np.abs(h0))) <= 1e-7
+    assert np.max(np.abs(traj.hamiltonians - h0) / (1 + np.abs(h0))) <= 1e-11
+    assert np.max(traj.drift) <= 1e-12
+    assert matched_pole_error(traj.x, exact_flow_poles(state32, 2, traj.t)) <= 1e-12
 
 
 @pytest.mark.parametrize("t_final,dt,record_every", [(0.7, 1e-2, 1), (0.7, 1e-2, 10), (0.25, 1e-2, 10)])
-def test_rk45_samples_on_the_rk4_grid(state32, t_final, dt, record_every):
-    # 0.7 / 70 * 70 rounds past 0.7, which solve_ivp rejects as t_eval
+def test_dop853_samples_on_the_rk4_grid(state32, t_final, dt, record_every):
+    # 0.7 / 70 * 70 rounds past 0.7: both record the grid's own last time
     spec = FlowSpec(m=2, t_final=t_final, dt=dt, record_every=record_every)
     rk4 = integrate(state32, spec)
-    rk45 = integrate(state32, replace(spec, method="RK45"))
-    assert rk45.t[-1] == t_final
-    assert np.array_equal(rk45.t[:-1], rk4.t[:-1])
-    assert np.max(np.abs(rk45.x - rk4.x)) <= 1e-4  # RK4's step error at dt = 1e-2
+    dop = integrate(state32, replace(spec, method="DOP853"))
+    assert np.array_equal(dop.t, rk4.t)
+    assert np.max(np.abs(dop.x - rk4.x)) <= 1e-4  # RK4's step error at dt = 1e-2
 
 
 def test_integrate_complex_time(state32):
@@ -194,7 +199,7 @@ def test_integrate_detects_collision():
         integrate(s, FlowSpec(m=2, t_final=1.0, dt=1e-3), eps_coll=1e-9)
     assert err.value.time == pytest.approx(0.5, abs=1e-3)
     # the collision falls on the last recorded sample, past every RK4 stage
-    for method in ("RK4", "RK45"):
+    for method in ("RK4", "DOP853"):
         with pytest.raises(CollidingPoles) as err:
             integrate(s, FlowSpec(m=2, t_final=0.5, dt=1e-3, method=method), eps_coll=1e-9)
         assert err.value.time == pytest.approx(0.5, abs=1e-3)
@@ -208,16 +213,15 @@ def test_integrate_honours_small_eps_coll():
     assert np.max(np.abs(traj.x[-1] - (s.x + 2 * s.p * 0.01))) <= 1e-15
 
 
-def test_rk45_failure_is_not_a_collision(state32, monkeypatch):
-    import scipy.integrate
-    from types import SimpleNamespace
-
-    monkeypatch.setattr(
-        scipy.integrate, "solve_ivp",
-        lambda *args, **kwargs: SimpleNamespace(success=False, message="step size too small"),
-    )
-    with pytest.raises(IntegrationFailed, match="step size too small"):
-        integrate(state32, FlowSpec(m=2, t_final=0.1, dt=1e-2, method="RK45"))
+def test_dop853_failure_is_not_a_collision(state32, monkeypatch):
+    # no step above 1e-40 meets an absolute tolerance of 1e-100: the step
+    # shrinks by rejections until it is below 10 ulp of the segment, and
+    # the row ends with IntegrationFailed at its start
+    monkeypatch.setattr(dop853, "RTOL", 0.0)
+    monkeypatch.setattr(dop853, "ATOL", 1e-100)
+    with pytest.raises(IntegrationFailed, match="needs a step below") as err:
+        integrate(state32, FlowSpec(m=2, t_final=0.1, dt=1e-2, method="DOP853", max_steps=1000))
+    assert (err.value.row, err.value.time) == (0, 0)
 
 
 def test_check_lax_single_particle():
@@ -449,6 +453,81 @@ def test_stack_collision_names_the_row_its_m_and_time():
     assert out[1].time == pytest.approx(0.2, abs=1e-12)
 
 
+def test_dop853_tableau_order_conditions():
+    # the stages of the installed scipy's DOP853, as spincm reads them: a relayout
+    # of scipy's coefficient file fails here
+    A, B, C, E3, E5 = dop853.A, dop853.B, dop853.C, dop853.E3, dop853.E5
+    assert A.shape == (12, 12) and B.shape == C.shape == E3.shape == E5.shape == (12,)
+    assert np.all(np.triu(A) == 0)  # explicit
+    assert np.max(np.abs(A.sum(axis=1) - C)) <= 1e-14
+    assert abs(B.sum() - 1) <= 1e-15 and abs(B @ C - 0.5) <= 1e-15
+    for k in range(2, 9):  # order 8 on the quadrature conditions
+        assert abs(B @ C ** (k - 1) - 1 / k) <= 1e-14
+    assert abs(E3.sum()) <= 1e-14 and abs(E5.sum()) <= 1e-14  # differences of two rules
+    assert C[0] == 0 and C[-1] == 1
+    from scipy.integrate._ivp import dop853_coefficients as scipy_dop853
+
+    assert scipy_dop853.E3[12] == scipy_dop853.E5[12] == 0  # the dropped weight on F(y_new)
+    assert np.array_equal(scipy_dop853.B, B)
+
+
+@pytest.mark.parametrize("record_every", [1, 7])
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_dop853_stack_rows_equal_single_row_integrate(n, record_every):
+    # ragged: each row its own m, endpoint (real, complex or 0), grid and
+    # record_every; each row steps on its own error, with its own h
+    states = [random_state(n, 2, seed=s) for s in range(5)]
+    spec = FlowSpec(m=2, t_final=0.2, dt=1e-2, method="DOP853", record_every=record_every)
+    specs = [
+        spec,
+        replace(spec, m=3, t_final=0),
+        replace(spec, m=1, t_final=0.1j, dt=7e-3),
+        replace(spec, m=4, t_final=-0.1 + 0.05j, record_every=3),
+        replace(spec, m=3, dt=2e-2, record_every=flows.ENDPOINT_ONLY),
+    ]
+    rows = list(zip(states, specs))
+    trajs = integrate_stack(rows)
+    for (st, sp), got in zip(rows, trajs):
+        _assert_same_trajectory(got, integrate(st, sp))
+        assert np.array_equal(got.t, integrate(st, replace(sp, method="RK4")).t)
+        if sp.t_final:
+            assert matched_pole_error(got.x, exact_flow_poles(st, sp.m, got.t)) <= 1e-12
+    assert len(trajs[4].t) == 2  # the endpoint-only row: t = 0 and its endpoint
+
+
+def _count_rhs(monkeypatch):
+    calls = []
+    tangent = flows._tangent
+    monkeypatch.setattr(flows, "_tangent", lambda y, *a: calls.append(len(y)) or tangent(y, *a))
+    return calls
+
+
+def test_dop853_endpoint_rows_add_no_steps(state32, monkeypatch):
+    # a row that records only its endpoint takes the steps its error asks
+    # for, with no grid point to clip them; a second such row in the block
+    # costs no right-hand-side call of its own
+    calls = _count_rhs(monkeypatch)
+    end = FlowSpec(m=2, t_final=0.1, dt=1e-3, method="DOP853", record_every=flows.ENDPOINT_ONLY)
+    integrate(state32, end)
+    alone = len(calls)
+    assert alone % 12 == 0 and alone <= 12 * 8
+    del calls[:]
+    integrate_stack([(state32, end), (state32, replace(end, m=1, t_final=0.05))])
+    assert len(calls) == alone
+
+
+@pytest.mark.parametrize("n,N,seed,m", [(3, 2, 42, 2), (3, 2, 42, 3), (3, 1, 4, 3),
+                                        (8, 2, 4, 3), (5, 1, 3, 2), (8, 4, 0, 3)])
+def test_suite_flows_follow_the_exact_flow(n, N, seed, m):
+    # the suite's DOP853 t_2 / t_3 flows against the exact flow at every
+    # recorded sample; the last four are flows that pass near a complex
+    # collision time, where fixed-step RK4 at dt = 1e-3 is off by up to 1e-5
+    state = random_state(n, N, seed=seed)
+    traj = _suite_flows(state, Config())[f"t{m}"]
+    assert len(traj.t) == 21
+    assert matched_pole_error(traj.x, exact_flow_poles(state, m, traj.t)) <= 1e-10
+
+
 def test_stack_step_budget_ends_only_its_row(state32):
     spec = FlowSpec(m=2, t_final=0.01, dt=1e-3)
     over = replace(spec, max_steps=9)
@@ -461,6 +540,15 @@ def test_stack_step_budget_ends_only_its_row(state32):
     # a step count past any float still ends in StepLimitExceeded
     with pytest.raises(StepLimitExceeded):
         integrate(state32, replace(spec, t_final=1e300, dt=1e-300))
+
+
+def test_dop853_step_budget_ends_only_its_row(state32):
+    # one grid step, so the budget passes before any step; a flow to
+    # t = 1 needs more than one DOP853 step
+    spec = FlowSpec(m=2, t_final=1.0, dt=1.0, method="DOP853", max_steps=1)
+    out = integrate_stack([(state32, spec), (state32, replace(spec, max_steps=100))])
+    assert isinstance(out[0], StepLimitExceeded) and "t_2 flow took its 1 steps" in str(out[0])
+    _assert_same_trajectory(out[1], integrate(state32, replace(spec, max_steps=100)))
 
 
 def test_recorded_sample_collision_names_its_row_m_and_time():
@@ -502,21 +590,25 @@ def test_non_finite_sample_ends_its_row_with_its_m_and_time():
     assert (got.row, got.time) == (0, times[6])
     got = _record(1, 2, times, Y[:, 1], 100, 2, 1e-6)
     assert isinstance(got, CollidingPoles) and (got.row, got.time) == (1, times[5])
-    # an RK4 flow that overflows with no collision, between rows that finish
-    # or collide; it warns on the way (numpy overflow in the Lax products)
+    # flows that overflow with no collision, between rows that finish or
+    # collide: each ends at its first non-finite step, between recorded
+    # samples for RK4, and no numpy warning is raised on the way. DOP853
+    # tries a first step of one record spacing, whose error is not finite.
     close = new_state([0, 1.05e-5], [0.1, 0.2], [[1], [1]], [[1], [1]])
     far = new_state([-1, 1.0], [0.1, 0.2], [[1], [1]], [[1], [1]])
-    spec = FlowSpec(m=2, t_final=1e-4, dt=2.5e-5)
-    rows = [(far, spec), (close, spec), (close, replace(spec, t_final=-1e-4, record_every=3)),
-            (close, replace(spec, m=3))]
-    with pytest.warns(RuntimeWarning):
-        out = integrate_stack(rows)
-    _assert_same_trajectory(out[0], integrate(*rows[0]))
-    for r, m, t in ((1, 2, 5e-5), (2, 2, -7.5e-5)):
-        assert isinstance(out[r], IntegrationFailed) and f"t_{m} flow" in str(out[r])
-        assert out[r].row == r and out[r].time == pytest.approx(t, abs=1e-18)
-    assert isinstance(out[3], CollidingPoles) and out[3].row == 3
-    assert _first_error(out) is out[3]  # the collision, at t = 1.25e-5, came first
+    for method, ends in (("RK4", (5e-5, -5e-5)), ("DOP853", (2.5e-5, -7.5e-5))):
+        spec = FlowSpec(m=2, t_final=1e-4, dt=2.5e-5, method=method, max_steps=1000)
+        rows = [(far, spec), (close, spec), (close, replace(spec, t_final=-1e-4, record_every=3)),
+                (close, replace(spec, m=3))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = integrate_stack(rows)
+        _assert_same_trajectory(out[0], integrate(*rows[0]))
+        for r, t in zip((1, 2), ends):
+            assert isinstance(out[r], IntegrationFailed) and "t_2 flow" in str(out[r])
+            assert out[r].row == r and out[r].time == pytest.approx(t, abs=1e-18)
+        assert isinstance(out[3], CollidingPoles) and out[3].row == 3
+        assert _first_error(out) is out[3]  # the collision came first
 
 
 def test_export_csv_writes_the_bytes_of_csv_writer(tmp_path):
@@ -550,18 +642,15 @@ def test_export_csv_writes_the_bytes_of_csv_writer(tmp_path):
 def test_integrate_stack_rejects_mixed_specs(state32):
     spec = FlowSpec(m=2, t_final=0.01, dt=1e-3)
     with pytest.raises(ValueError, match="share the method"):
-        integrate_stack([(state32, spec), (state32, replace(spec, method="RK45", m=3))])
-    rk45 = replace(spec, method="RK45")
-    with pytest.raises(ValueError, match="RK45"):
-        integrate_stack([(state32, rk45), (state32, replace(rk45, m=3))])
-    _assert_same_trajectory(integrate_stack([(state32, rk45)])[0], integrate(state32, rk45))
+        integrate_stack([(state32, spec), (state32, replace(spec, method="DOP853", m=3))])
     with pytest.raises(DimensionMismatch):
         integrate_stack([(state32, spec), (random_state(4, 2, seed=1), spec)])
 
 
 def test_commutativity_legs_as_stacks_equal_sequential_legs(state32):
     def leg(st, m, s):
-        return integrate(st, FlowSpec(m=m, t_final=s, dt=1e-3)).state(-1)
+        spec = FlowSpec(m=m, t_final=s, dt=1e-3, method="DOP853", record_every=flows.ENDPOINT_ONLY)
+        return integrate(st, spec).state(-1)
 
     # equal spans, then ragged legs: a complex second span, and m = 1
     for m1, m2, s1, s2 in ((2, 3, 0.05, 0.05), (2, 3, 0.05, 0.03 + 0.02j), (1, 2, 0.2, 0.1)):
