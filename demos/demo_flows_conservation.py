@@ -29,7 +29,7 @@ print("max stencil residual:", np.max(check_lax(traj)))
 print()
 
 print("=== commutativity of the t_2 and t_3 flows ===")
-res = commutativity_check(state, 2, 3, 0.1, 0.1, 1e-3)
+res = commutativity_check(state, 2, 3, 0.1, 0.1)
 print("max observable mismatch after swapping flow order:", res)
 
 print()

@@ -12,9 +12,11 @@ The one integrator, :func:`integrate_stack`, steps a ragged stack: a
 (B, dim) block of packed phase points that share (n, N) and the method,
 while each row keeps its own m, endpoint, step size and record_every. Each
 right-hand-side call is one :func:`vector_field_gradient` of the rows still
-active; a row leaves the block after its last step, or at its own pole
-collision or loss of finite values, which ends no other row.
-:func:`integrate` is its one-row case.
+active, whose m may differ from row to row: the gradient kernel
+(:func:`spincm.lax._gradient`) takes a stack that mixes m through the
+same Horner path as one m. A row leaves the block after its last step,
+or at its own pole collision or loss of finite values, which ends no
+other row. :func:`integrate` is its one-row case.
 """
 
 from __future__ import annotations
@@ -156,10 +158,8 @@ def vector_field_gradient(state: PhaseState, m: int, eps_coll=EPS_COLL) -> Tange
 
     ``state`` may stack B phase points along a leading axis, with m an int
     or a (B,) integer array of one m per point; each point's tangent is
-    bit-identical to its own call.
+    bit-identical to its own call. Raises ValueError if an m is below 1.
     """
-    if (m.min() if isinstance(m, np.ndarray) else m) < 1:
-        raise ValueError("m must be >= 1")
     return Tangent(*_field(build_lax(state, eps_coll), state.a, state.b, m))
 
 
@@ -461,17 +461,18 @@ def _gauge_invariant_observables(state: PhaseState, eps_coll=EPS_COLL):
     return np.concatenate([xs, hamiltonians(state, eps_coll=eps_coll), trR])
 
 
-def commutativity_check(state, m1, m2, s1, s2, dt, eps_coll=EPS_COLL) -> float:
+def commutativity_check(state, m1, m2, s1, s2, eps_coll=EPS_COLL) -> float:
     """Max distance of gauge-invariant observables between flowing
     (t_{m1} by s1, then t_{m2} by s2) and the reverse order. Each leg is a
-    DOP853 row on the grid dt that records only its endpoint. The first
-    legs run as one 2-row stack, and the second legs as another; a leg
-    that fails raises the first error of its stack."""
+    DOP853 row whose grid is its own length, so it records only its
+    endpoint. The first legs run as one 2-row stack, and the second legs
+    as another; a leg that fails raises the first error of its stack."""
     if m1 == m2:
         raise ValueError("m1 and m2 must differ")
 
     def legs(starts, flows):
-        rows = [(st, FlowSpec(m=m, t_final=s, dt=dt, method="DOP853", record_every=ENDPOINT_ONLY))
+        # a zero span takes no step; its dt only has to be valid
+        rows = [(st, FlowSpec(m=m, t_final=s, dt=abs(s) or 1.0, method="DOP853"))
                 for st, (m, s) in zip(starts, flows)]
         return [tr.state(-1) for tr in _trajectories(integrate_stack(rows, eps_coll))]
 

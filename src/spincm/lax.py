@@ -8,9 +8,12 @@ with auxiliary matrix M_ik = 2 (b_i^T a_k)/(x_i - x_k)^2 (zero diagonal).
 The conserved Hamiltonians are H_m = tr L^m: :func:`hamiltonian` takes one
 through ``matrix_power``, and :func:`hamiltonians` takes H_1..H_kmax from
 the powers up to L^max(3, ceil(kmax/2)), H_k for k >= 4 as the trace of a
-product of two of them. Residues at infinity of the resolvent (zI - L)^-1
-are evaluated exactly as matrix polynomials; a numeric contour integrator
-is kept alongside as an independent oracle.
+product of two of them. Their gradients come from one kernel, linear in
+Q = m L^{m-1}, which builds Q by Horner on per-point weights (m at index
+m - 1): a stack whose points mix m takes the same path as one m.
+Residues at infinity of the resolvent (zI - L)^-1 are evaluated exactly
+as matrix polynomials; a numeric contour integrator is kept alongside as
+an independent oracle.
 """
 
 from __future__ import annotations
@@ -136,65 +139,60 @@ def hamiltonian_h2_direct(state: PhaseState, eps_coll=EPS_COLL) -> complex:
 
 
 @functools.lru_cache(maxsize=64)
-def _per_point_m(ms):
-    """Read-only factors of the gradient kernel for the tuple ``ms`` of one
-    m per stacked point, built once per tuple: m, -m, m/2 against (B, n);
-    m, -m against (B, n, n); per further factor of L in L^{m-1}, the mask
-    of the points that take it; the mask of m == 1, or None."""
-    v = np.array(ms)[:, None]
-    mm = v[:, :, None]
-    factors = (v, -v, 0.5 * v, mm, -mm)
-    more = [mm > j for j in range(2, max(ms))]
-    first = mm == 1 if 1 in ms else None
-    for arr in (*factors, *more, first):
-        if arr is not None:
-            arr.setflags(write=False)
-    return (*factors, more, first)
+def _weights(ms):
+    """Read-only Horner weights of Q = m L^{m-1} for ``ms``, an int or a
+    tuple of one m per stacked point, built once per value: a point's w_k
+    is its m at k = m and 0 elsewhere, k = kmax..1, kmax = max(2, max m).
+    Returns w_kmax shaped against L (..., 1, 1), and the tuple of
+    w_{kmax-1}..w_1 shaped against a diagonal (..., 1), each None where it
+    is 0 at every point, so that its add is skipped. Complex, so that no
+    product with L casts them per call."""
+    ms = np.array(ms)
+    if ms.min() < 1:
+        raise ValueError("m must be >= 1")
+    k = np.arange(max(2, ms.max()), 0, -1).reshape((-1,) + (1,) * ms.ndim)
+    w = np.where(k == ms, ms, 0).astype(complex)[..., None]
+    w.setflags(write=False)
+    return w[0][..., None], tuple(wk if wk.any() else None for wk in w[1:])
 
 
 def _gradient(lax: LaxData, a, b, m):
     """(dx, dp, da, db) of H_m = tr L^m from the Lax assembly ``lax`` of a
     phase point with spins (a, b), or of a stack of them along leading
     axes; m is an int, or for a (B,) stack a (B,) integer array of one m
-    per point.
+    per point. Raises ValueError if an m is below 1.
 
-    Chain rule d tr L^m = m tr(L^{m-1} dL), exploiting the sparsity of
-    dL/dq: dL/dp_i = -E_ii, dL/dx_i = [E_ii, M]/2, and dL/da_i, dL/db_i
-    touch only column i / row i off-diagonal entries. Every point takes
-    L^{m-1} from the same right multiplications as alone."""
+    Chain rule d tr L^m = tr(Q dL) with Q = m L^{m-1}, exploiting the
+    sparsity of dL/dq: dL/dp_i = -E_ii, dL/dx_i = [E_ii, M]/2, and
+    dL/da_i, dL/db_i touch only column i / row i off-diagonal entries.
+    Q = sum_k w_k L^{k-1} is built by Horner on the weights of
+    :func:`_weights`: Q = w_kmax L + w_{kmax-1} I, then Q <- Q L + w_k I,
+    kmax - 2 products for every point of a stack, whatever its m. A point
+    of a stack gets its Q bit for bit as alone: its products before its
+    own top weight act on a zero matrix, (cI) L equals c L entry for
+    entry, and the zero weights added after it change no value."""
     inv, L, M = lax.inv, lax.L, lax.M
-    if isinstance(m, np.ndarray):
-        mv, neg_mv, half_mv, mm, neg_mm, more, first = _per_point_m(tuple(m.tolist()))
-        Lm1 = L
-        for need in more:
-            Lm1 = np.where(need, Lm1 @ L, Lm1)
-        if first is not None:
-            Lm1 = np.where(first, np.eye(L.shape[-1], dtype=complex), Lm1)
-    else:
-        mv, neg_mv, half_mv, mm, neg_mm = m, -m, 0.5 * m, m, -m
-        if m == 1:
-            Lm1 = np.broadcast_to(np.eye(L.shape[-1], dtype=complex), L.shape)
-        else:
-            Lm1 = L
-            for _ in range(m - 2):
-                Lm1 = Lm1 @ L
-    Lm1T = Lm1.swapaxes(-1, -2)
-    dp = neg_mv * Lm1.diagonal(0, -2, -1)
-    # diag(M L^{m-1}) and diag(L^{m-1} M) are the row and column sums of
-    # C_ij = M_ij (L^{m-1})_ji
-    C = M * Lm1T
-    dx = half_mv * (C.sum(axis=-1) - C.sum(axis=-2))
-    # dH/da_i^g = -m sum_{j != i} (L^{m-1})_{ij} b_j^g / (x_j - x_i)
-    da = (mm * Lm1 * inv) @ b
-    # dH/db_i^g = -m sum_{j != i} (L^{m-1})_{ji} a_j^g / (x_i - x_j)
-    db = (neg_mm * Lm1T * inv) @ a
+    top, low = _weights(m if np.ndim(m) == 0 else tuple(m.tolist()))
+    Q = top * L
+    for i, wk in enumerate(low):
+        if i:
+            Q = Q @ L
+        if wk is not None:
+            _diagonal(Q)[...] += wk
+    QT = Q.swapaxes(-1, -2)
+    dp = -Q.diagonal(0, -2, -1)
+    # diag(M Q) and diag(Q M) are the row and column sums of C_ij = M_ij Q_ji
+    C = M * QT
+    dx = 0.5 * (C.sum(axis=-1) - C.sum(axis=-2))
+    # dH/da_i^g = sum_{j != i} Q_ij b_j^g / (x_i - x_j)
+    da = (Q * inv) @ b
+    # dH/db_i^g = -sum_{j != i} Q_ji a_j^g / (x_i - x_j)
+    db = -((QT * inv) @ a)
     return dx, dp, da, db
 
 
 def grad_hamiltonian(state: PhaseState, m: int, eps_coll=EPS_COLL) -> Gradient:
     """Analytic gradient of H_m = tr L^m; see :func:`_gradient`."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
     return Gradient(*_gradient(build_lax(state, eps_coll), state.a, state.b, m))
 
 

@@ -491,8 +491,9 @@ def test_verify_config_dt_and_threshold_reach_the_report(tmp_path, capsys):
     assert results["r_identity"]["threshold"] == 1e-300
     assert not results["r_identity"]["passed"]
     assert results["constraint"]["threshold"] == 1e-12
-    for name in ("lax_residual", "conservation", "constraint_drift", "commutativity"):
+    for name in ("lax_residual", "conservation", "constraint_drift"):
         assert results[name]["details"]["dt"] == 2e-3
+    assert "dt" not in results["commutativity"]["details"]  # its legs are one-step grids
 
 
 def test_verify_notes_that_it_ignores_method(tmp_path, capsys):

@@ -262,15 +262,15 @@ def test_check_lax_needs_samples(state32):
 
 
 def test_commutativity_with_t1(state32):
-    assert commutativity_check(state32, 1, 2, 0.2, 0.1, 1e-3) <= 1e-9
+    assert commutativity_check(state32, 1, 2, 0.2, 0.1) <= 1e-9
 
 
 def test_commutativity_zero_span(state32):
-    assert commutativity_check(state32, 2, 3, 0.0, 0.0, 1e-3) == 0.0
+    assert commutativity_check(state32, 2, 3, 0.0, 0.0) == 0.0
 
 
 def test_commutativity_t2_t3(state32):
-    assert commutativity_check(state32, 2, 3, 0.1, 0.1, 1e-3) <= 1e-6
+    assert commutativity_check(state32, 2, 3, 0.1, 0.1) <= 1e-6
 
 
 def test_trajectory_export(tmp_path, state32):
@@ -387,7 +387,8 @@ def test_stack_rows_equal_single_row_integrate(n, t_final, record_every):
 def test_vector_field_gradient_of_a_stack_equals_each_point():
     states = [random_state(5, 3, seed=s) for s in range(3)]
     stack = PhaseState(*(np.stack([getattr(st, f) for st in states]) for f in "xpab"))
-    for ms in ([2, 2, 2], [1, 3, 4], [4, 1, 1]):
+    # [5, 1, 2]: the top Horner weight on one row, only low weights on the others
+    for ms in ([2, 2, 2], [1, 3, 4], [4, 1, 1], [5, 1, 2]):
         m = ms[0] if len(set(ms)) == 1 else np.array(ms)
         f = vector_field_gradient(stack, m)
         for st, mr, k in zip(states, ms, range(3)):
@@ -649,7 +650,7 @@ def test_integrate_stack_rejects_mixed_specs(state32):
 
 def test_commutativity_legs_as_stacks_equal_sequential_legs(state32):
     def leg(st, m, s):
-        spec = FlowSpec(m=m, t_final=s, dt=1e-3, method="DOP853", record_every=flows.ENDPOINT_ONLY)
+        spec = FlowSpec(m=m, t_final=s, dt=abs(s), method="DOP853")  # a one-step grid
         return integrate(st, spec).state(-1)
 
     # equal spans, then ragged legs: a complex second span, and m = 1
@@ -657,4 +658,4 @@ def test_commutativity_legs_as_stacks_equal_sequential_legs(state32):
         ab = leg(leg(state32, m1, s1), m2, s2)
         ba = leg(leg(state32, m2, s2), m1, s1)
         ref = np.max(np.abs(_gauge_invariant_observables(ab) - _gauge_invariant_observables(ba)))
-        assert commutativity_check(state32, m1, m2, s1, s2, 1e-3) == ref
+        assert commutativity_check(state32, m1, m2, s1, s2) == ref

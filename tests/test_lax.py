@@ -126,7 +126,7 @@ def test_grad_h2_single_particle():
     assert np.max(np.abs(g.db)) <= 1e-15
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
 @pytest.mark.parametrize("axis", ["real", "imag"])
 def test_grad_matches_finite_differences(state32, m, axis):
     g = grad_hamiltonian(state32, m)
@@ -134,7 +134,7 @@ def test_grad_matches_finite_differences(state32, m, axis):
     assert _scaled_error(fd, g) <= 1e-6
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
 @pytest.mark.parametrize("n, N", [(1, 2), (10, 3)])
 def test_grad_matches_finite_differences_other_sizes(n, N, m):
     # n=1: the identity power at m=1 and no off-diagonal entries;

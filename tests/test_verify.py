@@ -1,3 +1,4 @@
+import itertools
 import json
 import warnings
 import math
@@ -87,6 +88,20 @@ def test_suite_conserves_near_complex_collision_times(n, N, seed):
     for name in ("conservation", "constraint_drift"):
         assert not results[name].skipped and results[name].passed
         assert results[name].threshold == verify.DEFAULT_THRESHOLDS[name]
+
+
+def test_suite_family_sweep_keeps_its_known_failures():
+    # the default suite over n in {1,2,3,5,8}, N in {1,2,4} and seeds 0-5;
+    # the two instances that fail are finite-difference stencils, not step
+    # error: check_lax at spacing dt on (2,2,1) reads 6.0e-7 against 1e-7,
+    # and the +-dt_2 RK4 flows of linear_problem on (3,4,2) 3.1e-6 against
+    # 1e-6. They stay in the expected set until the checks themselves change
+    failed = set()
+    for n, N, seed in itertools.product((1, 2, 3, 5, 8), (1, 2, 4), range(6)):
+        for r in run_suite(seed=seed, n_particles=n, spin_dim=N).results:
+            if not r.passed and not (r.skipped and r.name == "n1_reduction"):
+                failed.add((r.name, (n, N, seed)))
+    assert failed == {("lax_residual", (2, 2, 1)), ("linear_problem", (3, 4, 2))}
 
 
 def test_suite_flags_broken_constraint():
