@@ -25,7 +25,7 @@ for m in (2, 3):
 
 print("=== Lax equation dL/dt_2 = [M, L] along the flow ===")
 traj = integrate(state, FlowSpec(m=2, t_final=0.1, dt=1e-3, record_every=1))
-print("max stencil residual:", np.max(check_lax(traj)))
+print("max |dL/dt - [M, L]| over the samples:", np.max(check_lax(traj)))
 print()
 
 print("=== commutativity of the t_2 and t_3 flows ===")

@@ -8,7 +8,6 @@ from .errors import (
     ConstraintViolated,
     DegenerateDraw,
     DimensionMismatch,
-    InsufficientSamples,
     IntegrationFailed,
     PoleHit,
     SpectralCollision,

@@ -44,10 +44,6 @@ class PoleHit(SpinCMError):
     """An evaluation point x is too close to a pole x_i, or is not finite."""
 
 
-class InsufficientSamples(SpinCMError):
-    """A trajectory does not carry enough samples for the requested stencil."""
-
-
 class StepLimitExceeded(SpinCMError):
     """The requested integration would exceed the configured step budget."""
 

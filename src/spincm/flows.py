@@ -30,12 +30,11 @@ import numpy as np
 from .errors import (
     CollidingPoles,
     DimensionMismatch,
-    InsufficientSamples,
     IntegrationFailed,
     SpinCMError,
     StepLimitExceeded,
 )
-from .lax import LaxData, _gradient, build_lax, hamiltonians, resolvent_residue
+from .lax import LaxData, _diagonal, _gradient, build_lax, hamiltonians, resolvent_residue
 from .phase import EPS_COLL, PhaseState, complex_to_pairs, write_json
 
 #: the steppers of integrate_stack
@@ -429,24 +428,23 @@ def _rk4(y0, ms, steps, hs, us, every, times, samples, out, n, N, eps_coll):
 
 
 def check_lax(trajectory: Trajectory, eps_coll=EPS_COLL) -> np.ndarray:
-    """Residual series ||dL/dt - [M, L]||_max along a t_2 trajectory.
+    """Residual series max |dL/dt - [M, L]| along a t_2 trajectory, one per
+    recorded sample, at any spacing and any number of samples.
 
-    dL/dt is taken by the 4th-order central stencil over five consecutive
-    samples, so the trajectory must be uniformly spaced and carry at least
-    five samples. Returns one residual per interior sample.
+    dL/dt is exact: the derivative of the Lax assembly along the H_2
+    tangent of every sample, from one stacked gradient, dL_ii = -dp_i and
+    dL_ik = -(dR_ik - R_ik (dx_i - dx_k) inv_ik) inv_ik with
+    dR = db a^T + b da^T. Raises ValueError for a trajectory of another m.
     """
     tr = trajectory
-    if len(tr.t) < 5:
-        raise InsufficientSamples("check_lax needs at least 5 samples")
-    hs = np.diff(tr.t)
-    if np.max(np.abs(hs - hs[0])) > 1e-12 * max(1.0, np.abs(hs[0])):
-        raise InsufficientSamples("check_lax needs uniformly spaced samples")
-    h = hs[0]
+    if tr.m != 2:
+        raise ValueError(f"check_lax needs a t_2 trajectory, not t_{tr.m}")
     lax = build_lax(PhaseState(tr.x, tr.p, tr.a, tr.b), eps_coll)
-    L, M = lax.L, lax.M
-    dL = (-L[4:] + 8 * L[3:-1] - 8 * L[1:-3] + L[:-4]) / (12 * h)
-    Lk, Mk = L[2:-2], M[2:-2]
-    return np.max(np.abs(dL - (Mk @ Lk - Lk @ Mk)), axis=(1, 2))
+    dx, dp, da, db = _field(lax, tr.a, tr.b, 2)
+    dR = db @ tr.a.swapaxes(-1, -2) + tr.b @ da.swapaxes(-1, -2)
+    dL = -(dR - lax.R * (dx[..., :, None] - dx[..., None, :]) * lax.inv) * lax.inv
+    _diagonal(dL)[...] = -dp
+    return np.max(np.abs(dL - (lax.M @ lax.L - lax.L @ lax.M)), axis=(-2, -1))
 
 
 def _gauge_invariant_observables(state: PhaseState, eps_coll=EPS_COLL):
@@ -461,28 +459,29 @@ def _gauge_invariant_observables(state: PhaseState, eps_coll=EPS_COLL):
     return np.concatenate([xs, hamiltonians(state, eps_coll=eps_coll), trR])
 
 
+def _leg_spec(m, s) -> FlowSpec:
+    """DOP853 spec of the leg t_m by s: a one-step grid, so it records only its
+    endpoint. A zero span takes no step; its dt only has to be valid."""
+    return FlowSpec(m=m, t_final=s, dt=abs(s) or 1.0, method="DOP853")
+
+
+def _commutativity_gap(first, m1, m2, s1, s2, eps_coll=EPS_COLL) -> float:
+    """The gap of :func:`commutativity_check` from ``first``, the
+    integrate_stack results of its first legs from one state."""
+    a, b = (tr.state(-1) for tr in _trajectories(first))
+    rows = [(a, _leg_spec(m2, s2)), (b, _leg_spec(m1, s1))]
+    ab, ba = (tr.state(-1) for tr in _trajectories(integrate_stack(rows, eps_coll)))
+    return float(np.max(np.abs(_gauge_invariant_observables(ab, eps_coll)
+                               - _gauge_invariant_observables(ba, eps_coll))))
+
+
 def commutativity_check(state, m1, m2, s1, s2, eps_coll=EPS_COLL) -> float:
     """Max distance of gauge-invariant observables between flowing
     (t_{m1} by s1, then t_{m2} by s2) and the reverse order. Each leg is a
-    DOP853 row whose grid is its own length, so it records only its
-    endpoint. The first legs run as one 2-row stack, and the second legs
-    as another; a leg that fails raises the first error of its stack."""
+    DOP853 row that records only its endpoint (:func:`_leg_spec`). The
+    first legs run as one 2-row stack, and the second legs as another; a
+    leg that fails raises the first error of its stack."""
     if m1 == m2:
         raise ValueError("m1 and m2 must differ")
-
-    def legs(starts, flows):
-        # a zero span takes no step; its dt only has to be valid
-        rows = [(st, FlowSpec(m=m, t_final=s, dt=abs(s) or 1.0, method="DOP853"))
-                for st, (m, s) in zip(starts, flows)]
-        return [tr.state(-1) for tr in _trajectories(integrate_stack(rows, eps_coll))]
-
-    first = legs([state, state], [(m1, s1), (m2, s2)])
-    ab, ba = legs(first, [(m2, s2), (m1, s1)])
-    return float(
-        np.max(
-            np.abs(
-                _gauge_invariant_observables(ab, eps_coll)
-                - _gauge_invariant_observables(ba, eps_coll)
-            )
-        )
-    )
+    first = integrate_stack([(state, _leg_spec(m1, s1)), (state, _leg_spec(m2, s2))], eps_coll)
+    return _commutativity_gap(first, m1, m2, s1, s2, eps_coll)

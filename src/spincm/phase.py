@@ -129,9 +129,10 @@ def pairs_to_complex(obj):
 
 def write_json(path, obj):
     """Write ``obj`` as compact one-line JSON: CPython encodes with its C
-    encoder only through json.dumps with indent=None."""
+    encoder only through json.dumps with indent=None. An exported object is
+    a new tree of dicts and lists, with no cycle for the encoder to check."""
     with open(path, "w") as fh:
-        fh.write(json.dumps(obj))
+        fh.write(json.dumps(obj, check_circular=False))
 
 
 def new_state(x, p, a, b, eps_coll=EPS_COLL, eps_constr=EPS_CONSTR):

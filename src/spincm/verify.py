@@ -18,15 +18,15 @@ from . import kp
 from .config import DEFAULT_THRESHOLDS, Config  # noqa: F401 (read as verify.DEFAULT_THRESHOLDS)
 from .errors import CollidingPoles, SpinCMError
 from .flows import (
-    ENDPOINT_ONLY,
     RECORD_CHUNK,
     FlowSpec,
+    _commutativity_gap,
     _first_error,
+    _leg_spec,
     _pack,
     _trajectories,
     _unpack,
     check_lax,
-    commutativity_check,
     integrate_stack,
     vector_field_gradient,
     vector_field_residue,
@@ -41,7 +41,7 @@ from .lax import (
 )
 from .phase import EPS_COLL, PhaseState, random_state, write_json
 
-SUITE_VERSION = "2"
+SUITE_VERSION = "3"
 #: the stepper of every suite flow
 SUITE_METHOD = "DOP853"
 
@@ -248,13 +248,17 @@ def _suite_flows(state, cfg):
     stack: {name: Trajectory, or the SpinCMError that ended the flow}.
     cfg.dt is the sampling grid: the t_2 and t_3 flows over
     [0, CONSERVATION_T] (for conservation and constraint_drift) record
-    every 50 grid points, lax_residual every point, n1_reduction (spin_dim
-    1 only) every 100, and t1_shift only its endpoint."""
+    every 50 grid points, lax_residual every 10 and n1_reduction (spin_dim
+    1 only) every 100. t1_shift and the first legs of commutativity are
+    legs (flows._leg_spec), which record only their endpoints."""
     specs = {
         "t2": FlowSpec(m=2, t_final=CONSERVATION_T, dt=cfg.dt, record_every=50),
         "t3": FlowSpec(m=3, t_final=CONSERVATION_T, dt=cfg.dt, record_every=50),
-        "lax_residual": FlowSpec(m=2, t_final=LAX_RESIDUAL_STEPS * cfg.dt, dt=cfg.dt),
-        "t1_shift": FlowSpec(m=1, t_final=T1_SHIFT_S, dt=cfg.dt, record_every=ENDPOINT_ONLY),
+        "lax_residual": FlowSpec(m=2, t_final=LAX_RESIDUAL_STEPS * cfg.dt, dt=cfg.dt,
+                                 record_every=10),
+        "t1_shift": _leg_spec(1, T1_SHIFT_S),
+        "commutativity_t2": _leg_spec(2, COMMUTATIVITY_S),
+        "commutativity_t3": _leg_spec(3, COMMUTATIVITY_S),
     }
     if state.spin_dim == 1:
         specs["n1_reduction"] = FlowSpec(m=2, t_final=N1_REDUCTION_T, dt=cfg.dt,
@@ -278,9 +282,9 @@ def _check_constraint_drift(state, cfg, trajs):
     return worst, {"T": CONSERVATION_T, "dt": cfg.dt}
 
 
-def _check_commutativity(state, cfg):
+def _check_commutativity(state, cfg, first):
     s = COMMUTATIVITY_S
-    return commutativity_check(state, 2, 3, s, s, cfg.eps_coll), {"s": s}
+    return _commutativity_gap(first, 2, 3, s, s, cfg.eps_coll), {"s": s}
 
 
 def _check_rank1_residues(state, cfg):
@@ -415,7 +419,8 @@ def run_suite(state=None, config=None, seed=42, n_particles=3, spin_dim=2):
     run("conservation", lambda: _check_conservation(state, cfg, trajs), skip_reason=traj_error)
     run("constraint_drift", lambda: _check_constraint_drift(state, cfg, trajs),
         skip_reason=traj_error)
-    run("commutativity", lambda: _check_commutativity(state, cfg))
+    run("commutativity", lambda: _check_commutativity(
+        state, cfg, [flows["commutativity_t2"], flows["commutativity_t3"]]))
     run("rank1_residues", lambda: _check_rank1_residues(state, cfg))
     run("w1_v_consistency", lambda: _check_w1_v(state, cfg))
     run("t1_shift", lambda: _check_t1_shift(state, cfg, flows["t1_shift"]))

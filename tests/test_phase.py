@@ -7,20 +7,25 @@ from spincm import (
     CollidingPoles,
     ConstraintViolated,
     DimensionMismatch,
+    FlowSpec,
     PhaseState,
     ZeroScale,
     build_lax,
     gauge_rescale,
     hamiltonian,
+    integrate,
     new_state,
     random_state,
 )
+from spincm import flows
+from spincm.kp import ba_eval
 from spincm.phase import (
     TimeVector,
     complex_to_pairs,
     load_state,
     pairs_to_complex,
     state_from_dict,
+    write_json,
 )
 
 
@@ -127,6 +132,25 @@ def test_state_json_roundtrip(tmp_path, state32):
     assert len(raw["x"][0]) == 2
     assert len(raw["a"][0][0]) == 2
 
+
+def test_write_json_writes_the_bytes_of_json_dumps(tmp_path, state32, monkeypatch):
+    # write_json skips the encoder's cycle check; the bytes stay those of
+    # json.dumps for a ba-eval dict and for a trajectory export, NaN included
+    data = ba_eval(state32, 1.3 + 0.7j, np.linspace(-2, 2, 7) + 0.4j)
+    data["nan"] = [float("nan"), float("inf"), -0.0]
+    path = tmp_path / "ba.json"
+    write_json(path, data)
+    assert path.read_text() == json.dumps(data)
+    exported = []
+
+    def keep(path, obj):
+        exported.append(obj)
+        write_json(path, obj)
+
+    monkeypatch.setattr(flows, "write_json", keep)
+    traj = integrate(state32, FlowSpec(m=3, t_final=0.01 + 0.01j, dt=2e-3))
+    traj.export_json(tmp_path / "traj.json")
+    assert (tmp_path / "traj.json").read_text() == json.dumps(exported[0])
 
 
 def test_state_from_dict_validates():

@@ -13,6 +13,7 @@ from spincm import (
     Gradient,
     PhaseState,
     VerificationReport,
+    commutativity_check,
     grad_hamiltonian,
     new_state,
     random_state,
@@ -92,16 +93,46 @@ def test_suite_conserves_near_complex_collision_times(n, N, seed):
 
 def test_suite_family_sweep_keeps_its_known_failures():
     # the default suite over n in {1,2,3,5,8}, N in {1,2,4} and seeds 0-5;
-    # the two instances that fail are finite-difference stencils, not step
-    # error: check_lax at spacing dt on (2,2,1) reads 6.0e-7 against 1e-7,
-    # and the +-dt_2 RK4 flows of linear_problem on (3,4,2) 3.1e-6 against
-    # 1e-6. They stay in the expected set until the checks themselves change
+    # the one instance that fails is a finite-difference stencil, not step
+    # error: the +-dt_2 RK4 flows of linear_problem on (3,4,2) read 3.1e-6
+    # against 1e-6. It stays in the expected set until the check changes
     failed = set()
     for n, N, seed in itertools.product((1, 2, 3, 5, 8), (1, 2, 4), range(6)):
         for r in run_suite(seed=seed, n_particles=n, spin_dim=N).results:
             if not r.passed and not (r.skipped and r.name == "n1_reduction"):
                 failed.add((r.name, (n, N, seed)))
-    assert failed == {("lax_residual", (2, 2, 1)), ("linear_problem", (3, 4, 2))}
+    assert failed == {("linear_problem", (3, 4, 2))}
+
+
+@pytest.mark.parametrize("n,N,seed", [(3, 2, 42), (3, 2, 7), (2, 2, 1), (3, 1, 4), (5, 2, 3)])
+def test_suite_commutativity_is_commutativity_check(n, N, seed):
+    # the first legs are rows of the suite's flow stack, bit-identical to
+    # the 2-row stack of commutativity_check
+    state = random_state(n, N, seed=seed)
+    results = {r.name: r for r in run_suite(state=state).results}
+    s = verify.COMMUTATIVITY_S
+    assert results["commutativity"].residual == commutativity_check(state, 2, 3, s, s)
+
+
+def test_suite_commutativity_names_the_first_leg_that_collides():
+    # uncoupled poles (R = I) that meet under t_2 at t = COMMUTATIVITY_S,
+    # the endpoint of the first t_2 leg
+    eye = np.eye(2).tolist()
+    state = new_state([-1e-4, 1e-4], [5e-4, -5e-4], eye, eye)
+    s = verify.COMMUTATIVITY_S
+    with pytest.raises(CollidingPoles) as err:
+        commutativity_check(state, 2, 3, s, s)
+    results = {r.name: r for r in run_suite(state=state).results}
+    assert str(err.value).startswith("pole collision in the t_2 flow")
+    assert results["commutativity"].details["error"] == str(err.value)
+    assert results["commutativity"].residual == math.inf
+
+
+def test_t1_shift_does_not_read_dt():
+    # the t_1 row is one leg over T1_SHIFT_S that records only its endpoint
+    for dt in (1e-3, 1e-2, 5e-2):
+        results = {r.name: r for r in run_suite(seed=7, config=Config(dt=dt)).results}
+        assert results["t1_shift"].residual == 6.684427777288334e-16
 
 
 def test_suite_flags_broken_constraint():
