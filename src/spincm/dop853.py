@@ -57,15 +57,16 @@ def dop853(y0, ms, steps, hs, us, every, budget, times, samples, out, n, N, eps_
     RTOL max(|y|, |y_new|); a step is accepted when it is below 1. The next
     step is dh clip(0.9 err^(-1/8), 0.2, 10), with no growth right after a
     rejection, and a row's first step is its record spacing. A rejected row
-    keeps y while the others advance. A row ends with IntegrationFailed
-    when its step is not finite (err or y_new), or when a rejection leaves
-    it a step below 10 ulp of its segment length; with StepLimitExceeded
-    when it has taken its budget of steps and has not finished.
+    keeps y while the others advance; a step that is not finite (err or
+    y_new) is rejected by the factor 0.2. A row ends with IntegrationFailed
+    when a rejection leaves it a step below 10 ulp of its segment length,
+    with StepLimitExceeded when it has taken its budget of steps unfinished.
     """
     act = [r for r, k in enumerate(steps) if k]
     # block rows: state y, stages K, position s, proposed step h, next
-    # record index j, last try rejected, steps left; per-row grid step hg
-    # and segment length span
+    # record index j, last try rejected, steps left; per-row grid step hg,
+    # segment length span; per step, the record point P, whether it is hit,
+    # the step dh and its column dhc
     v = {
         "y": y0[act],
         "K": np.empty((len(act), len(B), y0.shape[1]), dtype=complex),
@@ -96,16 +97,19 @@ def dop853(y0, ms, steps, hs, us, every, budget, times, samples, out, n, N, eps_
 
     keep(list(range(len(act))))
     dim = y0.shape[1]
+    a_rows = [A[stage, :stage] for stage in range(len(B))]  # each stage's row of A
     while act:
         v["P"] = v["j"] * v["hg"]
-        v["hit"] = v["h"] >= v["P"] - v["s"]
-        v["dh"] = np.where(v["hit"], v["P"] - v["s"], v["h"])
-        for stage in range(len(B)):
+        gap = v["P"] - v["s"]
+        v["hit"] = v["h"] >= gap
+        v["dh"] = np.where(v["hit"], gap, v["h"])
+        v["dhc"] = v["dh"][:, None]
+        for stage, a_row in enumerate(a_rows):
             while act:
-                y, K, dh = v["y"], v["K"], v["dh"][:, None]
-                z = y + dh * (A[stage, :stage] @ K[:, :stage]) if stage else y
+                y, K = v["y"], v["K"]
+                z = y + v["dhc"] * (a_row @ K[:, :stage]) if stage else y
                 try:
-                    K[:, stage] = flows._tangent(z, m, u, n, N, eps_coll)
+                    flows._tangent(z, m, u, n, N, eps_coll, K[:, stage])
                     break
                 except CollidingPoles as exc:
                     i, r = exc.row, act[exc.row]
@@ -114,30 +118,29 @@ def dop853(y0, ms, steps, hs, us, every, budget, times, samples, out, n, N, eps_
         if not act:
             return
         y, K, dh, hit, P = v["y"], v["K"], v["dh"], v["hit"], v["P"]
-        y_new = y + dh[:, None] * (B @ K)
+        y_new = y + v["dhc"] * (B @ K)
         scale = ATOL + RTOL * np.maximum(np.abs(y), np.abs(y_new))
-        e5 = np.sum(np.abs((E5 @ K) / scale) ** 2, axis=1)
-        e3 = np.sum(np.abs((E3 @ K) / scale) ** 2, axis=1)
+        e5 = np.add.reduce(np.abs((E5 @ K) / scale) ** 2, axis=1)
+        e3 = np.add.reduce(np.abs((E3 @ K) / scale) ** 2, axis=1)
         den = e5 + 0.01 * e3
         err = np.where(den == 0, 0.0, dh * e5 / np.sqrt(den * dim))
         finite = np.isfinite(err) & np.isfinite(y_new).all(axis=1)
         ok = finite & (err < 1)
-        factor = np.clip(0.9 * err ** -0.125, 0.2, 10.0)
+        factor = np.where(finite, np.minimum(np.maximum(0.9 * err ** -0.125, 0.2), 10.0), 0.2)
         v["h"] = dh * np.where(ok & v["rej"], np.minimum(factor, 1.0), factor)
-        s_new = np.where(hit, P, v["s"] + dh)
         v["y"] = np.where(ok[:, None], y_new, y)
-        v["s"] = np.where(ok, s_new, v["s"])
+        v["s"] = np.where(ok, np.where(hit, P, v["s"] + dh), v["s"])
         v["rej"] = ~ok
         v["left"] -= 1
+        if ok.all() and not hit.any() and v["left"].all():
+            continue
         ends = {}
-        for i in np.flatnonzero(~finite):
+        for i in np.flatnonzero(~ok & (v["h"] < 10 * np.spacing(v["span"]))):
             r = act[i]
-            ends[i] = flows._not_finite(s_new[i] * us[r], ms[r], r)
-        for i in np.flatnonzero(finite & ~ok & (v["h"] < 10 * np.spacing(v["span"]))):
-            r = act[i]
+            t = v["s"][i] * us[r]
             ends[i] = IntegrationFailed(
-                f"the t_{ms[r]} flow needs a step below {v['h'][i]:.3g} at t = "
-                f"{v['s'][i] * us[r]}", time=v["s"][i] * us[r], row=r)
+                f"the t_{ms[r]} flow needs a step below {v['h'][i]:.3g} at t = {t}"
+                + ("" if finite[i] else ", where its trial step is not finite"), time=t, row=r)
         for i in np.flatnonzero(ok & hit):
             r, j = act[i], int(v["j"][i])
             times[r].append(j * hs[r] * us[r])

@@ -12,8 +12,9 @@ The one integrator, :func:`integrate_stack`, steps a ragged stack: a
 (B, dim) block of packed phase points that share (n, N) and the method,
 while each row keeps its own m, endpoint, step size and record_every. Each
 right-hand-side call is one :func:`vector_field_gradient` of the rows still
-active, whose m may differ from row to row: the gradient kernel
-(:func:`spincm.lax._gradient`) takes a stack that mixes m through the
+active, written straight into the stepper's stage buffer; their m may
+differ from row to row: the vector field kernel
+(:func:`spincm.lax._vector_field`) takes a stack that mixes m through the
 same Horner path as one m. A row leaves the block after its last step,
 or at its own pole collision or loss of finite values, which ends no
 other row. :func:`integrate` is its one-row case.
@@ -34,7 +35,7 @@ from .errors import (
     SpinCMError,
     StepLimitExceeded,
 )
-from .lax import LaxData, _diagonal, _gradient, build_lax, hamiltonians, resolvent_residue
+from .lax import LaxData, _assemble, _vector_field, build_lax, hamiltonians, resolvent_residue
 from .phase import EPS_COLL, PhaseState, complex_to_pairs, write_json
 
 #: the steppers of integrate_stack
@@ -144,22 +145,16 @@ def _re_im(z):
     return np.stack([z.real, z.imag], axis=-1).reshape(len(z), -1)
 
 
-def _field(lax: LaxData, a, b, m):
-    """(dx, dp, da, db) of the H_m vector field from the Lax assembly of a
-    phase point or a stack, see :func:`lax._gradient`."""
-    dx, dp, da, db = _gradient(lax, a, b, m)
-    return dp, -dx, db, -da
-
-
 def vector_field_gradient(state: PhaseState, m: int, eps_coll=EPS_COLL) -> Tangent:
     """Hamiltonian vector field of H_m:
     dx = dH/dp, dp = -dH/dx, da = dH/db, db = -dH/da.
 
     ``state`` may stack B phase points along a leading axis, with m an int
     or a (B,) integer array of one m per point; each point's tangent is
-    bit-identical to its own call. Raises ValueError if an m is below 1.
-    """
-    return Tangent(*_field(build_lax(state, eps_coll), state.a, state.b, m))
+    its own call's, bit for bit but for the sign of a zero. Raises
+    ValueError if an m is below 1."""
+    inv, _, L, M = _assemble(state.x, state.p, state.a, state.b, eps_coll)
+    return Tangent(*_vector_field(inv, L, M, state.a, state.b, m))
 
 
 def _residue_rates(state: PhaseState, lax: LaxData, m):
@@ -200,7 +195,7 @@ def vector_field_residue(state: PhaseState, m: int, eps_coll=EPS_COLL) -> Tangen
     mu = np.diag(Lm)[:, None]  # free diagonal gauge rate of the split
     adot = da_raw - mu * state.a
     bdot = db_raw + mu * state.b
-    pdot = _field(lax, state.a, state.b, m)[1]
+    pdot = _vector_field(lax.inv, lax.L, lax.M, state.a, state.b, m)[1]
     return Tangent(dx=xdot, dp=pdot, da=adot, db=bdot)
 
 
@@ -268,14 +263,15 @@ def integrate(state: PhaseState, spec: FlowSpec, eps_coll=EPS_COLL) -> Trajector
     return _trajectories(integrate_stack([(state, spec)], eps_coll))[0]
 
 
-def _tangent(y, m, u, n, N, eps_coll):
-    """u F_m(y) for every row of the packed block y (B, dim), packed the
-    same way: one vector_field_gradient of the stack, one concatenation of
-    its fields and one multiply."""
+def _tangent(y, m, u, n, N, eps_coll, out):
+    """Write u F_m(y) of the packed block y (B, dim), packed the same way,
+    into the stage slot ``out`` (B, dim): one vector_field_gradient of the
+    stack, concatenated into ``out`` and multiplied there."""
     f = vector_field_gradient(PhaseState(*_unpack(y, n, N)), m, eps_coll)
     B = len(y)
+    np.concatenate([f.dx, f.dp, f.da.reshape(B, -1), f.db.reshape(B, -1)], axis=1, out=out)
     # F * u, not u * F: numpy's complex product does not commute bit for bit
-    return np.concatenate([f.dx, f.dp, f.da.reshape(B, -1), f.db.reshape(B, -1)], axis=1) * u
+    out *= u
 
 
 def _per_row(vals, column=True):
@@ -315,10 +311,10 @@ def integrate_stack(rows, eps_coll=EPS_COLL) -> list:
     own row, with CollidingPoles carrying the flow time, the row index in
     ``row`` and the row's m in the message; the current stage is then
     evaluated again for the rows that remain. Every step is tested for
-    finite values: a row that leaves them (an overflow with no collision)
-    ends there with IntegrationFailed, with the flow time and the row, and
-    numpy's warnings on the way are not raised. The constraint is
-    monitored, never re-projected.
+    finite values, and numpy's warnings on the way are not raised: an RK4
+    row that leaves them (an overflow with no collision) ends there with
+    IntegrationFailed, with the flow time and the row; DOP853 rejects such
+    a step. The constraint is monitored, never re-projected.
     """
     states, specs = zip(*rows)
     method = specs[0].method
@@ -382,15 +378,16 @@ def _rk4(y0, ms, steps, hs, us, every, times, samples, out, n, N, eps_coll):
     shrinks as rows end: append each row's recorded times and samples, and
     set out[r] to the CollidingPoles or IntegrationFailed that ends row r."""
     act = [r for r, k in enumerate(steps) if k]
-    y, ks = y0[act], []
+    y = y0[act]
+    K = np.empty((4,) + y.shape, dtype=complex)  # the stages k1..k4
     m = c = c6 = u = None
 
     def keep(idx):
         """Keep the block rows ``idx``; set the per-row m, step factors
         (h/2, h/2, h), h/6 and direction u of the rows left."""
-        nonlocal act, y, ks, m, c, c6, u
+        nonlocal act, y, K, m, c, c6, u
         act = [act[i] for i in idx]
-        y, ks = y[idx], [k[idx] for k in ks]
+        y, K = y[idx], K[:, idx]
         m = _per_row([ms[r] for r in act], column=False)
         c = [_per_row([hs[r] / 2 for r in act])] * 2 + [_per_row([hs[r] for r in act])]
         c6 = _per_row([hs[r] / 6 for r in act])
@@ -399,12 +396,11 @@ def _rk4(y0, ms, steps, hs, us, every, times, samples, out, n, N, eps_coll):
     keep(range(len(act)))
     step = 0
     while act:
-        ks = []
         for stage in range(4):
             while act:
-                z = y + c[stage - 1] * ks[-1] if stage else y
+                z = y + c[stage - 1] * K[stage - 1] if stage else y
                 try:
-                    ks.append(_tangent(z, m, u, n, N, eps_coll))
+                    _tangent(z, m, u, n, N, eps_coll, K[stage])
                     break
                 except CollidingPoles as exc:
                     r = act[exc.row]
@@ -413,7 +409,7 @@ def _rk4(y0, ms, steps, hs, us, every, times, samples, out, n, N, eps_coll):
                     keep([i for i in range(len(act)) if i != exc.row])
         if not act:
             return
-        k1, k2, k3, k4 = ks
+        k1, k2, k3, k4 = K
         y = y + c6 * (k1 + 2 * k2 + 2 * k3 + k4)
         step += 1
         finite = np.isfinite(y).all(axis=1)
@@ -439,12 +435,13 @@ def check_lax(trajectory: Trajectory, eps_coll=EPS_COLL) -> np.ndarray:
     tr = trajectory
     if tr.m != 2:
         raise ValueError(f"check_lax needs a t_2 trajectory, not t_{tr.m}")
-    lax = build_lax(PhaseState(tr.x, tr.p, tr.a, tr.b), eps_coll)
-    dx, dp, da, db = _field(lax, tr.a, tr.b, 2)
+    inv, R, L, M = _assemble(tr.x, tr.p, tr.a, tr.b, eps_coll)
+    dx, dp, da, db = _vector_field(inv, L, M, tr.a, tr.b, 2)
     dR = db @ tr.a.swapaxes(-1, -2) + tr.b @ da.swapaxes(-1, -2)
-    dL = -(dR - lax.R * (dx[..., :, None] - dx[..., None, :]) * lax.inv) * lax.inv
-    _diagonal(dL)[...] = -dp
-    return np.max(np.abs(dL - (lax.M @ lax.L - lax.L @ lax.M)), axis=(-2, -1))
+    dL = -(dR - R * (dx[..., :, None] - dx[..., None, :]) * inv) * inv
+    n = tr.x.shape[1]
+    dL.reshape(-1, n * n)[:, :: n + 1] = -dp
+    return np.max(np.abs(dL - (M @ L - L @ M)), axis=(-2, -1))
 
 
 def _gauge_invariant_observables(state: PhaseState, eps_coll=EPS_COLL):

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PoleHit, SpectralCollision
-from .flows import FlowSpec, _field, _residue_rates, _trajectories, integrate_stack
-from .lax import build_lax
+from .flows import FlowSpec, _residue_rates, _trajectories, integrate_stack
+from .lax import _vector_field, build_lax
 from .phase import EPS_COLL, PhaseState, TimeVector, complex_to_pairs
 
 #: condition-number ceiling for (zI - L) solves
@@ -226,7 +226,7 @@ def residue_identity_residual(state: PhaseState, m: int, x_samples, eps_coll=EPS
     """
     first, second, lax = _residue_identity_coefficients(state, m, eps_coll)
     a, b = state.a, state.b
-    dx, _, da, db = _field(lax, a, b, m)
+    dx, _, da, db = _vector_field(lax.inv, lax.L, lax.M, a, b, m)
     n = state.n_particles
     inv1 = _inverse_differences(state, np.atleast_1d(x_samples), eps_coll)  # (points, n)
     inv2 = inv1**2

@@ -56,26 +56,15 @@ class Gradient:
         )
 
 
-def _diagonal(A):
-    """Writable view of the diagonals of a C-contiguous (..., n, n) array,
-    shape (..., n)."""
-    n = A.shape[-1]
-    return A.reshape(*A.shape[:-2], n * n)[..., :: n + 1]
-
-
-def build_lax(state: PhaseState, eps_coll=EPS_COLL) -> LaxData:
-    """The Lax assembly of a phase point or of a stack of them, from one
-    pass over the pairwise differences x_i - x_k.
-
-    The arrays of ``state`` may carry leading axes that stack phase points:
-    x and p (..., n), a and b (..., n, N). Raises CollidingPoles if two
-    poles of a point are within ``eps_coll``; for a stack its ``row`` is
-    the flat index of the first such point.
-    """
-    x = state.x
+def _assemble(x, p, a, b, eps_coll):
+    """(inv, R, L, M) of :class:`LaxData` for phase arrays x, p (..., n) and
+    a, b (..., n, N), from one pass over the pairwise differences x_i - x_k.
+    Raises CollidingPoles if two poles of a point are within ``eps_coll``;
+    for a stack its ``row`` is the flat index of the first such point."""
     n = x.shape[-1]
     d = x[..., :, None] - x[..., None, :]
-    _diagonal(d)[...] = np.inf
+    # flat (-1, n * n) views whose step n + 1 is the diagonal
+    d.reshape(-1, n * n)[:, :: n + 1] = np.inf
     # fmin skips NaN: a point that is not finite hides no other's collision
     if np.fmin.reduce(np.abs(d), axis=None) <= eps_coll:
         sep = np.abs(d).reshape(-1, n * n).min(axis=1)
@@ -87,14 +76,20 @@ def build_lax(state: PhaseState, eps_coll=EPS_COLL) -> LaxData:
     # 2.0 * R * inv * inv: inv takes the buffer of d, and the infinite
     # diagonal gives inv_ii = 0
     inv = np.divide(1.0, d, out=d)
-    R = state.spin_pairings()
+    R = b @ a.swapaxes(-1, -2)
     L = np.negative(R)
     L *= inv
-    _diagonal(L)[...] = -state.p
+    L.reshape(-1, n * n)[:, :: n + 1] = -p.reshape(-1, n)
     M = np.multiply(2.0, R)
     M *= inv
     M *= inv
-    return LaxData(inv=inv, R=R, L=L, M=M)
+    return inv, R, L, M
+
+
+def build_lax(state: PhaseState, eps_coll=EPS_COLL) -> LaxData:
+    """The Lax assembly of a phase point, or of a stack of them along
+    leading axes of its arrays; see :func:`_assemble`."""
+    return LaxData(*_assemble(state.x, state.p, state.a, state.b, eps_coll))
 
 
 def hamiltonian(state: PhaseState, m: int, eps_coll=EPS_COLL):
@@ -156,8 +151,9 @@ def _weights(ms):
     return w[0][..., None], tuple(wk if wk.any() else None for wk in w[1:])
 
 
-def _gradient(lax: LaxData, a, b, m):
-    """(dx, dp, da, db) of H_m = tr L^m from the Lax assembly ``lax`` of a
+def _vector_field(inv, L, M, a, b, m):
+    """(dx, dp, da, db) of the H_m vector field, (dH/dp, -dH/dx, dH/db,
+    -dH/da), from the Lax assembly (inv, L, M) of :func:`_assemble` of a
     phase point with spins (a, b), or of a stack of them along leading
     axes; m is an int, or for a (B,) stack a (B,) integer array of one m
     per point. Raises ValueError if an m is below 1.
@@ -168,32 +164,36 @@ def _gradient(lax: LaxData, a, b, m):
     Q = sum_k w_k L^{k-1} is built by Horner on the weights of
     :func:`_weights`: Q = w_kmax L + w_{kmax-1} I, then Q <- Q L + w_k I,
     kmax - 2 products for every point of a stack, whatever its m. A point
-    of a stack gets its Q bit for bit as alone: its products before its
-    own top weight act on a zero matrix, (cI) L equals c L entry for
-    entry, and the zero weights added after it change no value."""
-    inv, L, M = lax.inv, lax.L, lax.M
-    top, low = _weights(m if np.ndim(m) == 0 else tuple(m.tolist()))
+    of a stack gets its Q as alone, bit for bit but for the sign of a
+    zero: its products before its own top weight act on a zero matrix,
+    (cI) L equals c L entry for entry, and zero weights change no value."""
+    n = L.shape[-1]
+    top, low = _weights(tuple(m.tolist()) if isinstance(m, np.ndarray) else m)
     Q = top * L
     for i, wk in enumerate(low):
         if i:
             Q = Q @ L
         if wk is not None:
-            _diagonal(Q)[...] += wk
+            Q.reshape(-1, n * n)[:, :: n + 1] += wk
     QT = Q.swapaxes(-1, -2)
-    dp = -Q.diagonal(0, -2, -1)
-    # diag(M Q) and diag(Q M) are the row and column sums of C_ij = M_ij Q_ji
+    dx = -Q.diagonal(0, -2, -1)  # dH/dp_i = -Q_ii
+    # diag(M Q) and diag(Q M) are the row and column sums of C_ij = M_ij Q_ji,
+    # and -dH/dx is half the column minus the row sums
     C = M * QT
-    dx = 0.5 * (C.sum(axis=-1) - C.sum(axis=-2))
-    # dH/da_i^g = sum_{j != i} Q_ij b_j^g / (x_i - x_j)
-    da = (Q * inv) @ b
+    dp = 0.5 * (np.add.reduce(C, -2) - np.add.reduce(C, -1))
     # dH/db_i^g = -sum_{j != i} Q_ji a_j^g / (x_i - x_j)
-    db = -((QT * inv) @ a)
+    da = -((QT * inv) @ a)
+    # dH/da_i^g = sum_{j != i} Q_ij b_j^g / (x_i - x_j)
+    db = -((Q * inv) @ b)
     return dx, dp, da, db
 
 
 def grad_hamiltonian(state: PhaseState, m: int, eps_coll=EPS_COLL) -> Gradient:
-    """Analytic gradient of H_m = tr L^m; see :func:`_gradient`."""
-    return Gradient(*_gradient(build_lax(state, eps_coll), state.a, state.b, m))
+    """Analytic gradient of H_m = tr L^m: the vector field of
+    :func:`_vector_field` turned back into (dH/dx, dH/dp, dH/da, dH/db)."""
+    inv, _, L, M = _assemble(state.x, state.p, state.a, state.b, eps_coll)
+    dx, dp, da, db = _vector_field(inv, L, M, state.a, state.b, m)
+    return Gradient(dx=-dp, dp=dx, da=-db, db=da)
 
 
 def poisson_bracket(state: PhaseState, f_grad: Gradient, g_grad: Gradient) -> complex:

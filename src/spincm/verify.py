@@ -41,14 +41,14 @@ from .lax import (
 )
 from .phase import EPS_COLL, PhaseState, random_state, write_json
 
-SUITE_VERSION = "3"
+SUITE_VERSION = "4"
 #: the stepper of every suite flow
 SUITE_METHOD = "DOP853"
 
 #: settings of individual checks
 CONSERVATION_T = 1.0
 COMMUTATIVITY_S = 0.1
-LAX_RESIDUAL_STEPS = 50
+LAX_RESIDUAL_T = 0.05
 T1_SHIFT_S = 0.3
 N1_REDUCTION_T = 0.5
 LINEAR_PROBLEM_DT2 = 1e-4
@@ -248,14 +248,14 @@ def _suite_flows(state, cfg):
     stack: {name: Trajectory, or the SpinCMError that ended the flow}.
     cfg.dt is the sampling grid: the t_2 and t_3 flows over
     [0, CONSERVATION_T] (for conservation and constraint_drift) record
-    every 50 grid points, lax_residual every 10 and n1_reduction (spin_dim
-    1 only) every 100. t1_shift and the first legs of commutativity are
-    legs (flows._leg_spec), which record only their endpoints."""
+    every 50 grid points, the t_2 flow over [0, LAX_RESIDUAL_T] (for
+    lax_residual) every 10 and n1_reduction (spin_dim 1 only) every 100.
+    t1_shift and the first legs of commutativity are legs
+    (flows._leg_spec), which record only their endpoints."""
     specs = {
         "t2": FlowSpec(m=2, t_final=CONSERVATION_T, dt=cfg.dt, record_every=50),
         "t3": FlowSpec(m=3, t_final=CONSERVATION_T, dt=cfg.dt, record_every=50),
-        "lax_residual": FlowSpec(m=2, t_final=LAX_RESIDUAL_STEPS * cfg.dt, dt=cfg.dt,
-                                 record_every=10),
+        "lax_residual": FlowSpec(m=2, t_final=LAX_RESIDUAL_T, dt=cfg.dt, record_every=10),
         "t1_shift": _leg_spec(1, T1_SHIFT_S),
         "commutativity_t2": _leg_spec(2, COMMUTATIVITY_S),
         "commutativity_t3": _leg_spec(3, COMMUTATIVITY_S),
@@ -269,7 +269,7 @@ def _suite_flows(state, cfg):
 
 def _check_lax_residual(state, cfg, flow):
     traj = _trajectories([flow])[0]
-    return float(np.max(check_lax(traj, cfg.eps_coll))), {"dt": cfg.dt}
+    return float(np.max(check_lax(traj, cfg.eps_coll))), {"T": LAX_RESIDUAL_T, "dt": cfg.dt}
 
 
 def _check_conservation(state, cfg, trajs):

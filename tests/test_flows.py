@@ -16,6 +16,7 @@ from spincm import (
     build_lax,
     check_lax,
     commutativity_check,
+    grad_hamiltonian,
     hamiltonians,
     integrate,
     integrate_stack,
@@ -31,9 +32,10 @@ from spincm.flows import (
     _pack,
     _record,
     _residue_rates,
+    _trajectories,
 )
 from spincm import Config, dop853, flows
-from spincm.phase import PhaseState, pairs_to_complex
+from spincm.phase import EPS_COLL, PhaseState, pairs_to_complex
 from spincm.verify import _scaled_error, _suite_flows, matched_pole_error
 
 from conftest import exact_flow_poles
@@ -221,6 +223,80 @@ def test_dop853_failure_is_not_a_collision(state32, monkeypatch):
     with pytest.raises(IntegrationFailed, match="needs a step below") as err:
         integrate(state32, FlowSpec(m=2, t_final=0.1, dt=1e-2, method="DOP853", max_steps=1000))
     assert (err.value.row, err.value.time) == (0, 0)
+
+
+def test_dop853_rejects_a_step_that_is_not_finite():
+    # tr L^3 of a momentum 1e200 overflows at every trial step: each is
+    # rejected with the factor 0.2, and the row ends at the step floor or
+    # at its budget, not at its first trial; the row beside it finishes
+    huge = new_state([-1, 1.0], [1e200, 0.0], [[1], [1]], [[1], [1]])
+    far = new_state([-1, 1.0], [0.1, 0.2], [[1], [1]], [[1], [1]])
+    spec = FlowSpec(m=3, t_final=0.1, dt=0.1, method="DOP853")
+    rows = [(huge, spec), (far, spec), (huge, replace(spec, max_steps=5))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = integrate_stack(rows)
+    assert isinstance(out[0], IntegrationFailed) and (out[0].row, out[0].time) == (0, 0)
+    assert "needs a step below" in str(out[0]) and "not finite" in str(out[0])
+    _assert_same_trajectory(out[1], integrate(*rows[1]))
+    assert isinstance(out[2], StepLimitExceeded) and "its 5 steps" in str(out[2])
+
+
+def _count_calls(monkeypatch, module, name):
+    """The list that a wrapper of module.name appends each call's first
+    argument to."""
+    calls = []
+    fn = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda y, *a: calls.append(y) or fn(y, *a))
+    return calls
+
+
+def test_each_rhs_call_is_one_vector_field_gradient(monkeypatch):
+    # the contract that RHS counts rely on: each right-hand-side call of a
+    # stack is one call of the module global flows.vector_field_gradient on
+    # the active rows, 4 per RK4 step and 12 per DOP853 block step. These
+    # rows take 2 grid steps; DOP853 accepts each first try
+    calls = _count_calls(monkeypatch, flows, "vector_field_gradient")
+    states = [random_state(3, 2, seed=s) for s in range(3)]
+    for method, per_step in (("RK4", 4), ("DOP853", 12)):
+        del calls[:]
+        rows = [(st, FlowSpec(m=m, t_final=2e-3, dt=1e-3, method=method))
+                for st, m in zip(states, (2, 3, 1))]
+        trajs = _trajectories(integrate_stack(rows))
+        assert [len(tr.t) for tr in trajs] == [3] * 3
+        assert len(calls) == 2 * per_step
+        assert all(st.x.shape == (3, 3) for st in calls)
+
+
+def test_packed_tangent_is_the_gradient_bit_for_bit():
+    # each row of the packed, u-scaled stage of a stack that mixes m is
+    # (dH/dp, -dH/dx, dH/db, -dH/da) u of its own grad_hamiltonian, to the
+    # bit but for the sign of an exact zero (+ 0.0 clears it): the spin
+    # rates of an m = 1 row are zeros whose signs follow the stack's Horner
+    # products
+    for n in (1, 2, 3, 10):
+        states = [random_state(n, 2, seed=s) for s in range(4)]
+        y = np.stack([_pack(st) for st in states])
+        dim = y.shape[1]
+        for ms in ([2, 2, 2, 2], [1, 3, 2, 5], [5, 1, 1, 4]):
+            ref = np.stack([
+                np.concatenate([g.dp, -g.dx, g.db.ravel(), -g.da.ravel()])
+                for g in (grad_hamiltonian(st, m) for st, m in zip(states, ms))])
+            m = flows._per_row(ms, column=False)
+            for us in ([1.0] * 4, [np.exp(0.7j)] * 4, [1.0, -1.0, 1j, np.exp(-2j)]):
+                u = flows._per_row(us)
+                K = np.zeros((4, 12, dim), dtype=complex)
+                flows._tangent(y, m, u, n, 2, EPS_COLL, K[:, 5])
+                assert (K[:, 5] + 0.0).tobytes() == (ref * u + 0.0).tobytes()
+                assert not K[:, :5].any() and not K[:, 6:].any()
+    # a second row that collides names itself
+    ok = random_state(3, 2, seed=1)
+    bad = PhaseState(x=np.array([0, 5e-7, 2], dtype=complex), p=ok.p, a=ok.a, b=ok.b)
+    states = [random_state(3, 2, seed=0), bad, random_state(3, 2, seed=2)]
+    y = np.stack([_pack(st) for st in states])
+    with pytest.raises(CollidingPoles) as err:
+        flows._tangent(y, 2, 1.0, 3, 2, EPS_COLL, np.empty_like(y))
+    assert err.value.row == 1
 
 
 def test_check_lax_single_particle():
@@ -509,18 +585,11 @@ def test_dop853_stack_rows_equal_single_row_integrate(n, record_every):
     assert len(trajs[4].t) == 2  # the endpoint-only row: t = 0 and its endpoint
 
 
-def _count_rhs(monkeypatch):
-    calls = []
-    tangent = flows._tangent
-    monkeypatch.setattr(flows, "_tangent", lambda y, *a: calls.append(len(y)) or tangent(y, *a))
-    return calls
-
-
 def test_dop853_endpoint_rows_add_no_steps(state32, monkeypatch):
     # a row that records only its endpoint takes the steps its error asks
     # for, with no grid point to clip them; a second such row in the block
     # costs no right-hand-side call of its own
-    calls = _count_rhs(monkeypatch)
+    calls = _count_calls(monkeypatch, flows, "_tangent")
     end = FlowSpec(m=2, t_final=0.1, dt=1e-3, method="DOP853", record_every=flows.ENDPOINT_ONLY)
     integrate(state32, end)
     alone = len(calls)
@@ -605,24 +674,36 @@ def test_non_finite_sample_ends_its_row_with_its_m_and_time():
     got = _record(1, 2, times, Y[:, 1], 100, 2, 1e-6)
     assert isinstance(got, CollidingPoles) and (got.row, got.time) == (1, times[5])
     # flows that overflow with no collision, between rows that finish or
-    # collide: each ends at its first non-finite step, between recorded
-    # samples for RK4, and no numpy warning is raised on the way. DOP853
-    # tries a first step of one record spacing, whose error is not finite.
+    # collide: under RK4 each ends at its first non-finite step, between
+    # recorded samples, and no numpy warning is raised on the way
     close = new_state([0, 1.05e-5], [0.1, 0.2], [[1], [1]], [[1], [1]])
     far = new_state([-1, 1.0], [0.1, 0.2], [[1], [1]], [[1], [1]])
-    for method, ends in (("RK4", (5e-5, -5e-5)), ("DOP853", (2.5e-5, -7.5e-5))):
+    out = {}
+    for method in ("RK4", "DOP853"):
         spec = FlowSpec(m=2, t_final=1e-4, dt=2.5e-5, method=method, max_steps=1000)
         rows = [(far, spec), (close, spec), (close, replace(spec, t_final=-1e-4, record_every=3)),
                 (close, replace(spec, m=3))]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = integrate_stack(rows)
-        _assert_same_trajectory(out[0], integrate(*rows[0]))
-        for r, t in zip((1, 2), ends):
-            assert isinstance(out[r], IntegrationFailed) and "t_2 flow" in str(out[r])
-            assert out[r].row == r and out[r].time == pytest.approx(t, abs=1e-18)
-        assert isinstance(out[3], CollidingPoles) and out[3].row == 3
-        assert _first_error(out) is out[3]  # the collision came first
+            out[method] = integrate_stack(rows)
+        _assert_same_trajectory(out[method][0], integrate(*rows[0]))
+        assert isinstance(out[method][3], CollidingPoles) and out[method][3].row == 3
+    rk4 = out["RK4"]
+    for r, t in ((1, 5e-5), (2, -5e-5)):
+        assert isinstance(rk4[r], IntegrationFailed) and "t_2 flow" in str(rk4[r])
+        assert rk4[r].row == r and rk4[r].time == pytest.approx(t, abs=1e-18)
+    assert _first_error(rk4) is rk4[3]  # the collision came first
+    # DOP853 rejects a step that is not finite, so its t_2 rows follow the
+    # flow into the collision of the scalar two-body problem: with
+    # d = x_1 - x_2 and P = p_1 - p_2, E = P^2 - 4/d^2 is conserved and
+    # |d| falls from |d_0| to e within (sqrt(E d_0^2 + 4) - sqrt(E e^2 + 4))/(2E)
+    d0, E = 1.05e-5, 0.1**2 - 4 / 1.05e-5**2
+    reach = lambda e: (math.sqrt(E * d0**2 + 4) - math.sqrt(E * e**2 + 4)) / (2 * E)
+    dop = out["DOP853"]
+    for r, sign in ((1, 1), (2, -1)):
+        assert isinstance(dop[r], CollidingPoles) and "t_2 flow" in str(dop[r])
+        assert dop[r].row == r and dop[r].time.imag == 0
+        assert reach(1e-6) <= sign * dop[r].time.real <= reach(0.0)
 
 
 def test_export_csv_writes_the_bytes_of_csv_writer(tmp_path):

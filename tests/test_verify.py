@@ -135,6 +135,17 @@ def test_t1_shift_does_not_read_dt():
         assert results["t1_shift"].residual == 6.684427777288334e-16
 
 
+def test_lax_residual_span_does_not_follow_dt():
+    # the row spans LAX_RESIDUAL_T at any dt and records every 10 grid
+    # points of dt, or only its endpoint on a grid that coarse
+    state = random_state(3, 2, seed=7)
+    for dt, samples in ((1e-3, 6), (1e-2, 2), (5e-2, 2)):
+        traj = verify._suite_flows(state, Config(dt=dt))["lax_residual"]
+        assert traj.t[-1] == verify.LAX_RESIDUAL_T and len(traj.t) == samples
+    results = {r.name: r for r in run_suite(seed=7, config=Config(dt=5e-2)).results}
+    assert results["lax_residual"].residual <= 1e-15
+
+
 def test_suite_flags_broken_constraint():
     s = random_state(3, 2, seed=42)
     b = s.b.copy()
