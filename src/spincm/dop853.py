@@ -57,16 +57,15 @@ def dop853(y0, ms, steps, hs, us, every, budget, times, samples, out, n, N, eps_
     RTOL max(|y|, |y_new|); a step is accepted when it is below 1. The next
     step is dh clip(0.9 err^(-1/8), 0.2, 10), with no growth right after a
     rejection, and a row's first step is its record spacing. A rejected row
-    keeps y while the others advance; a step that is not finite (err or
-    y_new) is rejected by the factor 0.2. A row ends with IntegrationFailed
-    when a rejection leaves it a step below 10 ulp of its segment length,
-    with StepLimitExceeded when it has taken its budget of steps unfinished.
+    keeps y while the others advance; a step that is not finite is rejected
+    by the factor 0.2. A row ends, with its flow time, with IntegrationFailed
+    when a rejection leaves it a step below 10 ulp of its segment length, or
+    StepLimitExceeded when it has taken its budget of steps unfinished.
     """
     act = [r for r, k in enumerate(steps) if k]
     # block rows: state y, stages K, position s, proposed step h, next
     # record index j, last try rejected, steps left; per-row grid step hg,
-    # segment length span; per step, the record point P, whether it is hit,
-    # the step dh and its column dhc
+    # segment length span; per step, record point P, hit, step dh, column dhc
     v = {
         "y": y0[act],
         "K": np.empty((len(act), len(B), y0.shape[1]), dtype=complex),
@@ -150,7 +149,8 @@ def dop853(y0, ms, steps, hs, us, every, budget, times, samples, out, n, N, eps_
             v["j"][i] = min(j + every[r], steps[r])
         for i in np.flatnonzero(v["left"] == 0):
             r = act[i]
+            t = v["s"][i] * us[r]
             ends.setdefault(i, StepLimitExceeded(
-                f"the t_{ms[r]} flow took its {budget[r]} steps by t = {v['s'][i] * us[r]}"))
+                f"the t_{ms[r]} flow took its {budget[r]} steps by t = {t}", time=t, row=r))
         if ends:
             drop(ends)

@@ -5,19 +5,21 @@ class SpinCMError(Exception):
     """Base class for all spincm errors."""
 
 
-class CollidingPoles(SpinCMError):
-    """Two pole positions are closer than the collision floor.
-
-    Carries the (complex) flow time of breakdown in ``time`` when raised
-    during integration; ``time`` is None for static configurations. When
-    raised for a stack of phase points, ``row`` is the flat index (C order
-    over the stack axes) of the first colliding point, else None.
-    """
+class _RowEnd(SpinCMError):
+    """An error that can end a row of a flow stack. ``time`` is the
+    (complex) flow time where it happened, None outside a flow or before
+    its first step; ``row`` is its stack row, or for a stack of phase
+    points the flat index (C order over the stack axes) of the first
+    failing point, else None."""
 
     def __init__(self, message, time=None, row=None):
         super().__init__(message)
         self.time = time
         self.row = row
+
+
+class CollidingPoles(_RowEnd):
+    """Two pole positions are closer than the collision floor."""
 
 
 class ConstraintViolated(SpinCMError):
@@ -44,19 +46,14 @@ class PoleHit(SpinCMError):
     """An evaluation point x is too close to a pole x_i, or is not finite."""
 
 
-class StepLimitExceeded(SpinCMError):
-    """The requested integration would exceed the configured step budget."""
+class StepLimitExceeded(_RowEnd):
+    """The requested integration would exceed the configured step budget:
+    before its first step, or on the way for a DOP853 flow."""
 
 
-class IntegrationFailed(SpinCMError):
+class IntegrationFailed(_RowEnd):
     """A flow left the finite numbers, or its DOP853 step fell below 10 ulp
-    of its segment. ``time`` is the flow time where it happened and ``row``
-    its stack row, as for CollidingPoles."""
-
-    def __init__(self, message, time=None, row=None):
-        super().__init__(message)
-        self.time = time
-        self.row = row
+    of its segment."""
 
 
 class ConfigError(SpinCMError):

@@ -35,7 +35,7 @@ from .errors import (
     SpinCMError,
     StepLimitExceeded,
 )
-from .lax import LaxData, _assemble, _vector_field, build_lax, hamiltonians, resolvent_residue
+from .lax import LaxData, _diagonal, _vector_field, build_lax, hamiltonians, resolvent_residue
 from .phase import EPS_COLL, PhaseState, complex_to_pairs, write_json
 
 #: the steppers of integrate_stack
@@ -153,8 +153,8 @@ def vector_field_gradient(state: PhaseState, m: int, eps_coll=EPS_COLL) -> Tange
     or a (B,) integer array of one m per point; each point's tangent is
     its own call's, bit for bit but for the sign of a zero. Raises
     ValueError if an m is below 1."""
-    inv, _, L, M = _assemble(state.x, state.p, state.a, state.b, eps_coll)
-    return Tangent(*_vector_field(inv, L, M, state.a, state.b, m))
+    lax = build_lax(state, eps_coll)
+    return Tangent(*_vector_field(lax.inv, lax.L, lax.M, state.a, state.b, m))
 
 
 def _residue_rates(state: PhaseState, lax: LaxData, m):
@@ -435,13 +435,12 @@ def check_lax(trajectory: Trajectory, eps_coll=EPS_COLL) -> np.ndarray:
     tr = trajectory
     if tr.m != 2:
         raise ValueError(f"check_lax needs a t_2 trajectory, not t_{tr.m}")
-    inv, R, L, M = _assemble(tr.x, tr.p, tr.a, tr.b, eps_coll)
-    dx, dp, da, db = _vector_field(inv, L, M, tr.a, tr.b, 2)
+    lax = build_lax(PhaseState(tr.x, tr.p, tr.a, tr.b), eps_coll)
+    dx, dp, da, db = _vector_field(lax.inv, lax.L, lax.M, tr.a, tr.b, 2)
     dR = db @ tr.a.swapaxes(-1, -2) + tr.b @ da.swapaxes(-1, -2)
-    dL = -(dR - R * (dx[..., :, None] - dx[..., None, :]) * inv) * inv
-    n = tr.x.shape[1]
-    dL.reshape(-1, n * n)[:, :: n + 1] = -dp
-    return np.max(np.abs(dL - (M @ L - L @ M)), axis=(-2, -1))
+    dL = -(dR - lax.R * (dx[..., :, None] - dx[..., None, :]) * lax.inv) * lax.inv
+    _diagonal(dL)[...] = -dp
+    return np.max(np.abs(dL - (lax.M @ lax.L - lax.L @ lax.M)), axis=(-2, -1))
 
 
 def _gauge_invariant_observables(state: PhaseState, eps_coll=EPS_COLL):

@@ -56,14 +56,26 @@ class Gradient:
         )
 
 
-def _assemble(x, p, a, b, eps_coll):
-    """(inv, R, L, M) of :class:`LaxData` for phase arrays x, p (..., n) and
-    a, b (..., n, N), from one pass over the pairwise differences x_i - x_k.
-    Raises CollidingPoles if two poles of a point are within ``eps_coll``;
-    for a stack its ``row`` is the flat index of the first such point."""
+def _diagonal(A):
+    """Writable view of the diagonals of a C-contiguous (..., n, n) array,
+    its leading axes flattened: shape (-1, n)."""
+    n = A.shape[-1]
+    return A.reshape(-1, n * n)[:, :: n + 1]
+
+
+def build_lax(state: PhaseState, eps_coll=EPS_COLL) -> LaxData:
+    """The Lax assembly of a phase point or of a stack of them, from one
+    pass over the pairwise differences x_i - x_k.
+
+    The arrays of ``state`` may carry leading axes that stack phase points:
+    x and p (..., n), a and b (..., n, N). Raises CollidingPoles if two
+    poles of a point are within ``eps_coll``; for a stack its ``row`` is
+    the flat index of the first such point.
+    """
+    x = state.x
     n = x.shape[-1]
     d = x[..., :, None] - x[..., None, :]
-    # flat (-1, n * n) views whose step n + 1 is the diagonal
+    # _diagonal inlined here and in _vector_field, which every flow RHS calls
     d.reshape(-1, n * n)[:, :: n + 1] = np.inf
     # fmin skips NaN: a point that is not finite hides no other's collision
     if np.fmin.reduce(np.abs(d), axis=None) <= eps_coll:
@@ -76,20 +88,14 @@ def _assemble(x, p, a, b, eps_coll):
     # 2.0 * R * inv * inv: inv takes the buffer of d, and the infinite
     # diagonal gives inv_ii = 0
     inv = np.divide(1.0, d, out=d)
-    R = b @ a.swapaxes(-1, -2)
+    R = state.spin_pairings()
     L = np.negative(R)
     L *= inv
-    L.reshape(-1, n * n)[:, :: n + 1] = -p.reshape(-1, n)
+    np.negative(state.p.reshape(-1, n), out=L.reshape(-1, n * n)[:, :: n + 1])
     M = np.multiply(2.0, R)
     M *= inv
     M *= inv
-    return inv, R, L, M
-
-
-def build_lax(state: PhaseState, eps_coll=EPS_COLL) -> LaxData:
-    """The Lax assembly of a phase point, or of a stack of them along
-    leading axes of its arrays; see :func:`_assemble`."""
-    return LaxData(*_assemble(state.x, state.p, state.a, state.b, eps_coll))
+    return LaxData(inv, R, L, M)
 
 
 def hamiltonian(state: PhaseState, m: int, eps_coll=EPS_COLL):
@@ -153,7 +159,7 @@ def _weights(ms):
 
 def _vector_field(inv, L, M, a, b, m):
     """(dx, dp, da, db) of the H_m vector field, (dH/dp, -dH/dx, dH/db,
-    -dH/da), from the Lax assembly (inv, L, M) of :func:`_assemble` of a
+    -dH/da), from the Lax assembly (inv, L, M) of :func:`build_lax` of a
     phase point with spins (a, b), or of a stack of them along leading
     axes; m is an int, or for a (B,) stack a (B,) integer array of one m
     per point. Raises ValueError if an m is below 1.
@@ -177,8 +183,7 @@ def _vector_field(inv, L, M, a, b, m):
             Q.reshape(-1, n * n)[:, :: n + 1] += wk
     QT = Q.swapaxes(-1, -2)
     dx = -Q.diagonal(0, -2, -1)  # dH/dp_i = -Q_ii
-    # diag(M Q) and diag(Q M) are the row and column sums of C_ij = M_ij Q_ji,
-    # and -dH/dx is half the column minus the row sums
+    # -dH/dx = (diag(Q M) - diag(M Q))/2: column and row sums of M_ij Q_ji
     C = M * QT
     dp = 0.5 * (np.add.reduce(C, -2) - np.add.reduce(C, -1))
     # dH/db_i^g = -sum_{j != i} Q_ji a_j^g / (x_i - x_j)
@@ -189,10 +194,9 @@ def _vector_field(inv, L, M, a, b, m):
 
 
 def grad_hamiltonian(state: PhaseState, m: int, eps_coll=EPS_COLL) -> Gradient:
-    """Analytic gradient of H_m = tr L^m: the vector field of
-    :func:`_vector_field` turned back into (dH/dx, dH/dp, dH/da, dH/db)."""
-    inv, _, L, M = _assemble(state.x, state.p, state.a, state.b, eps_coll)
-    dx, dp, da, db = _vector_field(inv, L, M, state.a, state.b, m)
+    """Analytic gradient of H_m = tr L^m, from :func:`_vector_field`."""
+    lax = build_lax(state, eps_coll)
+    dx, dp, da, db = _vector_field(lax.inv, lax.L, lax.M, state.a, state.b, m)
     return Gradient(dx=-dp, dp=dx, da=-db, db=da)
 
 

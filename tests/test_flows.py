@@ -240,6 +240,7 @@ def test_dop853_rejects_a_step_that_is_not_finite():
     assert "needs a step below" in str(out[0]) and "not finite" in str(out[0])
     _assert_same_trajectory(out[1], integrate(*rows[1]))
     assert isinstance(out[2], StepLimitExceeded) and "its 5 steps" in str(out[2])
+    assert (out[2].row, out[2].time) == (2, 0)
 
 
 def _count_calls(monkeypatch, module, name):
@@ -632,6 +633,16 @@ def test_dop853_step_budget_ends_only_its_row(state32):
     out = integrate_stack([(state32, spec), (state32, replace(spec, max_steps=100))])
     assert isinstance(out[0], StepLimitExceeded) and "t_2 flow took its 1 steps" in str(out[0])
     _assert_same_trajectory(out[1], integrate(state32, replace(spec, max_steps=100)))
+    # a budget that runs out on the way carries its flow time and row, and
+    # ranks by it: row 0 runs out at t = 0.254, after row 1's collision
+    far = new_state([-3, 3], [2, -2], [[1], [1]], [[1], [1]])
+    near = new_state([-1, 1], [2, -2], [[1], [1]], [[1], [1]])
+    spec = FlowSpec(m=2, t_final=2.0, dt=2.0, method="DOP853", max_steps=10)
+    out = integrate_stack([(far, spec), (near, replace(spec, max_steps=1000))], eps_coll=0.5)
+    assert isinstance(out[0], StepLimitExceeded) and out[0].row == 0
+    assert out[0].time.imag == 0 and 0.25 < out[0].time.real < 0.26
+    assert isinstance(out[1], CollidingPoles) and 0.23 < out[1].time.real < 0.24
+    assert _first_error(out) is out[1]
 
 
 def test_recorded_sample_collision_names_its_row_m_and_time():
@@ -704,6 +715,9 @@ def test_non_finite_sample_ends_its_row_with_its_m_and_time():
         assert isinstance(dop[r], CollidingPoles) and "t_2 flow" in str(dop[r])
         assert dop[r].row == r and dop[r].time.imag == 0
         assert reach(1e-6) <= sign * dop[r].time.real <= reach(0.0)
+    # the t_2 rows collide within 1e-10, long before the t_3 row does
+    assert isinstance(dop[3], CollidingPoles) and abs(dop[3].time) > 1e-6
+    assert _first_error(dop) is min(dop[1:3], key=lambda exc: abs(exc.time))
 
 
 def test_export_csv_writes_the_bytes_of_csv_writer(tmp_path):
