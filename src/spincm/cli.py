@@ -15,10 +15,10 @@ import numpy as np
 from . import kp
 from .config import Config
 from .errors import CollidingPoles, SpinCMError
-from .flows import METHODS, FlowSpec, integrate
+from .flows import METHODS, FlowSpec, _format_time, _scaled_error, integrate
 from .lax import hamiltonians
 from .phase import load_state, random_state, write_json
-from .verify import SUITE_METHOD, _scaled_error, run_suite
+from .verify import SUITE_METHOD, run_suite
 
 
 def parse_complex(text: str) -> complex:
@@ -72,8 +72,8 @@ def cmd_evolve(args, config):
     try:
         traj = integrate(state, spec, eps_coll=config.eps_coll)
     except CollidingPoles as exc:
-        print(f"error: {exc}" + (f" (t = {exc.time})" if exc.time is not None else ""),
-              file=sys.stderr)
+        when = f" (t = {_format_time(exc.time)})" if exc.time is not None else ""
+        print(f"error: {exc}{when}", file=sys.stderr)
         return 2
     traj.export_csv(args.out + ".csv")
     traj.export_json(args.out + ".json")

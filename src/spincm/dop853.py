@@ -138,7 +138,8 @@ def dop853(y0, ms, steps, hs, us, every, budget, times, samples, out, n, N, eps_
             r = act[i]
             t = v["s"][i] * us[r]
             ends[i] = IntegrationFailed(
-                f"the t_{ms[r]} flow needs a step below {v['h'][i]:.3g} at t = {t}"
+                f"the t_{ms[r]} flow needs a step below {v['h'][i]:.3g} "
+                f"at t = {flows._format_time(t)}"
                 + ("" if finite[i] else ", where its trial step is not finite"), time=t, row=r)
         for i in np.flatnonzero(ok & hit):
             r, j = act[i], int(v["j"][i])
@@ -151,6 +152,7 @@ def dop853(y0, ms, steps, hs, us, every, budget, times, samples, out, n, N, eps_
             r = act[i]
             t = v["s"][i] * us[r]
             ends.setdefault(i, StepLimitExceeded(
-                f"the t_{ms[r]} flow took its {budget[r]} steps by t = {t}", time=t, row=r))
+                f"the t_{ms[r]} flow took its {budget[r]} steps by t = {flows._format_time(t)}",
+                time=t, row=r))
         if ends:
             drop(ends)

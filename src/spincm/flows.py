@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .errors import (
     SpinCMError,
     StepLimitExceeded,
 )
-from .lax import LaxData, _diagonal, _vector_field, build_lax, hamiltonians, resolvent_residue
+from .lax import LaxData, _diagonal, _krylov_residues, _vector_field, build_lax, hamiltonians
 from .phase import EPS_COLL, PhaseState, complex_to_pairs, write_json
 
 #: the steppers of integrate_stack
@@ -145,6 +145,15 @@ def _re_im(z):
     return np.stack([z.real, z.imag], axis=-1).reshape(len(z), -1)
 
 
+def _scaled_error(u, ref) -> float:
+    """The one comparison rule of the checks: max |u - ref| / (1 + |ref|)
+    over every entry of two arrays (or scalars), or over every field of
+    two Gradients or Tangents."""
+    if is_dataclass(ref):
+        return max(_scaled_error(getattr(u, f.name), getattr(ref, f.name)) for f in fields(ref))
+    return float(np.max(np.abs(u - ref) / (1.0 + np.abs(ref)), initial=0.0))
+
+
 def vector_field_gradient(state: PhaseState, m: int, eps_coll=EPS_COLL) -> Tangent:
     """Hamiltonian vector field of H_m:
     dx = dH/dp, dp = -dH/dx, da = dH/db, db = -dH/da.
@@ -158,21 +167,22 @@ def vector_field_gradient(state: PhaseState, m: int, eps_coll=EPS_COLL) -> Tange
 
 
 def _residue_rates(state: PhaseState, lax: LaxData, m):
-    """(L^m, K, da, db) of the residue route from the Lax assembly ``lax``.
+    """(K, da, db) of the residue route from the Lax assembly ``lax``.
 
-    With G = (zI-L)^-1, res_inf z^m G = L^m and K = res_inf z^m GRG is the
-    double-resolvent convolution; (da, db) are the spin-vector rates read
-    off literally from the first-order-pole residue equations, before any
-    gauge choice:
+    With G = (zI-L)^-1, the residues res_inf z^m G b = L^m b and
+    res_inf z^m G^T a = (L^m)^T a and the double-resolvent convolution
+    K = res_inf z^m GRG all come from the thin Krylov blocks of
+    :func:`spincm.lax._krylov_residues`, with no n x n power of L.
+    (da, db) are the spin-vector rates read off literally from the
+    first-order-pole residue equations, before any gauge choice:
 
       da_i = res_inf z^m (G^T a)_i - sum_{k != i} a_k (GRG)_ki / (x_i - x_k),
       db_i = -res_inf z^m (G b)_i - sum_{k != i} b_k (GRG)_ik / (x_i - x_k).
     """
-    Lm = resolvent_residue(lax.L, m)
-    K = resolvent_residue(lax.L, m, lax.R)
-    da = Lm.T @ state.a - (K.T * lax.inv) @ state.a
-    db = -(Lm @ state.b) - (K * lax.inv) @ state.b
-    return Lm, K, da, db
+    Lmb, LmTa, K = _krylov_residues(lax.L, state.a, state.b, m)
+    da = LmTa - (K.T * lax.inv) @ state.a
+    db = -Lmb - (K * lax.inv) @ state.b
+    return K, da, db
 
 
 def vector_field_residue(state: PhaseState, m: int, eps_coll=EPS_COLL) -> Tangent:
@@ -183,16 +193,24 @@ def vector_field_residue(state: PhaseState, m: int, eps_coll=EPS_COLL) -> Tangen
     diagonal gauge rate per particle (only sufficient conditions fix the
     split); the rate is pinned to (res_inf z^m G)_ii = (L^m)_ii, the unique
     choice consistent with the t_2 equations of motion for the spin vectors.
-    dp is delegated to the gradient kernel on the same Lax assembly, the
-    only derivation of the momentum flow; keeping it there preserves the
-    cross-check value of the two routes.
+    It is taken as sum_k (L^ceil(m/2))_ik (L^floor(m/2))_ki: no n x n
+    product for m <= 2 and one for m = 3 or 4. dp is delegated to the
+    gradient kernel on the same Lax assembly, the only derivation of the
+    momentum flow; keeping it there preserves the cross-check value of the
+    two routes.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     lax = build_lax(state, eps_coll)
-    Lm, K, da_raw, db_raw = _residue_rates(state, lax, m)
+    K, da_raw, db_raw = _residue_rates(state, lax, m)
     xdot = -np.diag(K)
-    mu = np.diag(Lm)[:, None]  # free diagonal gauge rate of the split
+    # the free diagonal gauge rate of the split, (L^m)_ii
+    if m == 1:
+        mu = lax.L.diagonal()[:, None]
+    else:
+        lo = np.linalg.matrix_power(lax.L, m // 2)
+        hi = lo @ lax.L if m % 2 else lo
+        mu = (hi * lo.T).sum(axis=1)[:, None]
     adot = da_raw - mu * state.a
     bdot = db_raw + mu * state.b
     pdot = _vector_field(lax.inv, lax.L, lax.M, state.a, state.b, m)[1]
@@ -221,10 +239,16 @@ def _at_time(exc, t, m, row):
     return CollidingPoles(f"pole collision in the t_{m} flow: {exc}", time=t, row=row)
 
 
+def _format_time(t):
+    """Flow time t for a message: its real part alone when t is real."""
+    t = complex(t)
+    return repr(t.real) if t.imag == 0 else str(t)
+
+
 def _not_finite(t, m, row):
     """IntegrationFailed of stack row ``row``, whose t_m flow is no longer
     finite at flow time t."""
-    return IntegrationFailed(f"the t_{m} flow left the finite numbers at t = {t}",
+    return IntegrationFailed(f"the t_{m} flow left the finite numbers at t = {_format_time(t)}",
                              time=t, row=row)
 
 
@@ -445,13 +469,14 @@ def check_lax(trajectory: Trajectory, eps_coll=EPS_COLL) -> np.ndarray:
 
 def _gauge_invariant_observables(state: PhaseState, eps_coll=EPS_COLL):
     """Observables insensitive to the per-particle gauge: pole positions in
-    a canonical order, H_1..H_5 and the conjugation invariants tr R^k."""
+    a canonical order, H_1..H_5 and the conjugation invariants tr R^k for
+    k <= min(n, N). R = b a^T has rank <= N, so by Newton's identities its
+    higher traces follow from these."""
     order = np.lexsort((state.x.imag, state.x.real))
     xs = state.x[order]
     R = state.spin_pairings()
-    trR = np.array(
-        [np.trace(np.linalg.matrix_power(R, k)) for k in range(1, state.n_particles + 1)]
-    )
+    trR = np.array([np.trace(np.linalg.matrix_power(R, k))
+                    for k in range(1, min(state.n_particles, state.spin_dim) + 1)])
     return np.concatenate([xs, hamiltonians(state, eps_coll=eps_coll), trR])
 
 
@@ -467,16 +492,17 @@ def _commutativity_gap(first, m1, m2, s1, s2, eps_coll=EPS_COLL) -> float:
     a, b = (tr.state(-1) for tr in _trajectories(first))
     rows = [(a, _leg_spec(m2, s2)), (b, _leg_spec(m1, s1))]
     ab, ba = (tr.state(-1) for tr in _trajectories(integrate_stack(rows, eps_coll)))
-    return float(np.max(np.abs(_gauge_invariant_observables(ab, eps_coll)
-                               - _gauge_invariant_observables(ba, eps_coll))))
+    return _scaled_error(_gauge_invariant_observables(ab, eps_coll),
+                         _gauge_invariant_observables(ba, eps_coll))
 
 
 def commutativity_check(state, m1, m2, s1, s2, eps_coll=EPS_COLL) -> float:
-    """Max distance of gauge-invariant observables between flowing
-    (t_{m1} by s1, then t_{m2} by s2) and the reverse order. Each leg is a
-    DOP853 row that records only its endpoint (:func:`_leg_spec`). The
-    first legs run as one 2-row stack, and the second legs as another; a
-    leg that fails raises the first error of its stack."""
+    """Scaled distance (:func:`_scaled_error`) of gauge-invariant
+    observables between flowing (t_{m1} by s1, then t_{m2} by s2) and the
+    reverse order, which is the reference. Each leg is a DOP853 row that
+    records only its endpoint (:func:`_leg_spec`). The first legs run as
+    one 2-row stack, and the second legs as another; a leg that fails
+    raises the first error of its stack."""
     if m1 == m2:
         raise ValueError("m1 and m2 must differ")
     first = integrate_stack([(state, _leg_spec(m1, s1)), (state, _leg_spec(m2, s2))], eps_coll)

@@ -196,18 +196,21 @@ def _residue_identity_coefficients(state: PhaseState, m: int, eps_coll=EPS_COLL)
     LaxData they come from. They are built exactly from the
     resolvent calculus (res z^m c = -L^m b, res z^m c* = (L^m)^T a and the
     double-resolvent convolution K = res z^m (zI-L)^-1 R (zI-L)^-1 for the
-    gamma-contracted cross terms). In array form, with inv_ik = 1/(x_i - x_k)
-    and inv_ii = 0,
+    gamma-contracted cross terms), all three read from the thin Krylov
+    blocks L^j b and (L^T)^j a of ``lax._krylov_residues``, with no n x n
+    power of L. In array form, with inv_ik = 1/(x_i - x_k) and inv_ii = 0,
 
         u = (L^m)^T a - (K^T o inv) a,    v = -L^m b - (K o inv) b,
         first_i = u_i b_i^T + a_i v_i^T,  second_i = -K_ii a_i b_i^T,
 
     where o is the entrywise product and (u, v) are the raw spin rates that
     ``flows._residue_rates`` reads off the same residue equations; no loop
-    runs over the poles.
+    runs over the poles. Raises ValueError if m is below 1.
     """
+    if m < 1:
+        raise ValueError("m must be >= 1")
     lax = build_lax(state, eps_coll)
-    _, K, u, v = _residue_rates(state, lax, m)
+    K, u, v = _residue_rates(state, lax, m)
     a, b = state.a, state.b
     first = u[:, :, None] * b[:, None, :] + a[:, :, None] * v[:, None, :]
     second = -np.diag(K)[:, None, None] * (a[:, :, None] * b[:, None, :])

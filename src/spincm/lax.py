@@ -11,9 +11,14 @@ the powers up to L^max(3, ceil(kmax/2)), H_k for k >= 4 as the trace of a
 product of two of them. Their gradients come from one kernel, linear in
 Q = m L^{m-1}, which builds Q by Horner on per-point weights (m at index
 m - 1): a stack whose points mix m takes the same path as one m.
-Residues at infinity of the resolvent (zI - L)^-1 are evaluated exactly
-as matrix polynomials; a numeric contour integrator is kept alongside as
-an independent oracle.
+Residues at infinity of the resolvent (zI - L)^-1 are evaluated exactly.
+The residue route reads them from thin Krylov blocks L^j b and
+(L^T)^j a, j = 0..m, with no n x n power of L: res z^m c = -L^m b,
+res z^m c* = (L^m)^T a, and the double resolvent K_m, which is one
+(n, mN) by (mN, n) product since R = b a^T has rank <= N.
+:func:`resolvent_residue` gives L^m and K_m for any A as dense matrix
+polynomials, and a numeric contour integrator is kept alongside as an
+independent oracle for both.
 """
 
 from __future__ import annotations
@@ -214,6 +219,24 @@ def poisson_bracket(state: PhaseState, f_grad: Gradient, g_grad: Gradient) -> co
     return one_sided(f_grad, g_grad) - one_sided(g_grad, f_grad)
 
 
+def _krylov_residues(L, a, b, m):
+    """(L^m b, (L^m)^T a, K_m) of a phase point's Lax matrix L (n, n) and
+    spins a, b (n, N), m >= 1, from the thin Krylov blocks U_j = L^j b and
+    V_j = (L^T)^j a, j = 0..m: 2m products of L with an (n, N) block.
+
+    With R = b a^T, the double resolvent
+    K_m = res_inf z^m (zI - L)^-1 R (zI - L)^-1 = sum_j L^j R L^{m-1-j}
+    is sum_j U_j V_{m-1-j}^T, one (n, mN) by (mN, n) product
+    [U_0 .. U_{m-1}] [V_{m-1} .. V_0]^T. This is exact for any a and b: it
+    does not use b_i^T a_i = 1."""
+    U, V = [b], [a]
+    for _ in range(m):
+        U.append(L @ U[-1])
+        V.append(L.T @ V[-1])
+    K = np.concatenate(U[:m], axis=1) @ np.concatenate(V[-2::-1], axis=1).T
+    return U[m], V[m], K
+
+
 def resolvent_residue(L, m: int, A=None):
     """Residues at z = infinity of the resolvent, evaluated exactly.
 
@@ -222,7 +245,8 @@ def resolvent_residue(L, m: int, A=None):
                  = K_m = sum_{j=0}^{m-1} L^j A L^{m-1-j}   (K_0 = 0),
 
     built by the recurrence K_m = L K_{m-1} + A L^{m-1}: two products per
-    step, 2(m - 1) in all.
+    step, 2(m - 1) in all. The residue route does not call it: it takes
+    L^m b, (L^m)^T a and K_m for A = R from :func:`_krylov_residues`.
     """
     L = np.asarray(L, dtype=complex)
     if m < 0:

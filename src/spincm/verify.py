@@ -10,7 +10,7 @@ their sampling grid.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .flows import (
     _first_error,
     _leg_spec,
     _pack,
+    _scaled_error,
     _trajectories,
     _unpack,
     check_lax,
@@ -41,7 +42,7 @@ from .lax import (
 )
 from .phase import EPS_COLL, PhaseState, random_state, write_json
 
-SUITE_VERSION = "4"
+SUITE_VERSION = "5"
 #: the stepper of every suite flow
 SUITE_METHOD = "DOP853"
 
@@ -143,14 +144,6 @@ def finite_difference_gradient(state: PhaseState, m: int, h: float = 1e-5, axis=
     except CollidingPoles as exc:
         raise CollidingPoles(str(exc)) from None
     return Gradient(*_unpack((H[0::2] - H[1::2]) / (2 * step), n, N))
-
-
-def _scaled_error(u, ref) -> float:
-    """max |u - ref| / (1 + |ref|) over every entry of two arrays (or
-    scalars), or over every field of two Gradients or Tangents."""
-    if is_dataclass(ref):
-        return max(_scaled_error(getattr(u, f.name), getattr(ref, f.name)) for f in fields(ref))
-    return float(np.max(np.abs(u - ref) / (1.0 + np.abs(ref)), initial=0.0))
 
 
 def scalar_cm_poles(x0, v0, t):

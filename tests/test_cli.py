@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import re
 import warnings
 
 import numpy as np
@@ -139,6 +140,8 @@ def test_evolve_collision_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert "error" in err
+    # the flow time is real, so it prints without an imaginary part
+    assert re.search(r"\(t = 0\.\d+\)$", err.strip()), err
 
 
 def test_verify_exit_zero_and_report(tmp_path, capsys):

@@ -21,6 +21,7 @@ from spincm import (
     residue_identity_residual,
     solve_c,
     tau,
+    vector_field_residue,
     w1,
 )
 from spincm.kp import _psi_matrices
@@ -224,6 +225,24 @@ def test_first_order_pole_cancellation(m):
     for seed in range(3):
         s = random_state(3, 2, seed=seed)
         assert first_order_pole_cancellation(s, m) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_residue_route_rejects_m_below_one(m):
+    # colliding poles: a call that built the Lax matrix first would raise
+    # CollidingPoles, so the ValueError shows the check comes before any work
+    from spincm.kp import _residue_identity_coefficients
+
+    s = PhaseState(np.zeros(2, complex), np.zeros(2, complex), np.ones((2, 1)), np.ones((2, 1)))
+    calls = (
+        lambda: vector_field_residue(s, m),
+        lambda: _residue_identity_coefficients(s, m),
+        lambda: residue_identity_residual(s, m, np.array([1.0 + 1.0j])),
+        lambda: first_order_pole_cancellation(s, m),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            call()
 
 
 @pytest.mark.parametrize("N", [1, 3])

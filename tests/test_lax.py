@@ -18,7 +18,7 @@ from spincm import (
     random_state,
     resolvent_residue,
 )
-from spincm.lax import hamiltonian_h2_direct
+from spincm.lax import _krylov_residues, hamiltonian_h2_direct
 from spincm.verify import _scaled_error, finite_difference_gradient
 
 
@@ -266,3 +266,34 @@ def test_resolvent_vs_contour_oracle(m):
             exact = resolvent_residue(L, m, withA)
             numeric = contour_residue(L, m, withA, nodes=256)
             assert np.max(np.abs(exact - numeric)) <= 1e-10
+
+
+def _off_constraint(n, N, seed):
+    """A phase point with random spins, b_i^T a_i != 1, built without
+    new_state: the residue kernel must not use the constraint."""
+    s = random_state(n, N, seed=seed)
+    rng = np.random.default_rng(seed)
+    a, b = (rng.normal(size=(n, N)) + 1j * rng.normal(size=(n, N)) for _ in range(2))
+    off = PhaseState(s.x, s.p, a, b)
+    assert np.min(np.abs(off.constraint_values() - 1.0)) > 1e-3
+    return off
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 30, 100])
+@pytest.mark.parametrize("on_constraint", [True, False])
+def test_krylov_residues_match_matrix_power_and_contour(n, on_constraint):
+    s = random_state(n, 3, seed=n) if on_constraint else _off_constraint(n, 3, n)
+    lax = build_lax(s)
+    L, R, a, b = lax.L, lax.R, s.a, s.b
+    # the contour's own rounding grows like its radius r to the m
+    r = 2.0 * (np.linalg.norm(L, np.inf) + 1.0)
+    size = (1.0 + np.max(np.abs(R))) * (1.0 + max(np.max(np.abs(a)), np.max(np.abs(b))))
+    P = lambda k: np.linalg.matrix_power(L, k)
+    for m in range(1, 6):
+        Lmb, LmTa, K = _krylov_residues(L, a, b, m)
+        dense = sum((P(j) @ R @ P(m - 1 - j) for j in range(m)), np.zeros_like(L))
+        for got, ref in ((Lmb, P(m) @ b), (LmTa, P(m).T @ a), (K, dense)):
+            assert np.max(np.abs(got - ref)) <= 1e-14 * (1.0 + np.max(np.abs(ref))), m
+        Lc, Kc = contour_residue(L, m, nodes=64), contour_residue(L, m, R, nodes=64)
+        for got, ref in ((Lmb, Lc @ b), (LmTa, Lc.T @ a), (K, Kc)):
+            assert np.max(np.abs(got - ref)) <= 1e-14 * r**m * size, m

@@ -91,6 +91,15 @@ def test_suite_conserves_near_complex_collision_times(n, N, seed):
         assert results[name].threshold == verify.DEFAULT_THRESHOLDS[name]
 
 
+def test_suite_passes_at_thirty_particles():
+    # n > N: |tr R^30| is about 4e33 here, so comparing every tr R^k,
+    # k <= n, without scaling would read rounding as a gap of order 1e20.
+    # R has rank <= N, and tr R^k for k <= min(n, N) determine the rest
+    report = run_suite(seed=7, n_particles=30, spin_dim=4)
+    assert report.all_passed(), report.summary()
+    assert all(r.threshold == verify.DEFAULT_THRESHOLDS[r.name] for r in report.results)
+
+
 def test_suite_family_sweep_keeps_its_known_failures():
     # the default suite over n in {1,2,3,5,8}, N in {1,2,4} and seeds 0-5;
     # the one instance that fails is a finite-difference stencil, not step
