@@ -15,7 +15,7 @@ from .errors import (
     StepLimitExceeded,
     ZeroScale,
 )
-from .flows import FlowSpec, Tangent, Trajectory, commutativity_check, check_lax, integrate, integrate_stack, vector_field_gradient, vector_field_residue
+from .flows import FlowSpec, Trajectory, commutativity_check, check_lax, integrate, integrate_stack, vector_field_gradient, vector_field_residue
 from .kp import (
     BASample,
     TauParams,
@@ -30,7 +30,7 @@ from .kp import (
     tau,
     w1,
 )
-from .lax import Gradient, LaxData, build_lax, contour_residue, grad_hamiltonian, hamiltonian, hamiltonians, poisson_bracket, resolvent_residue
+from .lax import LaxData, Tangent, build_lax, contour_residue, grad_hamiltonian, hamiltonian, hamiltonians, poisson_bracket, resolvent_residue
 from .phase import PhaseState, TimeVector, gauge_rescale, load_state, new_state, random_state
 from .verify import CheckResult, VerificationReport, run_suite
 

@@ -18,7 +18,7 @@ from .errors import CollidingPoles, SpinCMError
 from .flows import METHODS, FlowSpec, _format_time, _scaled_error, integrate
 from .lax import hamiltonians
 from .phase import load_state, random_state, write_json
-from .verify import SUITE_METHOD, run_suite
+from .verify import run_suite
 
 
 def parse_complex(text: str) -> complex:
@@ -63,7 +63,7 @@ def cmd_evolve(args, config):
             m=args.m,
             t_final=args.T,
             dt=args.dt if args.dt is not None else config.dt,
-            method=args.method if args.method is not None else config.method,
+            method=args.method,
             record_every=args.record_every,
         )
     except ValueError as exc:
@@ -86,10 +86,6 @@ def cmd_evolve(args, config):
 
 
 def cmd_verify(args, config):
-    if config.method != Config.method:
-        print(f"note: verify integrates every suite flow with {SUITE_METHOD} at its pinned "
-              f"tolerances; the configured method ({config.method}) applies to evolve only",
-              file=sys.stderr)
     state = None
     if args.state is not None:
         state, _ = load_state(args.state, eps_coll=config.eps_coll, eps_constr=config.eps_constr)
@@ -148,7 +144,7 @@ def build_parser():
     e.add_argument("--m", type=_positive_int, required=True, help="hierarchy time index")
     e.add_argument("--T", type=parse_complex, required=True, help="flow endpoint")
     e.add_argument("--dt", type=float, default=None)
-    e.add_argument("--method", choices=METHODS, default=None)
+    e.add_argument("--method", choices=METHODS, default="RK4")
     e.add_argument("--record-every", type=_positive_int, default=1)
     e.set_defaults(fn=cmd_evolve, default_out="trajectory")
 

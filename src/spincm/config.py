@@ -7,7 +7,6 @@ import math
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
-from .flows import METHODS
 from .phase import EPS_COLL, EPS_CONSTR
 
 #: residual threshold of every verification-suite check, by check name
@@ -46,16 +45,12 @@ class Config:
     eps_constr: float = EPS_CONSTR
     #: evolve's grid step (RK4 takes it); the verify suite's sampling grid
     dt: float = 1e-3
-    #: evolve's stepper; the suite always runs DOP853
-    method: str = "RK4"
     thresholds: dict = field(default_factory=lambda: dict(DEFAULT_THRESHOLDS))
 
     def __post_init__(self):
         for name in ("eps_coll", "eps_constr", "dt"):
             if not _positive_finite(getattr(self, name)):
                 raise ValueError(f"{name} must be positive and finite")
-        if self.method not in METHODS:
-            raise ValueError(f"method must be {' or '.join(METHODS)}")
         for key, val in self.thresholds.items():
             if not _positive_finite(val):
                 raise ValueError(f"threshold {key} must be positive and finite")

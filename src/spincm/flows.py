@@ -1,8 +1,10 @@
 """Hierarchy flows t_m as ODEs on phase points.
 
-Each flow is realized by two independently derived vector fields: the
-Hamiltonian (gradient) route through the H_m gradient kernel, and the residue
-route through the resolvent calculus. Integration runs along the straight
+Each flow is realized by two independently derived vector fields, each a
+:class:`spincm.lax.Tangent`: the Hamiltonian (gradient) route through the
+H_m gradient kernel, and the residue route through the residue data of
+:func:`spincm.lax._residue_rates`, the kernel that the residue identities
+of :mod:`spincm.kp` read too. Integration runs along the straight
 segment from 0 to a complex t_final, with constraint drift and H_1..H_5
 recorded at every sample, by one of two steppers: fixed-step RK4 (the
 default), or DOP853, the embedded 8(5,3) Runge-Kutta pair of Dormand and
@@ -35,23 +37,13 @@ from .errors import (
     SpinCMError,
     StepLimitExceeded,
 )
-from .lax import LaxData, _diagonal, _krylov_residues, _vector_field, build_lax, hamiltonians
+from .lax import Tangent, _diagonal, _residue_rates, _vector_field, build_lax, hamiltonians
 from .phase import EPS_COLL, PhaseState, complex_to_pairs, write_json
 
 #: the steppers of integrate_stack
 METHODS = ("RK4", "DOP853")
 #: a record_every past any step count: the row records only its endpoint
 ENDPOINT_ONLY = sys.maxsize
-
-
-@dataclass(frozen=True)
-class Tangent:
-    """Velocity of a phase point: (dx/dt, dp/dt, da/dt, db/dt)."""
-
-    dx: np.ndarray
-    dp: np.ndarray
-    da: np.ndarray
-    db: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -148,14 +140,14 @@ def _re_im(z):
 def _scaled_error(u, ref) -> float:
     """The one comparison rule of the checks: max |u - ref| / (1 + |ref|)
     over every entry of two arrays (or scalars), or over every field of
-    two Gradients or Tangents."""
+    two dataclasses of arrays, such as Tangents."""
     if is_dataclass(ref):
         return max(_scaled_error(getattr(u, f.name), getattr(ref, f.name)) for f in fields(ref))
     return float(np.max(np.abs(u - ref) / (1.0 + np.abs(ref)), initial=0.0))
 
 
 def vector_field_gradient(state: PhaseState, m: int, eps_coll=EPS_COLL) -> Tangent:
-    """Hamiltonian vector field of H_m:
+    """The Hamiltonian vector field of H_m, a Tangent of velocities:
     dx = dH/dp, dp = -dH/dx, da = dH/db, db = -dH/da.
 
     ``state`` may stack B phase points along a leading axis, with m an int
@@ -166,30 +158,13 @@ def vector_field_gradient(state: PhaseState, m: int, eps_coll=EPS_COLL) -> Tange
     return Tangent(*_vector_field(lax.inv, lax.L, lax.M, state.a, state.b, m))
 
 
-def _residue_rates(state: PhaseState, lax: LaxData, m):
-    """(K, da, db) of the residue route from the Lax assembly ``lax``.
-
-    With G = (zI-L)^-1, the residues res_inf z^m G b = L^m b and
-    res_inf z^m G^T a = (L^m)^T a and the double-resolvent convolution
-    K = res_inf z^m GRG all come from the thin Krylov blocks of
-    :func:`spincm.lax._krylov_residues`, with no n x n power of L.
-    (da, db) are the spin-vector rates read off literally from the
-    first-order-pole residue equations, before any gauge choice:
-
-      da_i = res_inf z^m (G^T a)_i - sum_{k != i} a_k (GRG)_ki / (x_i - x_k),
-      db_i = -res_inf z^m (G b)_i - sum_{k != i} b_k (GRG)_ik / (x_i - x_k).
-    """
-    Lmb, LmTa, K = _krylov_residues(lax.L, state.a, state.b, m)
-    da = LmTa - (K.T * lax.inv) @ state.a
-    db = -Lmb - (K * lax.inv) @ state.b
-    return K, da, db
-
-
 def vector_field_residue(state: PhaseState, m: int, eps_coll=EPS_COLL) -> Tangent:
-    """Flow tangent derived through the resolvent-residue calculus.
+    """The H_m vector field, a Tangent of velocities, derived through the
+    resolvent-residue calculus from the residue data (K, u, v) of
+    :func:`spincm.lax._residue_rates`.
 
-    dx_i is the exact residue res_inf z^m (c_i . c*_i) = -(res_inf z^m GRG)_ii.
-    The raw residue split of d(a_i b_i^T) into (da_i, db_i) leaves a free
+    dx_i is the exact residue res_inf z^m (c_i . c*_i) = -K_ii.
+    The raw residue split (u_i, v_i) of d(a_i b_i^T) leaves a free
     diagonal gauge rate per particle (only sufficient conditions fix the
     split); the rate is pinned to (res_inf z^m G)_ii = (L^m)_ii, the unique
     choice consistent with the t_2 equations of motion for the spin vectors.
@@ -202,8 +177,7 @@ def vector_field_residue(state: PhaseState, m: int, eps_coll=EPS_COLL) -> Tangen
     if m < 1:
         raise ValueError("m must be >= 1")
     lax = build_lax(state, eps_coll)
-    K, da_raw, db_raw = _residue_rates(state, lax, m)
-    xdot = -np.diag(K)
+    K, u, v = _residue_rates(lax, state.a, state.b, m)
     # the free diagonal gauge rate of the split, (L^m)_ii
     if m == 1:
         mu = lax.L.diagonal()[:, None]
@@ -211,10 +185,8 @@ def vector_field_residue(state: PhaseState, m: int, eps_coll=EPS_COLL) -> Tangen
         lo = np.linalg.matrix_power(lax.L, m // 2)
         hi = lo @ lax.L if m % 2 else lo
         mu = (hi * lo.T).sum(axis=1)[:, None]
-    adot = da_raw - mu * state.a
-    bdot = db_raw + mu * state.b
     pdot = _vector_field(lax.inv, lax.L, lax.M, state.a, state.b, m)[1]
-    return Tangent(dx=xdot, dp=pdot, da=adot, db=bdot)
+    return Tangent(dx=-np.diag(K), dp=pdot, da=u - mu * state.a, db=v + mu * state.b)
 
 
 def _unpack(y, n, N):
@@ -471,11 +443,12 @@ def _gauge_invariant_observables(state: PhaseState, eps_coll=EPS_COLL):
     """Observables insensitive to the per-particle gauge: pole positions in
     a canonical order, H_1..H_5 and the conjugation invariants tr R^k for
     k <= min(n, N). R = b a^T has rank <= N, so by Newton's identities its
-    higher traces follow from these."""
+    higher traces follow from these. Each is the trace of an N x N power,
+    tr R^k = tr (a^T b)^k."""
     order = np.lexsort((state.x.imag, state.x.real))
     xs = state.x[order]
-    R = state.spin_pairings()
-    trR = np.array([np.trace(np.linalg.matrix_power(R, k))
+    S = state.a.T @ state.b
+    trR = np.array([np.trace(np.linalg.matrix_power(S, k))
                     for k in range(1, min(state.n_particles, state.spin_dim) + 1)])
     return np.concatenate([xs, hamiltonians(state, eps_coll=eps_coll), trR])
 

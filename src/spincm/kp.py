@@ -3,8 +3,9 @@
 All wave functions are handled in the stripped gauge (the scalar factor
 e^{xz + xi(t,z)} removed), leaving rational N x N matrices with simple poles
 at the particle positions and rank-1 residues. Residues at z = infinity are
-evaluated exactly through the resolvent calculus of :mod:`spincm.lax`; no
-contour appears in production paths.
+evaluated exactly: the residue identities read the residue data (K, u, v)
+of :func:`spincm.lax._residue_rates`, the kernel of the residue-route
+vector field too; no contour appears in production paths.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PoleHit, SpectralCollision
-from .flows import FlowSpec, _residue_rates, _trajectories, integrate_stack
-from .lax import _vector_field, build_lax
+from .flows import FlowSpec, _trajectories, integrate_stack
+from .lax import _residue_rates, _vector_field, build_lax
 from .phase import EPS_COLL, PhaseState, TimeVector, complex_to_pairs
 
 #: condition-number ceiling for (zI - L) solves
@@ -188,69 +189,55 @@ def linear_problem_residual(state: PhaseState, z: complex, x_grid, dt2: float,
     )
 
 
-def _residue_identity_coefficients(state: PhaseState, m: int, eps_coll=EPS_COLL):
-    """Per-pole Laurent coefficients of res_inf(z^m psi psi+) in x.
-
-    Returns (first_order, second_order, lax): arrays of shape (n, N, N)
-    with the coefficients of 1/(x - x_i) and 1/(x - x_i)^2, and the
-    LaxData they come from. They are built exactly from the
-    resolvent calculus (res z^m c = -L^m b, res z^m c* = (L^m)^T a and the
-    double-resolvent convolution K = res z^m (zI-L)^-1 R (zI-L)^-1 for the
-    gamma-contracted cross terms), all three read from the thin Krylov
-    blocks L^j b and (L^T)^j a of ``lax._krylov_residues``, with no n x n
-    power of L. In array form, with inv_ik = 1/(x_i - x_k) and inv_ii = 0,
-
-        u = (L^m)^T a - (K^T o inv) a,    v = -L^m b - (K o inv) b,
-        first_i = u_i b_i^T + a_i v_i^T,  second_i = -K_ii a_i b_i^T,
-
-    where o is the entrywise product and (u, v) are the raw spin rates that
-    ``flows._residue_rates`` reads off the same residue equations; no loop
-    runs over the poles. Raises ValueError if m is below 1.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    lax = build_lax(state, eps_coll)
-    K, u, v = _residue_rates(state, lax, m)
-    a, b = state.a, state.b
-    first = u[:, :, None] * b[:, None, :] + a[:, :, None] * v[:, None, :]
-    second = -np.diag(K)[:, None, None] * (a[:, :, None] * b[:, None, :])
-    return first, second, lax
-
-
 def residue_identity_residual(state: PhaseState, m: int, x_samples, eps_coll=EPS_COLL) -> float:
     """Entrywise residual of res_inf(z^m psi psi+) = -d_{t_m} w^(1).
 
-    The left side comes from the resolvent calculus; the right side is
-    assembled from the Hamiltonian-route tangent, taken from the same Lax
-    assembly as the coefficients, as
-    sum_i [d(a_i b_i^T)/(x - x_i) + a_i b_i^T dx_i/(x - x_i)^2]. The trace
-    version against d_{t_m} d_x log tau = sum_i dx_i/(x - x_i)^2 is checked
-    alongside. Returns the max residual over the sample points.
+    Both sides are rational in x with poles at the x_i. The left side
+    comes from the residue data (K, u, v) of :func:`spincm.lax._residue_rates`,
+    read from the thin Krylov blocks L^j b and (L^T)^j a with no n x n
+    power of L. In array form, with inv_ik = 1/(x_i - x_k), inv_ii = 0
+    and o the entrywise product,
+
+        u = (L^m)^T a - (K^T o inv) a,    v = -L^m b - (K o inv) b,
+        res_inf(z^m psi psi+) = sum_i [(u_i b_i^T + a_i v_i^T)/(x - x_i)
+                                       - K_ii a_i b_i^T/(x - x_i)^2].
+
+    The right side is sum_i [d(a_i b_i^T)/(x - x_i) + a_i b_i^T dx_i/(x - x_i)^2],
+    from the Hamiltonian-route tangent (dx, da, db) on the same Lax
+    assembly. Their difference is expanded from the rate differences
+    u - da, v - db and -K_ii - dx at the sample points, with no loop over
+    the poles. The trace version against d_{t_m} d_x log tau =
+    sum_i dx_i/(x - x_i)^2 is checked alongside. Returns the max residual
+    over the sample points. Raises ValueError if m is below 1.
     """
-    first, second, lax = _residue_identity_coefficients(state, m, eps_coll)
+    if m < 1:
+        raise ValueError("m must be >= 1")
     a, b = state.a, state.b
+    lax = build_lax(state, eps_coll)
+    K, u, v = _residue_rates(lax, a, b, m)
     dx, _, da, db = _vector_field(lax.inv, lax.L, lax.M, a, b, m)
-    n = state.n_particles
     inv1 = _inverse_differences(state, np.atleast_1d(x_samples), eps_coll)  # (points, n)
     inv2 = inv1**2
-    first_rhs = da[:, :, None] * b[:, None, :] + a[:, :, None] * db[:, None, :]
-    second_rhs = dx[:, None, None] * (a[:, :, None] * b[:, None, :])
-    entry = inv1 @ (first - first_rhs).reshape(n, -1)
-    entry += inv2 @ (second - second_rhs).reshape(n, -1)
-    lhs_tr = inv1 @ np.einsum("igg->i", first) + inv2 @ np.einsum("igg->i", second)
-    rhs_tr = inv2 @ dx
+    Kd = K.diagonal()
+    entry = (_pole_sum(inv1, u - da, b) + _pole_sum(inv1, a, v - db)
+             + _pole_sum(inv2 * (-Kd - dx), a, b))
+    trace = inv1 @ np.sum(u * b + a * v, axis=1) - inv2 @ (Kd * np.sum(a * b, axis=1) + dx)
     return max(
         float(np.max(np.abs(entry), initial=0.0)),
-        float(np.max(np.abs(lhs_tr - rhs_tr), initial=0.0)),
+        float(np.max(np.abs(trace), initial=0.0)),
     )
 
 
 def first_order_pole_cancellation(state: PhaseState, m: int, eps_coll=EPS_COLL) -> float:
-    """max_i |trace of the first-order-pole coefficient|, which equals
-    d_{t_m}(b_i^T a_i) and must vanish since the flows preserve the
-    normalization."""
-    first = _residue_identity_coefficients(state, m, eps_coll)[0]
-    return float(np.max(np.abs(np.trace(first, axis1=1, axis2=2))))
+    """max_i |u_i . b_i + a_i . v_i|, from the spin rates (u, v) of
+    :func:`spincm.lax._residue_rates`: the trace of the first-order-pole
+    coefficient u_i b_i^T + a_i v_i^T of res_inf(z^m psi psi+), which
+    equals d_{t_m}(b_i^T a_i) and must vanish since the flows preserve the
+    normalization. Raises ValueError if m is below 1."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    _, u, v = _residue_rates(build_lax(state, eps_coll), state.a, state.b, m)
+    return float(np.max(np.abs(np.sum(u * state.b + state.a * v, axis=1))))
 
 
 def ba_eval(state: PhaseState, z: complex, grid, eps_coll=EPS_COLL):

@@ -11,11 +11,14 @@ the powers up to L^max(3, ceil(kmax/2)), H_k for k >= 4 as the trace of a
 product of two of them. Their gradients come from one kernel, linear in
 Q = m L^{m-1}, which builds Q by Horner on per-point weights (m at index
 m - 1): a stack whose points mix m takes the same path as one m.
+A gradient and a vector field are each a :class:`Tangent`, the one
+phase-vector type.
 Residues at infinity of the resolvent (zI - L)^-1 are evaluated exactly.
-The residue route reads them from thin Krylov blocks L^j b and
-(L^T)^j a, j = 0..m, with no n x n power of L: res z^m c = -L^m b,
-res z^m c* = (L^m)^T a, and the double resolvent K_m, which is one
-(n, mN) by (mN, n) product since R = b a^T has rank <= N.
+One kernel, :func:`_residue_rates`, gives every residue consumer its data
+(K_m, u, v) from thin Krylov blocks L^j b and (L^T)^j a, j = 0..m, with no
+n x n power of L: res z^m c = -L^m b, res z^m c* = (L^m)^T a, the double
+resolvent K_m, one (n, mN) by (mN, n) product since R = b a^T has rank
+<= N, and the gauge-free spin rates (u, v) of the residue equations.
 :func:`resolvent_residue` gives L^m and K_m for any A as dense matrix
 polynomials, and a numeric contour integrator is kept alongside as an
 independent oracle for both.
@@ -46,19 +49,16 @@ class LaxData:
 
 
 @dataclass(frozen=True)
-class Gradient:
-    """Holomorphic partial derivatives of a scalar with respect to every
-    phase variable; shapes match the generating PhaseState."""
+class Tangent:
+    """A vector at a phase point, one array per phase variable, shaped as
+    the point's: the velocity (dx/dt, dp/dt, da/dt, db/dt) of a vector
+    field, or the gradient (dF/dx, dF/dp, dF/da, dF/db) of a scalar F.
+    Each function that returns one says which."""
 
     dx: np.ndarray
     dp: np.ndarray
     da: np.ndarray
     db: np.ndarray
-
-    def max_abs(self):
-        return max(
-            float(np.max(np.abs(f))) for f in (self.dx, self.dp, self.da, self.db)
-        )
 
 
 def _diagonal(A):
@@ -198,20 +198,22 @@ def _vector_field(inv, L, M, a, b, m):
     return dx, dp, da, db
 
 
-def grad_hamiltonian(state: PhaseState, m: int, eps_coll=EPS_COLL) -> Gradient:
-    """Analytic gradient of H_m = tr L^m, from :func:`_vector_field`."""
+def grad_hamiltonian(state: PhaseState, m: int, eps_coll=EPS_COLL) -> Tangent:
+    """The gradient (dH/dx, dH/dp, dH/da, dH/db) of H_m = tr L^m, from
+    :func:`_vector_field`."""
     lax = build_lax(state, eps_coll)
     dx, dp, da, db = _vector_field(lax.inv, lax.L, lax.M, state.a, state.b, m)
-    return Gradient(dx=-dp, dp=dx, da=-db, db=da)
+    return Tangent(dx=-dp, dp=dx, da=-db, db=da)
 
 
-def poisson_bracket(state: PhaseState, f_grad: Gradient, g_grad: Gradient) -> complex:
+def poisson_bracket(state: PhaseState, f_grad: Tangent, g_grad: Tangent) -> complex:
     """Canonical bracket {f, g} = sum_i (f_x g_p - f_p g_x)
-    + sum_{i,alpha} (f_a g_b - f_b g_a), complex-bilinear."""
+    + sum_{i,alpha} (f_a g_b - f_b g_a), complex-bilinear, of the
+    gradients of f and g."""
     for g in (f_grad, g_grad):
         if g.dx.shape != state.x.shape or g.da.shape != state.a.shape:
             raise DimensionMismatch("gradient shapes do not match the state")
-    def one_sided(f: Gradient, g: Gradient) -> complex:
+    def one_sided(f: Tangent, g: Tangent) -> complex:
         return complex(np.sum(f.dx * g.dp) + np.sum(f.da * g.db))
 
     # antisymmetrized evaluation: {f, f} vanishes identically instead of
@@ -219,22 +221,29 @@ def poisson_bracket(state: PhaseState, f_grad: Gradient, g_grad: Gradient) -> co
     return one_sided(f_grad, g_grad) - one_sided(g_grad, f_grad)
 
 
-def _krylov_residues(L, a, b, m):
-    """(L^m b, (L^m)^T a, K_m) of a phase point's Lax matrix L (n, n) and
-    spins a, b (n, N), m >= 1, from the thin Krylov blocks U_j = L^j b and
-    V_j = (L^T)^j a, j = 0..m: 2m products of L with an (n, N) block.
+def _residue_rates(lax: LaxData, a, b, m):
+    """(K, u, v), the residue data of the t_m flow of a phase point with
+    Lax assembly ``lax`` and spins a, b (n, N), m >= 1.
 
-    With R = b a^T, the double resolvent
-    K_m = res_inf z^m (zI - L)^-1 R (zI - L)^-1 = sum_j L^j R L^{m-1-j}
-    is sum_j U_j V_{m-1-j}^T, one (n, mN) by (mN, n) product
-    [U_0 .. U_{m-1}] [V_{m-1} .. V_0]^T. This is exact for any a and b: it
-    does not use b_i^T a_i = 1."""
+    With G = (zI - L)^-1 and R = b a^T, the residues res_inf z^m G b =
+    L^m b and res_inf z^m G^T a = (L^m)^T a, and the double resolvent
+    K = res_inf z^m G R G = sum_j L^j R L^{m-1-j}, come from the thin
+    Krylov blocks U_j = L^j b and V_j = (L^T)^j a, j = 0..m: 2m products
+    of L with an (n, N) block, and K = [U_0 .. U_{m-1}] [V_{m-1} .. V_0]^T,
+    one (n, mN) by (mN, n) product. (u, v) are the spin rates read off
+    the first-order-pole residue equations, before any gauge choice:
+
+      u_i = ((L^m)^T a)_i - sum_{k != i} a_k K_ki / (x_i - x_k),
+      v_i = -(L^m b)_i - sum_{k != i} b_k K_ik / (x_i - x_k).
+
+    This is exact for any a and b: it does not use b_i^T a_i = 1."""
+    L = lax.L
     U, V = [b], [a]
     for _ in range(m):
         U.append(L @ U[-1])
         V.append(L.T @ V[-1])
     K = np.concatenate(U[:m], axis=1) @ np.concatenate(V[-2::-1], axis=1).T
-    return U[m], V[m], K
+    return K, V[m] - (K.T * lax.inv) @ a, -U[m] - (K * lax.inv) @ b
 
 
 def resolvent_residue(L, m: int, A=None):
@@ -246,7 +255,7 @@ def resolvent_residue(L, m: int, A=None):
 
     built by the recurrence K_m = L K_{m-1} + A L^{m-1}: two products per
     step, 2(m - 1) in all. The residue route does not call it: it takes
-    L^m b, (L^m)^T a and K_m for A = R from :func:`_krylov_residues`.
+    L^m b, (L^m)^T a and K_m for A = R from :func:`_residue_rates`.
     """
     L = np.asarray(L, dtype=complex)
     if m < 0:

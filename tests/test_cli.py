@@ -357,7 +357,7 @@ def test_verify_and_ba_eval_honour_config_floor(tmp_path, capsys):
         ('{"eps_coll": -1}', "eps_coll must be positive"),
         ('{"contour_nodes": 256}', "unknown key(s): contour_nodes"),  # removed setting
         ('{"thresholds": {"residue_idenity": 1e-9}}', "unknown key(s): thresholds.residue_idenity"),
-        ('{"method": "RK45"}', "method must be RK4 or DOP853"),  # removed method
+        ('{"method": "RK45"}', "unknown key(s): method"),  # removed setting: evolve --method
         ('{"dt": NaN}', "dt must be positive and finite"),
         ('{"eps_coll": Infinity}', "eps_coll must be positive and finite"),
         ('{"thresholds": {"conservation": NaN}}', "threshold conservation must be positive and finite"),
@@ -499,33 +499,20 @@ def test_verify_config_dt_and_threshold_reach_the_report(tmp_path, capsys):
     assert "dt" not in results["commutativity"]["details"]  # its legs are one-step grids
 
 
-def test_verify_notes_that_it_ignores_method(tmp_path, capsys):
-    # every suite flow is DOP853 at the pinned tolerances; a configured
-    # method other than the default is named on stderr and changes neither
-    # the exit code nor the report
-    reports = {}
+def test_config_method_is_an_unknown_key(tmp_path, capsys):
+    # evolve --method is the one way to choose the stepper, and every suite
+    # flow is DOP853: a config file that names a method is refused by each
+    # command, with one line
+    state_path = _gen(tmp_path, capsys, seed=11)
     for method in ("RK4", "DOP853"):
         config_path = tmp_path / f"{method}.json"
         config_path.write_text(json.dumps({"method": method, "dt": 4e-3}))
-        reports[method] = tmp_path / f"report_{method}.json"
-        rc = main(["verify", "--particles", "2", "--spin", "1", "--config", str(config_path),
-                   "--out", str(reports[method])])
-        out, err = capsys.readouterr()
-        assert rc == (0 if "overall: pass" in out else 1)
-        if method == "RK4":
-            assert err == ""
-            rc_rk4 = rc
-        else:
-            assert rc == rc_rk4
-            assert err.splitlines() == [
-                "note: verify integrates every suite flow with DOP853 at its pinned tolerances; "
-                "the configured method (DOP853) applies to evolve only"]
-
-    def results(path):
-        data = json.loads(path.read_text())
-        data.pop("integration_seconds")
-        for r in data["results"]:
-            r["details"].pop("seconds", None)
-        return data
-
-    assert results(reports["DOP853"]) == results(reports["RK4"])
+        for argv in (["verify", "--particles", "2", "--spin", "1"],
+                     ["evolve", str(state_path), "--m", "2", "--T", "0.1"]):
+            out_path = tmp_path / "out"
+            rc = main(argv + ["--config", str(config_path), "--out", str(out_path)])
+            captured = capsys.readouterr()
+            assert rc == 2 and captured.out == ""
+            assert captured.err.splitlines() == [
+                f"error: ConfigError: {config_path}: unknown key(s): method"]
+            assert not any(tmp_path.glob("out*"))

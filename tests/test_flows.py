@@ -31,10 +31,10 @@ from spincm.flows import (
     _gauge_invariant_observables,
     _pack,
     _record,
-    _residue_rates,
     _trajectories,
 )
 from spincm import Config, dop853, flows
+from spincm.lax import _residue_rates
 from spincm.phase import EPS_COLL, PhaseState, pairs_to_complex
 from spincm.verify import _scaled_error, _suite_flows, matched_pole_error
 
@@ -122,7 +122,7 @@ def test_raw_residue_split_product_is_gauge_invariant(state32, m):
     # but the product rate d(a_i b_i^T) it implies is gauge-free and must
     # match the Hamiltonian route exactly
     s = state32
-    _, da_raw, db_raw = _residue_rates(s, build_lax(s), m)
+    _, da_raw, db_raw = _residue_rates(build_lax(s), s.a, s.b, m)
     f = vector_field_gradient(state32, m)
     for i in range(state32.n_particles):
         raw = np.outer(da_raw[i], state32.b[i]) + np.outer(state32.a[i], db_raw[i])

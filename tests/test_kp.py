@@ -24,7 +24,10 @@ from spincm import (
     vector_field_residue,
     w1,
 )
+from spincm import kp
+from spincm.config import DEFAULT_THRESHOLDS
 from spincm.kp import _psi_matrices
+from spincm.lax import _residue_rates, _vector_field
 from spincm.phase import TimeVector, pairs_to_complex
 
 from conftest import offgrid_points
@@ -231,12 +234,9 @@ def test_first_order_pole_cancellation(m):
 def test_residue_route_rejects_m_below_one(m):
     # colliding poles: a call that built the Lax matrix first would raise
     # CollidingPoles, so the ValueError shows the check comes before any work
-    from spincm.kp import _residue_identity_coefficients
-
     s = PhaseState(np.zeros(2, complex), np.zeros(2, complex), np.ones((2, 1)), np.ones((2, 1)))
     calls = (
         lambda: vector_field_residue(s, m),
-        lambda: _residue_identity_coefficients(s, m),
         lambda: residue_identity_residual(s, m, np.array([1.0 + 1.0j])),
         lambda: first_order_pole_cancellation(s, m),
     )
@@ -245,17 +245,31 @@ def test_residue_route_rejects_m_below_one(m):
             call()
 
 
+def _kernel_coefficients(state, m):
+    """Per-pole Laurent coefficients of res_inf(z^m psi psi+) in x from the
+    residue data (K, u, v) of the kernel: u_i b_i^T + a_i v_i^T at
+    1/(x - x_i) and -K_ii a_i b_i^T at 1/(x - x_i)^2, each (n, N, N)."""
+    a, b = state.a, state.b
+    K, u, v = _residue_rates(build_lax(state), a, b, m)
+    outer = lambda l, r: l[:, :, None] * r[:, None, :]
+    return outer(u, b) + outer(a, v), -np.diag(K)[:, None, None] * outer(a, b)
+
+
+def _pole_expansion(state, first, second, pts):
+    """sum_i first_i/(x - x_i) + second_i/(x - x_i)^2 at every point x of pts."""
+    inv = 1.0 / (pts[:, None] - state.x)
+    return np.einsum("pi,igh->pgh", inv, first) + np.einsum("pi,igh->pgh", inv**2, second)
+
+
 @pytest.mark.parametrize("N", [1, 3])
 def test_residue_identity_coefficients_single_particle_exact(N):
     # n = 1: L = (-p), R = (b^T a) and K_m = m (-p)^{m-1} (b^T a), so the
     # first-order coefficient vanishes and the second is -K_m a b^T
-    from spincm.kp import _residue_identity_coefficients
-
     for seed in range(6):
         s = random_state(1, N, seed=seed)
         a, b, p = s.a[0], s.b[0], s.p[0]
         for m in range(1, 5):
-            first, second, _ = _residue_identity_coefficients(s, m)
+            first, second = _kernel_coefficients(s, m)
             expected = -m * (-p) ** (m - 1) * (b @ a) * np.outer(a, b)
             scale = 1.0 + np.max(np.abs(expected))
             assert np.max(np.abs(first[0])) <= 1e-14 * scale
@@ -283,16 +297,34 @@ def _loop_coefficients(state, m):
 
 @pytest.mark.parametrize("n,N", [(n, N) for n in (1, 2, 5, 30) for N in (1, 3)])
 def test_residue_identities_over_a_family(n, N):
-    from spincm.kp import _residue_identity_coefficients
-
+    # res_inf(z^m psi psi+) at the sample points, from the kernel's (K, u, v)
+    # and from the pole-by-pole oracle
     for seed in range(6):
         s = random_state(n, N, seed=seed)
         pts = offgrid_points(s, 6)
         for m in (1, 2, 3):
-            for got, ref in zip(_residue_identity_coefficients(s, m), _loop_coefficients(s, m)):
-                assert np.max(np.abs(got - ref)) <= 1e-13 * (1.0 + np.max(np.abs(ref))), (seed, m)
+            got = _pole_expansion(s, *_kernel_coefficients(s, m), pts)
+            ref = _pole_expansion(s, *_loop_coefficients(s, m), pts)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * (1.0 + np.max(np.abs(ref))), (seed, m)
             assert residue_identity_residual(s, m, pts) <= 1e-10, (seed, m)
             assert first_order_pole_cancellation(s, m) <= 1e-12, (seed, m)
+
+
+def test_residue_identity_residual_sees_a_wrong_spin_rate(state32, monkeypatch):
+    # the gradient-route da scaled by 1 + 1e-6 must show past the check's
+    # threshold: the expanded rate differences are not vacuous. The t_1
+    # flow fixes the spins (da = 0), so only m >= 2 can show it
+    pts = offgrid_points(state32, 5)
+    threshold = DEFAULT_THRESHOLDS["residue_identity"]
+    assert residue_identity_residual(state32, 2, pts) <= threshold
+
+    def scaled(*args):
+        dx, dp, da, db = _vector_field(*args)
+        return dx, dp, da * (1 + 1e-6), db
+
+    monkeypatch.setattr(kp, "_vector_field", scaled)  # the kernel as kp calls it
+    for m in (2, 3):
+        assert residue_identity_residual(state32, m, pts) > threshold, m
 
 
 def test_ba_eval_schema(state32):

@@ -10,8 +10,8 @@ from spincm import (
     CheckResult,
     CollidingPoles,
     Config,
-    Gradient,
     PhaseState,
+    Tangent,
     VerificationReport,
     commutativity_check,
     grad_hamiltonian,
@@ -21,6 +21,7 @@ from spincm import (
     solve_c,
 )
 from spincm import verify
+from spincm.phase import write_json
 from spincm.verify import (
     _scaled_error,
     finite_difference_gradient,
@@ -141,7 +142,7 @@ def test_t1_shift_does_not_read_dt():
     # the t_1 row is one leg over T1_SHIFT_S that records only its endpoint
     for dt in (1e-3, 1e-2, 5e-2):
         results = {r.name: r for r in run_suite(seed=7, config=Config(dt=dt)).results}
-        assert results["t1_shift"].residual == 6.684427777288334e-16
+        assert results["t1_shift"].residual == 2.83398589814361e-16
 
 
 def test_lax_residual_span_does_not_follow_dt():
@@ -176,14 +177,21 @@ def test_report_serialization(tmp_path, report_default):
     assert data["seed"] == 42
     assert len(data["results"]) == len(report_default.results)
     first = data["results"][0]
-    assert set(first) == {
-        "name",
-        "residual",
-        "threshold",
-        "passed",
-        "skipped",
-        "details",
+    assert list(first) == ["name", "residual", "threshold", "passed", "skipped", "details"]
+    # the bytes of the report written key by key, in the order above
+    by_key = {
+        "seed": report_default.seed,
+        "n_particles": report_default.n_particles,
+        "spin_dim": report_default.spin_dim,
+        "suite_version": report_default.suite_version,
+        "all_passed": report_default.all_passed(),
+        "integration_seconds": report_default.integration_seconds,
+        "results": [{"name": r.name, "residual": r.residual, "threshold": r.threshold,
+                     "passed": r.passed, "skipped": r.skipped, "details": r.details}
+                    for r in report_default.results],
     }
+    write_json(tmp_path / "by_key.json", by_key)
+    assert path.read_bytes() == (tmp_path / "by_key.json").read_bytes()
 
 
 def test_report_times_the_shared_flow_stack(report_default):
@@ -288,7 +296,7 @@ def test_scaled_error_is_one_rule_over_arrays_and_fields(state32):
     assert _scaled_error(g, g) == 0.0
     db = np.array(g.db)
     db[1, 0] += 1 + abs(db[1, 0])  # the last field, one entry
-    assert _scaled_error(Gradient(g.dx, g.dp, g.da, db), g) == pytest.approx(1.0)
+    assert _scaled_error(Tangent(g.dx, g.dp, g.da, db), g) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("N", [1, 2])
