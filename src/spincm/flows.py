@@ -37,7 +37,7 @@ from .errors import (
     SpinCMError,
     StepLimitExceeded,
 )
-from .lax import Tangent, _diagonal, _residue_rates, _vector_field, build_lax, hamiltonians
+from .lax import Tangent, _derived, _diagonal, _vector_field, build_lax, hamiltonians
 from .phase import EPS_COLL, PhaseState, complex_to_pairs, write_json
 
 #: the steppers of integrate_stack
@@ -154,8 +154,7 @@ def vector_field_gradient(state: PhaseState, m: int, eps_coll=EPS_COLL) -> Tange
     or a (B,) integer array of one m per point; each point's tangent is
     its own call's, bit for bit but for the sign of a zero. Raises
     ValueError if an m is below 1."""
-    lax = build_lax(state, eps_coll)
-    return Tangent(*_vector_field(lax.inv, lax.L, lax.M, state.a, state.b, m))
+    return Tangent(*_derived("field", state, build_lax(state, eps_coll), m))
 
 
 def vector_field_residue(state: PhaseState, m: int, eps_coll=EPS_COLL) -> Tangent:
@@ -172,12 +171,14 @@ def vector_field_residue(state: PhaseState, m: int, eps_coll=EPS_COLL) -> Tangen
     product for m <= 2 and one for m = 3 or 4. dp is delegated to the
     gradient kernel on the same Lax assembly, the only derivation of the
     momentum flow; keeping it there preserves the cross-check value of the
-    two routes.
+    two routes. For a frozen point both kernels' data come from the slot
+    of :mod:`spincm.lax`, shared with :func:`vector_field_gradient` and
+    the residue identities of :mod:`spincm.kp`.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     lax = build_lax(state, eps_coll)
-    K, u, v = _residue_rates(lax, state.a, state.b, m)
+    K, u, v = _derived("rates", state, lax, m)
     # the free diagonal gauge rate of the split, (L^m)_ii
     if m == 1:
         mu = lax.L.diagonal()[:, None]
@@ -185,7 +186,7 @@ def vector_field_residue(state: PhaseState, m: int, eps_coll=EPS_COLL) -> Tangen
         lo = np.linalg.matrix_power(lax.L, m // 2)
         hi = lo @ lax.L if m % 2 else lo
         mu = (hi * lo.T).sum(axis=1)[:, None]
-    pdot = _vector_field(lax.inv, lax.L, lax.M, state.a, state.b, m)[1]
+    pdot = _derived("field", state, lax, m)[1]
     return Tangent(dx=-np.diag(K), dp=pdot, da=u - mu * state.a, db=v + mu * state.b)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import PoleHit, SpectralCollision
 from .flows import FlowSpec, _trajectories, integrate_stack
-from .lax import _residue_rates, _vector_field, build_lax
+from .lax import _derived, build_lax
 from .phase import EPS_COLL, PhaseState, TimeVector, complex_to_pairs
 
 #: condition-number ceiling for (zI - L) solves
@@ -214,8 +214,8 @@ def residue_identity_residual(state: PhaseState, m: int, x_samples, eps_coll=EPS
         raise ValueError("m must be >= 1")
     a, b = state.a, state.b
     lax = build_lax(state, eps_coll)
-    K, u, v = _residue_rates(lax, a, b, m)
-    dx, _, da, db = _vector_field(lax.inv, lax.L, lax.M, a, b, m)
+    K, u, v = _derived("rates", state, lax, m)
+    dx, _, da, db = _derived("field", state, lax, m)
     inv1 = _inverse_differences(state, np.atleast_1d(x_samples), eps_coll)  # (points, n)
     inv2 = inv1**2
     Kd = K.diagonal()
@@ -236,7 +236,7 @@ def first_order_pole_cancellation(state: PhaseState, m: int, eps_coll=EPS_COLL) 
     normalization. Raises ValueError if m is below 1."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    _, u, v = _residue_rates(build_lax(state, eps_coll), state.a, state.b, m)
+    _, u, v = _derived("rates", state, build_lax(state, eps_coll), m)
     return float(np.max(np.abs(np.sum(u * state.b + state.a * v, axis=1))))
 
 

@@ -22,11 +22,28 @@ resolvent K_m, one (n, mN) by (mN, n) product since R = b a^T has rank
 :func:`resolvent_residue` gives L^m and K_m for any A as dense matrix
 polynomials, and a numeric contour integrator is kept alongside as an
 independent oracle for both.
+
+The derived data of the most recent frozen phase point is kept in one
+private slot: a point (x.ndim == 1) whose four arrays are read-only all the
+way down their ``.base`` chains, as :func:`spincm.phase.new_state`,
+``random_state``, ``load_state`` and ``Trajectory.state`` return. The slot
+holds a weakref to the point, its minimal pole separation, its
+:class:`LaxData` and, per int m, the :func:`_vector_field` quadruple and
+the :func:`_residue_rates` triple, each array read-only since every caller
+shares it. :func:`build_lax` fills it and the kernels read it through
+:func:`_derived`, so the calls that check one point (:func:`build_lax`,
+:func:`grad_hamiltonian`, both vector fields of :mod:`spincm.flows` and
+the residue identities of :mod:`spincm.kp`) compute each of these once.
+The slot is emptied when its point is garbage-collected, and taken over by
+the next frozen point. The collision verdict is taken at every call, from
+the stored separation and the caller's eps_coll. Stacked and writable
+states, and so every flow right-hand side, never touch the slot.
 """
 
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,20 +92,38 @@ def build_lax(state: PhaseState, eps_coll=EPS_COLL) -> LaxData:
     The arrays of ``state`` may carry leading axes that stack phase points:
     x and p (..., n), a and b (..., n, N). Raises CollidingPoles if two
     poles of a point are within ``eps_coll``; for a stack its ``row`` is
-    the flat index of the first such point.
+    the flat index of the first such point. A frozen point's assembly is
+    the slot's (see the module docstring): read-only arrays, shared by
+    every caller; a miss hands the slot to the point.
     """
+    global _slot
+    if state.x.ndim != 1 or not _frozen(state):
+        return _assemble(state, eps_coll)[0]
+    entry = _slot
+    if entry is None or entry.state() is not state:
+        lax, sep = _assemble(state, -np.inf)
+        _read_only((lax.inv, lax.R, lax.L, lax.M))
+        entry = _slot = _Entry(state, sep, lax)
+    # the verdict is never kept: each call compares with its own floor
+    if entry.sep <= eps_coll:
+        raise _colliding(state.min_separation(), eps_coll)
+    return entry.lax
+
+
+def _assemble(state, eps_coll):
+    """(LaxData, separation) of :func:`build_lax`, computed afresh; the
+    separation is the minimal |x_i - x_k| over every point, skipping NaN."""
     x = state.x
     n = x.shape[-1]
     d = x[..., :, None] - x[..., None, :]
     # _diagonal inlined here and in _vector_field, which every flow RHS calls
     d.reshape(-1, n * n)[:, :: n + 1] = np.inf
     # fmin skips NaN: a point that is not finite hides no other's collision
-    if np.fmin.reduce(np.abs(d), axis=None) <= eps_coll:
+    sep = np.fmin.reduce(np.abs(d), axis=None)
+    if sep <= eps_coll:
         sep = np.abs(d).reshape(-1, n * n).min(axis=1)
         row = int(np.argmax(sep <= eps_coll)) if d.ndim > 2 else None
-        raise CollidingPoles(
-            f"minimal pole separation {sep[row or 0]:.3e} <= {eps_coll:.3e}", row=row
-        )
+        raise _colliding(sep[row or 0], eps_coll, row)
     # in place from here on, each product in the order of -R * inv and
     # 2.0 * R * inv * inv: inv takes the buffer of d, and the infinite
     # diagonal gives inv_ii = 0
@@ -100,7 +135,73 @@ def build_lax(state: PhaseState, eps_coll=EPS_COLL) -> LaxData:
     M = np.multiply(2.0, R)
     M *= inv
     M *= inv
-    return LaxData(inv, R, L, M)
+    return LaxData(inv, R, L, M), sep
+
+
+def _colliding(sep, eps_coll, row=None):
+    return CollidingPoles(f"minimal pole separation {sep:.3e} <= {eps_coll:.3e}", row=row)
+
+
+class _Entry:
+    """The slot's derived data of one frozen phase point: a weakref to it,
+    its separation and LaxData, and ``kernels``, the read-only output of
+    :func:`_derived` per (kernel, m). A plain class: a dataclass would add
+    half a millisecond to every import of the package."""
+
+    __slots__ = ("state", "sep", "lax", "kernels")
+
+    def __init__(self, state, sep, lax):
+        self.state = weakref.ref(state, _release)
+        self.sep, self.lax, self.kernels = sep, lax, {}
+
+
+#: the derived data of the most recent frozen phase point, or None. No lock:
+#: each reader works on the entry it read, so a thread that races another
+#: at worst computes afresh or empties the slot
+_slot = None
+
+
+def _frozen(state):
+    """True if no write can reach the arrays of ``state``: each is read-only,
+    and so is every array down its ``.base`` chain."""
+    for arr in (state.x, state.p, state.a, state.b):
+        while arr is not None:
+            if not isinstance(arr, np.ndarray) or arr.flags.writeable:
+                return False
+            arr = arr.base
+    return True
+
+
+def _release(ref):
+    """Weakref callback: empty the slot if it still holds ``ref``'s point."""
+    global _slot
+    if _slot is not None and _slot.state is ref:
+        _slot = None
+
+
+def _read_only(arrays):
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
+def _derived(kernel, state, lax, m):
+    """The output of ``kernel`` at m for ``state`` and its assembly ``lax``
+    from :func:`build_lax`: the :func:`_vector_field` quadruple for
+    kernel "field", the :func:`_residue_rates` triple for "rates". When lax
+    is the slot's, each is computed once per int m and kept there,
+    read-only; else it is computed afresh."""
+    entry = _slot
+    cached = entry is not None and entry.lax is lax and isinstance(m, (int, np.integer))
+    if cached and (kernel, m) in entry.kernels:
+        return entry.kernels[kernel, m]
+    if kernel == "field":
+        out = _vector_field(lax.inv, lax.L, lax.M, state.a, state.b, m)
+    else:
+        out = _residue_rates(lax, state.a, state.b, m)
+    if cached:
+        entry.kernels[kernel, m] = _read_only(out)
+    return out
 
 
 def hamiltonian(state: PhaseState, m: int, eps_coll=EPS_COLL):
@@ -201,8 +302,7 @@ def _vector_field(inv, L, M, a, b, m):
 def grad_hamiltonian(state: PhaseState, m: int, eps_coll=EPS_COLL) -> Tangent:
     """The gradient (dH/dx, dH/dp, dH/da, dH/db) of H_m = tr L^m, from
     :func:`_vector_field`."""
-    lax = build_lax(state, eps_coll)
-    dx, dp, da, db = _vector_field(lax.inv, lax.L, lax.M, state.a, state.b, m)
+    dx, dp, da, db = _derived("field", state, build_lax(state, eps_coll), m)
     return Tangent(dx=-dp, dp=dx, da=-db, db=da)
 
 

@@ -44,6 +44,14 @@ class PhaseState:
     validate; use :func:`new_state` for validated construction. Leading
     axes may stack phase points; the sizes, pairings and constraint values
     are then per point.
+
+    :func:`new_state`, :func:`random_state`, :func:`load_state` and
+    ``Trajectory.state`` return frozen states, and so does
+    :func:`gauge_rescale` of a frozen state: a phase point whose arrays are
+    read-only all the way down their ``.base`` chains, whose derived data
+    :mod:`spincm.lax` computes once and shares, read-only. The bare
+    constructor freezes nothing: it keeps the arrays it is given, writable
+    or not.
     """
 
     x: np.ndarray

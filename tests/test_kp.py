@@ -24,7 +24,6 @@ from spincm import (
     vector_field_residue,
     w1,
 )
-from spincm import kp
 from spincm.config import DEFAULT_THRESHOLDS
 from spincm.kp import _psi_matrices
 from spincm.lax import _residue_rates, _vector_field
@@ -322,9 +321,12 @@ def test_residue_identity_residual_sees_a_wrong_spin_rate(state32, monkeypatch):
         dx, dp, da, db = _vector_field(*args)
         return dx, dp, da * (1 + 1e-6), db
 
-    monkeypatch.setattr(kp, "_vector_field", scaled)  # the kernel as kp calls it
+    # the kernel as the accessor calls it, on a writable copy: the slot
+    # keeps the unscaled data of state32 and never serves the copy
+    monkeypatch.setattr("spincm.lax._vector_field", scaled)
+    copy = PhaseState(*(np.array(v) for v in (state32.x, state32.p, state32.a, state32.b)))
     for m in (2, 3):
-        assert residue_identity_residual(state32, m, pts) > threshold, m
+        assert residue_identity_residual(copy, m, pts) > threshold, m
 
 
 def test_ba_eval_schema(state32):

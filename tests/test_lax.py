@@ -1,3 +1,4 @@
+import gc
 from dataclasses import fields
 
 import numpy as np
@@ -13,12 +14,14 @@ from spincm import (
     grad_hamiltonian,
     hamiltonian,
     hamiltonians,
+    load_state,
     new_state,
     poisson_bracket,
     random_state,
     resolvent_residue,
 )
-from spincm.lax import _residue_rates, hamiltonian_h2_direct
+from spincm import flows, kp, lax as lax_module
+from spincm.lax import _frozen, _residue_rates, hamiltonian_h2_direct
 from spincm.verify import _scaled_error, finite_difference_gradient
 
 
@@ -305,3 +308,132 @@ def test_krylov_residues_match_matrix_power_and_contour(n, on_constraint):
             assert np.max(np.abs(g - ref)) <= 1e-14 * r**m * size, m
 
 
+# --- the slot of the most recent frozen phase point -------------------------
+
+
+def _writable(state):
+    """A writable copy of ``state``, which the slot never serves."""
+    return PhaseState(*(np.array(v) for v in (state.x, state.p, state.a, state.b)))
+
+
+def _bits(value):
+    """The bytes of every array of a result: a LaxData, a Tangent or a float."""
+    if isinstance(value, float):
+        return np.float64(value).tobytes()
+    return [getattr(value, f.name).tobytes() for f in fields(value)]
+
+
+def _six(state, m, xs, eps_coll=1e-6):
+    """The results of the six functions that read the slot."""
+    return [
+        build_lax(state, eps_coll),
+        grad_hamiltonian(state, m, eps_coll),
+        flows.vector_field_gradient(state, m, eps_coll),
+        flows.vector_field_residue(state, m, eps_coll),
+        kp.residue_identity_residual(state, m, xs, eps_coll),
+        kp.first_order_pole_cancellation(state, m, eps_coll),
+    ]
+
+
+def test_the_validating_constructors_give_frozen_states(tmp_path):
+    s = random_state(4, 2, seed=3)
+    s.save(tmp_path / "s.json")
+    traj = flows.integrate(s, flows.FlowSpec(m=2, t_final=1e-2, dt=5e-3))
+    for st in (s, new_state(s.x, s.p, s.a, s.b), load_state(tmp_path / "s.json")[0],
+               traj.state(0), traj.state(-1)):
+        assert _frozen(st)
+    assert not _frozen(_writable(s))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_a_frozen_state_gives_the_bits_of_its_writable_copy(m):
+    s = random_state(6, 3, seed=m)
+    xs = np.array([9.0 + 1j, -8.5j, 7.5 - 7j])
+    want = [_bits(v) for v in _six(_writable(s), m, xs)]
+    assert [_bits(v) for v in _six(s, m, xs)] == want  # filled
+    assert [_bits(v) for v in _six(s, m, xs)] == want  # served
+    assert lax_module._slot.state() is s
+
+
+def test_the_slot_never_serves_a_state_that_can_change():
+    s = random_state(4, 2, seed=11)
+    one_writable = PhaseState(s.x, s.p, s.a, np.array(s.b))
+    assert not _frozen(one_writable)
+    assert build_lax(one_writable) is not build_lax(one_writable)
+    base = np.array(s.x)
+    view = base[:]
+    view.setflags(write=False)  # a read-only view of a writable base
+    st = PhaseState(view, s.p, s.a, s.b)
+    before = flows.vector_field_gradient(st, 3)
+    base[0] += 0.25
+    after = flows.vector_field_gradient(st, 3)
+    assert _bits(after) == _bits(flows.vector_field_gradient(_writable(st), 3))
+    assert _bits(after) != _bits(before)
+    assert lax_module._slot is None or lax_module._slot.state() is not st
+
+
+def test_memoized_arrays_are_read_only():
+    s = random_state(4, 2, seed=12)
+    for arr in (build_lax(s).L, flows.vector_field_gradient(s, 2).dx,
+                grad_hamiltonian(s, 2).dp, lax_module._derived("rates", s, build_lax(s), 2)[1]):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_an_identities_operation_computes_each_quantity_once(monkeypatch):
+    # the call sequence of one identities_n100 operation on one state:
+    # before the slot it made 14 assemblies, 11 gradient kernels and 10
+    # residue kernels
+    calls = {"_assemble": 0, "_vector_field": 0, "_residue_rates": 0}
+    for name in calls:
+        fn = getattr(lax_module, name)
+
+        def counted(*args, fn=fn, name=name):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(lax_module, name, counted)
+    s = random_state(10, 4, seed=13)
+    xs = np.array([30.0 + 1j, -20j, 25.0, 3.0 + 40j, -35.0])
+    for m in (1, 2, 3, 4):
+        flows.vector_field_residue(s, m), flows.vector_field_gradient(s, m)
+    for m in (1, 2, 3):
+        kp.residue_identity_residual(s, m, xs)
+    for m in (1, 2, 3):
+        kp.first_order_pole_cancellation(s, m)
+    assert calls == {"_assemble": 1, "_vector_field": 4, "_residue_rates": 4}
+
+
+def test_the_slot_follows_its_state_and_not_the_flows():
+    s = random_state(4, 2, seed=14)
+    build_lax(s)
+    entry = lax_module._slot
+    assert entry.state() is s
+    other = random_state(4, 2, seed=15)
+    for method in ("RK4", "DOP853"):
+        spec = flows.FlowSpec(m=2, t_final=1e-2, dt=5e-3, method=method)
+        flows.integrate_stack([(s, spec), (other, spec)])
+    assert lax_module._slot is entry
+    del s, entry
+    gc.collect()
+    assert lax_module._slot is None
+
+
+def test_the_collision_verdict_is_taken_at_every_call():
+    ones = np.ones((3, 1))
+    s = new_state([0.0, 5e-7, 2.0], [0.1, 0.2, 0.3], ones, ones, eps_coll=1e-9)
+    want = "minimal pole separation 5.000e-07 <= 1.000e-06"
+    with pytest.raises(CollidingPoles, match=want) as fresh:
+        build_lax(_writable(s))
+    build_lax(s, eps_coll=1e-9)  # passes, and fills the slot
+    calls = (build_lax, lambda st: grad_hamiltonian(st, 2),
+             lambda st: flows.vector_field_gradient(st, 2),
+             lambda st: flows.vector_field_residue(st, 2),
+             lambda st: kp.residue_identity_residual(st, 2, [5.0]),
+             lambda st: kp.first_order_pole_cancellation(st, 2))
+    for call in calls:
+        with pytest.raises(CollidingPoles) as err:
+            call(s)
+        assert str(err.value) == str(fresh.value) and err.value.row is None
+    assert lax_module._slot.state() is s
+    assert np.isfinite(build_lax(s, eps_coll=1e-9).L).all()
