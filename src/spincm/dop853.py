@@ -16,6 +16,8 @@ import numpy as np
 
 from . import flows
 from .errors import CollidingPoles, IntegrationFailed, StepLimitExceeded
+from .lax import _unpack
+from .phase import PhaseState
 
 #: a step is accepted when its error estimate, scaled entrywise by
 #: ATOL + RTOL max(|y|, |y_new|), is below 1
@@ -43,10 +45,12 @@ def _tableau():
 A, B, C, E3, E5 = _tableau()
 
 
-def dop853(y0, ms, steps, hs, us, every, budget, times, samples, out, n, N, eps_coll):
+def dop853(ms, steps, hs, us, every, budget, parent, times, samples, out, n, N, eps_coll):
     """Error-controlled DOP853 of the rows with steps to take, as one block
-    that shrinks as rows end; the arguments are those of flows._rk4, and
-    budget[r] bounds the steps, accepted or rejected, of row r.
+    whose rows join and leave as rows start and end; the arguments are
+    those of flows._rk4, budget[r] bounds the steps, accepted or rejected,
+    of row r, and parent[r] is the earlier row that row r continues, or
+    None.
 
     Each row keeps its own step length dh, accepts or rejects each step on
     its own and is clipped to its next recorded grid point j hs[r], where
@@ -61,54 +65,86 @@ def dop853(y0, ms, steps, hs, us, every, budget, times, samples, out, n, N, eps_
     by the factor 0.2. A row ends, with its flow time, with IntegrationFailed
     when a rejection leaves it a step below 10 ulp of its segment length, or
     StepLimitExceeded when it has taken its budget of steps unfinished.
+    When a row ends, each row chained to it starts from its last sample
+    and joins the block at the next step, or ends with its error. y and the
+    stage input z are written in place, z by each stage and y by each
+    accepted step.
     """
-    act = [r for r, k in enumerate(steps) if k]
-    # block rows: state y, stages K, position s, proposed step h, next
-    # record index j, last try rejected, steps left; per-row grid step hg,
-    # segment length span; per step, record point P, hit, step dh, column dhc
-    v = {
-        "y": y0[act],
-        "K": np.empty((len(act), len(B), y0.shape[1]), dtype=complex),
-        "s": np.zeros(len(act)),
-        "h": np.array([hs[r] * min(every[r], steps[r]) for r in act]),
-        "j": np.array([min(every[r], steps[r]) for r in act]),
-        "rej": np.zeros(len(act), dtype=bool),
-        "left": np.array([budget[r] for r in act]),
-        "hg": np.array([hs[r] for r in act]),
-        "span": np.array([steps[r] * hs[r] for r in act]),
-    }
-    m = u = None
+    kids = {}
+    for r, p in enumerate(parent):
+        if p is not None:
+            kids.setdefault(p, []).append(r)
+    first = np.array([min(e, k) for e, k in zip(every, steps)])  # the first record index
+    hg = np.array(hs)
+    # block arrays per row: state y, stages K, position s, proposed step h,
+    # next record index j, last try rejected, steps left, grid step hg,
+    # segment length span; per step, record point P, hit, step dh and its
+    # complex column dhc
+    init = {"s": np.zeros(len(ms)), "h": hg * first, "j": first,
+            "rej": np.zeros(len(ms), dtype=bool), "left": np.array(budget), "hg": hg,
+            "span": np.array(steps) * hg}
+    dim = 2 * n * (N + 1)
+    v = {key: val[:0] for key, val in init.items()}
+    v["y"] = np.empty((0, dim), dtype=complex)
+    act, m, u, z, at_y, at_z = [], None, None, None, None, None
 
-    def keep(idx):
-        """Keep the block rows ``idx``, with their m and direction u."""
-        nonlocal act, m, u
-        act = [act[i] for i in idx]
+    def keep(idx, new=()):
+        """Keep the block rows ``idx`` and append the stack rows ``new``,
+        which start at their first sample; set the per-row m and direction
+        u and the views of the two buffers."""
+        nonlocal act, m, u, z, at_y, at_z
+        act = [act[i] for i in idx] + list(new)
         for key in v:
             v[key] = v[key][idx]
+        if new:  # only between steps: the stages start afresh
+            for key, val in init.items():
+                v[key] = np.concatenate([v[key], val[new]])
+            v["y"] = np.concatenate([v["y"], [samples[r][0] for r in new]])
+            v["K"] = np.empty((len(act), len(B), dim), dtype=complex)
         m = flows._per_row([ms[r] for r in act], column=False)
         u = flows._per_row([us[r] for r in act])
+        z = np.empty_like(v["y"])
+        at_y, at_z = (PhaseState(*_unpack(w, n, N)) for w in (v["y"], z))
+
+    def start(rows):
+        """The rows of ``rows`` that take steps; every other one ends at
+        once, and the rows chained to it start in its place."""
+        return [c for r in rows for c in ([r] if out[r] is None and steps[r] else follow(r))]
+
+    def follow(r):
+        """start() of the rows chained to row r, which has ended: each
+        takes r's error, or else starts from r's last sample."""
+        for c in kids.get(r, ()):
+            if out[r] is not None:
+                out[c] = out[r]
+            else:
+                samples[c].append(samples[r][-1])
+        return start(kids.get(r, ()))
 
     def drop(ends):
-        """End the block rows i with an error: ends maps i to it."""
+        """End the block rows i with an error, or with None when finished:
+        ends maps i to it. The rows chained to them join the block."""
         for i, exc in ends.items():
             out[act[i]] = exc
-        keep([i for i in range(len(act)) if i not in ends])
+        new = [c for i in ends for c in follow(act[i])]
+        keep([i for i in range(len(act)) if i not in ends], new)
 
-    keep(list(range(len(act))))
-    dim = y0.shape[1]
+    keep([], start([r for r, p in enumerate(parent) if p is None]))
     a_rows = [A[stage, :stage] for stage in range(len(B))]  # each stage's row of A
     while act:
         v["P"] = v["j"] * v["hg"]
         gap = v["P"] - v["s"]
         v["hit"] = v["h"] >= gap
         v["dh"] = np.where(v["hit"], gap, v["h"])
-        v["dhc"] = v["dh"][:, None]
+        v["dhc"] = v["dh"].astype(complex)[:, None]  # complex: no cast per stage
         for stage, a_row in enumerate(a_rows):
             while act:
-                y, K = v["y"], v["K"]
-                z = y + v["dhc"] * (a_row @ K[:, :stage]) if stage else y
+                if stage:  # z = y + dh (a_row K), in place
+                    np.matmul(a_row, v["K"][:, :stage], out=z)
+                    np.multiply(v["dhc"], z, out=z)
+                    np.add(v["y"], z, out=z)
                 try:
-                    flows._tangent(z, m, u, n, N, eps_coll, K[:, stage])
+                    flows._tangent(at_z if stage else at_y, m, u, eps_coll, v["K"][:, stage])
                     break
                 except CollidingPoles as exc:
                     i, r = exc.row, act[exc.row]
@@ -127,7 +163,7 @@ def dop853(y0, ms, steps, hs, us, every, budget, times, samples, out, n, N, eps_
         ok = finite & (err < 1)
         factor = np.where(finite, np.minimum(np.maximum(0.9 * err ** -0.125, 0.2), 10.0), 0.2)
         v["h"] = dh * np.where(ok & v["rej"], np.minimum(factor, 1.0), factor)
-        v["y"] = np.where(ok[:, None], y_new, y)
+        np.copyto(y, y_new, where=ok[:, None])
         v["s"] = np.where(ok, np.where(hit, P, v["s"] + dh), v["s"])
         v["rej"] = ~ok
         v["left"] -= 1
@@ -144,7 +180,7 @@ def dop853(y0, ms, steps, hs, us, every, budget, times, samples, out, n, N, eps_
         for i in np.flatnonzero(ok & hit):
             r, j = act[i], int(v["j"][i])
             times[r].append(j * hs[r] * us[r])
-            samples[r].append(v["y"][i])
+            samples[r].append(y[i].copy())
             if j == steps[r]:
                 ends[i] = None
             v["j"][i] = min(j + every[r], steps[r])

@@ -13,13 +13,17 @@ Prince whose step follows its error estimate (:mod:`spincm.dop853`).
 The one integrator, :func:`integrate_stack`, steps a ragged stack: a
 (B, dim) block of packed phase points that share (n, N) and the method,
 while each row keeps its own m, endpoint, step size and record_every. Each
-right-hand-side call is one :func:`vector_field_gradient` of the rows still
-active, written straight into the stepper's stage buffer; their m may
-differ from row to row: the vector field kernel
-(:func:`spincm.lax._vector_field`) takes a stack that mixes m through the
-same Horner path as one m. A row leaves the block after its last step,
-or at its own pole collision or loss of finite values, which ends no
-other row. :func:`integrate` is its one-row case.
+stage input is written in place into one (B, dim) buffer whose PhaseState
+views are built once per block composition, and each right-hand-side call
+is one :func:`vector_field_gradient` of those views, whose packed block is
+multiplied into the stepper's stage slot; the m of the rows may differ:
+the vector field kernel (:func:`spincm.lax._vector_field`) takes a stack
+that mixes m through the same Horner path as one m. A row leaves the block
+after its last step, or at its own pole collision or loss of finite
+values, which ends no other row. A DOP853 row may instead start from the
+last sample of an earlier row: it joins the block when that row finishes,
+so a sequence of flows, such as the legs of :func:`commutativity_check`,
+runs in one stack. :func:`integrate` is its one-row case.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from .errors import (
     SpinCMError,
     StepLimitExceeded,
 )
-from .lax import Tangent, _derived, _diagonal, _vector_field, build_lax, hamiltonians
+from .lax import Tangent, _derived, _diagonal, _unpack, _vector_field, build_lax, hamiltonians
 from .phase import EPS_COLL, PhaseState, complex_to_pairs, write_json
 
 #: the steppers of integrate_stack
@@ -190,17 +194,6 @@ def vector_field_residue(state: PhaseState, m: int, eps_coll=EPS_COLL) -> Tangen
     return Tangent(dx=-np.diag(K), dp=pdot, da=u - mu * state.a, db=v + mu * state.b)
 
 
-def _unpack(y, n, N):
-    """(x, p, a, b) as views into packed vectors y; leading axes are kept."""
-    lead = y.shape[:-1]
-    return (
-        y[..., :n],
-        y[..., n : 2 * n],
-        y[..., 2 * n : 2 * n + n * N].reshape(*lead, n, N),
-        y[..., 2 * n + n * N :].reshape(*lead, n, N),
-    )
-
-
 def _pack(state: PhaseState):
     """The phase point as one packed complex vector (x, p, a, b)."""
     return np.concatenate([state.x, state.p, state.a.ravel(), state.b.ravel()]).astype(complex)
@@ -226,7 +219,7 @@ def _not_finite(t, m, row):
 
 
 #: complex entries of one L stack in _record; bounds its temporaries
-RECORD_CHUNK = 1 << 16
+RECORD_CHUNK = 1 << 14
 
 
 def _record(row, m, times, Y, n, N, eps_coll):
@@ -260,15 +253,13 @@ def integrate(state: PhaseState, spec: FlowSpec, eps_coll=EPS_COLL) -> Trajector
     return _trajectories(integrate_stack([(state, spec)], eps_coll))[0]
 
 
-def _tangent(y, m, u, n, N, eps_coll, out):
-    """Write u F_m(y) of the packed block y (B, dim), packed the same way,
-    into the stage slot ``out`` (B, dim): one vector_field_gradient of the
-    stack, concatenated into ``out`` and multiplied there."""
-    f = vector_field_gradient(PhaseState(*_unpack(y, n, N)), m, eps_coll)
-    B = len(y)
-    np.concatenate([f.dx, f.dp, f.da.reshape(B, -1), f.db.reshape(B, -1)], axis=1, out=out)
+def _tangent(state, m, u, eps_coll, out):
+    """Write u F_m of ``state``, a stack of B phase points, packed, into
+    the stage slot ``out`` (B, dim): one vector_field_gradient, whose
+    fields view one packed block (lax._vector_field), times u."""
+    f = vector_field_gradient(state, m, eps_coll)
     # F * u, not u * F: numpy's complex product does not commute bit for bit
-    out *= u
+    np.multiply(f.dx.base, u, out=out)
 
 
 def _per_row(vals, column=True):
@@ -286,20 +277,29 @@ def integrate_stack(rows, eps_coll=EPS_COLL) -> list:
     """Integrate B flows as one ragged stack; one entry per row, its
     Trajectory or the SpinCMError that ended it.
 
-    ``rows`` is a list of (PhaseState, FlowSpec) pairs. The states share
-    (n, N), else DimensionMismatch; the specs share their method, else
-    ValueError. Each row keeps its own m, t_final (real, complex or 0), dt,
-    record_every and max_steps. Its segment is parameterized by arc length
-    s in [0, |t_final|] with dy/ds = u F_m(y), u = t_final/|t_final|, on a
-    grid of ceil(|t_final|/dt) steps of equal length h; the row records its
-    sample at every record_every-th grid point and at the last one.
+    ``rows`` is a list of (start, FlowSpec) pairs. A start is a PhaseState,
+    or for a DOP853 row the int index of an earlier row of the stack: a
+    chained row, which starts from that row's last sample. It joins the
+    block when that row finishes, at once if that row takes no step, and
+    ends with that row's error, time and row included, if that row fails.
+    The states share (n, N), else DimensionMismatch; the specs share their
+    method, else ValueError, as does a chained row of an RK4 stack or one
+    that names no earlier row. Each row keeps its own m, t_final (real,
+    complex or 0), dt, record_every and max_steps. Its segment is
+    parameterized by arc length s in [0, |t_final|] with dy/ds = u F_m(y),
+    u = t_final/|t_final|, on a grid of ceil(|t_final|/dt) steps of equal
+    length h; the row records its sample at every record_every-th grid
+    point and at the last one.
     RK4 takes every grid step; h and u are scalars while the active rows
     share them, else (B, 1) columns. DOP853 (:func:`spincm.dop853.dop853`)
     chooses each row's steps by its error estimate and never steps across
     a recorded grid point, so both methods record at the same flow times.
-    With either, every row is bit-identical to integrating it alone.
+    With either, every row is bit-identical to integrating it alone, and a
+    chained row to integrating its parent's last state alone.
     Each right-hand-side call is one vector_field_gradient of the active
-    block, and a row leaves the block after its last step.
+    block. Both steppers write each stage input in place into one (B, dim)
+    buffer, whose PhaseState views are built once per block composition;
+    a row leaves the block after its last step.
 
     A row whose grid has more than max_steps steps ends with
     StepLimitExceeded before any step. The collision floor eps_coll is
@@ -313,10 +313,14 @@ def integrate_stack(rows, eps_coll=EPS_COLL) -> list:
     IntegrationFailed, with the flow time and the row; DOP853 rejects such
     a step. The constraint is monitored, never re-projected.
     """
-    states, specs = zip(*rows)
+    starts, specs = zip(*rows)
     method = specs[0].method
     if any(sp.method != method for sp in specs):
         raise ValueError("the flow specs of a stack must share the method")
+    parent = [st if isinstance(st, (int, np.integer)) else None for st in starts]
+    if any(p is not None and (method != "DOP853" or not 0 <= p < r) for r, p in enumerate(parent)):
+        raise ValueError("a chained row must be a DOP853 row that names an earlier row")
+    states = [st for st, p in zip(starts, parent) if p is None]
     n, N = states[0].n_particles, states[0].spin_dim
     if any((st.n_particles, st.spin_dim) != (n, N) for st in states):
         raise DimensionMismatch("the states of a stack must share (n_particles, spin_dim)")
@@ -335,19 +339,18 @@ def integrate_stack(rows, eps_coll=EPS_COLL) -> list:
             continue
         steps[r] = max(1, math.ceil(S / sp.dt))
         hs[r], us[r] = S / steps[r], tfin / S
-    y0 = np.stack([_pack(st) for st in states])
     times = [[0.0] for _ in range(B)]
-    samples = [[y] for y in y0]
+    samples = [[_pack(st)] if p is None else [] for st, p in zip(starts, parent)]
     every = [sp.record_every for sp in specs]
     # a stage past the finite numbers warns; the finiteness test reports it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if method == "RK4":
-            _rk4(y0, ms, steps, hs, us, every, times, samples, out, n, N, eps_coll)
+            _rk4(ms, steps, hs, us, every, times, samples, out, n, N, eps_coll)
         else:
             from .dop853 import dop853  # loaded at the first DOP853 flow
 
-            dop853(y0, ms, steps, hs, us, every, [sp.max_steps for sp in specs], times, samples,
-                   out, n, N, eps_coll)
+            dop853(ms, steps, hs, us, every, [sp.max_steps for sp in specs], parent, times,
+                   samples, out, n, N, eps_coll)
     return [res if res is not None else _record(r, ms[r], times[r], samples[r], n, N, eps_coll)
             for r, res in enumerate(out)]
 
@@ -370,21 +373,28 @@ def _trajectories(results):
     return results
 
 
-def _rk4(y0, ms, steps, hs, us, every, times, samples, out, n, N, eps_coll):
-    """Fixed-step RK4 of the rows with steps to take, as one block that
-    shrinks as rows end: append each row's recorded times and samples, and
-    set out[r] to the CollidingPoles or IntegrationFailed that ends row r."""
+def _rk4(ms, steps, hs, us, every, times, samples, out, n, N, eps_coll):
+    """Fixed-step RK4 of the rows with steps to take, from their first
+    samples, as one block that shrinks as rows end: append each row's
+    recorded times and samples, and set out[r] to the CollidingPoles or
+    IntegrationFailed that ends row r. y and the stage input z are written
+    in place."""
     act = [r for r, k in enumerate(steps) if k]
-    y = y0[act]
+    if not act:
+        return
+    y = np.stack([samples[r][0] for r in act])
     K = np.empty((4,) + y.shape, dtype=complex)  # the stages k1..k4
-    m = c = c6 = u = None
+    z = at_y = at_z = m = c = c6 = u = None
 
     def keep(idx):
-        """Keep the block rows ``idx``; set the per-row m, step factors
-        (h/2, h/2, h), h/6 and direction u of the rows left."""
-        nonlocal act, y, K, m, c, c6, u
+        """Keep the block rows ``idx``; set the views of the two buffers,
+        and the per-row m, step factors (h/2, h/2, h), h/6 and direction u
+        of the rows left."""
+        nonlocal act, y, K, z, at_y, at_z, m, c, c6, u
         act = [act[i] for i in idx]
         y, K = y[idx], K[:, idx]
+        z = np.empty_like(y)
+        at_y, at_z = (PhaseState(*_unpack(w, n, N)) for w in (y, z))
         m = _per_row([ms[r] for r in act], column=False)
         c = [_per_row([hs[r] / 2 for r in act])] * 2 + [_per_row([hs[r] for r in act])]
         c6 = _per_row([hs[r] / 6 for r in act])
@@ -395,9 +405,11 @@ def _rk4(y0, ms, steps, hs, us, every, times, samples, out, n, N, eps_coll):
     while act:
         for stage in range(4):
             while act:
-                z = y + c[stage - 1] * K[stage - 1] if stage else y
+                if stage:  # z = y + c k_stage, in place
+                    np.multiply(c[stage - 1], K[stage - 1], out=z)
+                    np.add(y, z, out=z)
                 try:
-                    _tangent(z, m, u, n, N, eps_coll, K[stage])
+                    _tangent(at_z if stage else at_y, m, u, eps_coll, K[stage])
                     break
                 except CollidingPoles as exc:
                     r = act[exc.row]
@@ -407,7 +419,7 @@ def _rk4(y0, ms, steps, hs, us, every, times, samples, out, n, N, eps_coll):
         if not act:
             return
         k1, k2, k3, k4 = K
-        y = y + c6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        y += c6 * (k1 + 2 * k2 + 2 * k3 + k4)
         step += 1
         finite = np.isfinite(y).all(axis=1)
         for i, r in enumerate(act):
@@ -415,7 +427,7 @@ def _rk4(y0, ms, steps, hs, us, every, times, samples, out, n, N, eps_coll):
                 out[r] = _not_finite(step * hs[r] * us[r], ms[r], r)
             elif step % every[r] == 0 or step == steps[r]:
                 times[r].append(step * hs[r] * us[r])
-                samples[r].append(y[i])
+                samples[r].append(y[i].copy())
         if not finite.all() or any(step == steps[r] for r in act):
             keep([i for i, r in enumerate(act) if finite[i] and step < steps[r]])
 
@@ -433,7 +445,7 @@ def check_lax(trajectory: Trajectory, eps_coll=EPS_COLL) -> np.ndarray:
     if tr.m != 2:
         raise ValueError(f"check_lax needs a t_2 trajectory, not t_{tr.m}")
     lax = build_lax(PhaseState(tr.x, tr.p, tr.a, tr.b), eps_coll)
-    dx, dp, da, db = _vector_field(lax.inv, lax.L, lax.M, tr.a, tr.b, 2)
+    dx, dp, da, db = _vector_field(lax.inv, lax.L, tr.a, tr.b, 2)
     dR = db @ tr.a.swapaxes(-1, -2) + tr.b @ da.swapaxes(-1, -2)
     dL = -(dR - lax.R * (dx[..., :, None] - dx[..., None, :]) * lax.inv) * lax.inv
     _diagonal(dL)[...] = -dp
@@ -460,12 +472,21 @@ def _leg_spec(m, s) -> FlowSpec:
     return FlowSpec(m=m, t_final=s, dt=abs(s) or 1.0, method="DOP853")
 
 
-def _commutativity_gap(first, m1, m2, s1, s2, eps_coll=EPS_COLL) -> float:
-    """The gap of :func:`commutativity_check` from ``first``, the
-    integrate_stack results of its first legs from one state."""
-    a, b = (tr.state(-1) for tr in _trajectories(first))
-    rows = [(a, _leg_spec(m2, s2)), (b, _leg_spec(m1, s1))]
-    ab, ba = (tr.state(-1) for tr in _trajectories(integrate_stack(rows, eps_coll)))
+def _commutativity_rows(state, m1, m2, s1, s2, first=0):
+    """The four DOP853 legs of :func:`commutativity_check` as rows of one
+    stack in which they take the indices first..first + 3, each recording
+    only its endpoint (:func:`_leg_spec`): t_{m1} by s1 and t_{m2} by s2
+    from ``state``, then each second leg chained to its first leg."""
+    return [(state, _leg_spec(m1, s1)), (state, _leg_spec(m2, s2)),
+            (first, _leg_spec(m2, s2)), (first + 1, _leg_spec(m1, s1))]
+
+
+def _commutativity_gap(legs, eps_coll=EPS_COLL) -> float:
+    """The gap of :func:`commutativity_check` from ``legs``, the
+    integrate_stack results of its four rows (:func:`_commutativity_rows`):
+    the first error of the first legs, else of the second legs, is raised."""
+    _trajectories(legs[:2])
+    ab, ba = (tr.state(-1) for tr in _trajectories(legs[2:]))
     return _scaled_error(_gauge_invariant_observables(ab, eps_coll),
                          _gauge_invariant_observables(ba, eps_coll))
 
@@ -473,11 +494,11 @@ def _commutativity_gap(first, m1, m2, s1, s2, eps_coll=EPS_COLL) -> float:
 def commutativity_check(state, m1, m2, s1, s2, eps_coll=EPS_COLL) -> float:
     """Scaled distance (:func:`_scaled_error`) of gauge-invariant
     observables between flowing (t_{m1} by s1, then t_{m2} by s2) and the
-    reverse order, which is the reference. Each leg is a DOP853 row that
-    records only its endpoint (:func:`_leg_spec`). The first legs run as
-    one 2-row stack, and the second legs as another; a leg that fails
-    raises the first error of its stack."""
+    reverse order, which is the reference. The four legs run as one DOP853
+    stack, each second leg chained to its first (:func:`_commutativity_rows`);
+    a leg that fails raises the first error of the first legs, else of the
+    second legs."""
     if m1 == m2:
         raise ValueError("m1 and m2 must differ")
-    first = integrate_stack([(state, _leg_spec(m1, s1)), (state, _leg_spec(m2, s2))], eps_coll)
-    return _commutativity_gap(first, m1, m2, s1, s2, eps_coll)
+    rows = _commutativity_rows(state, m1, m2, s1, s2)
+    return _commutativity_gap(integrate_stack(rows, eps_coll), eps_coll)

@@ -4,13 +4,17 @@ The Lax matrix of the Gibbons-Hermsen system is
 
     L_ii = -p_i,   L_ik = -(b_i^T a_k)/(x_i - x_k)   (i != k),
 
-with auxiliary matrix M_ik = 2 (b_i^T a_k)/(x_i - x_k)^2 (zero diagonal).
+with auxiliary matrix M_ik = 2 (b_i^T a_k)/(x_i - x_k)^2 (zero diagonal),
+which no flow needs: :class:`LaxData` forms M on its first read.
 The conserved Hamiltonians are H_m = tr L^m: :func:`hamiltonian` takes one
 through ``matrix_power``, and :func:`hamiltonians` takes H_1..H_kmax from
 the powers up to L^max(3, ceil(kmax/2)), H_k for k >= 4 as the trace of a
-product of two of them. Their gradients come from one kernel, linear in
-Q = m L^{m-1}, which builds Q by Horner on per-point weights (m at index
-m - 1): a stack whose points mix m takes the same path as one m.
+product of two of them. Their gradients come from one kernel,
+:func:`_vector_field`, linear in Q = m L^{m-1}, which builds Q by Horner on
+per-point weights (m at index m - 1): a stack whose points mix m takes the
+same path as one m. With G = Q o inv (entrywise, inv_ik = 1/(x_i - x_k)),
+the H_m vector field is dx = -diag Q, dp = colsum - rowsum of L o G^T,
+da = G^T a and db = -G b, written into one packed block.
 A gradient and a vector field are each a :class:`Tangent`, the one
 phase-vector type.
 Residues at infinity of the resolvent (zI - L)^-1 are evaluated exactly.
@@ -57,12 +61,21 @@ class LaxData:
     """Lax assembly of a phase point, or of a stack of them along leading
     axes, each field (..., n, n): the inverse differences
     inv_ik = 1/(x_i - x_k) with inv_ii = 0, the pairing matrix
-    R_ij = b_i^T a_j, which satisfies R = I + [L, diag(x)], and L, M."""
+    R_ij = b_i^T a_j, which satisfies R = I + [L, diag(x)], and L.
+    M = 2 R o inv o inv is formed on its first read and kept; it is
+    read-only when the assembly is, as the slot's is."""
 
     inv: np.ndarray
     R: np.ndarray
     L: np.ndarray
-    M: np.ndarray
+
+    @functools.cached_property
+    def M(self):
+        M = np.multiply(2.0, self.R)
+        M *= self.inv
+        M *= self.inv
+        M.setflags(write=self.inv.flags.writeable)
+        return M
 
 
 @dataclass(frozen=True)
@@ -102,7 +115,7 @@ def build_lax(state: PhaseState, eps_coll=EPS_COLL) -> LaxData:
     entry = _slot
     if entry is None or entry.state() is not state:
         lax, sep = _assemble(state, -np.inf)
-        _read_only((lax.inv, lax.R, lax.L, lax.M))
+        _read_only((lax.inv, lax.R, lax.L))
         entry = _slot = _Entry(state, sep, lax)
     # the verdict is never kept: each call compares with its own floor
     if entry.sep <= eps_coll:
@@ -124,18 +137,14 @@ def _assemble(state, eps_coll):
         sep = np.abs(d).reshape(-1, n * n).min(axis=1)
         row = int(np.argmax(sep <= eps_coll)) if d.ndim > 2 else None
         raise _colliding(sep[row or 0], eps_coll, row)
-    # in place from here on, each product in the order of -R * inv and
-    # 2.0 * R * inv * inv: inv takes the buffer of d, and the infinite
-    # diagonal gives inv_ii = 0
+    # in place from here on, in the order of -R * inv: inv takes the buffer
+    # of d, and the infinite diagonal gives inv_ii = 0
     inv = np.divide(1.0, d, out=d)
     R = state.spin_pairings()
     L = np.negative(R)
     L *= inv
     np.negative(state.p.reshape(-1, n), out=L.reshape(-1, n * n)[:, :: n + 1])
-    M = np.multiply(2.0, R)
-    M *= inv
-    M *= inv
-    return LaxData(inv, R, L, M), sep
+    return LaxData(inv, R, L), sep
 
 
 def _colliding(sep, eps_coll, row=None):
@@ -196,7 +205,7 @@ def _derived(kernel, state, lax, m):
     if cached and (kernel, m) in entry.kernels:
         return entry.kernels[kernel, m]
     if kernel == "field":
-        out = _vector_field(lax.inv, lax.L, lax.M, state.a, state.b, m)
+        out = _vector_field(lax.inv, lax.L, state.a, state.b, m)
     else:
         out = _residue_rates(lax, state.a, state.b, m)
     if cached:
@@ -263,23 +272,28 @@ def _weights(ms):
     return w[0][..., None], tuple(wk if wk.any() else None for wk in w[1:])
 
 
-def _vector_field(inv, L, M, a, b, m):
+def _vector_field(inv, L, a, b, m):
     """(dx, dp, da, db) of the H_m vector field, (dH/dp, -dH/dx, dH/db,
-    -dH/da), from the Lax assembly (inv, L, M) of :func:`build_lax` of a
-    phase point with spins (a, b), or of a stack of them along leading
-    axes; m is an int, or for a (B,) stack a (B,) integer array of one m
-    per point. Raises ValueError if an m is below 1.
+    -dH/da), from the Lax assembly (inv, L) of :func:`build_lax` of a phase
+    point with spins (a, b), or of a stack of them along leading axes; m is
+    an int, or for a (B,) stack a (B,) integer array of one m per point.
+    The four are views of one packed block (..., 2n + 2nN) in the order of
+    :func:`spincm.flows._pack`, which ``dx.base`` returns. Raises ValueError
+    if an m is below 1.
 
     Chain rule d tr L^m = tr(Q dL) with Q = m L^{m-1}, exploiting the
     sparsity of dL/dq: dL/dp_i = -E_ii, dL/dx_i = [E_ii, M]/2, and
     dL/da_i, dL/db_i touch only column i / row i off-diagonal entries.
+    With G = Q o inv and inv antisymmetric, (M o Q^T)/2 = L o G^T off the
+    diagonal, so -dH/dx = colsum - rowsum of L o G^T, dH/db = G^T a and
+    dH/da = G b: M is never formed.
     Q = sum_k w_k L^{k-1} is built by Horner on the weights of
     :func:`_weights`: Q = w_kmax L + w_{kmax-1} I, then Q <- Q L + w_k I,
     kmax - 2 products for every point of a stack, whatever its m. A point
     of a stack gets its Q as alone, bit for bit but for the sign of a
     zero: its products before its own top weight act on a zero matrix,
     (cI) L equals c L entry for entry, and zero weights change no value."""
-    n = L.shape[-1]
+    n, N = a.shape[-2:]
     top, low = _weights(tuple(m.tolist()) if isinstance(m, np.ndarray) else m)
     Q = top * L
     for i, wk in enumerate(low):
@@ -287,16 +301,27 @@ def _vector_field(inv, L, M, a, b, m):
             Q = Q @ L
         if wk is not None:
             Q.reshape(-1, n * n)[:, :: n + 1] += wk
-    QT = Q.swapaxes(-1, -2)
-    dx = -Q.diagonal(0, -2, -1)  # dH/dp_i = -Q_ii
-    # -dH/dx = (diag(Q M) - diag(M Q))/2: column and row sums of M_ij Q_ji
-    C = M * QT
-    dp = 0.5 * (np.add.reduce(C, -2) - np.add.reduce(C, -1))
-    # dH/db_i^g = -sum_{j != i} Q_ji a_j^g / (x_i - x_j)
-    da = -((QT * inv) @ a)
-    # dH/da_i^g = sum_{j != i} Q_ij b_j^g / (x_i - x_j)
-    db = -((Q * inv) @ b)
+    F = np.empty(L.shape[:-2] + (2 * n * (N + 1),), dtype=complex)
+    dx, dp, da, db = _unpack(F, n, N)
+    np.negative(Q.diagonal(0, -2, -1), out=dx)  # dH/dp_i = -Q_ii
+    Q *= inv  # G, in Q's buffer
+    GT = Q.swapaxes(-1, -2)
+    C = L * GT
+    np.subtract(np.add.reduce(C, -2), np.add.reduce(C, -1), out=dp)
+    np.matmul(GT, a, out=da)
+    np.negative(np.matmul(Q, b, out=db), out=db)
     return dx, dp, da, db
+
+
+def _unpack(y, n, N):
+    """(x, p, a, b) as views into packed vectors y; leading axes are kept."""
+    lead = y.shape[:-1]
+    return (
+        y[..., :n],
+        y[..., n : 2 * n],
+        y[..., 2 * n : 2 * n + n * N].reshape(*lead, n, N),
+        y[..., 2 * n + n * N :].reshape(*lead, n, N),
+    )
 
 
 def grad_hamiltonian(state: PhaseState, m: int, eps_coll=EPS_COLL) -> Tangent:

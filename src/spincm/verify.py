@@ -21,6 +21,7 @@ from .flows import (
     RECORD_CHUNK,
     FlowSpec,
     _commutativity_gap,
+    _commutativity_rows,
     _first_error,
     _leg_spec,
     _pack,
@@ -234,21 +235,25 @@ def _suite_flows(state, cfg):
     [0, CONSERVATION_T] (for conservation and constraint_drift) record
     every 50 grid points, the t_2 flow over [0, LAX_RESIDUAL_T] (for
     lax_residual) every 10 and n1_reduction (spin_dim 1 only) every 100.
-    t1_shift and the first legs of commutativity are legs
-    (flows._leg_spec), which record only their endpoints."""
+    t1_shift and the four legs of commutativity are legs
+    (flows._leg_spec), which record only their endpoints; the two second
+    legs of commutativity are chained rows, which join the stack when
+    their first legs finish (flows._commutativity_rows)."""
     specs = {
         "t2": FlowSpec(m=2, t_final=CONSERVATION_T, dt=cfg.dt, record_every=50),
         "t3": FlowSpec(m=3, t_final=CONSERVATION_T, dt=cfg.dt, record_every=50),
         "lax_residual": FlowSpec(m=2, t_final=LAX_RESIDUAL_T, dt=cfg.dt, record_every=10),
         "t1_shift": _leg_spec(1, T1_SHIFT_S),
-        "commutativity_t2": _leg_spec(2, COMMUTATIVITY_S),
-        "commutativity_t3": _leg_spec(3, COMMUTATIVITY_S),
     }
     if state.spin_dim == 1:
         specs["n1_reduction"] = FlowSpec(m=2, t_final=N1_REDUCTION_T, dt=cfg.dt,
                                          record_every=100)
     rows = [(state, replace(spec, method=SUITE_METHOD)) for spec in specs.values()]
-    return dict(zip(specs, integrate_stack(rows, cfg.eps_coll)))
+    s = COMMUTATIVITY_S
+    rows += _commutativity_rows(state, 2, 3, s, s, first=len(rows))
+    names = [*specs, "commutativity_t2", "commutativity_t3",
+             "commutativity_t2_t3", "commutativity_t3_t2"]
+    return dict(zip(names, integrate_stack(rows, cfg.eps_coll)))
 
 
 def _check_lax_residual(state, cfg, flow):
@@ -266,9 +271,8 @@ def _check_constraint_drift(state, cfg, trajs):
     return worst, {"T": CONSERVATION_T, "dt": cfg.dt}
 
 
-def _check_commutativity(state, cfg, first):
-    s = COMMUTATIVITY_S
-    return _commutativity_gap(first, 2, 3, s, s, cfg.eps_coll), {"s": s}
+def _check_commutativity(state, cfg, legs):
+    return _commutativity_gap(legs, cfg.eps_coll), {"s": COMMUTATIVITY_S}
 
 
 def _check_rank1_residues(state, cfg):
@@ -402,8 +406,8 @@ def run_suite(state=None, config=None, seed=42, n_particles=3, spin_dim=2):
     run("conservation", lambda: _check_conservation(state, cfg, trajs), skip_reason=traj_error)
     run("constraint_drift", lambda: _check_constraint_drift(state, cfg, trajs),
         skip_reason=traj_error)
-    run("commutativity", lambda: _check_commutativity(
-        state, cfg, [flows["commutativity_t2"], flows["commutativity_t3"]]))
+    run("commutativity", lambda: _check_commutativity(state, cfg, [
+        flows[f"commutativity_{leg}"] for leg in ("t2", "t3", "t2_t3", "t3_t2")]))
     run("rank1_residues", lambda: _check_rank1_residues(state, cfg))
     run("w1_v_consistency", lambda: _check_w1_v(state, cfg))
     run("t1_shift", lambda: _check_t1_shift(state, cfg, flows["t1_shift"]))

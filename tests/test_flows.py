@@ -34,7 +34,7 @@ from spincm.flows import (
     _trajectories,
 )
 from spincm import Config, dop853, flows
-from spincm.lax import _residue_rates
+from spincm.lax import _residue_rates, _unpack
 from spincm.phase import EPS_COLL, PhaseState, pairs_to_complex
 from spincm.verify import _scaled_error, _suite_flows, matched_pole_error
 
@@ -287,7 +287,7 @@ def test_packed_tangent_is_the_gradient_bit_for_bit():
             for us in ([1.0] * 4, [np.exp(0.7j)] * 4, [1.0, -1.0, 1j, np.exp(-2j)]):
                 u = flows._per_row(us)
                 K = np.zeros((4, 12, dim), dtype=complex)
-                flows._tangent(y, m, u, n, 2, EPS_COLL, K[:, 5])
+                flows._tangent(PhaseState(*_unpack(y, n, 2)), m, u, EPS_COLL, K[:, 5])
                 assert (K[:, 5] + 0.0).tobytes() == (ref * u + 0.0).tobytes()
                 assert not K[:, :5].any() and not K[:, 6:].any()
     # a second row that collides names itself
@@ -296,7 +296,7 @@ def test_packed_tangent_is_the_gradient_bit_for_bit():
     states = [random_state(3, 2, seed=0), bad, random_state(3, 2, seed=2)]
     y = np.stack([_pack(st) for st in states])
     with pytest.raises(CollidingPoles) as err:
-        flows._tangent(y, 2, 1.0, 3, 2, EPS_COLL, np.empty_like(y))
+        flows._tangent(PhaseState(*_unpack(y, 3, 2)), 2, 1.0, EPS_COLL, np.empty_like(y))
     assert err.value.row == 1
 
 
@@ -766,6 +766,20 @@ def test_integrate_stack_rejects_mixed_specs(state32):
         integrate_stack([(state32, spec), (random_state(4, 2, seed=1), spec)])
 
 
+def test_commutativity_raises_a_first_leg_error_before_a_second_leg_error():
+    # uncoupled poles (R = I): t_2 by 0.1 meets at its endpoint, and t_2 by
+    # 0.1 after t_3 by 0.1 meets at 0.06; the first leg's error is raised,
+    # as when the second legs ran only after the first ones
+    eye = np.eye(2).tolist()
+    state = new_state([-1e-4, 1e-4], [-0.1328333, -0.1338333], eye, eye)
+    legs = integrate_stack(flows._commutativity_rows(state, 2, 3, 0.1, 0.1))
+    assert isinstance(legs[0], CollidingPoles) and legs[2] is legs[0]
+    assert isinstance(legs[3], CollidingPoles) and legs[3].time == pytest.approx(0.06)
+    with pytest.raises(CollidingPoles) as err:
+        commutativity_check(state, 2, 3, 0.1, 0.1)
+    assert (err.value.row, err.value.time, str(err.value)) == (0, legs[0].time, str(legs[0]))
+
+
 def test_commutativity_legs_as_stacks_equal_sequential_legs(state32):
     def leg(st, m, s):
         spec = FlowSpec(m=m, t_final=s, dt=abs(s), method="DOP853")  # a one-step grid
@@ -777,3 +791,74 @@ def test_commutativity_legs_as_stacks_equal_sequential_legs(state32):
         ba = leg(leg(state32, m2, s2), m1, s1)
         ref = _scaled_error(_gauge_invariant_observables(ab), _gauge_invariant_observables(ba))
         assert commutativity_check(state32, m1, m2, s1, s2) == ref
+
+
+def test_chained_rows_equal_integrating_the_parent_endpoint():
+    # chained rows, a chain of two included, between unrelated rows that
+    # mix m and direction: each is its parent's last state integrated alone
+    states = [random_state(3, 2, seed=s) for s in range(3)]
+    spec = FlowSpec(m=2, t_final=0.1, dt=1e-2, method="DOP853", record_every=3)
+    rows = [
+        (states[0], spec),
+        (states[1], replace(spec, m=4, t_final=0.05j)),
+        (0, replace(spec, m=3, t_final=-0.04 + 0.03j)),
+        (states[2], replace(spec, m=1, t_final=0.2)),
+        (2, replace(spec, m=2, t_final=0.02, record_every=flows.ENDPOINT_ONLY)),
+        (3, replace(spec, m=5, t_final=0.03)),
+    ]
+    got = _trajectories(integrate_stack(rows))
+    for r, (start, sp) in enumerate(rows):
+        st = got[start].state(-1) if isinstance(start, int) else start
+        _assert_same_trajectory(got[r], integrate(st, sp))
+    assert len(got[4].t) == 2
+
+
+def test_chained_row_takes_its_parents_error_and_no_step(monkeypatch):
+    calls = _count_calls(monkeypatch, flows, "_tangent")
+    meet2 = _free_pair([-1e-4, 1e-4], [1e-4, -1e-4])  # collides at t_2 = 0.5
+    far = new_state([-3, 3], [2, -2], [[1], [1]], [[1], [1]])  # its budget runs out
+    leg = FlowSpec(m=3, t_final=0.05, dt=0.05, method="DOP853")
+    cases = (
+        (_free_pair([-1.0, 1.0], [0.1, 0.2]), meet2,
+         FlowSpec(m=2, t_final=1.0, dt=0.1, method="DOP853"), EPS_COLL, CollidingPoles),
+        (new_state([-2, 2], [0.1, 0.2], [[1], [1]], [[1], [1]]), far,
+         FlowSpec(m=2, t_final=2.0, dt=2.0, method="DOP853", max_steps=10), 0.5,
+         StepLimitExceeded),
+    )
+    for other, parent, spec, eps_coll, error in cases:
+        del calls[:]
+        alone = integrate_stack([(other, leg), (parent, spec)], eps_coll)
+        shapes = [st.x.shape for st in calls]
+        del calls[:]
+        out = integrate_stack([(other, leg), (parent, spec), (1, leg), (2, leg)], eps_coll)
+        assert [st.x.shape for st in calls] == shapes  # the chained rows took no step
+        assert isinstance(out[1], error)
+        assert out[1].row == 1 and out[1].time.real > 0.2
+        assert out[2] is out[1] and out[3] is out[1]
+        assert str(out[1]) == str(alone[1]) and out[1].time == alone[1].time
+        _assert_same_trajectory(out[0], alone[0])
+
+
+def test_chained_rows_with_zero_spans(state32):
+    spec = FlowSpec(m=2, t_final=0.05, dt=1e-2, method="DOP853")
+    zero = replace(spec, m=3, t_final=0)
+    # a parent with zero span starts its child at once, from its own state
+    out = _trajectories(integrate_stack([(state32, zero), (0, spec), (state32, spec)]))
+    _assert_same_trajectory(out[1], integrate(state32, spec))
+    _assert_same_trajectory(out[1], out[2])
+    # a child with zero span records its parent's endpoint
+    out = _trajectories(integrate_stack([(state32, spec), (0, zero)]))
+    assert len(out[1].t) == 1 and out[1].m == 3
+    assert np.array_equal(_pack(out[1].state(0)), _pack(out[0].state(-1)))
+    _assert_same_trajectory(out[1], integrate(out[0].state(-1), zero))
+
+
+def test_chained_rows_must_be_dop853_and_name_an_earlier_row(state32, monkeypatch):
+    calls = _count_calls(monkeypatch, flows, "_tangent")
+    spec = FlowSpec(m=2, t_final=0.01, dt=1e-3)
+    dop = replace(spec, method="DOP853")
+    for rows in ([(state32, spec), (0, spec)], [(state32, dop), (1, dop)],
+                 [(state32, dop), (2, dop), (state32, dop)]):
+        with pytest.raises(ValueError, match="chained row"):
+            integrate_stack(rows)
+    assert not calls

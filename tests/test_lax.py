@@ -175,7 +175,8 @@ def test_stacked_build_lax_equals_each_point(n):
     stack = _stack(states, (2, 2))
     stacked, H = build_lax(stack), hamiltonians(stack)
     Hm = {m: hamiltonian(stack, m) for m in range(1, 6)}
-    assert [f.name for f in fields(LaxData)] == ["inv", "R", "L", "M"]
+    # M is formed on first read, not a field, and stacks like the fields
+    assert [f.name for f in fields(LaxData)] == ["inv", "R", "L"]
     for k, s in enumerate(states):
         one = build_lax(s)
         for f in ("inv", "R", "L", "M"):
@@ -378,6 +379,20 @@ def test_memoized_arrays_are_read_only():
                 grad_hamiltonian(s, 2).dp, lax_module._derived("rates", s, build_lax(s), 2)[1]):
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+def test_m_is_formed_on_first_read_and_read_only_for_the_slot():
+    s = random_state(4, 2, seed=16)
+    flows.vector_field_gradient(s, 2), flows.vector_field_residue(s, 3)
+    lax = build_lax(s)
+    assert "M" not in vars(lax)  # no vector field forms it
+    M = lax.M
+    assert build_lax(s).M is M  # formed once, kept with the slot's assembly
+    with pytest.raises(ValueError):
+        M[0, 1] = 0.0
+    fresh = build_lax(_writable(s))
+    assert fresh.M.flags.writeable and fresh.M.tobytes() == M.tobytes()
+    assert np.array_equal(M, 2.0 * lax.R * lax.inv * lax.inv)
 
 
 def test_an_identities_operation_computes_each_quantity_once(monkeypatch):

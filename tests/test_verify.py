@@ -20,7 +20,7 @@ from spincm import (
     run_suite,
     solve_c,
 )
-from spincm import verify
+from spincm import flows, kp, verify
 from spincm.phase import write_json
 from spincm.verify import (
     _scaled_error,
@@ -116,12 +116,28 @@ def test_suite_family_sweep_keeps_its_known_failures():
 
 @pytest.mark.parametrize("n,N,seed", [(3, 2, 42), (3, 2, 7), (2, 2, 1), (3, 1, 4), (5, 2, 3)])
 def test_suite_commutativity_is_commutativity_check(n, N, seed):
-    # the first legs are rows of the suite's flow stack, bit-identical to
-    # the 2-row stack of commutativity_check
+    # the four legs are rows of the suite's flow stack, bit-identical to
+    # the 4-row stack of commutativity_check
     state = random_state(n, N, seed=seed)
     results = {r.name: r for r in run_suite(state=state).results}
     s = verify.COMMUTATIVITY_S
     assert results["commutativity"].residual == commutativity_check(state, 2, 3, s, s)
+
+
+def test_run_suite_makes_one_dop853_stack(monkeypatch):
+    # every DOP853 flow of a suite, commutativity's chained second legs
+    # included, is a row of one integrate_stack call
+    calls = []
+    for module in (verify, flows, kp):
+        fn = module.integrate_stack
+        monkeypatch.setattr(module, "integrate_stack",
+                            lambda rows, *a, fn=fn: calls.append(rows) or fn(rows, *a))
+    for n, N in ((3, 2), (3, 1)):
+        del calls[:]
+        assert run_suite(seed=7, n_particles=n, spin_dim=N).results
+        dop = [rows for rows in calls if rows[0][1].method == "DOP853"]
+        assert len(dop) == 1 and len(dop[0]) == 8 + (N == 1)
+        assert sum(isinstance(start, int) for start, _ in dop[0]) == 2
 
 
 def test_suite_commutativity_names_the_first_leg_that_collides():
