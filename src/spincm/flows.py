@@ -12,24 +12,18 @@ Prince whose step follows its error estimate (:mod:`spincm.dop853`).
 
 The one integrator, :func:`integrate_stack`, steps a ragged stack: a
 (B, dim) block of packed phase points that share (n, N) and the method,
-while each row keeps its own m, endpoint, step size and record_every. Each
-stage input is written in place into one (B, dim) buffer whose PhaseState
-views are built once per block composition, and each right-hand-side call
-is one :func:`vector_field_gradient` of those views, whose packed block is
-multiplied into the stepper's stage slot; the m of the rows may differ:
-the vector field kernel (:func:`spincm.lax._vector_field`) takes a stack
-that mixes m through the same Horner path as one m. A row leaves the block
-after its last step, or at its own pole collision or loss of finite
-values, which ends no other row. A DOP853 row may instead start from the
-last sample of an earlier row: it joins the block when that row finishes,
-so a sequence of flows, such as the legs of :func:`commutativity_check`,
-runs in one stack. :func:`integrate` is its one-row case.
+while each row keeps its own m, endpoint, step size and record_every; each
+right-hand-side call is one :func:`vector_field_gradient` of the block,
+whatever the m of its rows. A row ends alone, at its last step, its own
+pole collision or its loss of finite values. A DOP853 row may start from
+the last sample of an earlier row, so a sequence of flows, such as the
+legs of :func:`commutativity_check`, runs in one stack. :func:`integrate`
+is its one-row case.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
@@ -41,13 +35,12 @@ from .errors import (
     SpinCMError,
     StepLimitExceeded,
 )
-from .lax import Tangent, _derived, _diagonal, _unpack, _vector_field, build_lax, hamiltonians
+from .lax import (Tangent, _check_m, _derived, _lax_derivative, _pack, _unpack, _vector_field,
+                  build_lax, hamiltonians)
 from .phase import EPS_COLL, PhaseState, complex_to_pairs, write_json
 
 #: the steppers of integrate_stack
 METHODS = ("RK4", "DOP853")
-#: a record_every past any step count: the row records only its endpoint
-ENDPOINT_ONLY = sys.maxsize
 
 
 @dataclass(frozen=True)
@@ -62,8 +55,8 @@ class FlowSpec:
     max_steps: int = 1_000_000
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("hierarchy index m must be >= 1")
+        if _check_m(self.m).ndim:
+            raise ValueError("a flow takes one hierarchy index m")
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be positive and finite, not {self.dt}")
         if not np.isfinite(self.t_final):
@@ -179,8 +172,7 @@ def vector_field_residue(state: PhaseState, m: int, eps_coll=EPS_COLL) -> Tangen
     of :mod:`spincm.lax`, shared with :func:`vector_field_gradient` and
     the residue identities of :mod:`spincm.kp`.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _check_m(m)
     lax = build_lax(state, eps_coll)
     K, u, v = _derived("rates", state, lax, m)
     # the free diagonal gauge rate of the split, (L^m)_ii
@@ -192,11 +184,6 @@ def vector_field_residue(state: PhaseState, m: int, eps_coll=EPS_COLL) -> Tangen
         mu = (hi * lo.T).sum(axis=1)[:, None]
     pdot = _derived("field", state, lax, m)[1]
     return Tangent(dx=-np.diag(K), dp=pdot, da=u - mu * state.a, db=v + mu * state.b)
-
-
-def _pack(state: PhaseState):
-    """The phase point as one packed complex vector (x, p, a, b)."""
-    return np.concatenate([state.x, state.p, state.a.ravel(), state.b.ravel()]).astype(complex)
 
 
 def _at_time(exc, t, m, row):
@@ -437,33 +424,30 @@ def check_lax(trajectory: Trajectory, eps_coll=EPS_COLL) -> np.ndarray:
     recorded sample, at any spacing and any number of samples.
 
     dL/dt is exact: the derivative of the Lax assembly along the H_2
-    tangent of every sample, from one stacked gradient, dL_ii = -dp_i and
-    dL_ik = -(dR_ik - R_ik (dx_i - dx_k) inv_ik) inv_ik with
-    dR = db a^T + b da^T. Raises ValueError for a trajectory of another m.
+    tangent of every sample (:func:`spincm.lax._lax_derivative`), from one
+    stacked gradient. Raises ValueError for a trajectory of another m.
     """
     tr = trajectory
     if tr.m != 2:
         raise ValueError(f"check_lax needs a t_2 trajectory, not t_{tr.m}")
     lax = build_lax(PhaseState(tr.x, tr.p, tr.a, tr.b), eps_coll)
-    dx, dp, da, db = _vector_field(lax.inv, lax.L, tr.a, tr.b, 2)
-    dR = db @ tr.a.swapaxes(-1, -2) + tr.b @ da.swapaxes(-1, -2)
-    dL = -(dR - lax.R * (dx[..., :, None] - dx[..., None, :]) * lax.inv) * lax.inv
-    _diagonal(dL)[...] = -dp
+    dL = _lax_derivative(lax, tr.a, tr.b, *_vector_field(lax.inv, lax.L, tr.a, tr.b, 2))
     return np.max(np.abs(dL - (lax.M @ lax.L - lax.L @ lax.M)), axis=(-2, -1))
 
 
-def _gauge_invariant_observables(state: PhaseState, eps_coll=EPS_COLL):
-    """Observables insensitive to the per-particle gauge: pole positions in
-    a canonical order, H_1..H_5 and the conjugation invariants tr R^k for
-    k <= min(n, N). R = b a^T has rank <= N, so by Newton's identities its
-    higher traces follow from these. Each is the trace of an N x N power,
-    tr R^k = tr (a^T b)^k."""
-    order = np.lexsort((state.x.imag, state.x.real))
-    xs = state.x[order]
-    S = state.a.T @ state.b
-    trR = np.array([np.trace(np.linalg.matrix_power(S, k))
-                    for k in range(1, min(state.n_particles, state.spin_dim) + 1)])
-    return np.concatenate([xs, hamiltonians(state, eps_coll=eps_coll), trR])
+def _pole_pairing(x, ref):
+    """Indices j (k, n) pairing each row of poles ref (k, n) to that row of
+    x, ref[r, j[r, i]] to x[r, i], closest remaining pair first; unlike a
+    sort on (Re x, Im x), it never splits poles that share a real part."""
+    cost = np.abs(np.asarray(x)[:, :, None] - np.asarray(ref)[:, None, :])
+    k, n = cost.shape[:2]
+    rows, j = np.arange(k), np.empty((k, n), dtype=int)
+    for _ in range(n):
+        i, ji = np.divmod(cost.reshape(k, -1).argmin(axis=1), n)
+        j[rows, i] = ji
+        cost[rows, i, :] = np.inf
+        cost[rows, :, ji] = np.inf
+    return j
 
 
 def _leg_spec(m, s) -> FlowSpec:
@@ -484,20 +468,31 @@ def _commutativity_rows(state, m1, m2, s1, s2, first=0):
 def _commutativity_gap(legs, eps_coll=EPS_COLL) -> float:
     """The gap of :func:`commutativity_check` from ``legs``, the
     integrate_stack results of its four rows (:func:`_commutativity_rows`):
-    the first error of the first legs, else of the second legs, is raised."""
+    the first error of the first legs, else of the second legs, is raised.
+    Its gauge-invariant observables are the poles, ba's paired to ab's
+    (:func:`_pole_pairing`), H_1..H_5 and tr R^k = tr (a^T b)^k for
+    k <= min(n, N): R = b a^T has rank <= N, so by Newton's identities its
+    higher traces follow."""
     _trajectories(legs[:2])
     ab, ba = (tr.state(-1) for tr in _trajectories(legs[2:]))
-    return _scaled_error(_gauge_invariant_observables(ab, eps_coll),
-                         _gauge_invariant_observables(ba, eps_coll))
+
+    def invariants(st):
+        S = st.a.T @ st.b
+        trR = np.array([np.trace(np.linalg.matrix_power(S, k))
+                        for k in range(1, min(st.n_particles, st.spin_dim) + 1)])
+        return np.concatenate([hamiltonians(st, eps_coll=eps_coll), trR])
+
+    paired = ba.x[_pole_pairing(ab.x[None], ba.x[None])[0]]
+    return max(_scaled_error(ab.x, paired), _scaled_error(invariants(ab), invariants(ba)))
 
 
 def commutativity_check(state, m1, m2, s1, s2, eps_coll=EPS_COLL) -> float:
     """Scaled distance (:func:`_scaled_error`) of gauge-invariant
-    observables between flowing (t_{m1} by s1, then t_{m2} by s2) and the
-    reverse order, which is the reference. The four legs run as one DOP853
-    stack, each second leg chained to its first (:func:`_commutativity_rows`);
-    a leg that fails raises the first error of the first legs, else of the
-    second legs."""
+    observables (:func:`_commutativity_gap`) between flowing (t_{m1} by s1,
+    then t_{m2} by s2) and the reverse order, which is the reference. The
+    four legs run as one DOP853 stack, each second leg chained to its first
+    (:func:`_commutativity_rows`); a leg that fails raises the first error
+    of the first legs, else of the second legs."""
     if m1 == m2:
         raise ValueError("m1 and m2 must differ")
     rows = _commutativity_rows(state, m1, m2, s1, s2)

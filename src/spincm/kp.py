@@ -2,10 +2,11 @@
 
 All wave functions are handled in the stripped gauge (the scalar factor
 e^{xz + xi(t,z)} removed), leaving rational N x N matrices with simple poles
-at the particle positions and rank-1 residues. Residues at z = infinity are
-evaluated exactly: the residue identities read the residue data (K, u, v)
-of :func:`spincm.lax._residue_rates`, the kernel of the residue-route
-vector field too; no contour appears in production paths.
+at the particle positions and rank-1 residues. Their t_2 derivative is
+exact, along the H_2 vector field of the poles: no flow is integrated here.
+Residues at z = infinity are evaluated exactly: the residue identities read
+the residue data (K, u, v) of :func:`spincm.lax._residue_rates`, the kernel
+of the residue-route vector field too; no contour appears in production paths.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PoleHit, SpectralCollision
-from .flows import FlowSpec, _trajectories, integrate_stack
-from .lax import _derived, build_lax
+from .lax import _check_m, _derived, _lax_derivative, build_lax
 from .phase import EPS_COLL, PhaseState, TimeVector, complex_to_pairs
 
 #: condition-number ceiling for (zI - L) solves
@@ -154,39 +154,45 @@ def dlog_tau_dx(state: PhaseState, x: complex, params: TauParams = TauParams()) 
     return complex(params.A + np.sum(1.0 / (x - state.x)))
 
 
-def linear_problem_residual(state: PhaseState, z: complex, x_grid, dt2: float,
-                            eps_coll=EPS_COLL) -> float:
-    """Residual of the stripped-gauge t_2 linear problem and its adjoint.
+def _psi_t2_derivatives(state, c, c_star, z, x, eps_coll=EPS_COLL):
+    """Exact (d_t2 psi, d_t2 psi+), stripped, at a scalar x or an array x,
+    with (c, c*) = :func:`solve_c` at z: see :func:`linear_problem_residual`."""
+    a, b = state.a, state.b
+    lax = build_lax(state, eps_coll)
+    dx, dp, da, db = _derived("field", state, lax, 2)
+    dL = _lax_derivative(lax, a, b, dx, dp, da, db)
+    A = z * np.eye(state.n_particles, dtype=complex) - lax.L
+    dc = np.linalg.solve(A, dL @ c - db)
+    dc_star = np.linalg.solve(A.T, dL.T @ c_star + da)
+    inv = _inverse_differences(state, x, eps_coll)
+    w2 = inv**2 * dx  # dx_i / (x - x_i)^2
+    return (_pole_sum(inv, da, c) + _pole_sum(inv, a, dc) + _pole_sum(w2, a, c),
+            _pole_sum(inv, dc_star, b) + _pole_sum(inv, c_star, db) + _pole_sum(w2, c_star, b))
 
-    The state is evolved by +-dt2 along the t_2 flow in RK4 steps of
-    dt2/4, as one 2-row stack; d/dt_2 of the wave matrices is taken by
-    central differences and compared against
+
+def linear_problem_residual(state: PhaseState, z: complex, x_grid, *, eps_coll=EPS_COLL) -> float:
+    """Max entrywise residual over the grid of the stripped-gauge t_2 linear
+    problem and its adjoint,
 
         d_t2 psi  = 2z d_x psi  + d_x^2 psi  + V psi,
         d_t2 psi+ = 2z d_x psi+ - d_x^2 psi+ - psi+ V,
 
-    with all x-derivatives in closed form. Returns the max entrywise
-    residual over the grid, both equations. Every collision and pole check
-    uses ``eps_coll``.
+    with the x-derivatives in closed form and d/dt_2 exact, along the H_2
+    vector field (dx, dp, da, db) of the state: with A = zI - L and dL of
+    :func:`spincm.lax._lax_derivative`, A c = -b and A^T c* = a give
+    dc = A^-1 (dL c - db) and dc* = A^-T (dL^T c* + da), and
+
+        d psi = sum_i [(da_i c_i^T + a_i dc_i^T)/(x - x_i) + a_i c_i^T dx_i/(x - x_i)^2],
+
+    d psi+ likewise from c*_i b_i^T. Every collision and pole check uses eps_coll.
     """
-    rows = [(state, FlowSpec(m=2, t_final=t, dt=dt2 / 4)) for t in (dt2, -dt2)]
-    plus, minus = (tr.state(-1) for tr in _trajectories(integrate_stack(rows, eps_coll)))
     c, c_star = solve_c(state, z, eps_coll)
-    cp, csp = solve_c(plus, z, eps_coll)
-    cm, csm = solve_c(minus, z, eps_coll)
-    psi_p, psid_p = _psi_matrices(plus, cp, csp, x_grid, eps_coll)
-    psi_m, psid_m = _psi_matrices(minus, cm, csm, x_grid, eps_coll)
     psi, psid = _psi_matrices(state, c, c_star, x_grid, eps_coll)
     dpsi, d2psi, dpsid, d2psid = _psi_x_derivatives(state, c, c_star, x_grid, eps_coll)
+    lhs, lhs_adj = _psi_t2_derivatives(state, c, c_star, z, x_grid, eps_coll)
     V = potential_v(state, x_grid, eps_coll)
-    lhs = (psi_p - psi_m) / (2 * dt2)
-    rhs = 2 * z * dpsi + d2psi + V @ psi
-    lhs_adj = (psid_p - psid_m) / (2 * dt2)
-    rhs_adj = 2 * z * dpsid - d2psid - psid @ V
-    return max(
-        float(np.max(np.abs(lhs - rhs), initial=0.0)),
-        float(np.max(np.abs(lhs_adj - rhs_adj), initial=0.0)),
-    )
+    gaps = (lhs - (2 * z * dpsi + d2psi + V @ psi), lhs_adj - (2 * z * dpsid - d2psid - psid @ V))
+    return max(float(np.max(np.abs(g), initial=0.0)) for g in gaps)
 
 
 def residue_identity_residual(state: PhaseState, m: int, x_samples, eps_coll=EPS_COLL) -> float:
@@ -208,10 +214,9 @@ def residue_identity_residual(state: PhaseState, m: int, x_samples, eps_coll=EPS
     u - da, v - db and -K_ii - dx at the sample points, with no loop over
     the poles. The trace version against d_{t_m} d_x log tau =
     sum_i dx_i/(x - x_i)^2 is checked alongside. Returns the max residual
-    over the sample points. Raises ValueError if m is below 1.
+    over the sample points. Raises ValueError unless m is an integer >= 1.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _check_m(m)
     a, b = state.a, state.b
     lax = build_lax(state, eps_coll)
     K, u, v = _derived("rates", state, lax, m)
@@ -233,9 +238,8 @@ def first_order_pole_cancellation(state: PhaseState, m: int, eps_coll=EPS_COLL) 
     :func:`spincm.lax._residue_rates`: the trace of the first-order-pole
     coefficient u_i b_i^T + a_i v_i^T of res_inf(z^m psi psi+), which
     equals d_{t_m}(b_i^T a_i) and must vanish since the flows preserve the
-    normalization. Raises ValueError if m is below 1."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    normalization. Raises ValueError unless m is an integer >= 1."""
+    _check_m(m)
     _, u, v = _derived("rates", state, build_lax(state, eps_coll), m)
     return float(np.max(np.abs(np.sum(u * state.b + state.a * v, axis=1))))
 

@@ -6,23 +6,16 @@ The Lax matrix of the Gibbons-Hermsen system is
 
 with auxiliary matrix M_ik = 2 (b_i^T a_k)/(x_i - x_k)^2 (zero diagonal),
 which no flow needs: :class:`LaxData` forms M on its first read.
-The conserved Hamiltonians are H_m = tr L^m: :func:`hamiltonian` takes one
-through ``matrix_power``, and :func:`hamiltonians` takes H_1..H_kmax from
-the powers up to L^max(3, ceil(kmax/2)), H_k for k >= 4 as the trace of a
-product of two of them. Their gradients come from one kernel,
-:func:`_vector_field`, linear in Q = m L^{m-1}, which builds Q by Horner on
-per-point weights (m at index m - 1): a stack whose points mix m takes the
-same path as one m. With G = Q o inv (entrywise, inv_ik = 1/(x_i - x_k)),
-the H_m vector field is dx = -diag Q, dp = colsum - rowsum of L o G^T,
-da = G^T a and db = -G b, written into one packed block.
-A gradient and a vector field are each a :class:`Tangent`, the one
-phase-vector type.
-Residues at infinity of the resolvent (zI - L)^-1 are evaluated exactly.
-One kernel, :func:`_residue_rates`, gives every residue consumer its data
-(K_m, u, v) from thin Krylov blocks L^j b and (L^T)^j a, j = 0..m, with no
-n x n power of L: res z^m c = -L^m b, res z^m c* = (L^m)^T a, the double
-resolvent K_m, one (n, mN) by (mN, n) product since R = b a^T has rank
-<= N, and the gauge-free spin rates (u, v) of the residue equations.
+The conserved Hamiltonians are H_m = tr L^m (:func:`hamiltonian`,
+:func:`hamiltonians`). Their gradients and vector fields, each a
+:class:`Tangent`, come from one kernel, :func:`_vector_field`, linear in
+Q = m L^{m-1}: with G = Q o inv (entrywise, inv_ik = 1/(x_i - x_k)), the
+H_m vector field is dx = -diag Q, dp = colsum - rowsum of L o G^T,
+da = G^T a and db = -G b, one packed block (:func:`_pack`). dL along such
+a tangent is :func:`_lax_derivative`.
+Residues at infinity of the resolvent (zI - L)^-1 are evaluated exactly:
+one kernel, :func:`_residue_rates`, gives every residue consumer its data
+(K_m, u, v) from thin Krylov blocks, with no n x n power of L.
 :func:`resolvent_residue` gives L^m and K_m for any A as dense matrix
 polynomials, and a numeric contour integrator is kept alongside as an
 independent oracle for both.
@@ -31,17 +24,13 @@ The derived data of the most recent frozen phase point is kept in one
 private slot: a point (x.ndim == 1) whose four arrays are read-only all the
 way down their ``.base`` chains, as :func:`spincm.phase.new_state`,
 ``random_state``, ``load_state`` and ``Trajectory.state`` return. The slot
-holds a weakref to the point, its minimal pole separation, its
-:class:`LaxData` and, per int m, the :func:`_vector_field` quadruple and
-the :func:`_residue_rates` triple, each array read-only since every caller
-shares it. :func:`build_lax` fills it and the kernels read it through
-:func:`_derived`, so the calls that check one point (:func:`build_lax`,
-:func:`grad_hamiltonian`, both vector fields of :mod:`spincm.flows` and
-the residue identities of :mod:`spincm.kp`) compute each of these once.
-The slot is emptied when its point is garbage-collected, and taken over by
-the next frozen point. The collision verdict is taken at every call, from
-the stored separation and the caller's eps_coll. Stacked and writable
-states, and so every flow right-hand side, never touch the slot.
+(:class:`_Entry`) is filled by :func:`build_lax` and read by the kernels
+through :func:`_derived`, so the calls that check one point compute its
+assembly and each kernel's output once; the collision verdict is taken at
+every call, from the stored separation and the caller's eps_coll. It is
+emptied when its point is garbage-collected, and taken over by the next
+frozen point. Stacked and writable states, and so every flow right-hand
+side, never touch it.
 """
 
 from __future__ import annotations
@@ -216,8 +205,7 @@ def _derived(kernel, state, lax, m):
 def hamiltonian(state: PhaseState, m: int, eps_coll=EPS_COLL):
     """H_m = tr L^m, a complex for a phase point and an array (...) for a
     stack; each point's value is bit-identical to its own call."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _check_m(m)
     L = build_lax(state, eps_coll).L
     H = np.trace(np.linalg.matrix_power(L, m), axis1=-2, axis2=-1)
     return complex(H) if H.ndim == 0 else H
@@ -254,7 +242,16 @@ def hamiltonian_h2_direct(state: PhaseState, eps_coll=EPS_COLL) -> complex:
     return complex(np.sum(state.p**2) - np.sum(lax.R * lax.R.T * lax.inv * lax.inv))
 
 
-@functools.lru_cache(maxsize=64)
+def _check_m(m):
+    """m, an int or an integer array, as an array; ValueError unless each
+    entry is an integer (a bool counts, as in Python) >= 1."""
+    m = np.asarray(m)
+    if m.dtype.kind not in "biu" or m.min() < 1:
+        raise ValueError(f"m must be >= 1 and an integer, not {m.tolist()!r}")
+    return m
+
+
+@functools.lru_cache(maxsize=64, typed=True)
 def _weights(ms):
     """Read-only Horner weights of Q = m L^{m-1} for ``ms``, an int or a
     tuple of one m per stacked point, built once per value: a point's w_k
@@ -263,9 +260,7 @@ def _weights(ms):
     w_{kmax-1}..w_1 shaped against a diagonal (..., 1), each None where it
     is 0 at every point, so that its add is skipped. Complex, so that no
     product with L casts them per call."""
-    ms = np.array(ms)
-    if ms.min() < 1:
-        raise ValueError("m must be >= 1")
+    ms = _check_m(ms)
     k = np.arange(max(2, ms.max()), 0, -1).reshape((-1,) + (1,) * ms.ndim)
     w = np.where(k == ms, ms, 0).astype(complex)[..., None]
     w.setflags(write=False)
@@ -278,8 +273,8 @@ def _vector_field(inv, L, a, b, m):
     point with spins (a, b), or of a stack of them along leading axes; m is
     an int, or for a (B,) stack a (B,) integer array of one m per point.
     The four are views of one packed block (..., 2n + 2nN) in the order of
-    :func:`spincm.flows._pack`, which ``dx.base`` returns. Raises ValueError
-    if an m is below 1.
+    :func:`_pack`, which ``dx.base`` returns. Raises ValueError unless
+    every m is an integer >= 1.
 
     Chain rule d tr L^m = tr(Q dL) with Q = m L^{m-1}, exploiting the
     sparsity of dL/dq: dL/dp_i = -E_ii, dL/dx_i = [E_ii, M]/2, and
@@ -294,7 +289,9 @@ def _vector_field(inv, L, a, b, m):
     zero: its products before its own top weight act on a zero matrix,
     (cI) L equals c L entry for entry, and zero weights change no value."""
     n, N = a.shape[-2:]
-    top, low = _weights(tuple(m.tolist()) if isinstance(m, np.ndarray) else m)
+    if isinstance(m, np.ndarray):  # a float tuple would hit the equal ints' weights
+        m = tuple((m if m.dtype.kind in "biu" else _check_m(m)).tolist())
+    top, low = _weights(m)
     Q = top * L
     for i, wk in enumerate(low):
         if i:
@@ -313,6 +310,11 @@ def _vector_field(inv, L, a, b, m):
     return dx, dp, da, db
 
 
+def _pack(state: PhaseState):
+    """The phase point as one packed complex vector (x, p, a, b)."""
+    return np.concatenate([state.x, state.p, state.a.ravel(), state.b.ravel()]).astype(complex)
+
+
 def _unpack(y, n, N):
     """(x, p, a, b) as views into packed vectors y; leading axes are kept."""
     lead = y.shape[:-1]
@@ -322,6 +324,16 @@ def _unpack(y, n, N):
         y[..., 2 * n : 2 * n + n * N].reshape(*lead, n, N),
         y[..., 2 * n + n * N :].reshape(*lead, n, N),
     )
+
+
+def _lax_derivative(lax: LaxData, a, b, dx, dp, da, db):
+    """dL along the tangent (dx, dp, da, db) of a phase point with spins
+    (a, b) and Lax assembly ``lax``, or of a stack of them: dL_ii = -dp_i and
+    dL_ik = -(dR_ik - R_ik (dx_i - dx_k) inv_ik) inv_ik, dR = db a^T + b da^T."""
+    dR = db @ a.swapaxes(-1, -2) + b @ da.swapaxes(-1, -2)
+    dL = -(dR - lax.R * (dx[..., :, None] - dx[..., None, :]) * lax.inv) * lax.inv
+    _diagonal(dL)[...] = -dp
+    return dL
 
 
 def grad_hamiltonian(state: PhaseState, m: int, eps_coll=EPS_COLL) -> Tangent:

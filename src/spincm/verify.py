@@ -24,10 +24,9 @@ from .flows import (
     _commutativity_rows,
     _first_error,
     _leg_spec,
-    _pack,
+    _pole_pairing,
     _scaled_error,
     _trajectories,
-    _unpack,
     check_lax,
     integrate_stack,
     vector_field_gradient,
@@ -35,6 +34,8 @@ from .flows import (
 )
 from .lax import (
     Tangent,
+    _pack,
+    _unpack,
     build_lax,
     grad_hamiltonian,
     hamiltonian,
@@ -43,7 +44,7 @@ from .lax import (
 )
 from .phase import EPS_COLL, PhaseState, random_state, write_json
 
-SUITE_VERSION = "6"
+SUITE_VERSION = "7"
 #: the stepper of every suite flow
 SUITE_METHOD = "DOP853"
 
@@ -53,7 +54,6 @@ COMMUTATIVITY_S = 0.1
 LAX_RESIDUAL_T = 0.05
 T1_SHIFT_S = 0.3
 N1_REDUCTION_T = 0.5
-LINEAR_PROBLEM_DT2 = 1e-4
 FD_STEP = 1e-5
 
 
@@ -150,19 +150,11 @@ def scalar_cm_poles(x0, v0, t):
 
 
 def matched_pole_error(x, ref) -> float:
-    """max |x - ref| over (k, n) pole rows, with each row of ref reordered
-    to x by pairing the closest remaining (pole, reference) pair first.
-    While every error is below half the smallest pole separation, this is
-    the pairing that minimizes the error."""
-    cost = np.abs(np.asarray(x)[:, :, None] - np.asarray(ref)[:, None, :])
-    k, n = cost.shape[:2]
-    worst = 0.0
-    for _ in range(n):
-        i, j = np.divmod(cost.reshape(k, -1).argmin(axis=1), n)
-        worst = max(worst, float(cost[np.arange(k), i, j].max()))
-        cost[np.arange(k), i, :] = np.inf
-        cost[np.arange(k), :, j] = np.inf
-    return worst
+    """max |x - ref| over (k, n) pole rows, each row of ref paired to x
+    closest pair first (flows._pole_pairing): while every error is below
+    half the smallest pole separation, the pairing that minimizes it."""
+    x, ref = np.asarray(x), np.asarray(ref)
+    return float(np.max(np.abs(x - np.take_along_axis(ref, _pole_pairing(x, ref), axis=1))))
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +298,7 @@ def _check_t1_shift(state, cfg, flow):
 def _check_linear_problem(state, cfg):
     z = 1.3 + 0.7j
     xs = _offgrid_points(state, 6)
-    res = kp.linear_problem_residual(state, z, xs, LINEAR_PROBLEM_DT2, eps_coll=cfg.eps_coll)
-    return res, {"z": [z.real, z.imag], "dt2": LINEAR_PROBLEM_DT2}
+    return kp.linear_problem_residual(state, z, xs, eps_coll=cfg.eps_coll), {"z": [z.real, z.imag]}
 
 
 def _check_residue_identity(state, cfg):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from spincm import build_lax, random_state
+from spincm import FlowSpec, build_lax, integrate, random_state, solve_c
+from spincm.kp import _psi_matrices, _psi_t2_derivatives
 
 
 @pytest.fixture
@@ -30,3 +31,20 @@ def exact_flow_poles(state, m, t):
     verify.matched_pole_error."""
     Q = m * np.linalg.matrix_power(build_lax(state).L, m - 1)
     return np.linalg.eigvals(np.diag(state.x) - np.multiply.outer(np.asarray(t), Q))
+
+
+def t2_stencil(state, z, x, dt2):
+    """Central differences over +-dt2 of the stripped psi and psi+ at x,
+    each end of the t_2 flow taken by RK4 in steps of dt2/4: an oracle for
+    the exact d/dt_2 of kp._psi_t2_derivatives, second order in dt2."""
+    ends = [integrate(state, FlowSpec(m=2, t_final=t, dt=dt2 / 4)).state(-1) for t in (dt2, -dt2)]
+    (psi_p, psid_p), (psi_m, psid_m) = (_psi_matrices(s, *solve_c(s, z), x) for s in ends)
+    return (psi_p - psi_m) / (2 * dt2), (psid_p - psid_m) / (2 * dt2)
+
+
+def stencil_errors(state, z, x, dt2s):
+    """Max entrywise distance of :func:`t2_stencil` from the exact d/dt_2
+    of psi and psi+, one per dt2."""
+    exact = _psi_t2_derivatives(state, *solve_c(state, z), z, x)
+    return [max(float(np.max(np.abs(fd - ex))) for fd, ex in zip(t2_stencil(state, z, x, h), exact))
+            for h in dt2s]

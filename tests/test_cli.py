@@ -9,6 +9,7 @@ import pytest
 
 from spincm import ba_eval, load_state, new_state, random_state
 from spincm.cli import main, parse_complex
+from spincm.config import DEFAULT_THRESHOLDS
 
 
 @pytest.mark.parametrize(
@@ -303,16 +304,19 @@ def test_config_eps_constr_applies_at_load(tmp_path, capsys):
 def test_verify_fails_a_flow_that_leaves_the_finite_numbers(tmp_path, capsys):
     path = tmp_path / "close.json"
     new_state([0, 1.05e-5], [0.1, 0.2], [[1], [1]], [[1], [1]]).save(path)
-    # the +-dt_2 flows overflow; each row ends at its first non-finite
-    # step, with no numpy warning on the way
+    # poles just above the floor: each flow check reads inf and FAIL, with
+    # no numpy warning on the way; linear_problem flows nothing and passes
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc = main(["verify", str(path)])
     out, err = capsys.readouterr()
     assert err == ""
     assert rc == 1
-    line = next(ln for ln in out.splitlines() if ln.startswith("linear_problem"))
-    assert line.split()[1:] == ["inf", "1.0e-06", "FAIL"]
+    lines = {ln.split()[0]: ln.split()[1:] for ln in out.splitlines()
+             if ln.split()[0] in DEFAULT_THRESHOLDS}
+    for name in ("lax_residual", "commutativity", "n1_reduction"):
+        assert lines[name] == ["inf", f"{DEFAULT_THRESHOLDS[name]:.1e}", "FAIL"]
+    assert lines["linear_problem"][-1] == "pass"
     assert "Traceback" not in out + err
 
 

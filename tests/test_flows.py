@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import sys
 import warnings
 from dataclasses import fields, replace
 
@@ -17,6 +18,7 @@ from spincm import (
     check_lax,
     commutativity_check,
     grad_hamiltonian,
+    hamiltonian,
     hamiltonians,
     integrate,
     integrate_stack,
@@ -28,13 +30,11 @@ from spincm import (
 from spincm.flows import (
     Trajectory,
     _first_error,
-    _gauge_invariant_observables,
-    _pack,
     _record,
     _trajectories,
 )
-from spincm import Config, dop853, flows
-from spincm.lax import _residue_rates, _unpack
+from spincm import Config, dop853, flows, lax
+from spincm.lax import _pack, _residue_rates, _unpack
 from spincm.phase import EPS_COLL, PhaseState, pairs_to_complex
 from spincm.verify import _scaled_error, _suite_flows, matched_pole_error
 
@@ -45,9 +45,33 @@ def test_flowspec_validation():
     with pytest.raises(ValueError):
         FlowSpec(m=0, t_final=1.0, dt=1e-3)
     with pytest.raises(ValueError):
+        FlowSpec(m=np.array([2, 3]), t_final=1.0, dt=1e-3)
+    with pytest.raises(ValueError):
         FlowSpec(m=1, t_final=1.0, dt=-1e-3)
     with pytest.raises(ValueError):
         FlowSpec(m=1, t_final=1.0, dt=1e-3, method="Euler")
+
+
+@pytest.mark.parametrize("m", [2.5, 2.0, np.float64(3.0)])
+def test_a_non_integer_m_is_rejected_at_every_gradient_entry_point(state32, m):
+    # 2.5 once weighed the Horner term of L^2 by 2.5: 2.5/3 of the H_3 field
+    with pytest.raises(ValueError, match="integer"):
+        FlowSpec(m=m, t_final=0.1, dt=1e-2)
+    with pytest.raises(ValueError, match="integer"):
+        lax._weights(m)
+    # the int m of equal value is cached first: an equal float key would hit it
+    stack = PhaseState(*(np.stack([v, v]) for v in (state32.x, state32.p, state32.a, state32.b)))
+    vector_field_gradient(state32, int(m))
+    vector_field_gradient(stack, np.array([2, int(m)]))
+    calls = (
+        lambda: vector_field_gradient(state32, m),
+        lambda: grad_hamiltonian(state32, m),
+        lambda: hamiltonian(state32, m),
+        lambda: vector_field_gradient(stack, np.array([2, m])),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="integer"):
+            call()
 
 
 def test_gradient_field_t1(state32):
@@ -363,6 +387,28 @@ def test_commutativity_t2_t3(state32):
     assert commutativity_check(state32, 2, 3, 0.1, 0.1) <= 1e-6
 
 
+def test_pole_pairing_is_closest_first():
+    # two poles that share their real part, ref's listed in the other
+    # order and off by a rounding: a sort on (Re x, Im x) splits them
+    x = np.array([[1j, -1j, 2.0]])
+    ref = np.array([[2.0, -1j + 1e-15, 1j - 1e-15]])
+    assert flows._pole_pairing(x, ref).tolist() == [[2, 1, 0]]
+    assert matched_pole_error(x, ref) == pytest.approx(1e-15, rel=1e-6)
+
+
+def test_commutativity_pairs_conjugate_poles():
+    # x = r +- i s, p = (q, conj q), a = b = 1: the legs' poles share a real
+    # part up to rounding, which a (Re x, Im x) sort once read as a gap of 0.987
+    s = new_state([1j, -1j], [0.2 - 0.3j, 0.2 + 0.3j], [[1], [1]], [[1], [1]])
+    assert commutativity_check(s, 2, 3, 0.1, 0.1) <= 1e-12
+    rng = np.random.default_rng(3)
+    for _ in range(12):
+        r, sep = rng.uniform(-1, 1), rng.uniform(0.5, 1.5)
+        q = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
+        s = new_state([r + 1j * sep, r - 1j * sep], [q, q.conjugate()], [[1], [1]], [[1], [1]])
+        assert commutativity_check(s, 2, 3, 0.1, 0.1) <= 1e-6
+
+
 def test_trajectory_export(tmp_path, state32):
     traj = integrate(state32, FlowSpec(m=2, t_final=0.01, dt=1e-3, record_every=5))
     csv_path = tmp_path / "traj.csv"
@@ -574,7 +620,7 @@ def test_dop853_stack_rows_equal_single_row_integrate(n, record_every):
         replace(spec, m=3, t_final=0),
         replace(spec, m=1, t_final=0.1j, dt=7e-3),
         replace(spec, m=4, t_final=-0.1 + 0.05j, record_every=3),
-        replace(spec, m=3, dt=2e-2, record_every=flows.ENDPOINT_ONLY),
+        replace(spec, m=3, dt=2e-2, record_every=sys.maxsize),
     ]
     rows = list(zip(states, specs))
     trajs = integrate_stack(rows)
@@ -591,7 +637,7 @@ def test_dop853_endpoint_rows_add_no_steps(state32, monkeypatch):
     # for, with no grid point to clip them; a second such row in the block
     # costs no right-hand-side call of its own
     calls = _count_calls(monkeypatch, flows, "_tangent")
-    end = FlowSpec(m=2, t_final=0.1, dt=1e-3, method="DOP853", record_every=flows.ENDPOINT_ONLY)
+    end = FlowSpec(m=2, t_final=0.1, dt=1e-3, method="DOP853", record_every=sys.maxsize)
     integrate(state32, end)
     alone = len(calls)
     assert alone % 12 == 0 and alone <= 12 * 8
@@ -783,13 +829,13 @@ def test_commutativity_raises_a_first_leg_error_before_a_second_leg_error():
 def test_commutativity_legs_as_stacks_equal_sequential_legs(state32):
     def leg(st, m, s):
         spec = FlowSpec(m=m, t_final=s, dt=abs(s), method="DOP853")  # a one-step grid
-        return integrate(st, spec).state(-1)
+        return integrate(st, spec)
 
     # equal spans, then ragged legs: a complex second span, and m = 1
     for m1, m2, s1, s2 in ((2, 3, 0.05, 0.05), (2, 3, 0.05, 0.03 + 0.02j), (1, 2, 0.2, 0.1)):
-        ab = leg(leg(state32, m1, s1), m2, s2)
-        ba = leg(leg(state32, m2, s2), m1, s1)
-        ref = _scaled_error(_gauge_invariant_observables(ab), _gauge_invariant_observables(ba))
+        a, b = leg(state32, m1, s1), leg(state32, m2, s2)
+        ab, ba = leg(a.state(-1), m2, s2), leg(b.state(-1), m1, s1)
+        ref = flows._commutativity_gap([a, b, ab, ba])
         assert commutativity_check(state32, m1, m2, s1, s2) == ref
 
 
@@ -803,7 +849,7 @@ def test_chained_rows_equal_integrating_the_parent_endpoint():
         (states[1], replace(spec, m=4, t_final=0.05j)),
         (0, replace(spec, m=3, t_final=-0.04 + 0.03j)),
         (states[2], replace(spec, m=1, t_final=0.2)),
-        (2, replace(spec, m=2, t_final=0.02, record_every=flows.ENDPOINT_ONLY)),
+        (2, replace(spec, m=2, t_final=0.02, record_every=sys.maxsize)),
         (3, replace(spec, m=5, t_final=0.03)),
     ]
     got = _trajectories(integrate_stack(rows))

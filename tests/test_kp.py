@@ -29,7 +29,7 @@ from spincm.kp import _psi_matrices
 from spincm.lax import _residue_rates, _vector_field
 from spincm.phase import TimeVector, pairs_to_complex
 
-from conftest import offgrid_points
+from conftest import offgrid_points, stencil_errors
 
 Z0 = 1.7 + 0.9j
 
@@ -204,16 +204,23 @@ def test_dlog_tau_matches_finite_differences(state32):
 
 def test_linear_problem_residual_small(state32):
     grid = offgrid_points(state32, 5)
-    res = linear_problem_residual(state32, Z0, grid, dt2=1e-4)
-    assert res <= 1e-6
+    res = linear_problem_residual(state32, Z0, grid)
+    assert res <= 1e-12
 
 
 def test_linear_problem_residual_second_order(state32):
-    # central differencing in t_2: residual must shrink ~4x per halving
+    # the exact d/dt_2 of psi and psi+ is the limit of central differences
+    # over RK4 flows by +-dt_2: their distance shrinks ~4x per halving
     grid = offgrid_points(state32, 3)
-    r1 = linear_problem_residual(state32, Z0, grid, dt2=2e-4)
-    r2 = linear_problem_residual(state32, Z0, grid, dt2=1e-4)
-    assert 3.5 <= r1 / r2 <= 4.5
+    e1, e2 = stencil_errors(state32, Z0, grid, (2e-4, 1e-4))
+    assert 3.5 <= e1 / e2 <= 4.5
+
+
+def test_linear_problem_residual_takes_no_step_by_position(state32):
+    # eps_coll is keyword-only: a step size passed by position is an error,
+    # not a collision floor
+    with pytest.raises(TypeError):
+        linear_problem_residual(state32, Z0, offgrid_points(state32, 2), 1e-4)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -241,6 +248,19 @@ def test_residue_route_rejects_m_below_one(m):
     )
     for call in calls:
         with pytest.raises(ValueError, match="m must be >= 1"):
+            call()
+
+
+@pytest.mark.parametrize("m", [2.5, 2.0])
+def test_residue_route_rejects_a_non_integer_m(state32, m):
+    # a float m once reached range(m) in the Krylov loop: a bare TypeError
+    calls = (
+        lambda: vector_field_residue(state32, m),
+        lambda: residue_identity_residual(state32, m, np.array([1.0 + 1.0j])),
+        lambda: first_order_pole_cancellation(state32, m),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="integer"):
             call()
 
 
