@@ -74,10 +74,11 @@ def solve_c(state: PhaseState, z: complex, eps_coll=EPS_COLL):
     return c, c_star
 
 
-def _inverse_differences(state, x, eps_coll, power=1):
-    """1/(x - x_i)^power, shape x.shape + (n,) for a scalar or an array x;
-    PoleHit names the first point that is not finite or lies within
-    ``eps_coll`` of a pole."""
+def _differences(state, x, eps_coll):
+    """x - x_i, shape x.shape + (n,) for a scalar or an array x, formed and
+    checked once per grid: the private helpers below take it and form
+    1/(x - x_i)^k as 1.0 / d**k. PoleHit names the first point that is not
+    finite or lies within ``eps_coll`` of a pole."""
     x = np.asarray(x, dtype=complex)
     d = x[..., None] - state.x
     ok = np.isfinite(x) & (np.abs(d) >= eps_coll).all(axis=-1)  # a NaN distance fails >=
@@ -85,7 +86,7 @@ def _inverse_differences(state, x, eps_coll, power=1):
         x0 = x.ravel()[ok.ravel().argmin()]
         raise PoleHit(f"evaluation point x = {x0} "
                       + ("hits a pole" if np.isfinite(x0) else "is not finite"))
-    return 1.0 / d**power
+    return d
 
 
 def _pole_sum(w, left, right):
@@ -94,16 +95,17 @@ def _pole_sum(w, left, right):
     return np.einsum("...i,ig,ih->...gh", w, left, right)
 
 
-def _psi_matrices(state, c, c_star, x, eps_coll=EPS_COLL):
-    """Stripped psi and psi+, (N, N) at a scalar x or (..., N, N) on an array."""
-    inv = _inverse_differences(state, x, eps_coll)
+def _psi_matrices(state, c, c_star, d):
+    """Stripped psi and psi+, (N, N) at a scalar x or (..., N, N) on an
+    array, from the differences d of :func:`_differences`."""
+    inv = 1.0 / d
     I = np.eye(state.spin_dim, dtype=complex)
     return I + _pole_sum(inv, state.a, c), I + _pole_sum(inv, c_star, state.b)
 
 
-def _psi_x_derivatives(state, c, c_star, x, eps_coll=EPS_COLL):
+def _psi_x_derivatives(state, c, c_star, d):
     """Closed-form first and second x-derivatives of the pole ansatz."""
-    w1_, w2_ = (_inverse_differences(state, x, eps_coll, k) for k in (2, 3))
+    w1_, w2_ = 1.0 / d**2, 1.0 / d**3
     a, b = state.a, state.b
     return (-_pole_sum(w1_, a, c), 2 * _pole_sum(w2_, a, c),
             -_pole_sum(w1_, c_star, b), 2 * _pole_sum(w2_, c_star, b))
@@ -120,9 +122,9 @@ def psi_pair(
     """Baker-Akhiezer pair at (x, z), stripped or full gauge."""
     if gauge not in ("stripped", "full"):
         raise ValueError("gauge must be 'stripped' or 'full'")
-    _inverse_differences(state, x, eps_coll)
+    d = _differences(state, x, eps_coll)
     c, c_star = solve_c(state, z, eps_coll)
-    psi, psid = _psi_matrices(state, c, c_star, x, eps_coll)
+    psi, psid = _psi_matrices(state, c, c_star, d)
     if gauge == "full":
         times = times if times is not None else TimeVector()
         phase = np.exp(x * z + times.xi(z))
@@ -134,13 +136,21 @@ def psi_pair(
 def w1(state: PhaseState, x, eps_coll=EPS_COLL):
     """w^(1)(x) = -sum_i a_i b_i^T / (x - x_i), at a scalar x (N, N) or at
     every point of an array x (..., N, N)."""
-    return -_pole_sum(_inverse_differences(state, x, eps_coll), state.a, state.b)
+    return _w1(state, _differences(state, x, eps_coll))
+
+
+def _w1(state, d):
+    return -_pole_sum(1.0 / d, state.a, state.b)
 
 
 def potential_v(state: PhaseState, x, eps_coll=EPS_COLL):
     """V(x) = -2 d/dx w^(1) = -2 sum_i a_i b_i^T / (x - x_i)^2, at a scalar
     x (N, N) or at every point of an array x (..., N, N)."""
-    return -2 * _pole_sum(_inverse_differences(state, x, eps_coll, 2), state.a, state.b)
+    return _potential_v(state, _differences(state, x, eps_coll))
+
+
+def _potential_v(state, d):
+    return -2 * _pole_sum(1.0 / d**2, state.a, state.b)
 
 
 def tau(state: PhaseState, params: TauParams, x: complex) -> complex:
@@ -154,9 +164,10 @@ def dlog_tau_dx(state: PhaseState, x: complex, params: TauParams = TauParams()) 
     return complex(params.A + np.sum(1.0 / (x - state.x)))
 
 
-def _psi_t2_derivatives(state, c, c_star, z, x, eps_coll=EPS_COLL):
-    """Exact (d_t2 psi, d_t2 psi+), stripped, at a scalar x or an array x,
-    with (c, c*) = :func:`solve_c` at z: see :func:`linear_problem_residual`."""
+def _psi_t2_derivatives(state, c, c_star, z, d, eps_coll=EPS_COLL):
+    """Exact (d_t2 psi, d_t2 psi+), stripped, at a scalar x or an array x
+    given by its differences d, with (c, c*) = :func:`solve_c` at z: see
+    :func:`linear_problem_residual`."""
     a, b = state.a, state.b
     lax = build_lax(state, eps_coll)
     dx, dp, da, db = _derived("field", state, lax, 2)
@@ -164,7 +175,7 @@ def _psi_t2_derivatives(state, c, c_star, z, x, eps_coll=EPS_COLL):
     A = z * np.eye(state.n_particles, dtype=complex) - lax.L
     dc = np.linalg.solve(A, dL @ c - db)
     dc_star = np.linalg.solve(A.T, dL.T @ c_star + da)
-    inv = _inverse_differences(state, x, eps_coll)
+    inv = 1.0 / d
     w2 = inv**2 * dx  # dx_i / (x - x_i)^2
     return (_pole_sum(inv, da, c) + _pole_sum(inv, a, dc) + _pole_sum(w2, a, c),
             _pole_sum(inv, dc_star, b) + _pole_sum(inv, c_star, db) + _pole_sum(w2, c_star, b))
@@ -187,10 +198,11 @@ def linear_problem_residual(state: PhaseState, z: complex, x_grid, *, eps_coll=E
     d psi+ likewise from c*_i b_i^T. Every collision and pole check uses eps_coll.
     """
     c, c_star = solve_c(state, z, eps_coll)
-    psi, psid = _psi_matrices(state, c, c_star, x_grid, eps_coll)
-    dpsi, d2psi, dpsid, d2psid = _psi_x_derivatives(state, c, c_star, x_grid, eps_coll)
-    lhs, lhs_adj = _psi_t2_derivatives(state, c, c_star, z, x_grid, eps_coll)
-    V = potential_v(state, x_grid, eps_coll)
+    d = _differences(state, x_grid, eps_coll)
+    psi, psid = _psi_matrices(state, c, c_star, d)
+    dpsi, d2psi, dpsid, d2psid = _psi_x_derivatives(state, c, c_star, d)
+    lhs, lhs_adj = _psi_t2_derivatives(state, c, c_star, z, d, eps_coll)
+    V = _potential_v(state, d)
     gaps = (lhs - (2 * z * dpsi + d2psi + V @ psi), lhs_adj - (2 * z * dpsid - d2psid - psid @ V))
     return max(float(np.max(np.abs(g), initial=0.0)) for g in gaps)
 
@@ -221,7 +233,7 @@ def residue_identity_residual(state: PhaseState, m: int, x_samples, eps_coll=EPS
     lax = build_lax(state, eps_coll)
     K, u, v = _derived("rates", state, lax, m)
     dx, _, da, db = _derived("field", state, lax, m)
-    inv1 = _inverse_differences(state, np.atleast_1d(x_samples), eps_coll)  # (points, n)
+    inv1 = 1.0 / _differences(state, np.atleast_1d(x_samples), eps_coll)  # (points, n)
     inv2 = inv1**2
     Kd = K.diagonal()
     entry = (_pole_sum(inv1, u - da, b) + _pole_sum(inv1, a, v - db)
@@ -252,10 +264,9 @@ def ba_eval(state: PhaseState, z: complex, grid, eps_coll=EPS_COLL):
     grid = np.atleast_1d(np.asarray(grid, dtype=complex))
     fields = ([], [], [], [])
     if grid.size:
-        _inverse_differences(state, grid, eps_coll)
+        d = _differences(state, grid, eps_coll)
         c, c_star = solve_c(state, z, eps_coll)
-        fields = (*_psi_matrices(state, c, c_star, grid, eps_coll),
-                  potential_v(state, grid, eps_coll), w1(state, grid, eps_coll))
+        fields = (*_psi_matrices(state, c, c_star, d), _potential_v(state, d), _w1(state, d))
     out = {"z": [z.real, z.imag], "grid": complex_to_pairs(grid)}
     for key, f in zip(("psi_tilde", "psi_dagger_tilde", "V", "w1"), fields):
         out[key] = complex_to_pairs(f)

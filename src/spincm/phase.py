@@ -27,6 +27,8 @@ EPS_COLL = 1e-6
 EPS_CONSTR = 1e-10
 #: candidate draws per pole and per spin vector in random_state
 DRAW_RETRIES = 50
+#: most tries drawn at once in random_state; bounds its memory at O(n * _BLOCK)
+_BLOCK = 128
 
 
 def _freeze(arr):
@@ -176,16 +178,37 @@ def new_state(x, p, a, b, eps_coll=EPS_COLL, eps_constr=EPS_CONSTR):
     return state
 
 
+def _size(value, name):
+    """``value`` as an int; DimensionMismatch unless it is one integer >= 1
+    (a bool counts as the int it equals, as in lax._check_m)."""
+    v = np.asarray(value)
+    if v.ndim or v.dtype.kind not in "biu" or v < 1:
+        raise DimensionMismatch(f"{name} must be an integer >= 1, got {value!r}")
+    return int(v)
+
+
+def _first(bad):
+    """Index of the first True in ``bad``, its length if there is none."""
+    return int(np.argmax(bad)) if np.any(bad) else len(bad)
+
+
 def random_state(n_particles, spin_dim, seed, separation=1.0):
     """Deterministic random phase point with exact spin normalization.
 
-    Poles are placed sequentially in a complex box, rejecting candidates
-    closer than ``separation`` to an existing pole. Each b_i is drawn from
-    the same box distribution as a_i and rescaled by 1/(b_i^T a_i); the draw
-    is retried while |b_i^T a_i| < 1e-3.
+    Draw order, the contract that fixes the state of a seed: pole tries,
+    each a (re, im) pair uniform in a complex box of half-width
+    0.75 * separation * max(2, n); then p, all real parts before all
+    imaginary parts, half-width 0.5; then a, likewise, half-width 1; then
+    spin tries, each N real parts then N imaginary parts, half-width 1.
+    A pole try is placed unless it lies closer than ``separation`` to a
+    placed pole; a spin try c becomes b_i = c / (c^T a_i) unless
+    |c^T a_i| < 1e-3. Each pole and each b_i gets DRAW_RETRIES tries,
+    else DegenerateDraw. Tries are drawn in blocks of at most as many as
+    places are left, so every drawn number is a try the one-at-a-time
+    loop would draw too; blocks change the speed, never the state.
     """
-    if n_particles < 1 or spin_dim < 1:
-        raise DimensionMismatch("n_particles and spin_dim must be >= 1")
+    n_particles = _size(n_particles, "n_particles")
+    spin_dim = _size(spin_dim, "spin_dim")
     if not 0 < separation < np.inf:  # NaN fails both comparisons
         raise ValueError(f"separation must be positive and finite, got {separation}")
     rng = np.random.default_rng(seed)
@@ -196,29 +219,45 @@ def random_state(n_particles, spin_dim, seed, separation=1.0):
         im = rng.uniform(-scale, scale, size=size)
         return re + 1j * im
 
+    def tries(left, shape, scale):
+        """min(left, _BLOCK) tries, each of ``shape``, in the stream order of
+        one cbox(shape, scale) call per try."""
+        u = rng.uniform(-scale, scale, size=(min(left, _BLOCK), 2) + shape)
+        return u[:, 0] + 1j * u[:, 1]
+
     x = np.empty(n_particles, dtype=complex)
-    for i in range(n_particles):
-        for _ in range(DRAW_RETRIES):
-            cand = cbox((), half)
-            if i == 0 or np.min(np.abs(x[:i] - cand)) >= separation:
-                x[i] = cand
-                break
-        else:
-            raise DegenerateDraw(
-                f"could not place pole {i} with separation {separation}"
-            )
+    i = failed = 0
+    cand = x[:0]
+    while i < n_particles:
+        if failed >= DRAW_RETRIES:
+            raise DegenerateDraw(f"could not place pole {i} with separation {separation}")
+        if not cand.size:
+            cand = tries(n_particles - i, (), half)
+        # try j fails if a placed pole or an earlier try is near: its first
+        # near row, with the try itself on row i + j, comes before row i + j
+        near = np.abs(np.concatenate((x[:i], cand))[:, None] - cand) < separation
+        j = _first(near.argmax(axis=0) < np.arange(i, i + len(cand)))
+        failed = (0 if j else failed) + (j < len(cand))  # try j, if any, fails pole i + j
+        x[i:i + j] = cand[:j]
+        i, cand = i + j, cand[j + 1:]
     p = cbox(n_particles, 0.5)
     a = cbox((n_particles, spin_dim), 1.0)
     b = np.empty_like(a)
-    for i in range(n_particles):
-        for _ in range(DRAW_RETRIES):
-            cand = cbox(spin_dim, 1.0)
-            pairing = cand @ a[i]
-            if abs(pairing) >= 1e-3:
-                b[i] = cand / pairing
-                break
-        else:
+    i = failed = 0
+    while i < n_particles:
+        if failed >= DRAW_RETRIES:
             raise DegenerateDraw(f"degenerate spin draw for particle {i}")
+        if not cand.size:
+            cand = tries(n_particles - i, (spin_dim,), 1.0)
+        k = len(cand)
+        # each (1, N) @ (N, 1) pair is the BLAS dot of the 1-d c @ a_i
+        pairing = np.matmul(cand[:, None], a[i:i + k, :, None])[:, 0, 0]
+        # np.hypot is the libm hypot of abs(pairing); np.abs of a complex
+        # array is not, and differs from it in the last bit
+        j = _first(np.hypot(pairing.real, pairing.imag) < 1e-3)
+        failed = (0 if j else failed) + (j < k)
+        b[i:i + j] = cand[:j] / pairing[:j, None]
+        i, cand = i + j, cand[j + 1:]
     return PhaseState(x=_freeze(x), p=_freeze(p), a=_freeze(a), b=_freeze(b))
 
 

@@ -24,10 +24,11 @@ from spincm import (
     vector_field_residue,
     w1,
 )
+from spincm import kp
 from spincm.config import DEFAULT_THRESHOLDS
-from spincm.kp import _psi_matrices
+from spincm.kp import _differences, _psi_matrices
 from spincm.lax import _residue_rates, _vector_field
-from spincm.phase import TimeVector, pairs_to_complex
+from spincm.phase import EPS_COLL, TimeVector, pairs_to_complex
 
 from conftest import offgrid_points, stencil_errors
 
@@ -206,6 +207,19 @@ def test_linear_problem_residual_small(state32):
     grid = offgrid_points(state32, 5)
     res = linear_problem_residual(state32, Z0, grid)
     assert res <= 1e-12
+
+
+def test_grid_differences_are_formed_and_checked_once_per_call(state32, monkeypatch):
+    # x - x_i and its pole check run once per grid; 1/(x - x_i)^k for every
+    # k the call needs come from that one array
+    calls = []
+    differences = kp._differences
+    monkeypatch.setattr(kp, "_differences", lambda s, *a: calls.append(s) or differences(s, *a))
+    grid = offgrid_points(state32, 5)
+    ba_eval(state32, Z0, grid)
+    assert len(calls) == 1
+    linear_problem_residual(state32, Z0, grid)
+    assert len(calls) == 2
 
 
 def test_linear_problem_residual_second_order(state32):
@@ -448,8 +462,8 @@ def test_ba_eval_honours_eps_coll(state32):
 def test_array_x_matches_scalar_x_bit_for_bit(state32):
     grid = offgrid_points(state32, 5)
     c, c_star = solve_c(state32, Z0)
-    stacks = (*_psi_matrices(state32, c, c_star, grid), potential_v(state32, grid),
-              w1(state32, grid))
+    stacks = (*_psi_matrices(state32, c, c_star, _differences(state32, grid, EPS_COLL)),
+              potential_v(state32, grid), w1(state32, grid))
     for k, x in enumerate(grid):
         s = psi_pair(state32, None, Z0, x)
         for got, want in zip(stacks, (s.psi_tilde, s.psi_dagger_tilde,

@@ -1,4 +1,6 @@
+import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +19,8 @@ from spincm import (
     new_state,
     random_state,
 )
-from spincm import flows
+from spincm import flows, phase
+from spincm.errors import DegenerateDraw
 from spincm.kp import ba_eval
 from spincm.phase import (
     TimeVector,
@@ -27,6 +30,8 @@ from spincm.phase import (
     state_from_dict,
     write_json,
 )
+
+from conftest import reference_random_state
 
 
 def test_new_state_trivial_valid():
@@ -74,6 +79,120 @@ def test_random_state_constraint_and_separation():
         s = random_state(4, 3, seed=seed, separation=0.8)
         assert s.constraint_drift() <= 1e-14
         assert s.min_separation() >= 0.8
+
+
+def _draw_outcome(draw, *args):
+    """(x, p, a, b) of a draw, or the type and message of its DegenerateDraw."""
+    try:
+        out = draw(*args)
+    except DegenerateDraw as exc:
+        return type(exc), str(exc)
+    return tuple(getattr(out, f) for f in "xpab") if isinstance(out, PhaseState) else out
+
+
+def _assert_same_draw(args):
+    ref, got = _draw_outcome(reference_random_state, *args), _draw_outcome(random_state, *args)
+    raised = isinstance(ref[0], type)
+    assert isinstance(got[0], type) == raised
+    if raised:
+        assert got == ref
+    else:
+        assert all(g.dtype == r.dtype and np.array_equal(g, r) for g, r in zip(got, ref))
+    return ref
+
+
+def test_random_state_equals_the_sequential_reference(monkeypatch):
+    # block draws consume the stream as the one-try-at-a-time loop does:
+    # every state bit for bit, on a family with many rejections at small n
+    for n, N, seed, sep in itertools.product((*range(1, 13), 30, 100), (1, 2, 4), range(4),
+                                             (1.0, 2.5, 4.0)):
+        _assert_same_draw((n, N, seed, sep))
+    monkeypatch.setattr(phase, "DRAW_RETRIES", 0)
+    assert _assert_same_draw((3, 2, 0)) == (DegenerateDraw, "could not place pole 0 with separation 1.0")
+
+
+# (args, DegenerateDraw message at DRAW_RETRIES = 1): rejections found by the
+# reference; (6, 2, 4, 3.0) and (100, 4, 4) reject two pole tries each,
+# (1000, 1, 66) retries one spin draw, (1000, 1, 24) rejects one pole try
+# and retries one spin draw
+_REJECTING_DRAWS = [
+    ((6, 2, 4, 3.0), "could not place pole 4 with separation 3.0"),
+    ((100, 4, 4), "could not place pole 30 with separation 1.0"),
+    ((1000, 1, 66), "degenerate spin draw for particle 304"),
+    ((1000, 1, 24), "could not place pole 437 with separation 1.0"),
+]
+
+
+@pytest.mark.parametrize("args, message", _REJECTING_DRAWS)
+def test_random_state_rejections_equal_the_reference(args, message, monkeypatch):
+    _assert_same_draw(args)
+    for retries in (1, 2, 3):
+        monkeypatch.setattr(phase, "DRAW_RETRIES", retries)
+        ref = _assert_same_draw(args)
+        if retries == 1:
+            assert ref == (DegenerateDraw, message)
+
+
+class _CoarseRng:
+    """A generator whose uniforms take only the values low, mid and high,
+    each draw one double of a real Generator: pole tries land on 9 points
+    and spin pairings vanish often, so one place collects many failed
+    tries, across blocks and with DRAW_RETRIES running out."""
+
+    def __init__(self, seed, _make=np.random.default_rng):
+        self._rng = _make(seed)
+
+    def uniform(self, low, high, size=None):
+        return low + (high - low) / 2 * np.floor(self._rng.uniform(0, 3, size=size))
+
+
+def test_random_state_piles_of_failed_tries_equal_the_reference(monkeypatch):
+    monkeypatch.setattr(np.random, "default_rng", _CoarseRng)
+    outcomes = set()
+    for retries in (50, 3, 2):
+        monkeypatch.setattr(phase, "DRAW_RETRIES", retries)
+        for n, N, seed in itertools.product((3, 9, 10), (1, 2), range(12)):
+            ref = _assert_same_draw((n, N, seed))
+            outcomes.add("ok" if ref[0] is not DegenerateDraw else "pole" if "pole" in ref[1] else "spin")
+    assert outcomes == {"ok", "pole", "spin"}
+
+
+def test_random_state_follows_its_draw_order():
+    # pole tries as (re, im), then p, then a, then spin tries: (6, 2, 4, 3.0)
+    # places 6 of its first 8 pole tries
+    s = random_state(6, 2, 4, separation=3.0)
+    rng = np.random.default_rng(4)
+    u = rng.uniform(-13.5, 13.5, size=(8, 2))
+    tries = u[:, 0] + 1j * u[:, 1]
+    placed = np.isin(tries, s.x)
+    assert placed.sum() == 6 and np.array_equal(tries[placed], s.x)
+    for field, shape, scale in (("p", 6, 0.5), ("a", (6, 2), 1.0)):
+        re = rng.uniform(-scale, scale, size=shape)
+        assert np.array_equal(getattr(s, field), re + 1j * rng.uniform(-scale, scale, size=shape))
+    c = rng.uniform(-1, 1, size=2) + 1j * rng.uniform(-1, 1, size=2)
+    assert np.array_equal(s.b[0], c / (c @ s.a[0]))
+
+
+def test_spin_threshold_magnitude_is_the_scalar_abs():
+    # random_state tests |c^T a_i| of a block with np.hypot, which must be
+    # the abs() of each pairing bit for bit
+    rng = np.random.default_rng(3)
+    q = (rng.uniform(-1, 1, 4000) + 1j * rng.uniform(-1, 1, 4000)) * np.exp(rng.uniform(-9, 2, 4000))
+    assert np.array_equal(np.hypot(q.real, q.imag), [abs(v) for v in q])
+
+
+@pytest.mark.parametrize("n, N, bad", [(3.0, 2, 3.0), (2.5, 2, 2.5), (3, 2.0, 2.0), ("3", 2, "3"),
+                                      ([3], 2, [3]), (0, 2, 0), (3, False, False)])
+def test_random_state_rejects_a_size_that_is_not_a_positive_integer(n, N, bad):
+    with pytest.raises(DimensionMismatch, match=re.escape(f"must be an integer >= 1, got {bad!r}")):
+        random_state(n, N, 0)
+
+
+def test_random_state_takes_a_bool_or_numpy_integer_as_its_int():
+    one = _draw_outcome(random_state, 1, 2, 0)
+    assert all(np.array_equal(g, r) for g, r in zip(_draw_outcome(random_state, True, 2, 0), one))
+    s = random_state(np.int64(3), np.array(2, dtype=np.uint8), 0)
+    assert (s.n_particles, s.spin_dim) == (3, 2)
 
 
 def test_gauge_rescale_identity(state32):
