@@ -15,7 +15,7 @@ import numpy as np
 from . import kp
 from .config import Config
 from .errors import CollidingPoles, SpinCMError
-from .flows import METHODS, FlowSpec, _format_time, _scaled_error, integrate
+from .flows import FlowSpec, _format_time, _scaled_error, integrate
 from .lax import hamiltonians
 from .phase import load_state, random_state, write_json
 from .verify import run_suite
@@ -63,7 +63,6 @@ def cmd_evolve(args, config):
             m=args.m,
             t_final=args.T,
             dt=args.dt if args.dt is not None else config.dt,
-            method=args.method,
             record_every=args.record_every,
         )
     except ValueError as exc:
@@ -144,7 +143,6 @@ def build_parser():
     e.add_argument("--m", type=_positive_int, required=True, help="hierarchy time index")
     e.add_argument("--T", type=parse_complex, required=True, help="flow endpoint")
     e.add_argument("--dt", type=float, default=None)
-    e.add_argument("--method", choices=METHODS, default="RK4")
     e.add_argument("--record-every", type=_positive_int, default=1)
     e.set_defaults(fn=cmd_evolve, default_out="trajectory")
 

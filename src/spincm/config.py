@@ -43,7 +43,7 @@ class Config:
 
     eps_coll: float = EPS_COLL
     eps_constr: float = EPS_CONSTR
-    #: evolve's grid step (RK4 takes it); the verify suite's sampling grid
+    #: the grid step of evolve's samples and of the verify suite's
     dt: float = 1e-3
     thresholds: dict = field(default_factory=lambda: dict(DEFAULT_THRESHOLDS))
 

@@ -6,19 +6,19 @@ H_m gradient kernel, and the residue route through the residue data of
 :func:`spincm.lax._residue_rates`, the kernel that the residue identities
 of :mod:`spincm.kp` read too. Integration runs along the straight
 segment from 0 to a complex t_final, with constraint drift and H_1..H_5
-recorded at every sample, by one of two steppers: fixed-step RK4 (the
-default), or DOP853, the embedded 8(5,3) Runge-Kutta pair of Dormand and
-Prince whose step follows its error estimate (:mod:`spincm.dop853`).
+recorded at every sample, by one stepper: DOP853, the embedded 8(5,3)
+Runge-Kutta pair of Dormand and Prince whose step follows its error
+estimate, with the samples on a fixed grid read from its continuous
+extension (:mod:`spincm.dop853`).
 
 The one integrator, :func:`integrate_stack`, steps a ragged stack: a
-(B, dim) block of packed phase points that share (n, N) and the method,
-while each row keeps its own m, endpoint, step size and record_every; each
-right-hand-side call is one :func:`vector_field_gradient` of the block,
-whatever the m of its rows. A row ends alone, at its last step, its own
-pole collision or its loss of finite values. A DOP853 row may start from
-the last sample of an earlier row, so a sequence of flows, such as the
-legs of :func:`commutativity_check`, runs in one stack. :func:`integrate`
-is its one-row case.
+(B, dim) block of packed phase points that share (n, N), while each row
+keeps its own m, endpoint, grid and record_every; each right-hand-side
+call is one :func:`vector_field_gradient` of the block, whatever the m of
+its rows. A row ends alone, at its last step, its own pole collision or
+its step budget. A row may start from the last sample of an earlier row,
+so a sequence of flows, such as the legs of :func:`commutativity_check`,
+runs in one stack. :func:`integrate` is its one-row case.
 """
 
 from __future__ import annotations
@@ -39,18 +39,14 @@ from .lax import (Tangent, _check_m, _derived, _lax_derivative, _pack, _unpack, 
                   build_lax, hamiltonians)
 from .phase import EPS_COLL, PhaseState, complex_to_pairs, write_json
 
-#: the steppers of integrate_stack
-METHODS = ("RK4", "DOP853")
-
-
 @dataclass(frozen=True)
 class FlowSpec:
-    """Which hierarchy time to flow and how to step along it."""
+    """Which hierarchy time to flow, the grid of its samples and its step
+    budget."""
 
     m: int
     t_final: complex
     dt: float
-    method: str = "RK4"
     record_every: int = 1
     max_steps: int = 1_000_000
 
@@ -61,8 +57,6 @@ class FlowSpec:
             raise ValueError(f"dt must be positive and finite, not {self.dt}")
         if not np.isfinite(self.t_final):
             raise ValueError(f"t_final must be finite, not {self.t_final}")
-        if self.method not in METHODS:
-            raise ValueError(f"method must be {' or '.join(METHODS)}")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
 
@@ -198,13 +192,6 @@ def _format_time(t):
     return repr(t.real) if t.imag == 0 else str(t)
 
 
-def _not_finite(t, m, row):
-    """IntegrationFailed of stack row ``row``, whose t_m flow is no longer
-    finite at flow time t."""
-    return IntegrationFailed(f"the t_{m} flow left the finite numbers at t = {_format_time(t)}",
-                             time=t, row=row)
-
-
 #: complex entries of one L stack in _record; bounds its temporaries
 RECORD_CHUNK = 1 << 14
 
@@ -228,7 +215,9 @@ def _record(row, m, times, Y, n, N, eps_coll):
         except CollidingPoles as exc:
             return _at_time(exc, complex(times[lo + exc.row]), m, row)
     if k_bad < len(Y):
-        return _not_finite(complex(times[k_bad]), m, row)
+        t = complex(times[k_bad])
+        return IntegrationFailed(
+            f"the t_{m} flow left the finite numbers at t = {_format_time(t)}", time=t, row=row)
     drift = np.max(np.abs(PhaseState(*_unpack(Y, n, N)).constraint_values() - 1.0), axis=-1)
     Y.setflags(write=False)
     return Trajectory(times, *_unpack(Y, n, N), drift=drift, hamiltonians=H, m=int(m))
@@ -265,48 +254,45 @@ def integrate_stack(rows, eps_coll=EPS_COLL) -> list:
     Trajectory or the SpinCMError that ended it.
 
     ``rows`` is a list of (start, FlowSpec) pairs. A start is a PhaseState,
-    or for a DOP853 row the int index of an earlier row of the stack: a
-    chained row, which starts from that row's last sample. It joins the
-    block when that row finishes, at once if that row takes no step, and
-    ends with that row's error, time and row included, if that row fails.
-    The states share (n, N), else DimensionMismatch; the specs share their
-    method, else ValueError, as does a chained row of an RK4 stack or one
-    that names no earlier row. Each row keeps its own m, t_final (real,
-    complex or 0), dt, record_every and max_steps. Its segment is
-    parameterized by arc length s in [0, |t_final|] with dy/ds = u F_m(y),
-    u = t_final/|t_final|, on a grid of ceil(|t_final|/dt) steps of equal
-    length h; the row records its sample at every record_every-th grid
-    point and at the last one.
-    RK4 takes every grid step; h and u are scalars while the active rows
-    share them, else (B, 1) columns. DOP853 (:func:`spincm.dop853.dop853`)
-    chooses each row's steps by its error estimate and never steps across
-    a recorded grid point, so both methods record at the same flow times.
-    With either, every row is bit-identical to integrating it alone, and a
-    chained row to integrating its parent's last state alone.
-    Each right-hand-side call is one vector_field_gradient of the active
-    block. Both steppers write each stage input in place into one (B, dim)
-    buffer, whose PhaseState views are built once per block composition;
-    a row leaves the block after its last step.
+    or the int index of an earlier row of the stack: a chained row, which
+    starts from that row's last sample. It joins the block when that row
+    finishes, at once if that row takes no step, and ends with that row's
+    error, time and row included, if that row fails. The states share
+    (n, N), else DimensionMismatch; a chained row that names no earlier row
+    raises ValueError. Each row keeps its own m, t_final (real, complex or
+    0), dt, record_every and max_steps. Its segment is parameterized by arc
+    length s in [0, |t_final|] with dy/ds = u F_m(y), u = t_final/|t_final|,
+    on a grid of ceil(|t_final|/dt) steps of equal length h; the row
+    records its sample at every record_every-th grid point j h u and at the
+    last one. DOP853 (:func:`spincm.dop853.dop853`) chooses each row's
+    steps by its error estimate alone, from a first step h, and reads each
+    recorded grid point inside a step from its continuous extension; only
+    the segment end clips a step, so the last sample, which a chained row
+    starts from, is a step's endpoint. So record_every only thins the
+    samples: the steps, and every sample they share, do not depend on it.
+    Every row is bit-identical to integrating it alone, and a chained row
+    to integrating its parent's last state alone. Each right-hand-side
+    call is one vector_field_gradient of the active block, with each stage
+    input written in place into one (B, dim) buffer whose PhaseState views
+    are built once per block composition; a row leaves the block after its
+    last step.
 
     A row whose grid has more than max_steps steps ends with
-    StepLimitExceeded before any step. The collision floor eps_coll is
-    checked at every right-hand-side call, inside the Lax assembly, and at
-    every recorded sample. A pole separation at or below it ends only its
-    own row, with CollidingPoles carrying the flow time, the row index in
-    ``row`` and the row's m in the message; the current stage is then
-    evaluated again for the rows that remain. Every step is tested for
-    finite values, and numpy's warnings on the way are not raised: an RK4
-    row that leaves them (an overflow with no collision) ends there with
-    IntegrationFailed, with the flow time and the row; DOP853 rejects such
-    a step. The constraint is monitored, never re-projected.
+    StepLimitExceeded before any step, and so does a row that takes
+    max_steps steps, accepted or rejected, unfinished. The collision floor
+    eps_coll is checked at every right-hand-side call, inside the Lax
+    assembly, and at every recorded sample. A pole separation at or below
+    it ends only its own row, with CollidingPoles carrying the flow time,
+    the row index in ``row`` and the row's m in the message; the current
+    stage is then evaluated again for the rows that remain. A step that is
+    not finite is rejected, and numpy's warnings on the way are not
+    raised; a sample that is not finite ends its row with
+    IntegrationFailed. The constraint is monitored, never re-projected.
     """
     starts, specs = zip(*rows)
-    method = specs[0].method
-    if any(sp.method != method for sp in specs):
-        raise ValueError("the flow specs of a stack must share the method")
     parent = [st if isinstance(st, (int, np.integer)) else None for st in starts]
-    if any(p is not None and (method != "DOP853" or not 0 <= p < r) for r, p in enumerate(parent)):
-        raise ValueError("a chained row must be a DOP853 row that names an earlier row")
+    if any(p is not None and not 0 <= p < r for r, p in enumerate(parent)):
+        raise ValueError("a chained row must name an earlier row")
     states = [st for st, p in zip(starts, parent) if p is None]
     n, N = states[0].n_particles, states[0].spin_dim
     if any((st.n_particles, st.spin_dim) != (n, N) for st in states):
@@ -328,18 +314,13 @@ def integrate_stack(rows, eps_coll=EPS_COLL) -> list:
         hs[r], us[r] = S / steps[r], tfin / S
     times = [[0.0] for _ in range(B)]
     samples = [[_pack(st)] if p is None else [] for st, p in zip(starts, parent)]
-    every = [sp.record_every for sp in specs]
-    # a stage past the finite numbers warns; the finiteness test reports it
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if method == "RK4":
-            _rk4(ms, steps, hs, us, every, times, samples, out, n, N, eps_coll)
-        else:
-            from .dop853 import dop853  # loaded at the first DOP853 flow
+    from .dop853 import dop853  # loaded at the first flow
 
-            dop853(ms, steps, hs, us, every, [sp.max_steps for sp in specs], parent, times,
-                   samples, out, n, N, eps_coll)
-    return [res if res is not None else _record(r, ms[r], times[r], samples[r], n, N, eps_coll)
-            for r, res in enumerate(out)]
+    # a stage past the finite numbers warns; the step's finiteness test reports it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        dop853(ms, steps, hs, us, [sp.record_every for sp in specs],
+               [sp.max_steps for sp in specs], parent, times, samples, out, n, N, eps_coll)
+    return out
 
 
 def _first_error(results):
@@ -358,65 +339,6 @@ def _trajectories(results):
     if exc is not None:
         raise exc
     return results
-
-
-def _rk4(ms, steps, hs, us, every, times, samples, out, n, N, eps_coll):
-    """Fixed-step RK4 of the rows with steps to take, from their first
-    samples, as one block that shrinks as rows end: append each row's
-    recorded times and samples, and set out[r] to the CollidingPoles or
-    IntegrationFailed that ends row r. y and the stage input z are written
-    in place."""
-    act = [r for r, k in enumerate(steps) if k]
-    if not act:
-        return
-    y = np.stack([samples[r][0] for r in act])
-    K = np.empty((4,) + y.shape, dtype=complex)  # the stages k1..k4
-    z = at_y = at_z = m = c = c6 = u = None
-
-    def keep(idx):
-        """Keep the block rows ``idx``; set the views of the two buffers,
-        and the per-row m, step factors (h/2, h/2, h), h/6 and direction u
-        of the rows left."""
-        nonlocal act, y, K, z, at_y, at_z, m, c, c6, u
-        act = [act[i] for i in idx]
-        y, K = y[idx], K[:, idx]
-        z = np.empty_like(y)
-        at_y, at_z = (PhaseState(*_unpack(w, n, N)) for w in (y, z))
-        m = _per_row([ms[r] for r in act], column=False)
-        c = [_per_row([hs[r] / 2 for r in act])] * 2 + [_per_row([hs[r] for r in act])]
-        c6 = _per_row([hs[r] / 6 for r in act])
-        u = _per_row([us[r] for r in act])
-
-    keep(range(len(act)))
-    step = 0
-    while act:
-        for stage in range(4):
-            while act:
-                if stage:  # z = y + c k_stage, in place
-                    np.multiply(c[stage - 1], K[stage - 1], out=z)
-                    np.add(y, z, out=z)
-                try:
-                    _tangent(at_z if stage else at_y, m, u, eps_coll, K[stage])
-                    break
-                except CollidingPoles as exc:
-                    r = act[exc.row]
-                    s = step * hs[r] + (0.0, hs[r] / 2, hs[r] / 2, hs[r])[stage]
-                    out[r] = _at_time(exc, s * us[r], ms[r], r)
-                    keep([i for i in range(len(act)) if i != exc.row])
-        if not act:
-            return
-        k1, k2, k3, k4 = K
-        y += c6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        step += 1
-        finite = np.isfinite(y).all(axis=1)
-        for i, r in enumerate(act):
-            if not finite[i]:
-                out[r] = _not_finite(step * hs[r] * us[r], ms[r], r)
-            elif step % every[r] == 0 or step == steps[r]:
-                times[r].append(step * hs[r] * us[r])
-                samples[r].append(y[i].copy())
-        if not finite.all() or any(step == steps[r] for r in act):
-            keep([i for i, r in enumerate(act) if finite[i] and step < steps[r]])
 
 
 def check_lax(trajectory: Trajectory, eps_coll=EPS_COLL) -> np.ndarray:
@@ -451,13 +373,13 @@ def _pole_pairing(x, ref):
 
 
 def _leg_spec(m, s) -> FlowSpec:
-    """DOP853 spec of the leg t_m by s: a one-step grid, so it records only its
+    """Spec of the leg t_m by s: a one-step grid, so it records only its
     endpoint. A zero span takes no step; its dt only has to be valid."""
-    return FlowSpec(m=m, t_final=s, dt=abs(s) or 1.0, method="DOP853")
+    return FlowSpec(m=m, t_final=s, dt=abs(s) or 1.0)
 
 
 def _commutativity_rows(state, m1, m2, s1, s2, first=0):
-    """The four DOP853 legs of :func:`commutativity_check` as rows of one
+    """The four legs of :func:`commutativity_check` as rows of one
     stack in which they take the indices first..first + 3, each recording
     only its endpoint (:func:`_leg_spec`): t_{m1} by s1 and t_{m2} by s2
     from ``state``, then each second leg chained to its first leg."""
@@ -490,7 +412,7 @@ def commutativity_check(state, m1, m2, s1, s2, eps_coll=EPS_COLL) -> float:
     """Scaled distance (:func:`_scaled_error`) of gauge-invariant
     observables (:func:`_commutativity_gap`) between flowing (t_{m1} by s1,
     then t_{m2} by s2) and the reverse order, which is the reference. The
-    four legs run as one DOP853 stack, each second leg chained to its first
+    four legs run as one stack, each second leg chained to its first
     (:func:`_commutativity_rows`); a leg that fails raises the first error
     of the first legs, else of the second legs."""
     if m1 == m2:

@@ -75,8 +75,9 @@ def exact_flow_poles(state, m, t):
 
 def t2_stencil(state, z, x, dt2):
     """Central differences over +-dt2 of the stripped psi and psi+ at x,
-    each end of the t_2 flow taken by RK4 in steps of dt2/4: an oracle for
-    the exact d/dt_2 of kp._psi_t2_derivatives, second order in dt2."""
+    each end of the t_2 flow the endpoint of an integrate on a grid of
+    dt2/4: an oracle for the exact d/dt_2 of kp._psi_t2_derivatives,
+    second order in dt2."""
     ends = [integrate(state, FlowSpec(m=2, t_final=t, dt=dt2 / 4)).state(-1) for t in (dt2, -dt2)]
     (psi_p, psid_p), (psi_m, psid_m) = (_psi_matrices(s, *solve_c(s, z), _differences(s, x, EPS_COLL))
                                         for s in ends)

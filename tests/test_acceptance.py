@@ -118,12 +118,14 @@ def test_06_lax_residual(report, capsys):
     s = random_state(3, 2, seed=42)
     traj = integrate(s, FlowSpec(m=2, t_final=0.1, dt=1e-3, record_every=1))
     residual = float(np.max(check_lax(traj)))
-    # dL/dt is exact at every sample: on flows that hold the constraint to
-    # rounding, the residual is rounding at any sample spacing
+    # dL/dt is exact at every sample, so the residual reads only the drift
+    # off the constraint surface, at any sample spacing: rounding at the
+    # last sample, a step's end, and the continuous extension's error at
+    # the grid points read from it
     for dt in (4e-3, 2e-3):
-        t = integrate(s, FlowSpec(m=2, t_final=0.1, dt=dt, method="DOP853"))
-        exact = float(np.max(check_lax(t)))
-        assert exact <= 1e-14, f"dL/dt - [M, L] = {exact:.3e} at spacing {dt}"
+        res = check_lax(integrate(s, FlowSpec(m=2, t_final=0.1, dt=dt)))
+        assert res[-1] <= 1e-14, f"dL/dt - [M, L] = {res[-1]:.3e} at a step end, spacing {dt}"
+        assert np.max(res) <= 1e-12, f"dL/dt - [M, L] = {np.max(res):.3e} at spacing {dt}"
     report("lax-residual", residual, 1e-7)
 
 
@@ -150,7 +152,7 @@ def test_09_linear_problem(report):
     s = random_state(3, 2, seed=42)
     z = 1.7 + 0.9j
     grid = offgrid_points(s, 4)
-    # the exact d/dt_2 is the limit of the +-dt_2 RK4 stencil, at 2nd order
+    # the exact d/dt_2 is the limit of the +-dt_2 flow stencil, at 2nd order
     e_coarse, e_fine = stencil_errors(s, z, grid, (2e-4, 1e-4))
     ratio = e_coarse / e_fine
     assert 3.5 <= ratio <= 4.5, f"no 2nd-order convergence: ratio {ratio:.3f}"

@@ -361,7 +361,7 @@ def test_verify_and_ba_eval_honour_config_floor(tmp_path, capsys):
         ('{"eps_coll": -1}', "eps_coll must be positive"),
         ('{"contour_nodes": 256}', "unknown key(s): contour_nodes"),  # removed setting
         ('{"thresholds": {"residue_idenity": 1e-9}}', "unknown key(s): thresholds.residue_idenity"),
-        ('{"method": "RK45"}', "unknown key(s): method"),  # removed setting: evolve --method
+        ('{"method": "RK45"}', "unknown key(s): method"),  # removed setting: one stepper
         ('{"dt": NaN}', "dt must be positive and finite"),
         ('{"eps_coll": Infinity}', "eps_coll must be positive and finite"),
         ('{"thresholds": {"conservation": NaN}}', "threshold conservation must be positive and finite"),
@@ -421,8 +421,10 @@ def test_out_of_range_numbers_exit_2_with_one_line(tmp_path, capsys, command, fl
         ["gen", "--particles", "2", "--spin", "1", "--config", "config.json"],
         ["evolve", "state.json", "--m", "2", "--T", "0.1", "--seed", "1"],
         ["ba-eval", "state.json", "--z", "1", "--x-min", "-1", "--x-max", "1", "--seed", "1"],
+        # the one stepper left no choice to make
+        ["evolve", "state.json", "--m", "2", "--T", "0.1", "--method", "RK4"],
     ],
-    ids=["gen-config", "evolve-seed", "ba-eval-seed"],
+    ids=["gen-config", "evolve-seed", "ba-eval-seed", "evolve-method"],
 )
 def test_commands_declare_only_the_flags_they_read(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -468,12 +470,12 @@ def test_verify_rejects_nan_config_dt(tmp_path, capsys):
 
 
 def test_evolve_reports_max_deviation_over_all_samples(tmp_path, capsys):
-    # DOP853 from a state whose H deviation peaks before the last sample:
+    # a flow from a state whose H deviation peaks before the last sample:
     # the printed value must be the max over every recorded sample
     state_path = _gen(tmp_path, capsys, seed=1, particles=5, spin=1)
     prefix = tmp_path / "t2"
     rc = main(["evolve", str(state_path), "--m", "2", "--T", "0.3", "--dt", "1e-3",
-               "--method", "DOP853", "--record-every", "10", "--out", str(prefix)])
+               "--record-every", "10", "--out", str(prefix)])
     out = capsys.readouterr().out
     assert rc == 0
     printed = float(out.split("deviation over flow: ")[1].split()[0])
@@ -504,9 +506,8 @@ def test_verify_config_dt_and_threshold_reach_the_report(tmp_path, capsys):
 
 
 def test_config_method_is_an_unknown_key(tmp_path, capsys):
-    # evolve --method is the one way to choose the stepper, and every suite
-    # flow is DOP853: a config file that names a method is refused by each
-    # command, with one line
+    # there is one stepper and no way to choose another: a config file that
+    # names a method is refused by each command, with one line
     state_path = _gen(tmp_path, capsys, seed=11)
     for method in ("RK4", "DOP853"):
         config_path = tmp_path / f"{method}.json"

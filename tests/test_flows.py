@@ -41,6 +41,18 @@ from spincm.verify import _scaled_error, _suite_flows, matched_pole_error
 from conftest import exact_flow_poles
 
 
+def _grid_times(spec):
+    """The flow times j h u that a row of ``spec`` records: every
+    record_every-th point of its grid of ceil(|t_final|/dt) steps h, and
+    the last one."""
+    tfin = complex(spec.t_final)
+    if tfin == 0:
+        return np.zeros(1, dtype=complex)
+    k = math.ceil(abs(tfin) / spec.dt)
+    h, u = abs(tfin) / k, tfin / abs(tfin)
+    return np.array([j * h * u for j in [*range(0, k, spec.record_every), k]], dtype=complex)
+
+
 def test_flowspec_validation():
     with pytest.raises(ValueError):
         FlowSpec(m=0, t_final=1.0, dt=1e-3)
@@ -49,7 +61,9 @@ def test_flowspec_validation():
     with pytest.raises(ValueError):
         FlowSpec(m=1, t_final=1.0, dt=-1e-3)
     with pytest.raises(ValueError):
-        FlowSpec(m=1, t_final=1.0, dt=1e-3, method="Euler")
+        FlowSpec(m=1, t_final=1.0, dt=1e-3, record_every=0)
+    with pytest.raises(TypeError):  # one stepper: there is no method to choose
+        FlowSpec(m=1, t_final=1.0, dt=1e-3, method="RK4")
 
 
 @pytest.mark.parametrize("m", [2.5, 2.0, np.float64(3.0)])
@@ -178,7 +192,7 @@ def test_integrate_conserves_hamiltonians(state32):
 
 def test_integrate_dop853(state32):
     traj = integrate(
-        state32, FlowSpec(m=2, t_final=0.5, dt=1e-2, method="DOP853", record_every=10,
+        state32, FlowSpec(m=2, t_final=0.5, dt=1e-2, record_every=10,
                           max_steps=1000)  # a stepping fault fails, not hangs
     )
     h0 = traj.hamiltonians[0]
@@ -189,12 +203,13 @@ def test_integrate_dop853(state32):
 
 @pytest.mark.parametrize("t_final,dt,record_every", [(0.7, 1e-2, 1), (0.7, 1e-2, 10), (0.25, 1e-2, 10)])
 def test_dop853_samples_on_the_rk4_grid(state32, t_final, dt, record_every):
-    # 0.7 / 70 * 70 rounds past 0.7: both record the grid's own last time
+    # the fixed grid that RK4 once stepped on: DOP853 steps by its error and
+    # reads the grid points from its extension. 0.7 / 70 * 70 rounds past
+    # 0.7: the last sample is at the grid's own last time
     spec = FlowSpec(m=2, t_final=t_final, dt=dt, record_every=record_every)
-    rk4 = integrate(state32, spec)
-    dop = integrate(state32, replace(spec, method="DOP853"))
-    assert np.array_equal(dop.t, rk4.t)
-    assert np.max(np.abs(dop.x - rk4.x)) <= 1e-4  # RK4's step error at dt = 1e-2
+    dop = integrate(state32, spec)
+    assert np.array_equal(dop.t, _grid_times(spec))
+    assert matched_pole_error(dop.x, exact_flow_poles(state32, 2, dop.t)) <= 5e-12
 
 
 def test_integrate_complex_time(state32):
@@ -223,11 +238,10 @@ def test_integrate_detects_collision():
     with pytest.raises(CollidingPoles) as err:
         integrate(s, FlowSpec(m=2, t_final=1.0, dt=1e-3), eps_coll=1e-9)
     assert err.value.time == pytest.approx(0.5, abs=1e-3)
-    # the collision falls on the last recorded sample, past every RK4 stage
-    for method in ("RK4", "DOP853"):
-        with pytest.raises(CollidingPoles) as err:
-            integrate(s, FlowSpec(m=2, t_final=0.5, dt=1e-3, method=method), eps_coll=1e-9)
-        assert err.value.time == pytest.approx(0.5, abs=1e-3)
+    # the collision falls on the segment end, the last recorded sample
+    with pytest.raises(CollidingPoles) as err:
+        integrate(s, FlowSpec(m=2, t_final=0.5, dt=1e-3), eps_coll=1e-9)
+    assert err.value.time == pytest.approx(0.5, abs=1e-3)
 
 
 def test_integrate_honours_small_eps_coll():
@@ -245,7 +259,7 @@ def test_dop853_failure_is_not_a_collision(state32, monkeypatch):
     monkeypatch.setattr(dop853, "RTOL", 0.0)
     monkeypatch.setattr(dop853, "ATOL", 1e-100)
     with pytest.raises(IntegrationFailed, match="needs a step below") as err:
-        integrate(state32, FlowSpec(m=2, t_final=0.1, dt=1e-2, method="DOP853", max_steps=1000))
+        integrate(state32, FlowSpec(m=2, t_final=0.1, dt=1e-2, max_steps=1000))
     assert (err.value.row, err.value.time) == (0, 0)
 
 
@@ -255,7 +269,7 @@ def test_dop853_rejects_a_step_that_is_not_finite():
     # at its budget, not at its first trial; the row beside it finishes
     huge = new_state([-1, 1.0], [1e200, 0.0], [[1], [1]], [[1], [1]])
     far = new_state([-1, 1.0], [0.1, 0.2], [[1], [1]], [[1], [1]])
-    spec = FlowSpec(m=3, t_final=0.1, dt=0.1, method="DOP853")
+    spec = FlowSpec(m=3, t_final=0.1, dt=0.1)
     rows = [(huge, spec), (far, spec), (huge, replace(spec, max_steps=5))]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -279,18 +293,19 @@ def _count_calls(monkeypatch, module, name):
 def test_each_rhs_call_is_one_vector_field_gradient(monkeypatch):
     # the contract that RHS counts rely on: each right-hand-side call of a
     # stack is one call of the module global flows.vector_field_gradient on
-    # the active rows, 4 per RK4 step and 12 per DOP853 block step. These
-    # rows take 2 grid steps; DOP853 accepts each first try
+    # the active rows, one per flows._tangent: F(y) at the start, then 12
+    # per block step (11 stages of the pair and F(y_new)), and 3 more for
+    # the extension where a row records a grid point inside the step. These
+    # rows take 2 steps of the grid step, each accepted at its first try:
+    # the first records grid point 1, the second ends the segment
     calls = _count_calls(monkeypatch, flows, "vector_field_gradient")
+    tangents = _count_calls(monkeypatch, flows, "_tangent")
     states = [random_state(3, 2, seed=s) for s in range(3)]
-    for method, per_step in (("RK4", 4), ("DOP853", 12)):
-        del calls[:]
-        rows = [(st, FlowSpec(m=m, t_final=2e-3, dt=1e-3, method=method))
-                for st, m in zip(states, (2, 3, 1))]
-        trajs = _trajectories(integrate_stack(rows))
-        assert [len(tr.t) for tr in trajs] == [3] * 3
-        assert len(calls) == 2 * per_step
-        assert all(st.x.shape == (3, 3) for st in calls)
+    rows = [(st, FlowSpec(m=m, t_final=2e-3, dt=1e-3)) for st, m in zip(states, (2, 3, 1))]
+    trajs = _trajectories(integrate_stack(rows))
+    assert [len(tr.t) for tr in trajs] == [3] * 3
+    assert len(calls) == len(tangents) == 1 + 15 + 12
+    assert all(st.x.shape == (3, 3) for st in calls)
 
 
 def test_packed_tangent_is_the_gradient_bit_for_bit():
@@ -334,15 +349,14 @@ def test_check_lax_is_exact_at_any_spacing(state32):
     # dL/dt is the exact derivative along the H_2 tangent: no stencil error
     # at any spacing, on a real and a complex segment. The Lax equation
     # holds on the constraint surface, so the residual reads what the flow
-    # drifts off it: rounding for DOP853, the step error for RK4
+    # drifts off it: rounding at the last sample, a step's end, and the
+    # error of the continuous extension at the grid points read from it
     for t_final in (0.1, 0.06 - 0.08j):
         for dt in (2e-2, 1e-3):
-            traj = integrate(state32, FlowSpec(m=2, t_final=t_final, dt=dt, method="DOP853"))
+            traj = integrate(state32, FlowSpec(m=2, t_final=t_final, dt=dt))
             res = check_lax(traj)
             assert res.shape == traj.t.shape
-            assert np.max(res) <= 1e-14
-        traj = integrate(state32, FlowSpec(m=2, t_final=t_final, dt=1e-3))
-        assert np.max(check_lax(traj)) <= 1e-12
+            assert res[-1] <= 1e-14 and np.max(res) <= 1e-13
 
 
 def _sample(traj, k):
@@ -444,42 +458,6 @@ def test_trajectory_export(tmp_path, state32):
 # the stacked integrator
 
 
-def _unstacked_rk4(state, spec):
-    """Reference RK4 on one packed vector, stepped through the single-state
-    vector_field_gradient and recorded sample by sample through
-    lax.hamiltonians and PhaseState.constraint_drift."""
-    n, N = state.n_particles, state.spin_dim
-
-    def unpack(y):
-        return PhaseState(y[:n], y[n : 2 * n], y[2 * n : 2 * n + n * N].reshape(n, N),
-                          y[2 * n + n * N :].reshape(n, N))
-
-    def rhs(y):
-        f = vector_field_gradient(unpack(y), spec.m)
-        return np.concatenate([f.dx, f.dp, f.da.ravel(), f.db.ravel()]) * u
-
-    tfin = complex(spec.t_final)
-    S = abs(tfin)
-    u = tfin / S if S else 1.0
-    n_steps = max(1, math.ceil(S / spec.dt)) if S else 0
-    h = S / n_steps if S else 0.0
-    y = np.concatenate([state.x, state.p, state.a.ravel(), state.b.ravel()]).astype(complex)
-    times, rows = [0.0], [y]
-    for step in range(n_steps):
-        k1 = rhs(y)
-        k2 = rhs(y + h / 2 * k1)
-        k3 = rhs(y + h / 2 * k2)
-        k4 = rhs(y + h * k3)
-        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if (step + 1) % spec.record_every == 0 or step + 1 == n_steps:
-            times.append((step + 1) * h * u)
-            rows.append(y)
-    samples = [unpack(y) for y in rows]
-    return (np.array(times, dtype=complex), np.array(rows),
-            np.array([st.constraint_drift() for st in samples]),
-            np.array([hamiltonians(st) for st in samples]))
-
-
 def _assert_same_trajectory(got, want):
     for f in fields(Trajectory):
         u, v = getattr(got, f.name), getattr(want, f.name)
@@ -508,15 +486,13 @@ def test_stack_rows_equal_single_row_integrate(n, t_final, record_every):
         assert [tr.m for tr in trajs] == [sp.m for sp in specs]
         for (st, sp), got in zip(rows, trajs):
             _assert_same_trajectory(got, integrate(st, sp))
-            t, packed, drift, H = _unstacked_rk4(st, sp)
-            n_, N = st.n_particles, st.spin_dim
-            assert np.array_equal(got.t, t)
-            assert np.array_equal(got.x, packed[:, :n_])
-            assert np.array_equal(got.p, packed[:, n_ : 2 * n_])
-            assert np.array_equal(got.a.reshape(len(t), -1), packed[:, 2 * n_ : 2 * n_ + n_ * N])
-            assert np.array_equal(got.b.reshape(len(t), -1), packed[:, 2 * n_ + n_ * N :])
-            assert np.array_equal(got.drift, drift)
-            assert np.array_equal(got.hamiltonians, H)
+            assert np.array_equal(got.t, _grid_times(sp))
+            assert np.array_equal(_pack(got.state(0)), _pack(st))
+            # every field in its place: the poles follow the exact flow, and
+            # H_1..H_5 and the constraint, which read x, p, a and b, hold
+            assert matched_pole_error(got.x, exact_flow_poles(st, sp.m, got.t)) <= 5e-12
+            assert _scaled_error(got.hamiltonians, hamiltonians(st)) <= 1e-10
+            assert np.max(got.drift) <= 1e-12
     assert len(trajs[1].t) == 1 and trajs[1].t[0] == 0  # the ragged stack's t_final = 0 row
 
 
@@ -591,21 +567,32 @@ def test_stack_collision_names_the_row_its_m_and_time():
 
 
 def test_dop853_tableau_order_conditions():
-    # the stages of the installed scipy's DOP853, as spincm reads them: a relayout
-    # of scipy's coefficient file fails here
-    A, B, C, E3, E5 = dop853.A, dop853.B, dop853.C, dop853.E3, dop853.E5
-    assert A.shape == (12, 12) and B.shape == C.shape == E3.shape == E5.shape == (12,)
+    # the stages of the installed scipy's DOP853 and of its continuous
+    # extension, as spincm reads them: a relayout of scipy's coefficient
+    # file fails here
+    A, C, G = dop853.A, dop853.C, dop853.G
+    B, E5, E3 = dop853.BE
+    assert A.shape == (16, 16) and C.shape == (16,) and G.shape == (7, 16)
+    assert dop853.BE.shape == (3, 12)
     assert np.all(np.triu(A) == 0)  # explicit
     assert np.max(np.abs(A.sum(axis=1) - C)) <= 1e-14
-    assert abs(B.sum() - 1) <= 1e-15 and abs(B @ C - 0.5) <= 1e-15
+    assert abs(B.sum() - 1) <= 1e-15 and abs(B @ C[:12] - 0.5) <= 1e-15
     for k in range(2, 9):  # order 8 on the quadrature conditions
-        assert abs(B @ C ** (k - 1) - 1 / k) <= 1e-14
+        assert abs(B @ C[:12] ** (k - 1) - 1 / k) <= 1e-14
     assert abs(E3.sum()) <= 1e-14 and abs(E5.sum()) <= 1e-14  # differences of two rules
-    assert C[0] == 0 and C[-1] == 1
+    assert C[0] == 0 and C[11] == C[12] == 1
+    assert np.array_equal(A[12, :12], B) and not A[12, 12:].any()  # stage 12 is F(y_new)
     from scipy.integrate._ivp import dop853_coefficients as scipy_dop853
 
     assert scipy_dop853.E3[12] == scipy_dop853.E5[12] == 0  # the dropped weight on F(y_new)
-    assert np.array_equal(scipy_dop853.B, B)
+    assert np.array_equal(scipy_dop853.B, B) and np.array_equal(scipy_dop853.D, G[3:])
+    # the extension, of order 7, integrates y' = t^k exactly for k <= 6 at
+    # any fraction theta of a step h from t = 0
+    h, theta = 0.7, np.array([[0.0], [0.3], [0.8], [1.0]])
+    for k in range(7):
+        K = ((C * h) ** k).astype(complex)[None, :, None]
+        got = dop853._dense(np.zeros((1, 1)), K, np.array([[h + 0j]]), [0] * 4, theta)
+        assert np.max(np.abs(got - (theta * h) ** (k + 1) / (k + 1))) <= 1e-15
 
 
 @pytest.mark.parametrize("record_every", [1, 7])
@@ -614,7 +601,7 @@ def test_dop853_stack_rows_equal_single_row_integrate(n, record_every):
     # ragged: each row its own m, endpoint (real, complex or 0), grid and
     # record_every; each row steps on its own error, with its own h
     states = [random_state(n, 2, seed=s) for s in range(5)]
-    spec = FlowSpec(m=2, t_final=0.2, dt=1e-2, method="DOP853", record_every=record_every)
+    spec = FlowSpec(m=2, t_final=0.2, dt=1e-2, record_every=record_every)
     specs = [
         spec,
         replace(spec, m=3, t_final=0),
@@ -626,21 +613,21 @@ def test_dop853_stack_rows_equal_single_row_integrate(n, record_every):
     trajs = integrate_stack(rows)
     for (st, sp), got in zip(rows, trajs):
         _assert_same_trajectory(got, integrate(st, sp))
-        assert np.array_equal(got.t, integrate(st, replace(sp, method="RK4")).t)
+        assert np.array_equal(got.t, _grid_times(sp))
         if sp.t_final:
-            assert matched_pole_error(got.x, exact_flow_poles(st, sp.m, got.t)) <= 1e-12
+            assert matched_pole_error(got.x, exact_flow_poles(st, sp.m, got.t)) <= 5e-12
     assert len(trajs[4].t) == 2  # the endpoint-only row: t = 0 and its endpoint
 
 
 def test_dop853_endpoint_rows_add_no_steps(state32, monkeypatch):
     # a row that records only its endpoint takes the steps its error asks
-    # for, with no grid point to clip them; a second such row in the block
-    # costs no right-hand-side call of its own
+    # for from its grid step; a second such row in the block costs no
+    # right-hand-side call of its own
     calls = _count_calls(monkeypatch, flows, "_tangent")
-    end = FlowSpec(m=2, t_final=0.1, dt=1e-3, method="DOP853", record_every=sys.maxsize)
+    end = FlowSpec(m=2, t_final=0.1, dt=1e-3, record_every=sys.maxsize)
     integrate(state32, end)
     alone = len(calls)
-    assert alone % 12 == 0 and alone <= 12 * 8
+    assert alone % 12 == 1 and alone <= 1 + 12 * 8
     del calls[:]
     integrate_stack([(state32, end), (state32, replace(end, m=1, t_final=0.05))])
     assert len(calls) == alone
@@ -651,11 +638,58 @@ def test_dop853_endpoint_rows_add_no_steps(state32, monkeypatch):
 def test_suite_flows_follow_the_exact_flow(n, N, seed, m):
     # the suite's DOP853 t_2 / t_3 flows against the exact flow at every
     # recorded sample; the last four are flows that pass near a complex
-    # collision time, where fixed-step RK4 at dt = 1e-3 is off by up to 1e-5
+    # collision time, where the fixed-step RK4 that the repository once had
+    # was off by up to 1e-5 at dt = 1e-3
     state = random_state(n, N, seed=seed)
     traj = _suite_flows(state, Config())[f"t{m}"]
     assert len(traj.t) == 21
     assert matched_pole_error(traj.x, exact_flow_poles(state, m, traj.t)) <= 1e-10
+
+
+@pytest.mark.parametrize("n,N,seed,m,t_final,rk4", [
+    (3, 2, 7, 2, 1.0, 8.9e-10), (8, 2, 4, 3, 1.0, 6.1e-5), (30, 4, 7, 2, 0.5, 1.9e-12),
+    (3, 2, 42, 3, 1.0, 1.3e-11), (100, 4, 11, 2, 0.05, 3.8e-11),
+    (100, 4, 11, 3, 0.0325 + 0.0325j, 3.3e-11), (100, 4, 12, 2, 0.05, 1.3e-12)])
+def test_integrate_follows_the_exact_flow_at_every_sample(n, N, seed, m, t_final, rk4):
+    # every grid point at dt = 1e-3, most of them read from the extension,
+    # within the pole error of the fixed-step RK4 that integrate once took
+    # (rk4, as measured) or within 5e-12, the oracle's own eigvals rounding
+    state = random_state(n, N, seed=seed)
+    traj = integrate(state, FlowSpec(m=m, t_final=t_final, dt=1e-3))
+    assert len(traj.t) == math.ceil(abs(t_final) / 1e-3) + 1
+    assert matched_pole_error(traj.x, exact_flow_poles(state, m, traj.t)) <= max(rk4, 5e-12)
+
+
+def test_record_every_only_thins(monkeypatch):
+    # the steps follow the error estimate alone, so every record_every gives
+    # the same bits at the grid times it shares with record_every = 1, on a
+    # stacked row, a complex one and a row chained to the first; a thinner
+    # record only skips the 3 stages of the extension at steps where no row
+    # records a grid point
+    calls = _count_calls(monkeypatch, flows, "_tangent")
+    states = [random_state(5, 2, seed=s) for s in (3, 4)]
+    specs = [FlowSpec(m=2, t_final=0.3, dt=1e-3), FlowSpec(m=3, t_final=0.2 - 0.15j, dt=2e-3),
+             FlowSpec(m=3, t_final=-0.1, dt=1e-3)]
+    grids = [math.ceil(abs(sp.t_final) / sp.dt) for sp in specs]
+    runs = {}
+    for every in (1, 7, "all"):
+        del calls[:]
+        sps = [replace(sp, record_every=k if every == "all" else every)
+               for sp, k in zip(specs, grids)]
+        trajs = _trajectories(integrate_stack([(states[0], sps[0]), (states[1], sps[1]),
+                                               (0, sps[2])]))
+        runs[every] = len(calls), trajs
+        for sp, tr in zip(sps, trajs):
+            assert np.array_equal(tr.t, _grid_times(sp))
+    count, full = runs[1]
+    assert count > runs[7][0] > runs["all"][0]
+    for every in (7, "all"):
+        assert (count - runs[every][0]) % 3 == 0
+        for k, tr, ref in zip(grids, runs[every][1], full):
+            keep = [*range(0, k, k if every == "all" else every), k]
+            for name in ("t", "x", "p", "a", "b", "drift", "hamiltonians"):
+                assert getattr(tr, name).tobytes() == getattr(ref, name)[keep].tobytes(), name
+    assert np.array_equal(_pack(full[2].state(0)), _pack(full[0].state(-1)))
 
 
 def test_stack_step_budget_ends_only_its_row(state32):
@@ -682,7 +716,7 @@ def test_format_time_prints_a_real_time_without_its_imaginary_part():
 def test_dop853_step_budget_ends_only_its_row(state32):
     # one grid step, so the budget passes before any step; a flow to
     # t = 1 needs more than one DOP853 step
-    spec = FlowSpec(m=2, t_final=1.0, dt=1.0, method="DOP853", max_steps=1)
+    spec = FlowSpec(m=2, t_final=1.0, dt=1.0, max_steps=1)
     out = integrate_stack([(state32, spec), (state32, replace(spec, max_steps=100))])
     assert isinstance(out[0], StepLimitExceeded) and "t_2 flow took its 1 steps" in str(out[0])
     _assert_same_trajectory(out[1], integrate(state32, replace(spec, max_steps=100)))
@@ -690,7 +724,7 @@ def test_dop853_step_budget_ends_only_its_row(state32):
     # ranks by it: row 0 runs out at t = 0.254, after row 1's collision
     far = new_state([-3, 3], [2, -2], [[1], [1]], [[1], [1]])
     near = new_state([-1, 1], [2, -2], [[1], [1]], [[1], [1]])
-    spec = FlowSpec(m=2, t_final=2.0, dt=2.0, method="DOP853", max_steps=10)
+    spec = FlowSpec(m=2, t_final=2.0, dt=2.0, max_steps=10)
     out = integrate_stack([(far, spec), (near, replace(spec, max_steps=1000))], eps_coll=0.5)
     assert isinstance(out[0], StepLimitExceeded) and out[0].row == 0
     assert out[0].time.imag == 0 and 0.25 < out[0].time.real < 0.26
@@ -739,34 +773,24 @@ def test_non_finite_sample_ends_its_row_with_its_m_and_time():
     assert (got.row, got.time) == (0, times[6])
     got = _record(1, 2, times, Y[:, 1], 100, 2, 1e-6)
     assert isinstance(got, CollidingPoles) and (got.row, got.time) == (1, times[5])
-    # flows that overflow with no collision, between rows that finish or
-    # collide: under RK4 each ends at its first non-finite step, between
-    # recorded samples, and no numpy warning is raised on the way
+    # two poles 1.05e-5 apart, which a fixed step of 2.5e-5 throws out of
+    # the finite numbers, between rows that finish or collide; no numpy
+    # warning is raised on the way
     close = new_state([0, 1.05e-5], [0.1, 0.2], [[1], [1]], [[1], [1]])
     far = new_state([-1, 1.0], [0.1, 0.2], [[1], [1]], [[1], [1]])
-    out = {}
-    for method in ("RK4", "DOP853"):
-        spec = FlowSpec(m=2, t_final=1e-4, dt=2.5e-5, method=method, max_steps=1000)
-        rows = [(far, spec), (close, spec), (close, replace(spec, t_final=-1e-4, record_every=3)),
-                (close, replace(spec, m=3))]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            out[method] = integrate_stack(rows)
-        _assert_same_trajectory(out[method][0], integrate(*rows[0]))
-        assert isinstance(out[method][3], CollidingPoles) and out[method][3].row == 3
-    rk4 = out["RK4"]
-    for r, t in ((1, 5e-5), (2, -5e-5)):
-        assert isinstance(rk4[r], IntegrationFailed) and "t_2 flow" in str(rk4[r])
-        assert str(rk4[r]).endswith(f"at t = {rk4[r].time.real!r}")
-        assert rk4[r].row == r and rk4[r].time == pytest.approx(t, abs=1e-18)
-    assert _first_error(rk4) is rk4[3]  # the collision came first
-    # DOP853 rejects a step that is not finite, so its t_2 rows follow the
+    spec = FlowSpec(m=2, t_final=1e-4, dt=2.5e-5, max_steps=1000)
+    rows = [(far, spec), (close, spec), (close, replace(spec, t_final=-1e-4, record_every=3)),
+            (close, replace(spec, m=3))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dop = integrate_stack(rows)
+    _assert_same_trajectory(dop[0], integrate(*rows[0]))
+    # a step that is not finite is rejected, so the t_2 rows follow the
     # flow into the collision of the scalar two-body problem: with
     # d = x_1 - x_2 and P = p_1 - p_2, E = P^2 - 4/d^2 is conserved and
     # |d| falls from |d_0| to e within (sqrt(E d_0^2 + 4) - sqrt(E e^2 + 4))/(2E)
     d0, E = 1.05e-5, 0.1**2 - 4 / 1.05e-5**2
     reach = lambda e: (math.sqrt(E * d0**2 + 4) - math.sqrt(E * e**2 + 4)) / (2 * E)
-    dop = out["DOP853"]
     for r, sign in ((1, 1), (2, -1)):
         assert isinstance(dop[r], CollidingPoles) and "t_2 flow" in str(dop[r])
         assert dop[r].row == r and dop[r].time.imag == 0
@@ -806,8 +830,6 @@ def test_export_csv_writes_the_bytes_of_csv_writer(tmp_path):
 
 def test_integrate_stack_rejects_mixed_specs(state32):
     spec = FlowSpec(m=2, t_final=0.01, dt=1e-3)
-    with pytest.raises(ValueError, match="share the method"):
-        integrate_stack([(state32, spec), (state32, replace(spec, method="DOP853", m=3))])
     with pytest.raises(DimensionMismatch):
         integrate_stack([(state32, spec), (random_state(4, 2, seed=1), spec)])
 
@@ -828,7 +850,7 @@ def test_commutativity_raises_a_first_leg_error_before_a_second_leg_error():
 
 def test_commutativity_legs_as_stacks_equal_sequential_legs(state32):
     def leg(st, m, s):
-        spec = FlowSpec(m=m, t_final=s, dt=abs(s), method="DOP853")  # a one-step grid
+        spec = FlowSpec(m=m, t_final=s, dt=abs(s))  # a one-step grid
         return integrate(st, spec)
 
     # equal spans, then ragged legs: a complex second span, and m = 1
@@ -843,7 +865,7 @@ def test_chained_rows_equal_integrating_the_parent_endpoint():
     # chained rows, a chain of two included, between unrelated rows that
     # mix m and direction: each is its parent's last state integrated alone
     states = [random_state(3, 2, seed=s) for s in range(3)]
-    spec = FlowSpec(m=2, t_final=0.1, dt=1e-2, method="DOP853", record_every=3)
+    spec = FlowSpec(m=2, t_final=0.1, dt=1e-2, record_every=3)
     rows = [
         (states[0], spec),
         (states[1], replace(spec, m=4, t_final=0.05j)),
@@ -863,12 +885,12 @@ def test_chained_row_takes_its_parents_error_and_no_step(monkeypatch):
     calls = _count_calls(monkeypatch, flows, "_tangent")
     meet2 = _free_pair([-1e-4, 1e-4], [1e-4, -1e-4])  # collides at t_2 = 0.5
     far = new_state([-3, 3], [2, -2], [[1], [1]], [[1], [1]])  # its budget runs out
-    leg = FlowSpec(m=3, t_final=0.05, dt=0.05, method="DOP853")
+    leg = FlowSpec(m=3, t_final=0.05, dt=0.05)
     cases = (
         (_free_pair([-1.0, 1.0], [0.1, 0.2]), meet2,
-         FlowSpec(m=2, t_final=1.0, dt=0.1, method="DOP853"), EPS_COLL, CollidingPoles),
+         FlowSpec(m=2, t_final=1.0, dt=0.1), EPS_COLL, CollidingPoles),
         (new_state([-2, 2], [0.1, 0.2], [[1], [1]], [[1], [1]]), far,
-         FlowSpec(m=2, t_final=2.0, dt=2.0, method="DOP853", max_steps=10), 0.5,
+         FlowSpec(m=2, t_final=2.0, dt=2.0, max_steps=10), 0.5,
          StepLimitExceeded),
     )
     for other, parent, spec, eps_coll, error in cases:
@@ -886,7 +908,7 @@ def test_chained_row_takes_its_parents_error_and_no_step(monkeypatch):
 
 
 def test_chained_rows_with_zero_spans(state32):
-    spec = FlowSpec(m=2, t_final=0.05, dt=1e-2, method="DOP853")
+    spec = FlowSpec(m=2, t_final=0.05, dt=1e-2)
     zero = replace(spec, m=3, t_final=0)
     # a parent with zero span starts its child at once, from its own state
     out = _trajectories(integrate_stack([(state32, zero), (0, spec), (state32, spec)]))
@@ -899,12 +921,11 @@ def test_chained_rows_with_zero_spans(state32):
     _assert_same_trajectory(out[1], integrate(out[0].state(-1), zero))
 
 
-def test_chained_rows_must_be_dop853_and_name_an_earlier_row(state32, monkeypatch):
+def test_chained_rows_must_name_an_earlier_row(state32, monkeypatch):
     calls = _count_calls(monkeypatch, flows, "_tangent")
     spec = FlowSpec(m=2, t_final=0.01, dt=1e-3)
-    dop = replace(spec, method="DOP853")
-    for rows in ([(state32, spec), (0, spec)], [(state32, dop), (1, dop)],
-                 [(state32, dop), (2, dop), (state32, dop)]):
+    for rows in ([(state32, spec), (1, spec)], [(state32, spec), (-1, spec)],
+                 [(state32, spec), (2, spec), (state32, spec)]):
         with pytest.raises(ValueError, match="chained row"):
             integrate_stack(rows)
     assert not calls

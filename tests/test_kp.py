@@ -224,7 +224,7 @@ def test_grid_differences_are_formed_and_checked_once_per_call(state32, monkeypa
 
 def test_linear_problem_residual_second_order(state32):
     # the exact d/dt_2 of psi and psi+ is the limit of central differences
-    # over RK4 flows by +-dt_2: their distance shrinks ~4x per halving
+    # over flows by +-dt_2: their distance shrinks ~4x per halving
     grid = offgrid_points(state32, 3)
     e1, e2 = stencil_errors(state32, Z0, grid, (2e-4, 1e-4))
     assert 3.5 <= e1 / e2 <= 4.5

@@ -84,9 +84,10 @@ def test_suite_deterministic(report_default):
                                       (5, 1, 3), (8, 2, 4), (8, 4, 0)])
 def test_suite_conserves_near_complex_collision_times(n, N, seed):
     # instances whose t_2 or t_3 flow passes near a complex collision time:
-    # fixed-step RK4 at dt = 1e-3 failed conservation on each (up to 7e-5),
-    # and constraint_drift on (3,1,4), (8,2,4) and (8,4,0); the suite's
-    # error-controlled flows pass both at the default thresholds
+    # the fixed-step RK4 of earlier versions, at dt = 1e-3, failed
+    # conservation on each (up to 7e-5), and constraint_drift on (3,1,4),
+    # (8,2,4) and (8,4,0); the suite's error-controlled flows pass both at
+    # the default thresholds
     results = {r.name: r for r in run_suite(seed=seed, n_particles=n, spin_dim=N).results}
     for name in ("conservation", "constraint_drift"):
         assert not results[name].skipped and results[name].passed
@@ -135,8 +136,7 @@ def test_suite_commutativity_pairs_conjugate_poles():
 
 def test_run_suite_makes_one_dop853_stack(monkeypatch):
     # every flow of a suite, commutativity's chained second legs included,
-    # is a row of one DOP853 integrate_stack call, and there is no other
-    # call of either method
+    # is a row of one integrate_stack call, and there is no other call
     calls = []
     modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "spincm"]
     for module in modules:
@@ -149,7 +149,6 @@ def test_run_suite_makes_one_dop853_stack(monkeypatch):
         del calls[:]
         assert run_suite(seed=7, n_particles=n, spin_dim=N).results
         assert len(calls) == 1 and len(calls[0]) == 8 + (N == 1)
-        assert all(spec.method == "DOP853" for _, spec in calls[0])
         assert sum(isinstance(start, int) for start, _ in calls[0]) == 2
 
 
@@ -361,6 +360,24 @@ def test_fd_gradient_raises_when_a_perturbed_point_collides():
     with pytest.raises(CollidingPoles, match="5.000e-07") as err:
         finite_difference_gradient(s, 2, h=1e-5)
     assert err.value.row is None and err.value.time is None
+
+
+def test_gradient_fd_steps_within_the_pole_separation():
+    # poles 1.05e-5 apart: the fixed step 1e-5 took one to 5e-7 of the
+    # other, under the collision floor, and the check read inf. A step of a
+    # twentieth of the separation leaves the residual finite
+    s = new_state([0, 1.05e-5], [0.1, 0.2], [[1], [1]], [[1], [1]])
+    result = {r.name: r for r in run_suite(state=s).results}["gradient_fd"]
+    assert math.isfinite(result.residual) and result.details["h"] == 1.05e-5 / 20
+    # a random_state draw keeps its poles 1 apart, and the fixed step, to the bit
+    for n, N, seed in ((1, 2, 0), (3, 2, 7), (8, 4, 1)):
+        st = random_state(n, N, seed=seed)
+        residual, details = verify._check_gradient_fd(st, Config())
+        assert details["h"] == verify.FD_STEP == 1e-5
+        assert residual == max(
+            _scaled_error(finite_difference_gradient(st, m, h=1e-5, axis=axis),
+                          grad_hamiltonian(st, m))
+            for m in range(1, 5) for axis in ("real", "imag"))
 
 
 def test_scalar_cm_oracle_free_particle():
