@@ -31,7 +31,7 @@ print("max |R - I - [L, X]| =", np.max(np.abs(lax.R - np.eye(4) - comm)))
 print()
 
 print("=== tower of conserved quantities H_m = tr L^m ===")
-for m, h in enumerate(hamiltonians(state, kmax=5), start=1):
+for m, h in enumerate(hamiltonians(state), start=1):
     print(f"H_{m} = {h:.12f}")
 print()
 

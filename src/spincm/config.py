@@ -51,6 +51,12 @@ class Config:
         for name in ("eps_coll", "eps_constr", "dt"):
             if not _positive_finite(getattr(self, name)):
                 raise ValueError(f"{name} must be positive and finite")
+        if not isinstance(self.thresholds, dict):
+            raise ValueError("thresholds must be a JSON object")
+        unknown = sorted(set(self.thresholds) - set(DEFAULT_THRESHOLDS))
+        if unknown:
+            raise ValueError(f"unknown key(s): {', '.join('thresholds.' + k for k in unknown)}")
+        self.thresholds = {**DEFAULT_THRESHOLDS, **self.thresholds}
         for key, val in self.thresholds.items():
             if not _positive_finite(val):
                 raise ValueError(f"threshold {key} must be positive and finite")
@@ -65,15 +71,9 @@ class Config:
                 data = json.load(fh)
             if not isinstance(data, dict):
                 raise ValueError("top level must be a JSON object")
-            thresholds = data.pop("thresholds", {})
-            if not isinstance(thresholds, dict):
-                raise ValueError("thresholds must be a JSON object")
-            known = {f.name for f in fields(cls)}
-            unknown = sorted(set(data) - known) + [
-                f"thresholds.{k}" for k in sorted(set(thresholds) - set(DEFAULT_THRESHOLDS))
-            ]
+            unknown = sorted(set(data) - {f.name for f in fields(cls)})
             if unknown:
                 raise ValueError(f"unknown key(s): {', '.join(unknown)}")
-            return cls(thresholds={**DEFAULT_THRESHOLDS, **thresholds}, **data)
+            return cls(**data)
         except (OSError, ValueError, TypeError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc

@@ -68,13 +68,13 @@ def _dense(y, K, dhc, pos, theta):
     return y[pos] + dhc[pos] * np.matmul(w[:, None], (G @ K)[pos])[:, 0]
 
 
-def dop853(ms, steps, hs, us, every, budget, parent, times, samples, out, n, N, eps_coll):
+def dop853(ms, steps, hs, us, every, parent, times, samples, out, n, N, eps_coll):
     """Error-controlled DOP853 of the rows with steps to take, as one block
     whose rows join and leave as rows start and end. Row r flows t_m,
     m = ms[r], along us[r] on a grid of steps[r] steps hs[r], records every
     every[r]-th grid point and the last one into times[r] and samples[r],
-    and takes at most budget[r] steps, accepted or rejected; parent[r] is
-    the row it continues, or None. out[r] receives its Trajectory, or the
+    and takes at most flows.MAX_STEPS steps, accepted or rejected; parent[r]
+    is the row it continues, or None. out[r] receives its Trajectory, or the
     error that ended it.
 
     Each row keeps its own step dh, from a first step hs[r], and accepts
@@ -89,7 +89,7 @@ def dop853(ms, steps, hs, us, every, budget, parent, times, samples, out, n, N, 
     the 3 stages of the extension; 11 where every row rejects it. F(y) is
     evaluated again when rows join. A row ends, with its flow time, with
     IntegrationFailed when a rejection leaves it a step below 10 ulp of its
-    segment, or StepLimitExceeded when it has taken its budget unfinished.
+    segment, or StepLimitExceeded when it has taken MAX_STEPS unfinished.
     A finished row is recorded at once, so an error at one of its samples
     ends it too. Each row chained to an ended row starts from its last
     sample at the next step, or takes its error. y and the stage input z
@@ -106,7 +106,7 @@ def dop853(ms, steps, hs, us, every, budget, parent, times, samples, out, n, N, 
     first = [min(e, k) for e, k in zip(every, steps)]
     init = {"s": np.zeros(len(ms)), "h": np.array(hs), "j": np.array(first),
             "P": np.array([j * h if j < k else np.inf for j, h, k in zip(first, hs, steps)]),
-            "rej": np.zeros(len(ms), dtype=bool), "left": np.array(budget),
+            "rej": np.zeros(len(ms), dtype=bool), "left": np.full(len(ms), flows.MAX_STEPS),
             "span": np.array(steps) * np.array(hs)}
     dim = 2 * n * (N + 1)
     v = {key: val[:0] for key, val in init.items()}
@@ -255,7 +255,7 @@ def dop853(ms, steps, hs, us, every, budget, parent, times, samples, out, n, N, 
             r = act[i]
             t = v["s"][i] * us[r]
             ends.setdefault(i, StepLimitExceeded(
-                f"the t_{ms[r]} flow took its {budget[r]} steps by t = {flows._format_time(t)}",
+                f"the t_{ms[r]} flow took its {flows.MAX_STEPS} steps by t = {flows._format_time(t)}",
                 time=t, row=r))
         if ends:
             drop(ends)

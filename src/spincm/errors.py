@@ -47,8 +47,8 @@ class PoleHit(SpinCMError):
 
 
 class StepLimitExceeded(_RowEnd):
-    """The requested integration would exceed the configured step budget:
-    before its first step, or on the way for a DOP853 flow."""
+    """A flow row would record more than flows.MAX_STEPS samples, seen
+    before its first step, or took that many steps unfinished."""
 
 
 class IntegrationFailed(_RowEnd):

@@ -16,9 +16,9 @@ The one integrator, :func:`integrate_stack`, steps a ragged stack: a
 keeps its own m, endpoint, grid and record_every; each right-hand-side
 call is one :func:`vector_field_gradient` of the block, whatever the m of
 its rows. A row ends alone, at its last step, its own pole collision or
-its step budget. A row may start from the last sample of an earlier row,
-so a sequence of flows, such as the legs of :func:`commutativity_check`,
-runs in one stack. :func:`integrate` is its one-row case.
+MAX_STEPS. A row may start from the last sample of an earlier row, so a
+sequence of flows, such as the legs of :func:`commutativity_check`, runs
+in one stack. :func:`integrate` is its one-row case.
 """
 
 from __future__ import annotations
@@ -35,30 +35,31 @@ from .errors import (
     SpinCMError,
     StepLimitExceeded,
 )
-from .lax import (Tangent, _check_m, _derived, _lax_derivative, _pack, _unpack, _vector_field,
-                  build_lax, hamiltonians)
+from .lax import (Tangent, _check_m, _chunked, _derived, _lax_derivative, _pack, _powers,
+                  _unpack, _vector_field, build_lax, hamiltonians)
 from .phase import EPS_COLL, PhaseState, complex_to_pairs, write_json
+
+#: the samples a flow row may record and the steps it may take; read at call time
+MAX_STEPS = 1_000_000
+
 
 @dataclass(frozen=True)
 class FlowSpec:
-    """Which hierarchy time to flow, the grid of its samples and its step
-    budget."""
+    """Which hierarchy time to flow and the grid of its samples."""
 
     m: int
     t_final: complex
     dt: float
     record_every: int = 1
-    max_steps: int = 1_000_000
 
     def __post_init__(self):
-        if _check_m(self.m).ndim:
-            raise ValueError("a flow takes one hierarchy index m")
+        if _check_m(self.m).ndim or _check_m(self.record_every, "record_every").ndim:
+            raise ValueError("a flow takes one hierarchy index m and one record_every")
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be positive and finite, not {self.dt}")
         if not np.isfinite(self.t_final):
             raise ValueError(f"t_final must be finite, not {self.t_final}")
-        if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
+        object.__setattr__(self, "record_every", int(self.record_every))  # a bool as its int
 
 
 @dataclass(frozen=True)
@@ -173,9 +174,8 @@ def vector_field_residue(state: PhaseState, m: int, eps_coll=EPS_COLL) -> Tangen
     if m == 1:
         mu = lax.L.diagonal()[:, None]
     else:
-        lo = np.linalg.matrix_power(lax.L, m // 2)
-        hi = lo @ lax.L if m % 2 else lo
-        mu = (hi * lo.T).sum(axis=1)[:, None]
+        P = _powers(lax.L, (m + 1) // 2)
+        mu = (P[-1] * P[m // 2 - 1].T).sum(axis=1)[:, None]
     pdot = _derived("field", state, lax, m)[1]
     return Tangent(dx=-np.diag(K), dp=pdot, da=u - mu * state.a, db=v + mu * state.b)
 
@@ -192,10 +192,6 @@ def _format_time(t):
     return repr(t.real) if t.imag == 0 else str(t)
 
 
-#: complex entries of one L stack in _record; bounds its temporaries
-RECORD_CHUNK = 1 << 14
-
-
 def _record(row, m, times, Y, n, N, eps_coll):
     """The Trajectory of stack row ``row`` from its packed samples Y (k, dim)
     at the k flow times, with H_1..H_5 and the drift of all samples from
@@ -206,14 +202,10 @@ def _record(row, m, times, Y, n, N, eps_coll):
     times = np.asarray(times, dtype=complex)
     finite = np.isfinite(Y).all(axis=1)
     k_bad = len(Y) if finite.all() else int(np.argmin(finite))
-    H = np.empty((len(Y), 5), dtype=complex)
-    chunk = max(1, RECORD_CHUNK // (n * n))
-    for lo in range(0, k_bad, chunk):
-        hi = min(lo + chunk, k_bad)
-        try:
-            H[lo:hi] = hamiltonians(PhaseState(*_unpack(Y[lo:hi], n, N)), eps_coll=eps_coll)
-        except CollidingPoles as exc:
-            return _at_time(exc, complex(times[lo + exc.row]), m, row)
+    try:
+        H = _chunked(lambda st: hamiltonians(st, eps_coll), Y[:k_bad], n, N, (5,))
+    except CollidingPoles as exc:
+        return _at_time(exc, complex(times[exc.row]), m, row)
     if k_bad < len(Y):
         t = complex(times[k_bad])
         return IntegrationFailed(
@@ -260,8 +252,8 @@ def integrate_stack(rows, eps_coll=EPS_COLL) -> list:
     error, time and row included, if that row fails. The states share
     (n, N), else DimensionMismatch; a chained row that names no earlier row
     raises ValueError. Each row keeps its own m, t_final (real, complex or
-    0), dt, record_every and max_steps. Its segment is parameterized by arc
-    length s in [0, |t_final|] with dy/ds = u F_m(y), u = t_final/|t_final|,
+    0), dt and record_every. Its segment is parameterized by arc length
+    s in [0, |t_final|] with dy/ds = u F_m(y), u = t_final/|t_final|,
     on a grid of ceil(|t_final|/dt) steps of equal length h; the row
     records its sample at every record_every-th grid point j h u and at the
     last one. DOP853 (:func:`spincm.dop853.dop853`) chooses each row's
@@ -277,17 +269,18 @@ def integrate_stack(rows, eps_coll=EPS_COLL) -> list:
     are built once per block composition; a row leaves the block after its
     last step.
 
-    A row whose grid has more than max_steps steps ends with
-    StepLimitExceeded before any step, and so does a row that takes
-    max_steps steps, accepted or rejected, unfinished. The collision floor
-    eps_coll is checked at every right-hand-side call, inside the Lax
-    assembly, and at every recorded sample. A pole separation at or below
-    it ends only its own row, with CollidingPoles carrying the flow time,
-    the row index in ``row`` and the row's m in the message; the current
-    stage is then evaluated again for the rows that remain. A step that is
-    not finite is rejected, and numpy's warnings on the way are not
-    raised; a sample that is not finite ends its row with
-    IntegrationFailed. The constraint is monitored, never re-projected.
+    Every row has the budget MAX_STEPS, read at the call. A row that would
+    record more than MAX_STEPS samples ends with StepLimitExceeded before
+    any step, and so does a row that takes MAX_STEPS steps, accepted or
+    rejected, unfinished. The collision floor eps_coll is checked at every
+    right-hand-side call, inside the Lax assembly, and at every recorded
+    sample. A pole separation at or below it ends only its own row, with
+    CollidingPoles carrying the flow time, the row index in ``row`` and the
+    row's m in the message; the current stage is then evaluated again for
+    the rows that remain. A step that is not finite is rejected, and
+    numpy's warnings on the way are not raised; a sample that is not finite
+    ends its row with IntegrationFailed. The constraint is monitored, never
+    re-projected.
     """
     starts, specs = zip(*rows)
     parent = [st if isinstance(st, (int, np.integer)) else None for st in starts]
@@ -306,9 +299,12 @@ def integrate_stack(rows, eps_coll=EPS_COLL) -> list:
         if tfin == 0:
             continue
         S = abs(tfin)
-        if S / sp.dt > sp.max_steps:
+        # true exactly when ceil(ceil(S/dt) / record_every) + 1 samples
+        # exceed the budget; also for S/dt = inf
+        if S / sp.dt > (MAX_STEPS - 1) * sp.record_every:
             out[r] = StepLimitExceeded(
-                f"|t_final|/dt = {S / sp.dt:.6g} steps exceed the budget {sp.max_steps}")
+                f"the t_{sp.m} flow's grid of {S / sp.dt:.6g} steps, recorded every "
+                f"{sp.record_every}, gives more than {MAX_STEPS} samples")
             continue
         steps[r] = max(1, math.ceil(S / sp.dt))
         hs[r], us[r] = S / steps[r], tfin / S
@@ -318,8 +314,8 @@ def integrate_stack(rows, eps_coll=EPS_COLL) -> list:
 
     # a stage past the finite numbers warns; the step's finiteness test reports it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        dop853(ms, steps, hs, us, [sp.record_every for sp in specs],
-               [sp.max_steps for sp in specs], parent, times, samples, out, n, N, eps_coll)
+        dop853(ms, steps, hs, us, [sp.record_every for sp in specs], parent, times, samples,
+               out, n, N, eps_coll)
     return out
 
 
@@ -347,14 +343,16 @@ def check_lax(trajectory: Trajectory, eps_coll=EPS_COLL) -> np.ndarray:
 
     dL/dt is exact: the derivative of the Lax assembly along the H_2
     tangent of every sample (:func:`spincm.lax._lax_derivative`), from one
-    stacked gradient. Raises ValueError for a trajectory of another m.
+    stacked gradient; M = 2 R o inv o inv is formed here, its one reader.
+    Raises ValueError for a trajectory of another m.
     """
     tr = trajectory
     if tr.m != 2:
         raise ValueError(f"check_lax needs a t_2 trajectory, not t_{tr.m}")
     lax = build_lax(PhaseState(tr.x, tr.p, tr.a, tr.b), eps_coll)
     dL = _lax_derivative(lax, tr.a, tr.b, *_vector_field(lax.inv, lax.L, tr.a, tr.b, 2))
-    return np.max(np.abs(dL - (lax.M @ lax.L - lax.L @ lax.M)), axis=(-2, -1))
+    M = 2.0 * lax.R * lax.inv * lax.inv
+    return np.max(np.abs(dL - (M @ lax.L - lax.L @ M)), axis=(-2, -1))
 
 
 def _pole_pairing(x, ref):
@@ -387,25 +385,24 @@ def _commutativity_rows(state, m1, m2, s1, s2, first=0):
             (first, _leg_spec(m2, s2)), (first + 1, _leg_spec(m1, s1))]
 
 
-def _commutativity_gap(legs, eps_coll=EPS_COLL) -> float:
+def _commutativity_gap(legs) -> float:
     """The gap of :func:`commutativity_check` from ``legs``, the
     integrate_stack results of its four rows (:func:`_commutativity_rows`):
     the first error of the first legs, else of the second legs, is raised.
-    Its gauge-invariant observables are the poles, ba's paired to ab's
-    (:func:`_pole_pairing`), H_1..H_5 and tr R^k = tr (a^T b)^k for
-    k <= min(n, N): R = b a^T has rank <= N, so by Newton's identities its
-    higher traces follow."""
+    Its gauge-invariant observables at the endpoints of the second legs
+    are the poles, ba's paired to ab's (:func:`_pole_pairing`), H_1..H_5 as
+    recorded there and tr R^k = tr (a^T b)^k for k <= min(n, N): R = b a^T
+    has rank <= N, so by Newton's identities its higher traces follow."""
     _trajectories(legs[:2])
-    ab, ba = (tr.state(-1) for tr in _trajectories(legs[2:]))
+    ab, ba = _trajectories(legs[2:])
 
-    def invariants(st):
-        S = st.a.T @ st.b
-        trR = np.array([np.trace(np.linalg.matrix_power(S, k))
-                        for k in range(1, min(st.n_particles, st.spin_dim) + 1)])
-        return np.concatenate([hamiltonians(st, eps_coll=eps_coll), trR])
+    def invariants(tr):
+        S = tr.a[-1].T @ tr.b[-1]
+        trR = [np.trace(np.linalg.matrix_power(S, k)) for k in range(1, min(tr.a.shape[1:]) + 1)]
+        return np.concatenate([tr.hamiltonians[-1], trR])
 
-    paired = ba.x[_pole_pairing(ab.x[None], ba.x[None])[0]]
-    return max(_scaled_error(ab.x, paired), _scaled_error(invariants(ab), invariants(ba)))
+    paired = ba.x[-1][_pole_pairing(ab.x[-1:], ba.x[-1:])[0]]
+    return max(_scaled_error(ab.x[-1], paired), _scaled_error(invariants(ab), invariants(ba)))
 
 
 def commutativity_check(state, m1, m2, s1, s2, eps_coll=EPS_COLL) -> float:
@@ -418,4 +415,4 @@ def commutativity_check(state, m1, m2, s1, s2, eps_coll=EPS_COLL) -> float:
     if m1 == m2:
         raise ValueError("m1 and m2 must differ")
     rows = _commutativity_rows(state, m1, m2, s1, s2)
-    return _commutativity_gap(integrate_stack(rows, eps_coll), eps_coll)
+    return _commutativity_gap(integrate_stack(rows, eps_coll))

@@ -5,14 +5,15 @@ The Lax matrix of the Gibbons-Hermsen system is
     L_ii = -p_i,   L_ik = -(b_i^T a_k)/(x_i - x_k)   (i != k),
 
 with auxiliary matrix M_ik = 2 (b_i^T a_k)/(x_i - x_k)^2 (zero diagonal),
-which no flow needs: :class:`LaxData` forms M on its first read.
-The conserved Hamiltonians are H_m = tr L^m (:func:`hamiltonian`,
-:func:`hamiltonians`). Their gradients and vector fields, each a
-:class:`Tangent`, come from one kernel, :func:`_vector_field`, linear in
-Q = m L^{m-1}: with G = Q o inv (entrywise, inv_ik = 1/(x_i - x_k)), the
-H_m vector field is dx = -diag Q, dp = colsum - rowsum of L o G^T,
-da = G^T a and db = -G b, one packed block (:func:`_pack`). dL along such
-a tangent is :func:`_lax_derivative`.
+formed by its one reader, :func:`spincm.flows.check_lax`. The conserved
+Hamiltonians are H_m = tr L^m (:func:`hamiltonian`, the oracle, and
+:func:`hamiltonians`, H_1..H_5, from :func:`_powers`, the one route to the
+powers of L). Their gradients and vector fields, each a :class:`Tangent`,
+come from one kernel, :func:`_vector_field`, linear in Q = m L^{m-1}: with
+G = Q o inv (entrywise, inv_ik = 1/(x_i - x_k)), the H_m vector field is
+dx = -diag Q, dp = colsum - rowsum of L o G^T, da = G^T a and db = -G b,
+one packed block (:func:`_pack`). dL along such a tangent is
+:func:`_lax_derivative`.
 Residues at infinity of the resolvent (zI - L)^-1 are evaluated exactly:
 one kernel, :func:`_residue_rates`, gives every residue consumer its data
 (K_m, u, v) from thin Krylov blocks, with no n x n power of L.
@@ -50,21 +51,11 @@ class LaxData:
     """Lax assembly of a phase point, or of a stack of them along leading
     axes, each field (..., n, n): the inverse differences
     inv_ik = 1/(x_i - x_k) with inv_ii = 0, the pairing matrix
-    R_ij = b_i^T a_j, which satisfies R = I + [L, diag(x)], and L.
-    M = 2 R o inv o inv is formed on its first read and kept; it is
-    read-only when the assembly is, as the slot's is."""
+    R_ij = b_i^T a_j, which satisfies R = I + [L, diag(x)], and L."""
 
     inv: np.ndarray
     R: np.ndarray
     L: np.ndarray
-
-    @functools.cached_property
-    def M(self):
-        M = np.multiply(2.0, self.R)
-        M *= self.inv
-        M *= self.inv
-        M.setflags(write=self.inv.flags.writeable)
-        return M
 
 
 @dataclass(frozen=True)
@@ -140,6 +131,25 @@ def _colliding(sep, eps_coll, row=None):
     return CollidingPoles(f"minimal pole separation {sep:.3e} <= {eps_coll:.3e}", row=row)
 
 
+#: complex entries of the L stack of one call of fn in :func:`_chunked`
+STACK_CHUNK = 1 << 14
+
+
+def _chunked(fn, Y, n, N, shape=()):
+    """out (k, *shape), out[j] = fn(point j) of the packed phase points Y
+    (k, dim); fn takes stacks of at most STACK_CHUNK // (n n) points, which
+    bounds its temporaries. CollidingPoles names in ``row`` the index in Y."""
+    out = np.empty((len(Y), *shape), dtype=complex)
+    step = max(1, STACK_CHUNK // (n * n))
+    for lo in range(0, len(Y), step):
+        try:
+            out[lo : lo + step] = fn(PhaseState(*_unpack(Y[lo : lo + step], n, N)))
+        except CollidingPoles as exc:
+            exc.row += lo
+            raise
+    return out
+
+
 class _Entry:
     """The slot's derived data of one frozen phase point: a weakref to it,
     its separation and LaxData, and ``kernels``, the read-only output of
@@ -211,28 +221,23 @@ def hamiltonian(state: PhaseState, m: int, eps_coll=EPS_COLL):
     return complex(H) if H.ndim == 0 else H
 
 
-def hamiltonians(state: PhaseState, kmax: int = 5, eps_coll=EPS_COLL) -> np.ndarray:
-    """[H_1, ..., H_kmax], shape (kmax,) for a phase point and (..., kmax)
-    for a stack.
-
-    H_1..H_3 are the traces of the repeated right products L, L L and
-    (L L) L. Each H_k with k >= 4 is the trace of a product of two powers,
-    sum_ij (L^{k-j})_ij (L^j)_ji with j = max(3, ceil(k/2)), so only the
-    powers up to L^j are multiplied out: two products for kmax <= 6. The
-    route to each H_k does not depend on kmax.
-    """
-    L = build_lax(state, eps_coll).L
-    out = np.empty(L.shape[:-2] + (kmax,), dtype=complex)
-    P = [None, L]  # P[j] = L^j
-    while len(P) <= min(kmax, max(3, (kmax + 1) // 2)):
+def _powers(L, k):
+    """[L, L^2, ..., L^k] of L (..., n, n) by right products, L^{j+1} = L^j L:
+    the one route to the powers of L in production code."""
+    P = [L]
+    while len(P) < k:
         P.append(P[-1] @ L)
-    for k in range(1, kmax + 1):
-        if k <= 3:
-            out[..., k - 1] = np.trace(P[k], axis1=-2, axis2=-1)
-        else:
-            j = max(3, (k + 1) // 2)
-            out[..., k - 1] = (P[k - j] * P[j].swapaxes(-1, -2)).sum(axis=(-2, -1))
-    return out
+    return P
+
+
+def hamiltonians(state: PhaseState, eps_coll=EPS_COLL) -> np.ndarray:
+    """[H_1, ..., H_5], shape (5,) for a phase point and (..., 5) for a
+    stack: the traces of L, L^2 and L^3 (:func:`_powers`), then the entrywise
+    sums of L o (L^3)^T and L^2 o (L^3)^T; two n x n products in all."""
+    P = _powers(build_lax(state, eps_coll).L, 3)
+    P3T = P[2].swapaxes(-1, -2)
+    H = [np.trace(Lj, axis1=-2, axis2=-1) for Lj in P] + [(Lj * P3T).sum((-2, -1)) for Lj in P[:2]]
+    return np.stack(H, axis=-1)
 
 
 def hamiltonian_h2_direct(state: PhaseState, eps_coll=EPS_COLL) -> complex:
@@ -242,12 +247,12 @@ def hamiltonian_h2_direct(state: PhaseState, eps_coll=EPS_COLL) -> complex:
     return complex(np.sum(state.p**2) - np.sum(lax.R * lax.R.T * lax.inv * lax.inv))
 
 
-def _check_m(m):
-    """m, an int or an integer array, as an array; ValueError unless each
-    entry is an integer (a bool counts, as in Python) >= 1."""
+def _check_m(m, name="m"):
+    """m, an int or an integer array, as an array; ValueError naming it
+    ``name`` unless each entry is an integer (a bool counts, as in Python) >= 1."""
     m = np.asarray(m)
     if m.dtype.kind not in "biu" or m.min() < 1:
-        raise ValueError(f"m must be >= 1 and an integer, not {m.tolist()!r}")
+        raise ValueError(f"{name} must be >= 1 and an integer, not {m.tolist()!r}")
     return m
 
 

@@ -18,7 +18,6 @@ from . import kp
 from .config import DEFAULT_THRESHOLDS, Config  # noqa: F401 (read as verify.DEFAULT_THRESHOLDS)
 from .errors import CollidingPoles, SpinCMError
 from .flows import (
-    RECORD_CHUNK,
     FlowSpec,
     _commutativity_gap,
     _commutativity_rows,
@@ -34,7 +33,9 @@ from .flows import (
 )
 from .lax import (
     Tangent,
+    _chunked,
     _pack,
+    _powers,
     _unpack,
     build_lax,
     grad_hamiltonian,
@@ -116,21 +117,17 @@ def finite_difference_gradient(state: PhaseState, m: int, h: float = 1e-5, axis=
     holomorphic Hamiltonian both axes must recover the same complex
     derivative ((f(q+ih) - f(q-ih))/(2ih) for the imaginary axis). The
     packed point q +- step e_j, for every variable j, forms one (2 dim, dim)
-    stack whose H_m comes from :func:`hamiltonian` (the matrix_power
-    route), in chunks of at most RECORD_CHUNK entries per L. A perturbed
-    point with two poles within ``eps_coll`` raises CollidingPoles for the
-    whole call, without a row.
+    stack whose H_m comes from :func:`hamiltonian`, the matrix_power route,
+    in chunks (:func:`spincm.lax._chunked`). A perturbed point with two
+    poles within ``eps_coll`` raises CollidingPoles for the whole call,
+    without a row.
     """
     step = h if axis == "real" else 1j * h
     n, N = state.n_particles, state.spin_dim
     y = _pack(state)
     Y = y + step * np.kron(np.eye(y.size), [[1.0], [-1.0]])  # rows q + step e_j, q - step e_j
-    H = np.empty(len(Y), dtype=complex)
-    chunk = max(1, RECORD_CHUNK // (n * n))
     try:
-        for lo in range(0, len(Y), chunk):
-            H[lo : lo + chunk] = hamiltonian(PhaseState(*_unpack(Y[lo : lo + chunk], n, N)),
-                                             m, eps_coll)
+        H = _chunked(lambda st: hamiltonian(st, m, eps_coll), Y, n, N)
     except CollidingPoles as exc:
         raise CollidingPoles(str(exc)) from None
     return Tangent(*_unpack((H[0::2] - H[1::2]) / (2 * step), n, N))
@@ -174,7 +171,7 @@ def _check_r_identity(state, cfg):
 
 def _check_trace_lr(state, cfg):
     lax = build_lax(state, cfg.eps_coll)
-    Lm = np.array([np.linalg.matrix_power(lax.L, m) for m in range(1, 6)])
+    Lm = np.array(_powers(lax.L, 5))
     lhs = np.trace(Lm @ lax.R, axis1=-2, axis2=-1)
     rhs = np.trace(Lm, axis1=-2, axis2=-1)
     return _scaled_error(lhs, rhs), {"m_max": 5}
@@ -264,7 +261,7 @@ def _check_constraint_drift(state, cfg, trajs):
 
 
 def _check_commutativity(state, cfg, legs):
-    return _commutativity_gap(legs, cfg.eps_coll), {"s": COMMUTATIVITY_S}
+    return _commutativity_gap(legs), {"s": COMMUTATIVITY_S}
 
 
 def _check_rank1_residues(state, cfg):

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 import sys
 import warnings
 from dataclasses import fields, replace
@@ -53,17 +54,30 @@ def _grid_times(spec):
     return np.array([j * h * u for j in [*range(0, k, spec.record_every), k]], dtype=complex)
 
 
-def test_flowspec_validation():
+def test_flowspec_validation(state32):
     with pytest.raises(ValueError):
         FlowSpec(m=0, t_final=1.0, dt=1e-3)
     with pytest.raises(ValueError):
         FlowSpec(m=np.array([2, 3]), t_final=1.0, dt=1e-3)
     with pytest.raises(ValueError):
         FlowSpec(m=1, t_final=1.0, dt=-1e-3)
-    with pytest.raises(ValueError):
-        FlowSpec(m=1, t_final=1.0, dt=1e-3, record_every=0)
+    # record_every is one integer >= 1 (2.5 once recorded off the grid)
+    for every in (0, 2.5, 2.0, "3", [3]):
+        with pytest.raises(ValueError, match="record_every"):
+            FlowSpec(m=1, t_final=1.0, dt=1e-3, record_every=every)
+    # a bool counts as the int it equals, and each is stored as an int
+    for every, want in ((True, 1), (np.int64(7), 7)):
+        spec = FlowSpec(m=1, t_final=1.0, dt=1e-3, record_every=every)
+        assert type(spec.record_every) is int and spec.record_every == want
+    # True once recorded t = 0.001 twice: the stepper's record index took
+    # the bool dtype
+    spec = FlowSpec(m=2, t_final=0.01, dt=1e-3)
+    _assert_same_trajectory(integrate(state32, replace(spec, record_every=True)),
+                            integrate(state32, spec))
     with pytest.raises(TypeError):  # one stepper: there is no method to choose
         FlowSpec(m=1, t_final=1.0, dt=1e-3, method="RK4")
+    with pytest.raises(TypeError):  # one budget, flows.MAX_STEPS
+        FlowSpec(m=1, t_final=1.0, dt=1e-3, max_steps=10)
 
 
 @pytest.mark.parametrize("m", [2.5, 2.0, np.float64(3.0)])
@@ -137,7 +151,7 @@ def test_residue_field_t1(state32):
     assert np.max(np.abs(f.dx + 1.0)) <= 1e-13
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_residue_equals_gradient_route(m):
     # at n = 30 > mN, K_m is a product of thin Krylov blocks of lower rank
     for n, N, seeds in ((3, 2, range(5)), (30, 4, range(3))):
@@ -190,11 +204,9 @@ def test_integrate_conserves_hamiltonians(state32):
         assert drift <= 1e-9
 
 
-def test_integrate_dop853(state32):
-    traj = integrate(
-        state32, FlowSpec(m=2, t_final=0.5, dt=1e-2, record_every=10,
-                          max_steps=1000)  # a stepping fault fails, not hangs
-    )
+def test_integrate_dop853(state32, monkeypatch):
+    monkeypatch.setattr(flows, "MAX_STEPS", 1000)  # a stepping fault fails, not hangs
+    traj = integrate(state32, FlowSpec(m=2, t_final=0.5, dt=1e-2, record_every=10))
     h0 = traj.hamiltonians[0]
     assert np.max(np.abs(traj.hamiltonians - h0) / (1 + np.abs(h0))) <= 1e-11
     assert np.max(traj.drift) <= 1e-12
@@ -219,9 +231,20 @@ def test_integrate_complex_time(state32):
     assert np.max(np.abs(traj.x[-1] - (state32.x - tfin))) <= 1e-12
 
 
-def test_integrate_step_limit(state32):
-    with pytest.raises(StepLimitExceeded):
-        integrate(state32, FlowSpec(m=2, t_final=1.0, dt=1e-3, max_steps=10))
+def test_integrate_step_limit(state32, monkeypatch):
+    # the budget bounds the samples, not the grid: a grid of 1e7 steps
+    # recorded every 10000th is 1001 samples, and DOP853 takes far fewer steps
+    traj = integrate(random_state(5, 2, seed=3),
+                     FlowSpec(m=2, t_final=1.0, dt=1e-7, record_every=10_000))
+    assert len(traj.t) == 1001 and traj.t[-1] == 1.0
+    # 11 samples over a budget of 10: refused before any step
+    calls = _count_calls(monkeypatch, flows, "_tangent")
+    monkeypatch.setattr(flows, "MAX_STEPS", 10)
+    with pytest.raises(StepLimitExceeded, match="more than 10 samples") as err:
+        integrate(state32, FlowSpec(m=2, t_final=0.01, dt=1e-3))
+    assert calls == [] and (err.value.row, err.value.time) == (None, None)
+    assert str(err.value) == ("the t_2 flow's grid of 10 steps, recorded every 1, "
+                              "gives more than 10 samples")
 
 
 def test_integrate_detects_collision():
@@ -258,27 +281,30 @@ def test_dop853_failure_is_not_a_collision(state32, monkeypatch):
     # the row ends with IntegrationFailed at its start
     monkeypatch.setattr(dop853, "RTOL", 0.0)
     monkeypatch.setattr(dop853, "ATOL", 1e-100)
+    monkeypatch.setattr(flows, "MAX_STEPS", 1000)
     with pytest.raises(IntegrationFailed, match="needs a step below") as err:
-        integrate(state32, FlowSpec(m=2, t_final=0.1, dt=1e-2, max_steps=1000))
+        integrate(state32, FlowSpec(m=2, t_final=0.1, dt=1e-2))
     assert (err.value.row, err.value.time) == (0, 0)
 
 
-def test_dop853_rejects_a_step_that_is_not_finite():
+def test_dop853_rejects_a_step_that_is_not_finite(monkeypatch):
     # tr L^3 of a momentum 1e200 overflows at every trial step: each is
     # rejected with the factor 0.2, and the row ends at the step floor or
-    # at its budget, not at its first trial; the row beside it finishes
+    # at the budget, not at its first trial; the row beside it finishes
     huge = new_state([-1, 1.0], [1e200, 0.0], [[1], [1]], [[1], [1]])
     far = new_state([-1, 1.0], [0.1, 0.2], [[1], [1]], [[1], [1]])
     spec = FlowSpec(m=3, t_final=0.1, dt=0.1)
-    rows = [(huge, spec), (far, spec), (huge, replace(spec, max_steps=5))]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        out = integrate_stack(rows)
-    assert isinstance(out[0], IntegrationFailed) and (out[0].row, out[0].time) == (0, 0)
-    assert "needs a step below" in str(out[0]) and "not finite" in str(out[0])
-    _assert_same_trajectory(out[1], integrate(*rows[1]))
-    assert isinstance(out[2], StepLimitExceeded) and "its 5 steps" in str(out[2])
-    assert (out[2].row, out[2].time) == (2, 0)
+    rows = [(huge, spec), (far, spec)]
+    cases = ((flows.MAX_STEPS, IntegrationFailed, "needs a step below .* not finite"),
+             (5, StepLimitExceeded, "its 5 steps"))
+    for budget, error, words in cases:
+        monkeypatch.setattr(flows, "MAX_STEPS", budget)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = integrate_stack(rows)
+        assert isinstance(out[0], error) and (out[0].row, out[0].time) == (0, 0)
+        assert re.search(words, str(out[0]))
+        _assert_same_trajectory(out[1], integrate(*rows[1]))
 
 
 def _count_calls(monkeypatch, module, name):
@@ -343,6 +369,19 @@ def test_check_lax_single_particle():
     s = new_state([0.1], [0.4], [[1.0]], [[1.0]])
     traj = integrate(s, FlowSpec(m=2, t_final=0.01, dt=1e-3, record_every=1))
     assert np.max(check_lax(traj)) <= 1e-12
+
+
+def test_check_lax_forms_m():
+    # M = 2 R o inv o inv, formed where check_lax reads it. Poles at -1, 1
+    # with unit spins and p = 0: L = [[0, 1/2], [-1/2, 0]] and
+    # M = [[0, 1/2], [1/2, 0]], so [M, L] = diag(-1/2, 1/2), which dL/dt =
+    # -diag(dp) equals only if M has its factor 2 and its sign
+    s = new_state([-1.0, 1.0], [0.0, 0.0], [[1.0], [1.0]], [[1.0], [1.0]])
+    assert vector_field_gradient(s, 2).dp.tolist() == [0.5, -0.5]
+    assert check_lax(integrate(s, FlowSpec(m=2, t_final=0, dt=1.0))).tolist() == [0.0]
+    # one particle: M = 0, and dL/dt = 0
+    s = new_state([0.0], [0.5], [[1.0]], [[1.0]])
+    assert check_lax(integrate(s, FlowSpec(m=2, t_final=0, dt=1.0))).tolist() == [0.0]
 
 
 def test_check_lax_is_exact_at_any_spacing(state32):
@@ -472,12 +511,12 @@ def test_stack_rows_equal_single_row_integrate(n, t_final, record_every):
     states = [random_state(n, 2, seed=s) for s in range(5)]
     spec = FlowSpec(m=2, t_final=t_final, dt=1e-3, record_every=record_every)
     stacks = [[replace(spec, m=m) for m in ms] for ms in ([1, 2, 3, 4], [4, 2], [3, 3])]
-    # ragged: each row its own endpoint (real, complex or 0), step, record_every and budget
+    # ragged: each row its own endpoint (real, complex or 0), step and record_every
     stacks.append([
         spec,
         replace(spec, m=3, t_final=0),
         replace(spec, m=1, t_final=1j * t_final, dt=7e-4),
-        replace(spec, m=4, t_final=-t_final / 2, record_every=3, max_steps=100),
+        replace(spec, m=4, t_final=-t_final / 2, record_every=3),
         replace(spec, m=3, dt=2e-3, record_every=1),
     ])
     for specs in stacks:
@@ -692,17 +731,21 @@ def test_record_every_only_thins(monkeypatch):
     assert np.array_equal(_pack(full[2].state(0)), _pack(full[0].state(-1)))
 
 
-def test_stack_step_budget_ends_only_its_row(state32):
-    spec = FlowSpec(m=2, t_final=0.01, dt=1e-3)
-    over = replace(spec, max_steps=9)
+def test_stack_step_budget_ends_only_its_row(state32, monkeypatch):
+    # a budget of 9: 11 samples are over it, 6 (every second) under it
+    monkeypatch.setattr(flows, "MAX_STEPS", 9)
+    over = FlowSpec(m=2, t_final=0.01, dt=1e-3)
+    spec = replace(over, record_every=2)
     out = integrate_stack([(state32, over), (state32, spec)])
-    assert isinstance(out[0], StepLimitExceeded)
+    assert isinstance(out[0], StepLimitExceeded) and "more than 9 samples" in str(out[0])
     _assert_same_trajectory(out[1], integrate(state32, spec))
+    assert len(out[1].t) == 6
     assert _first_error(out) is out[0]
     with pytest.raises(StepLimitExceeded):
         integrate(state32, over)
     # a step count past any float still ends in StepLimitExceeded
-    with pytest.raises(StepLimitExceeded):
+    monkeypatch.undo()
+    with pytest.raises(StepLimitExceeded, match="grid of inf steps"):
         integrate(state32, replace(spec, t_final=1e300, dt=1e-300))
 
 
@@ -713,19 +756,22 @@ def test_format_time_prints_a_real_time_without_its_imaginary_part():
     assert flows._format_time(0.02 + 0.01j) == "(0.02+0.01j)"
 
 
-def test_dop853_step_budget_ends_only_its_row(state32):
-    # one grid step, so the budget passes before any step; a flow to
-    # t = 1 needs more than one DOP853 step
-    spec = FlowSpec(m=2, t_final=1.0, dt=1.0, max_steps=1)
-    out = integrate_stack([(state32, spec), (state32, replace(spec, max_steps=100))])
-    assert isinstance(out[0], StepLimitExceeded) and "t_2 flow took its 1 steps" in str(out[0])
-    _assert_same_trajectory(out[1], integrate(state32, replace(spec, max_steps=100)))
+def test_dop853_step_budget_ends_only_its_row(state32, monkeypatch):
+    # one grid step, so 2 samples pass a budget of 2 before any step; a t_2
+    # flow to t = 1 needs more than two DOP853 steps, and the t_1 flow, a
+    # translation, one
+    monkeypatch.setattr(flows, "MAX_STEPS", 2)
+    spec = FlowSpec(m=2, t_final=1.0, dt=1.0)
+    out = integrate_stack([(state32, spec), (state32, replace(spec, m=1))])
+    assert isinstance(out[0], StepLimitExceeded) and "t_2 flow took its 2 steps" in str(out[0])
+    _assert_same_trajectory(out[1], integrate(state32, replace(spec, m=1)))
     # a budget that runs out on the way carries its flow time and row, and
     # ranks by it: row 0 runs out at t = 0.254, after row 1's collision
+    monkeypatch.setattr(flows, "MAX_STEPS", 10)
     far = new_state([-3, 3], [2, -2], [[1], [1]], [[1], [1]])
     near = new_state([-1, 1], [2, -2], [[1], [1]], [[1], [1]])
-    spec = FlowSpec(m=2, t_final=2.0, dt=2.0, max_steps=10)
-    out = integrate_stack([(far, spec), (near, replace(spec, max_steps=1000))], eps_coll=0.5)
+    spec = FlowSpec(m=2, t_final=2.0, dt=2.0)
+    out = integrate_stack([(far, spec), (near, spec)], eps_coll=0.5)
     assert isinstance(out[0], StepLimitExceeded) and out[0].row == 0
     assert out[0].time.imag == 0 and 0.25 < out[0].time.real < 0.26
     # a real flow time prints as a real number
@@ -756,7 +802,7 @@ def test_recorded_sample_collision_names_its_row_m_and_time():
         assert (got.row, got.time) == (r, times[j])
 
 
-def test_non_finite_sample_ends_its_row_with_its_m_and_time():
+def test_non_finite_sample_ends_its_row_with_its_m_and_time(monkeypatch):
     # recorded in chunks (n = 100): row 0 leaves the finite numbers at
     # sample 6 (in b, not x) before its collision at sample 7; row 1
     # collides at sample 5 before it does at sample 7
@@ -778,7 +824,8 @@ def test_non_finite_sample_ends_its_row_with_its_m_and_time():
     # warning is raised on the way
     close = new_state([0, 1.05e-5], [0.1, 0.2], [[1], [1]], [[1], [1]])
     far = new_state([-1, 1.0], [0.1, 0.2], [[1], [1]], [[1], [1]])
-    spec = FlowSpec(m=2, t_final=1e-4, dt=2.5e-5, max_steps=1000)
+    monkeypatch.setattr(flows, "MAX_STEPS", 1000)
+    spec = FlowSpec(m=2, t_final=1e-4, dt=2.5e-5)
     rows = [(far, spec), (close, spec), (close, replace(spec, t_final=-1e-4, record_every=3)),
             (close, replace(spec, m=3))]
     with warnings.catch_warnings():
@@ -859,6 +906,15 @@ def test_commutativity_legs_as_stacks_equal_sequential_legs(state32):
         ab, ba = leg(a.state(-1), m2, s2), leg(b.state(-1), m1, s1)
         ref = flows._commutativity_gap([a, b, ab, ba])
         assert commutativity_check(state32, m1, m2, s1, s2) == ref
+        # the gap reads H_1..H_5 as recorded at the endpoints, which are
+        # those of the end states bit for bit, and no other sample's
+        wiped = []
+        for tr in (ab, ba):
+            assert tr.hamiltonians[-1].tobytes() == hamiltonians(tr.state(-1)).tobytes()
+            H = tr.hamiltonians.copy()
+            H[:-1] = np.nan
+            wiped.append(replace(tr, hamiltonians=H))
+        assert flows._commutativity_gap([a, b, *wiped]) == ref
 
 
 def test_chained_rows_equal_integrating_the_parent_endpoint():
@@ -888,12 +944,12 @@ def test_chained_row_takes_its_parents_error_and_no_step(monkeypatch):
     leg = FlowSpec(m=3, t_final=0.05, dt=0.05)
     cases = (
         (_free_pair([-1.0, 1.0], [0.1, 0.2]), meet2,
-         FlowSpec(m=2, t_final=1.0, dt=0.1), EPS_COLL, CollidingPoles),
+         FlowSpec(m=2, t_final=1.0, dt=0.1), EPS_COLL, flows.MAX_STEPS, CollidingPoles),
         (new_state([-2, 2], [0.1, 0.2], [[1], [1]], [[1], [1]]), far,
-         FlowSpec(m=2, t_final=2.0, dt=2.0, max_steps=10), 0.5,
-         StepLimitExceeded),
+         FlowSpec(m=2, t_final=2.0, dt=2.0), 0.5, 10, StepLimitExceeded),
     )
-    for other, parent, spec, eps_coll, error in cases:
+    for other, parent, spec, eps_coll, budget, error in cases:
+        monkeypatch.setattr(flows, "MAX_STEPS", budget)
         del calls[:]
         alone = integrate_stack([(other, leg), (parent, spec)], eps_coll)
         shapes = [st.x.shape for st in calls]

@@ -29,17 +29,15 @@ def test_build_lax_single_particle():
     s = new_state([0.0], [0.5], [[1.0]], [[1.0]])
     lax = build_lax(s)
     assert lax.L[0, 0] == -0.5
-    assert lax.M[0, 0] == 0.0
     assert lax.R[0, 0] == 1.0
 
 
 def test_build_lax_two_particle_frozen():
     # x = (-1, 1), p = 0, all spins 1: every pairing is 1, so
-    # L = [[0, 1/2], [-1/2, 0]] and M = [[0, 1/2], [1/2, 0]].
+    # L = [[0, 1/2], [-1/2, 0]].
     s = new_state([-1.0, 1.0], [0.0, 0.0], [[1.0], [1.0]], [[1.0], [1.0]])
     lax = build_lax(s)
     assert np.allclose(lax.L, [[0.0, 0.5], [-0.5, 0.0]], atol=1e-15)
-    assert np.allclose(lax.M, [[0.0, 0.5], [0.5, 0.0]], atol=1e-15)
     assert hamiltonian(s, 2) == pytest.approx(-0.5, abs=1e-15)
     # direct phase-variable form: 0 - (1/4 + 1/4)
     assert hamiltonian_h2_direct(s) == pytest.approx(-0.5, abs=1e-15)
@@ -75,7 +73,7 @@ def test_trace_lr_equals_trace_lm(state32):
 
 
 def test_hamiltonians_vector(state32):
-    hs = hamiltonians(state32, kmax=5)
+    hs = hamiltonians(state32)
     for m in range(1, 6):
         assert hs[m - 1] == pytest.approx(hamiltonian(state32, m), abs=1e-13)
 
@@ -83,23 +81,22 @@ def test_hamiltonians_vector(state32):
 @pytest.mark.parametrize("n", [1, 2, 3, 30, 100])
 def test_hamiltonians_match_matrix_power_oracle(n):
     s = random_state(n, 4, seed=n)
-    for kmax in range(1, 8):
-        hs = hamiltonians(s, kmax=kmax)
-        assert hs.shape == (kmax,)
-        want = np.array([hamiltonian(s, m) for m in range(1, kmax + 1)])
-        assert _scaled_error(hs, want) <= 1e-13
+    hs = hamiltonians(s)
+    assert hs.shape == (5,)
+    want = np.array([hamiltonian(s, m) for m in range(1, 6)])
+    assert _scaled_error(hs, want) <= 1e-13
 
 
 @pytest.mark.parametrize("n", [1, 3, 30])
 def test_hamiltonians_take_one_route_per_h(n):
     s = random_state(n, 2, seed=n + 5)
-    full = hamiltonians(s, kmax=7)
-    for k in range(1, 8):
-        assert hamiltonians(s, kmax=k).tobytes() == full[:k].tobytes()
-    # H_1..H_3 are the traces of the repeated right products, bit for bit
+    # H_1..H_3 are the traces of the repeated right products, and H_4, H_5
+    # the entrywise sums of L o (L^3)^T and L^2 o (L^3)^T, bit for bit
     L = build_lax(s).L
     P2 = L @ L
-    assert full[:3].tobytes() == np.array([np.trace(L), np.trace(P2), np.trace(P2 @ L)]).tobytes()
+    P3 = P2 @ L
+    want = [np.trace(L), np.trace(P2), np.trace(P3), (L * P3.T).sum(), (P2 * P3.T).sum()]
+    assert hamiltonians(s).tobytes() == np.array(want).tobytes()
 
 
 def test_a_non_finite_point_hides_no_collision_of_the_stack():
@@ -175,11 +172,10 @@ def test_stacked_build_lax_equals_each_point(n):
     stack = _stack(states, (2, 2))
     stacked, H = build_lax(stack), hamiltonians(stack)
     Hm = {m: hamiltonian(stack, m) for m in range(1, 6)}
-    # M is formed on first read, not a field, and stacks like the fields
     assert [f.name for f in fields(LaxData)] == ["inv", "R", "L"]
     for k, s in enumerate(states):
         one = build_lax(s)
-        for f in ("inv", "R", "L", "M"):
+        for f in ("inv", "R", "L"):
             assert np.array_equal(getattr(stacked, f)[divmod(k, 2)], getattr(one, f))
         assert np.array_equal(H[divmod(k, 2)], hamiltonians(s))
         for m, h in Hm.items():
@@ -379,20 +375,6 @@ def test_memoized_arrays_are_read_only():
                 grad_hamiltonian(s, 2).dp, lax_module._derived("rates", s, build_lax(s), 2)[1]):
         with pytest.raises(ValueError):
             arr[0] = 0.0
-
-
-def test_m_is_formed_on_first_read_and_read_only_for_the_slot():
-    s = random_state(4, 2, seed=16)
-    flows.vector_field_gradient(s, 2), flows.vector_field_residue(s, 3)
-    lax = build_lax(s)
-    assert "M" not in vars(lax)  # no vector field forms it
-    M = lax.M
-    assert build_lax(s).M is M  # formed once, kept with the slot's assembly
-    with pytest.raises(ValueError):
-        M[0, 1] = 0.0
-    fresh = build_lax(_writable(s))
-    assert fresh.M.flags.writeable and fresh.M.tobytes() == M.tobytes()
-    assert np.array_equal(M, 2.0 * lax.R * lax.inv * lax.inv)
 
 
 def test_an_identities_operation_computes_each_quantity_once(monkeypatch):

@@ -21,7 +21,7 @@ from spincm import (
     run_suite,
     solve_c,
 )
-from spincm import flows, kp, verify
+from spincm import flows, kp, lax, verify
 from spincm.phase import write_json
 from spincm.verify import (
     _scaled_error,
@@ -312,6 +312,15 @@ def test_suite_config_threshold_lookup():
     assert cfg.thresholds["r_identity"] == 1e-12
     with pytest.raises(KeyError):
         cfg.thresholds["nonexistent"]
+    # the constructor takes some thresholds, as a config file does: the
+    # rest keep their defaults (r_identity was once a bare KeyError)
+    cfg = Config(thresholds={"constraint": 1e-13})
+    assert cfg.thresholds == {**verify.DEFAULT_THRESHOLDS, "constraint": 1e-13}
+    results = run_suite(seed=1, config=cfg).results
+    assert [r.name for r in results] == list(verify.DEFAULT_THRESHOLDS)
+    assert results[0].threshold == 1e-13
+    with pytest.raises(ValueError, match=r"unknown key\(s\): thresholds.nonsense"):
+        Config(thresholds={"nonsense": 1.0})
 
 
 def test_fd_gradient_oracle_axes_agree(state32):
@@ -348,7 +357,7 @@ def test_rank1_residues_is_the_worst_singular_value_ratio(N):
 def test_fd_gradient_chunks_leave_every_bit(state32, monkeypatch):
     whole = finite_difference_gradient(state32, 3, axis="imag")
     # fewer entries than one L holds: one perturbed point per chunk
-    monkeypatch.setattr(verify, "RECORD_CHUNK", 1)
+    monkeypatch.setattr(lax, "STACK_CHUNK", 1)
     chunked = finite_difference_gradient(state32, 3, axis="imag")
     for f in ("dx", "dp", "da", "db"):
         assert np.array_equal(getattr(chunked, f), getattr(whole, f))
