@@ -12,13 +12,12 @@ from .errors import (
     PoleHit,
     SpectralCollision,
     SpinCMError,
+    StateFileError,
     StepLimitExceeded,
     ZeroScale,
 )
 from .flows import FlowSpec, Trajectory, commutativity_check, check_lax, integrate, integrate_stack, vector_field_gradient, vector_field_residue
 from .kp import (
-    BASample,
-    TauParams,
     ba_eval,
     dlog_tau_dx,
     first_order_pole_cancellation,

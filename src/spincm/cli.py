@@ -14,8 +14,8 @@ import numpy as np
 
 from . import kp
 from .config import Config
-from .errors import CollidingPoles, SpinCMError
-from .flows import FlowSpec, _format_time, _scaled_error, integrate
+from .errors import SpinCMError
+from .flows import FlowSpec, _scaled_error, integrate
 from .lax import hamiltonians
 from .phase import load_state, random_state, write_json
 from .verify import run_suite
@@ -43,11 +43,7 @@ def _print_hamiltonians(state):
 
 
 def cmd_gen(args, config):
-    try:
-        state = random_state(args.particles, args.spin, args.seed, separation=args.separation)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    state = random_state(args.particles, args.spin, args.seed, separation=args.separation)
     state.save(args.out)
     print(f"wrote {args.out} (particles={args.particles}, spin={args.spin}, seed={args.seed})")
     print(f"min separation = {state.min_separation():.6e}")
@@ -58,22 +54,13 @@ def cmd_gen(args, config):
 
 def cmd_evolve(args, config):
     state, _ = load_state(args.state, eps_coll=config.eps_coll, eps_constr=config.eps_constr)
-    try:
-        spec = FlowSpec(
-            m=args.m,
-            t_final=args.T,
-            dt=args.dt if args.dt is not None else config.dt,
-            record_every=args.record_every,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        traj = integrate(state, spec, eps_coll=config.eps_coll)
-    except CollidingPoles as exc:
-        when = f" (t = {_format_time(exc.time)})" if exc.time is not None else ""
-        print(f"error: {exc}{when}", file=sys.stderr)
-        return 2
+    spec = FlowSpec(
+        m=args.m,
+        t_final=args.T,
+        dt=args.dt if args.dt is not None else config.dt,
+        record_every=args.record_every,
+    )
+    traj = integrate(state, spec, eps_coll=config.eps_coll)
     traj.export_csv(args.out + ".csv")
     traj.export_json(args.out + ".json")
     dev = _scaled_error(traj.hamiltonians, traj.hamiltonians[0])
@@ -95,23 +82,20 @@ def cmd_verify(args, config):
         n_particles=args.particles,
         spin_dim=args.spin,
     )
+    if args.out is not None:
+        report.save(args.out)  # before the summary: an unwritable --out prints nothing
     print(report.summary())
     if args.out is not None:
-        report.save(args.out)
         print(f"wrote {args.out}")
     return 0 if report.all_passed() else 1
 
 
 def cmd_ba_eval(args, config):
     state, _ = load_state(args.state, eps_coll=config.eps_coll, eps_constr=config.eps_constr)
-    try:
-        if not np.isfinite([args.x_min, args.x_max, args.x_imag]).all():
-            raise ValueError("--x-min, --x-max and --x-imag must be finite")
-        grid = np.linspace(args.x_min, args.x_max, args.x_points) + 1j * args.x_imag
-        data = kp.ba_eval(state, args.z, grid, eps_coll=config.eps_coll)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if not np.isfinite([args.x_min, args.x_max, args.x_imag]).all():
+        raise ValueError("--x-min, --x-max and --x-imag must be finite")
+    grid = np.linspace(args.x_min, args.x_max, args.x_points) + 1j * args.x_imag
+    data = kp.ba_eval(state, args.z, grid, eps_coll=config.eps_coll)
     write_json(args.out, data)
     print(f"wrote {args.out} ({args.x_points} grid points)")
     return 0
@@ -172,10 +156,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.out is None:
         args.out = args.default_out
+    # the one error path: the library's errors, its input rejections
+    # (ValueError) and an unwritable --out (OSError); exit code 1 is only
+    # verify's FAIL verdict
     try:
         config = Config.load(args.config) if getattr(args, "config", None) else Config()
         return args.fn(args, config)
-    except SpinCMError as exc:
+    except (SpinCMError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -43,7 +43,8 @@ class Config:
 
     eps_coll: float = EPS_COLL
     eps_constr: float = EPS_CONSTR
-    #: the grid step of evolve's samples and of the verify suite's
+    #: the grid step of evolve's samples and of the verify suite's, and the
+    #: first DOP853 step of each of their flows
     dt: float = 1e-3
     thresholds: dict = field(default_factory=lambda: dict(DEFAULT_THRESHOLDS))
 

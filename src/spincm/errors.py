@@ -59,3 +59,8 @@ class IntegrationFailed(_RowEnd):
 class ConfigError(SpinCMError):
     """A config file cannot be read, is not valid JSON, or holds an unknown
     key or an invalid value."""
+
+
+class StateFileError(SpinCMError):
+    """A state file cannot be read, is not valid JSON, or lacks a field or
+    holds an invalid value."""

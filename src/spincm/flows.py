@@ -182,8 +182,9 @@ def vector_field_residue(state: PhaseState, m: int, eps_coll=EPS_COLL) -> Tangen
 
 def _at_time(exc, t, m, row):
     """CollidingPoles ``exc`` of stack row ``row`` at flow time t of its
-    t_m flow."""
-    return CollidingPoles(f"pole collision in the t_{m} flow: {exc}", time=t, row=row)
+    t_m flow, named in the message as IntegrationFailed names its own."""
+    return CollidingPoles(f"pole collision in the t_{m} flow: {exc} at t = {_format_time(t)}",
+                          time=t, row=row)
 
 
 def _format_time(t):
@@ -282,6 +283,8 @@ def integrate_stack(rows, eps_coll=EPS_COLL) -> list:
     ends its row with IntegrationFailed. The constraint is monitored, never
     re-projected.
     """
+    if not rows:
+        return []
     starts, specs = zip(*rows)
     parent = [st if isinstance(st, (int, np.integer)) else None for st in starts]
     if any(p is not None and not 0 <= p < r for r, p in enumerate(parent)):

@@ -11,8 +11,6 @@ of the residue-route vector field too; no contour appears in production paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import PoleHit, SpectralCollision
@@ -21,35 +19,6 @@ from .phase import EPS_COLL, PhaseState, TimeVector, complex_to_pairs
 
 #: condition-number ceiling for (zI - L) solves
 COND_LIMIT = 1e12
-
-
-@dataclass(frozen=True)
-class BASample:
-    """Baker-Akhiezer evaluation at one (x, z) point.
-
-    ``psi_tilde`` is I + sum_i a_i c_i^T / (x - x_i), ``psi_dagger_tilde``
-    is I + sum_i c*_i b_i^T / (x - x_i); in the full gauge both carry the
-    factors e^{+-(xz + xi(t, z))}.
-    """
-
-    z: complex
-    x: complex
-    c: np.ndarray
-    c_star: np.ndarray
-    psi_tilde: np.ndarray
-    psi_dagger_tilde: np.ndarray
-
-
-@dataclass(frozen=True)
-class TauParams:
-    """Free constants of the rational tau-function C e^{Ax} prod (x - x_i)."""
-
-    C: complex = 1.0
-    A: complex = 0.0
-
-    def __post_init__(self):
-        if self.C == 0:
-            raise ValueError("tau prefactor C must be nonzero")
 
 
 def solve_c(state: PhaseState, z: complex, eps_coll=EPS_COLL):
@@ -118,8 +87,11 @@ def psi_pair(
     x: complex,
     gauge: str = "stripped",
     eps_coll=EPS_COLL,
-) -> BASample:
-    """Baker-Akhiezer pair at (x, z), stripped or full gauge."""
+) -> tuple:
+    """Baker-Akhiezer pair (psi_tilde, psi_dagger_tilde) at (x, z): stripped,
+    I + sum_i a_i c_i^T / (x - x_i) and I + sum_i c*_i b_i^T / (x - x_i)
+    with (c, c*) = :func:`solve_c` at z, or in the full gauge times
+    e^{+-(xz + xi(t, z))}."""
     if gauge not in ("stripped", "full"):
         raise ValueError("gauge must be 'stripped' or 'full'")
     d = _differences(state, x, eps_coll)
@@ -130,7 +102,7 @@ def psi_pair(
         phase = np.exp(x * z + times.xi(z))
         psi = phase * psi
         psid = psid / phase
-    return BASample(z=z, x=x, c=c, c_star=c_star, psi_tilde=psi, psi_dagger_tilde=psid)
+    return psi, psid
 
 
 def w1(state: PhaseState, x, eps_coll=EPS_COLL):
@@ -153,15 +125,17 @@ def _potential_v(state, d):
     return -2 * _pole_sum(1.0 / d**2, state.a, state.b)
 
 
-def tau(state: PhaseState, params: TauParams, x: complex) -> complex:
-    """tau(x) = C e^{Ax} prod_i (x - x_i); entire, an empty product for
-    zero particles is admitted."""
-    return complex(params.C * np.exp(params.A * x) * np.prod(x - state.x))
+def tau(state: PhaseState, x: complex) -> complex:
+    """tau(x) = prod_i (x - x_i); entire, an empty product for zero
+    particles is admitted."""
+    return complex(np.prod(x - state.x))
 
 
-def dlog_tau_dx(state: PhaseState, x: complex, params: TauParams = TauParams()) -> complex:
-    """d/dx log tau = A + sum_i 1/(x - x_i)."""
-    return complex(params.A + np.sum(1.0 / (x - state.x)))
+def dlog_tau_dx(state: PhaseState, x: complex) -> complex:
+    """d/dx log tau = sum_i 1/(x - x_i), which is -tr w^(1)(x) on the
+    constraint surface; PoleHit at a point within EPS_COLL of a pole or
+    not finite, as :func:`w1`."""
+    return complex(np.sum(1.0 / _differences(state, x, EPS_COLL)))
 
 
 def _psi_t2_derivatives(state, c, c_star, z, d, eps_coll=EPS_COLL):

@@ -18,6 +18,7 @@ from .errors import (
     ConstraintViolated,
     DegenerateDraw,
     DimensionMismatch,
+    StateFileError,
     ZeroScale,
 )
 
@@ -297,5 +298,15 @@ def state_from_dict(data, eps_coll=EPS_COLL, eps_constr=EPS_CONSTR):
 
 
 def load_state(path, eps_coll=EPS_COLL, eps_constr=EPS_CONSTR):
-    with open(path) as fh:
-        return state_from_dict(json.load(fh), eps_coll=eps_coll, eps_constr=eps_constr)
+    """State (and optional TimeVector) from a JSON file, as
+    :func:`state_from_dict` rebuilds it. An unreadable file, malformed JSON,
+    a missing field or an invalid value raises StateFileError naming the
+    file, as config.Config.load raises ConfigError; CollidingPoles,
+    ConstraintViolated and DimensionMismatch pass unchanged."""
+    try:
+        with open(path) as fh:
+            return state_from_dict(json.load(fh), eps_coll=eps_coll, eps_constr=eps_constr)
+    except KeyError as exc:
+        raise StateFileError(f"{path}: missing field {exc}") from exc
+    except (OSError, ValueError, TypeError, IndexError) as exc:
+        raise StateFileError(f"{path}: {exc}") from exc

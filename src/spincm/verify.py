@@ -3,8 +3,9 @@
 Every identity asserted by the construction is evaluated as a numerical
 residual with an explicit threshold; the suite is a pure function of
 (seed, config). Its flows run on the error-controlled DOP853 stepper at
-the pinned tolerances dop853.RTOL and dop853.ATOL, and Config.dt sets only
-their sampling grid.
+the pinned tolerances dop853.RTOL and dop853.ATOL; Config.dt sets their
+sampling grid and each flow's first step, after which the error estimate
+alone chooses the steps.
 """
 
 from __future__ import annotations

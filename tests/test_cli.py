@@ -31,6 +31,12 @@ def test_parse_complex_rejects_garbage():
         parse_complex("one+twoi")
 
 
+#: the arguments after the state file of each command that loads one
+_STATE_ARGS = {"evolve": ["--m", "2", "--T", "0.01"],
+               "ba-eval": ["--z", "1.3+0.7i", "--x-min", "-1", "--x-max", "1"]}
+_NO_FILE = "FileNotFoundError: [Errno 2] No such file or directory: "
+
+
 def _gen(tmp_path, capsys, seed=3, particles=3, spin=2):
     path = tmp_path / "state.json"
     rc = main(
@@ -140,9 +146,10 @@ def test_evolve_collision_exit_code(tmp_path, capsys):
     )
     err = capsys.readouterr().err
     assert rc == 2
-    assert "error" in err
+    assert err.startswith("error: CollidingPoles: pole collision in the t_2 flow: ")
+    assert len(err.splitlines()) == 1
     # the flow time is real, so it prints without an imaginary part
-    assert re.search(r"\(t = 0\.\d+\)$", err.strip()), err
+    assert re.search(r" at t = 0\.\d+$", err.strip()), err
 
 
 def test_verify_exit_zero_and_report(tmp_path, capsys):
@@ -387,32 +394,72 @@ def test_bad_config_file_exits_2_with_one_line(tmp_path, capsys, text, reason):
 @pytest.mark.parametrize(
     "command,flag,reason",
     [
-        ("gen", "--separation=nan", "separation must be positive and finite, got nan"),
-        ("gen", "--separation=inf", "separation must be positive and finite, got inf"),
-        ("gen", "--separation=0", "separation must be positive and finite, got 0.0"),
-        ("gen", "--separation=-1", "separation must be positive and finite, got -1.0"),
-        ("ba-eval", "--z=nan", "z = (nan+0j) is not finite"),
-        ("ba-eval", "--z=1e400", "z = (inf+0j) is not finite"),
-        ("ba-eval", "--x-min=nan", "--x-min, --x-max and --x-imag must be finite"),
-        ("ba-eval", "--x-max=inf", "--x-min, --x-max and --x-imag must be finite"),
-        ("ba-eval", "--x-imag=nan", "--x-min, --x-max and --x-imag must be finite"),
+        ("gen", "--separation=nan", "ValueError: separation must be positive and finite, got nan"),
+        ("gen", "--separation=inf", "ValueError: separation must be positive and finite, got inf"),
+        ("gen", "--separation=0", "ValueError: separation must be positive and finite, got 0.0"),
+        ("gen", "--separation=-1", "ValueError: separation must be positive and finite, got -1.0"),
+        ("ba-eval", "--z=nan", "ValueError: z = (nan+0j) is not finite"),
+        ("ba-eval", "--z=1e400", "ValueError: z = (inf+0j) is not finite"),
+        ("ba-eval", "--x-min=nan", "ValueError: --x-min, --x-max and --x-imag must be finite"),
+        ("ba-eval", "--x-max=inf", "ValueError: --x-min, --x-max and --x-imag must be finite"),
+        ("ba-eval", "--x-imag=nan", "ValueError: --x-min, --x-max and --x-imag must be finite"),
+        ("verify", "--seed=-1", "ValueError: expected non-negative integer"),
+        # an --out inside a directory that does not exist
+        ("gen", "--out={tmp}/missing/out.json", _NO_FILE + "'{tmp}/missing/out.json'"),
+        ("evolve", "--out={tmp}/missing/out.json", _NO_FILE + "'{tmp}/missing/out.json.csv'"),
+        ("verify", "--out={tmp}/missing/out.json", _NO_FILE + "'{tmp}/missing/out.json'"),
+        ("ba-eval", "--out={tmp}/missing/out.json", _NO_FILE + "'{tmp}/missing/out.json'"),
     ],
     ids=["separation-nan", "separation-inf", "separation-zero", "separation-negative",
-         "z-nan", "z-overflow", "x-min-nan", "x-max-inf", "x-imag-nan"],
+         "z-nan", "z-overflow", "x-min-nan", "x-max-inf", "x-imag-nan", "verify-seed-negative",
+         "gen-out-missing-dir", "evolve-out-missing-dir", "verify-out-missing-dir",
+         "ba-eval-out-missing-dir"],
 )
 def test_out_of_range_numbers_exit_2_with_one_line(tmp_path, capsys, command, flag, reason):
-    out_path = tmp_path / "out.json"
-    if command == "gen":
-        argv = ["gen", "--particles", "2", "--spin", "1"]
-    else:
-        argv = ["ba-eval", str(_gen(tmp_path, capsys)), "--z", "1.3+0.7i",
-                "--x-min", "-1", "--x-max", "1"]
-    rc = main(argv + [flag, "--out", str(out_path)])  # the later flag wins
+    argv = {"gen": ["gen", "--particles", "2", "--spin", "1"],
+            "verify": ["verify", "--particles", "2", "--spin", "1"]}.get(command)
+    if argv is None:
+        argv = [command, str(_gen(tmp_path, capsys))] + _STATE_ARGS[command]
+    # the later flag wins
+    rc = main(argv + ["--out", str(tmp_path / "out.json"), flag.format(tmp=tmp_path)])
     captured = capsys.readouterr()
     assert rc == 2  # 1 is verify's FAIL verdict
     assert captured.out == ""
-    assert captured.err.splitlines() == [f"error: {reason}"]
-    assert not out_path.exists()
+    assert captured.err.splitlines() == [f"error: {reason.format(tmp=tmp_path)}"]
+    assert [p.name for p in tmp_path.iterdir()] in ([], ["state.json"])
+
+
+@pytest.mark.parametrize("command", ["evolve", "verify", "ba-eval"])
+@pytest.mark.parametrize(
+    "kind,reason",
+    [
+        ("missing", "No such file or directory"),
+        ("malformed", "Expecting value"),
+        ("no-p", "missing field 'p'"),
+        ("nan-x", "non-finite entries in x"),
+    ],
+    ids=["missing", "malformed", "no-p", "nan-x"],
+)
+def test_bad_state_file_exits_2_with_one_line(tmp_path, capsys, command, kind, reason):
+    raw = json.loads(_gen(tmp_path, capsys).read_text())
+    path = tmp_path / "bad.json"
+    if kind == "malformed":
+        path.write_text('{"x": [')
+    elif kind == "no-p":
+        del raw["p"]
+        path.write_text(json.dumps(raw))
+    elif kind == "nan-x":
+        raw["x"][0][0] = float("nan")
+        path.write_text(json.dumps(raw))
+    out_path = tmp_path / "out.json"
+    rc = main([command, str(path), *_STATE_ARGS.get(command, []), "--out", str(out_path)])
+    captured = capsys.readouterr()
+    assert rc == 2  # 1 is verify's FAIL verdict
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: StateFileError: {path}: ") and reason in lines[0]
+    assert not list(tmp_path.glob("out*"))
 
 
 @pytest.mark.parametrize(

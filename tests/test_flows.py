@@ -975,6 +975,8 @@ def test_chained_rows_with_zero_spans(state32):
     assert len(out[1].t) == 1 and out[1].m == 3
     assert np.array_equal(_pack(out[1].state(0)), _pack(out[0].state(-1)))
     _assert_same_trajectory(out[1], integrate(out[0].state(-1), zero))
+    # a stack of no rows gives no entries
+    assert integrate_stack([]) == []
 
 
 def test_chained_rows_must_name_an_earlier_row(state32, monkeypatch):

@@ -2,6 +2,7 @@ import itertools
 import json
 import warnings
 import math
+import re
 import sys
 
 import numpy as np
@@ -264,6 +265,7 @@ def test_suite_records_a_flow_that_leaves_the_finite_numbers():
     for name in ("lax_residual", "commutativity", "n1_reduction"):
         assert not res[name].passed and res[name].residual == math.inf
         assert res[name].details["error"].startswith("pole collision in the t_2 flow: ")
+        assert re.search(r" at t = \S+$", res[name].details["error"])
     assert res["linear_problem"].passed
 
 
