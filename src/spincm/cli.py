@@ -8,6 +8,8 @@ e.g. ``--z 1.3+0.7i`` or ``--T 0.5``.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 
 import numpy as np
@@ -75,6 +77,9 @@ def cmd_verify(args, config):
     state = None
     if args.state is not None:
         state, _ = load_state(args.state, eps_coll=config.eps_coll, eps_constr=config.eps_constr)
+    if args.out is not None and not os.path.isdir(os.path.dirname(args.out) or "."):
+        # the error that report.save would raise, before the suite runs
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
     report = run_suite(
         state=state,
         config=config,

@@ -146,6 +146,21 @@ def write_json(path, obj):
         fh.write(json.dumps(obj, check_circular=False))
 
 
+def read_json(path, build, error):
+    """``build`` of the JSON value in the file at ``path``, under the one
+    error policy of the JSON input files: an unreadable file, malformed JSON,
+    a missing field or an invalid value raises ``error`` naming the path once."""
+    try:
+        with open(path) as fh:
+            return build(json.load(fh))
+    except OSError as exc:
+        raise error(f"{path}: {exc.strerror or exc}") from exc
+    except KeyError as exc:
+        raise error(f"{path}: missing field {exc}") from exc
+    except (ValueError, TypeError, IndexError) as exc:
+        raise error(f"{path}: {exc}") from exc
+
+
 def new_state(x, p, a, b, eps_coll=EPS_COLL, eps_constr=EPS_CONSTR):
     """Validated construction of a :class:`PhaseState`.
 
@@ -299,14 +314,8 @@ def state_from_dict(data, eps_coll=EPS_COLL, eps_constr=EPS_CONSTR):
 
 def load_state(path, eps_coll=EPS_COLL, eps_constr=EPS_CONSTR):
     """State (and optional TimeVector) from a JSON file, as
-    :func:`state_from_dict` rebuilds it. An unreadable file, malformed JSON,
-    a missing field or an invalid value raises StateFileError naming the
-    file, as config.Config.load raises ConfigError; CollidingPoles,
-    ConstraintViolated and DimensionMismatch pass unchanged."""
-    try:
-        with open(path) as fh:
-            return state_from_dict(json.load(fh), eps_coll=eps_coll, eps_constr=eps_constr)
-    except KeyError as exc:
-        raise StateFileError(f"{path}: missing field {exc}") from exc
-    except (OSError, ValueError, TypeError, IndexError) as exc:
-        raise StateFileError(f"{path}: {exc}") from exc
+    :func:`state_from_dict` rebuilds it; a file that :func:`read_json`
+    refuses raises StateFileError. CollidingPoles, ConstraintViolated and
+    DimensionMismatch pass unchanged."""
+    return read_json(path, lambda data: state_from_dict(data, eps_coll, eps_constr),
+                     StateFileError)

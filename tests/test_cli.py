@@ -7,9 +7,9 @@ import warnings
 import numpy as np
 import pytest
 
-from spincm import ba_eval, load_state, new_state, random_state
+from spincm import ba_eval, cli, load_state, new_state, random_state, verify
 from spincm.cli import main, parse_complex
-from spincm.config import DEFAULT_THRESHOLDS
+from spincm.verify import DEFAULT_THRESHOLDS, run_suite
 
 
 @pytest.mark.parametrize(
@@ -367,18 +367,20 @@ def test_verify_and_ba_eval_honour_config_floor(tmp_path, capsys):
         ('{"epsilon": 1}', "unknown key(s): epsilon"),
         ('{"eps_coll": -1}', "eps_coll must be positive"),
         ('{"contour_nodes": 256}', "unknown key(s): contour_nodes"),  # removed setting
-        ('{"thresholds": {"residue_idenity": 1e-9}}', "unknown key(s): thresholds.residue_idenity"),
+        # the thresholds are pinned in verify.DEFAULT_THRESHOLDS: no file sets them
+        ('{"thresholds": {"r_identity": 1}}', "unknown key(s): thresholds"),
         ('{"method": "RK45"}', "unknown key(s): method"),  # removed setting: one stepper
         ('{"dt": NaN}', "dt must be positive and finite"),
         ('{"eps_coll": Infinity}', "eps_coll must be positive and finite"),
-        ('{"thresholds": {"conservation": NaN}}', "threshold conservation must be positive and finite"),
+        (None, "No such file or directory"),  # the whole line: the path named once
     ],
-    ids=["malformed", "unknown-key", "non-positive", "removed-setting", "unknown-threshold",
-         "bad-method", "nan-dt", "infinite-floor", "nan-threshold"],
+    ids=["malformed", "unknown-key", "non-positive", "removed-setting", "thresholds",
+         "bad-method", "nan-dt", "infinite-floor", "missing"],
 )
 def test_bad_config_file_exits_2_with_one_line(tmp_path, capsys, text, reason):
     config_path = tmp_path / "config.json"
-    config_path.write_text(text)
+    if text is not None:
+        config_path.write_text(text)
     out_path = tmp_path / "report.json"
     rc = main(["verify", "--particles", "2", "--spin", "1", "--config", str(config_path),
                "--out", str(out_path)])
@@ -387,7 +389,9 @@ def test_bad_config_file_exits_2_with_one_line(tmp_path, capsys, text, reason):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith("error: ConfigError: ") and reason in lines[0]
+    assert lines[0].startswith(f"error: ConfigError: {config_path}: ") and reason in lines[0]
+    if text is None:
+        assert lines == [f"error: ConfigError: {config_path}: {reason}"]
     assert not out_path.exists()
 
 
@@ -415,11 +419,14 @@ def test_bad_config_file_exits_2_with_one_line(tmp_path, capsys, text, reason):
          "gen-out-missing-dir", "evolve-out-missing-dir", "verify-out-missing-dir",
          "ba-eval-out-missing-dir"],
 )
-def test_out_of_range_numbers_exit_2_with_one_line(tmp_path, capsys, command, flag, reason):
+def test_out_of_range_numbers_exit_2_with_one_line(tmp_path, capsys, monkeypatch, command,
+                                                   flag, reason):
     argv = {"gen": ["gen", "--particles", "2", "--spin", "1"],
             "verify": ["verify", "--particles", "2", "--spin", "1"]}.get(command)
     if argv is None:
         argv = [command, str(_gen(tmp_path, capsys))] + _STATE_ARGS[command]
+    suite_runs = []
+    monkeypatch.setattr(cli, "run_suite", lambda **kw: suite_runs.append(kw) or run_suite(**kw))
     # the later flag wins
     rc = main(argv + ["--out", str(tmp_path / "out.json"), flag.format(tmp=tmp_path)])
     captured = capsys.readouterr()
@@ -427,6 +434,8 @@ def test_out_of_range_numbers_exit_2_with_one_line(tmp_path, capsys, command, fl
     assert captured.out == ""
     assert captured.err.splitlines() == [f"error: {reason.format(tmp=tmp_path)}"]
     assert [p.name for p in tmp_path.iterdir()] in ([], ["state.json"])
+    if command == "verify" and "missing" in flag:
+        assert suite_runs == []  # an unwritable --out fails before the suite runs
 
 
 @pytest.mark.parametrize("command", ["evolve", "verify", "ba-eval"])
@@ -459,6 +468,8 @@ def test_bad_state_file_exits_2_with_one_line(tmp_path, capsys, command, kind, r
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith(f"error: StateFileError: {path}: ") and reason in lines[0]
+    if kind == "missing":
+        assert lines == [f"error: StateFileError: {path}: {reason}"]  # the path named once
     assert not list(tmp_path.glob("out*"))
 
 
@@ -535,14 +546,16 @@ def test_evolve_reports_max_deviation_over_all_samples(tmp_path, capsys):
     assert drift == float(f"{max(s['drift'] for s in samples):.3e}")
 
 
-def test_verify_config_dt_and_threshold_reach_the_report(tmp_path, capsys):
+def test_verify_config_dt_and_threshold_table_reach_the_report(tmp_path, capsys, monkeypatch):
     config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps({"dt": 2e-3, "thresholds": {"r_identity": 1e-300}}))
+    config_path.write_text(json.dumps({"dt": 2e-3}))
+    # the thresholds are no setting: the verdict reads verify.DEFAULT_THRESHOLDS
+    monkeypatch.setitem(verify.DEFAULT_THRESHOLDS, "r_identity", 1e-300)
     out_path = tmp_path / "report.json"
     rc = main(["verify", "--particles", "2", "--spin", "1", "--config", str(config_path),
                "--out", str(out_path)])
     capsys.readouterr()
-    assert rc == 1  # r_identity is about 4e-16 here, above the configured 1e-300
+    assert rc == 1  # r_identity is about 4e-16 here, above the table's 1e-300
     results = {r["name"]: r for r in json.loads(out_path.read_text())["results"]}
     assert results["r_identity"]["threshold"] == 1e-300
     assert not results["r_identity"]["passed"]

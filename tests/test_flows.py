@@ -214,7 +214,7 @@ def test_integrate_dop853(state32, monkeypatch):
 
 
 @pytest.mark.parametrize("t_final,dt,record_every", [(0.7, 1e-2, 1), (0.7, 1e-2, 10), (0.25, 1e-2, 10)])
-def test_dop853_samples_on_the_rk4_grid(state32, t_final, dt, record_every):
+def test_dop853_samples_on_the_grid(state32, t_final, dt, record_every):
     # the fixed grid that RK4 once stepped on: DOP853 steps by its error and
     # reads the grid points from its extension. 0.7 / 70 * 70 rounds past
     # 0.7: the last sample is at the grid's own last time

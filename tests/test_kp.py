@@ -23,7 +23,7 @@ from spincm import (
     w1,
 )
 from spincm import kp
-from spincm.config import DEFAULT_THRESHOLDS
+from spincm.verify import DEFAULT_THRESHOLDS
 from spincm.kp import _differences, _psi_matrices
 from spincm.lax import _residue_rates, _vector_field
 from spincm.phase import EPS_COLL, TimeVector, pairs_to_complex

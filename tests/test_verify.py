@@ -104,7 +104,7 @@ def test_suite_passes_at_thirty_particles():
     assert all(r.threshold == verify.DEFAULT_THRESHOLDS[r.name] for r in report.results)
 
 
-def test_suite_family_sweep_keeps_its_known_failures():
+def test_suite_family_sweep_passes_everywhere():
     # the default suite over n in {1,2,3,5,8}, N in {1,2,4} and seeds 0-5
     # passes everywhere. Its last failure was linear_problem on (3,4,2),
     # 3.1e-6 against 1e-6: the truncation error of central differences
@@ -310,19 +310,13 @@ def test_report_all_passed_ignores_skips():
 
 
 def test_suite_config_threshold_lookup():
-    cfg = Config()
-    assert cfg.thresholds["r_identity"] == 1e-12
-    with pytest.raises(KeyError):
-        cfg.thresholds["nonexistent"]
-    # the constructor takes some thresholds, as a config file does: the
-    # rest keep their defaults (r_identity was once a bare KeyError)
-    cfg = Config(thresholds={"constraint": 1e-13})
-    assert cfg.thresholds == {**verify.DEFAULT_THRESHOLDS, "constraint": 1e-13}
-    results = run_suite(seed=1, config=cfg).results
+    # the thresholds are pinned: no Config field holds them, and every
+    # result carries the table's, in the table's order
+    with pytest.raises(TypeError):
+        Config(thresholds={"constraint": 1e-13})
+    results = run_suite(seed=1, config=Config()).results
     assert [r.name for r in results] == list(verify.DEFAULT_THRESHOLDS)
-    assert results[0].threshold == 1e-13
-    with pytest.raises(ValueError, match=r"unknown key\(s\): thresholds.nonsense"):
-        Config(thresholds={"nonsense": 1.0})
+    assert [r.threshold for r in results] == list(verify.DEFAULT_THRESHOLDS.values())
 
 
 def test_fd_gradient_oracle_axes_agree(state32):
