@@ -77,9 +77,6 @@ def cmd_verify(args, config):
     state = None
     if args.state is not None:
         state, _ = load_state(args.state, eps_coll=config.eps_coll, eps_constr=config.eps_constr)
-    if args.out is not None and not os.path.isdir(os.path.dirname(args.out) or "."):
-        # the error that report.save would raise, before the suite runs
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
     report = run_suite(
         state=state,
         config=config,
@@ -166,6 +163,11 @@ def main(argv=None) -> int:
     # verify's FAIL verdict
     try:
         config = Config.load(args.config) if getattr(args, "config", None) else Config()
+        # the first file the command would write, if any: an --out in a
+        # missing directory fails with the write's error before any work
+        path = args.out + ".csv" if args.command == "evolve" else args.out
+        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
         return args.fn(args, config)
     except (SpinCMError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

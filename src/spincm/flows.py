@@ -9,16 +9,19 @@ segment from 0 to a complex t_final, with constraint drift and H_1..H_5
 recorded at every sample, by one stepper: DOP853, the embedded 8(5,3)
 Runge-Kutta pair of Dormand and Prince whose step follows its error
 estimate, with the samples on a fixed grid read from its continuous
-extension (:mod:`spincm.dop853`).
+extension.
 
-The one integrator, :func:`integrate_stack`, steps a ragged stack: a
-(B, dim) block of packed phase points that share (n, N), while each row
-keeps its own m, endpoint, grid and record_every; each right-hand-side
-call is one :func:`vector_field_gradient` of the block, whatever the m of
-its rows. A row ends alone, at its last step, its own pole collision or
-MAX_STEPS. A row may start from the last sample of an earlier row, so a
-sequence of flows, such as the legs of :func:`commutativity_check`, runs
-in one stack. :func:`integrate` is its one-row case.
+The one integrator, :func:`integrate_stack`, owns the rows of a ragged
+stack: a (B, dim) block of packed phase points that share (n, N), while
+each row keeps its own m, endpoint, grid and record_every; each
+right-hand-side call is one :func:`vector_field_gradient` of the block,
+whatever the m of its rows. It alone knows a row's grid, budget,
+chaining, recording and end; :mod:`spincm.dop853` holds only the tableau
+and the continuous extension. A row ends alone, at its last step, its
+own pole collision or MAX_STEPS. A row may start from the last sample of
+an earlier row, so a sequence of flows, such as the legs of
+:func:`commutativity_check`, runs in one stack. :func:`integrate` is its
+one-row case.
 """
 
 from __future__ import annotations
@@ -35,9 +38,9 @@ from .errors import (
     SpinCMError,
     StepLimitExceeded,
 )
-from .lax import (Tangent, _check_m, _chunked, _derived, _lax_derivative, _pack, _powers,
+from .lax import (Tangent, _chunked, _derived, _lax_derivative, _pack, _powers,
                   _unpack, _vector_field, build_lax, hamiltonians)
-from .phase import EPS_COLL, PhaseState, complex_to_pairs, write_json
+from .phase import EPS_COLL, PhaseState, _positive_integer, complex_to_pairs, write_json
 
 #: the samples a flow row may record and the steps it may take; read at call time
 MAX_STEPS = 1_000_000
@@ -53,13 +56,13 @@ class FlowSpec:
     record_every: int = 1
 
     def __post_init__(self):
-        if _check_m(self.m).ndim or _check_m(self.record_every, "record_every").ndim:
-            raise ValueError("a flow takes one hierarchy index m and one record_every")
+        _positive_integer(self.m, "m")
+        object.__setattr__(  # a bool as its int
+            self, "record_every", _positive_integer(self.record_every, "record_every"))
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be positive and finite, not {self.dt}")
         if not np.isfinite(self.t_final):
             raise ValueError(f"t_final must be finite, not {self.t_final}")
-        object.__setattr__(self, "record_every", int(self.record_every))  # a bool as its int
 
 
 @dataclass(frozen=True)
@@ -167,7 +170,7 @@ def vector_field_residue(state: PhaseState, m: int, eps_coll=EPS_COLL) -> Tangen
     of :mod:`spincm.lax`, shared with :func:`vector_field_gradient` and
     the residue identities of :mod:`spincm.kp`.
     """
-    _check_m(m)
+    _positive_integer(m, "m")
     lax = build_lax(state, eps_coll)
     K, u, v = _derived("rates", state, lax, m)
     # the free diagonal gauge rate of the split, (L^m)_ii
@@ -257,31 +260,44 @@ def integrate_stack(rows, eps_coll=EPS_COLL) -> list:
     s in [0, |t_final|] with dy/ds = u F_m(y), u = t_final/|t_final|,
     on a grid of ceil(|t_final|/dt) steps of equal length h; the row
     records its sample at every record_every-th grid point j h u and at the
-    last one. DOP853 (:func:`spincm.dop853.dop853`) chooses each row's
-    steps by its error estimate alone, from a first step h, and reads each
-    recorded grid point inside a step from its continuous extension; only
-    the segment end clips a step, so the last sample, which a chained row
-    starts from, is a step's endpoint. So record_every only thins the
-    samples: the steps, and every sample they share, do not depend on it.
-    Every row is bit-identical to integrating it alone, and a chained row
-    to integrating its parent's last state alone. Each right-hand-side
-    call is one vector_field_gradient of the active block, with each stage
-    input written in place into one (B, dim) buffer whose PhaseState views
-    are built once per block composition; a row leaves the block after its
-    last step.
+    last one.
+
+    DOP853 (:mod:`spincm.dop853`, its tableau and continuous extension)
+    steps each row by its own step dh, from a first step h, and accepts it
+    when Hairer's err5/err3 estimate, scaled entrywise by
+    dop853.ATOL + dop853.RTOL max(|y|, |y_new|), is below 1. The next step
+    is dh clip(0.9 err^(-1/8), 0.2, 10), with no growth right after a
+    rejection, and 0.2 dh after a step that is not finite. Only the segment
+    end clips a step, so the last sample, which a chained row starts from,
+    is a step's endpoint; each recorded grid point inside a step is read
+    from the continuous extension. So record_every only thins the samples:
+    the steps, and every sample they share, do not depend on it. Every row
+    is bit-identical to integrating it alone, and a chained row to
+    integrating its parent's last state alone.
+
+    The rows step as one block, which rows join and leave as they start
+    and end. A block step costs 12 right-hand-side calls, the 11 stages of
+    the pair and F(y_new), the next step's first stage; 15 where a row
+    records a grid point inside it, for the 3 stages of the extension; 11
+    where every row rejects it; F(y) is evaluated again when rows join.
+    Each right-hand-side call is one vector_field_gradient of the block,
+    with each stage input written in place into one (B, dim) buffer whose
+    PhaseState views are built once per block composition.
 
     Every row has the budget MAX_STEPS, read at the call. A row that would
     record more than MAX_STEPS samples ends with StepLimitExceeded before
     any step, and so does a row that takes MAX_STEPS steps, accepted or
-    rejected, unfinished. The collision floor eps_coll is checked at every
-    right-hand-side call, inside the Lax assembly, and at every recorded
-    sample. A pole separation at or below it ends only its own row, with
-    CollidingPoles carrying the flow time, the row index in ``row`` and the
-    row's m in the message; the current stage is then evaluated again for
-    the rows that remain. A step that is not finite is rejected, and
-    numpy's warnings on the way are not raised; a sample that is not finite
-    ends its row with IntegrationFailed. The constraint is monitored, never
-    re-projected.
+    rejected, unfinished. A row whose rejected step leaves it a step below
+    10 ulp of its segment ends with IntegrationFailed. The collision floor
+    eps_coll is checked at every right-hand-side call, inside the Lax
+    assembly, and at every recorded sample. A pole separation at or below
+    it ends only its own row, with CollidingPoles carrying the flow time,
+    the row index in ``row`` and the row's m in the message; the current
+    stage is then evaluated again for the rows that remain. A step that is
+    not finite is rejected, and numpy's warnings on the way are not raised;
+    a sample that is not finite ends its row with IntegrationFailed. A
+    finished row is recorded at once, so an error at one of its samples
+    ends it too. The constraint is monitored, never re-projected.
     """
     if not rows:
         return []
@@ -311,14 +327,176 @@ def integrate_stack(rows, eps_coll=EPS_COLL) -> list:
             continue
         steps[r] = max(1, math.ceil(S / sp.dt))
         hs[r], us[r] = S / steps[r], tfin / S
+    # per row: position s, proposed step h, next record index j and its grid
+    # point P (inf at the segment end), last try rejected, steps left and
+    # segment length span; the block v holds them for its rows, with the
+    # state y, the stages K, afresh whenever rows join, and the per-step arrays
+    first = [min(sp.record_every, k) for sp, k in zip(specs, steps)]
+    init = {"s": np.zeros(B), "h": np.array(hs), "j": np.array(first),
+            "P": np.array([j * h if j < k else np.inf for j, h, k in zip(first, hs, steps)]),
+            "rej": np.zeros(B, dtype=bool), "left": np.full(B, MAX_STEPS),
+            "span": np.array(steps) * np.array(hs)}
     times = [[0.0] for _ in range(B)]
     samples = [[_pack(st)] if p is None else [] for st, p in zip(starts, parent)]
-    from .dop853 import dop853  # loaded at the first flow
+    kids = {}
+    for r, p in enumerate(parent):
+        if p is not None:
+            kids.setdefault(p, []).append(r)
+    from .dop853 import A, ATOL, BE, C, RTOL, _dense  # loaded at the first flow
+
+    dim = 2 * n * (N + 1)
+    v = {key: val[:0] for key, val in init.items()}
+    v["y"] = np.empty((0, dim), dtype=complex)
+    act, m, u, z, at_y, at_z = [], None, None, None, None, None
+
+    def keep(idx, new=()):
+        """Keep the block rows ``idx`` and append the stack rows ``new``,
+        which start at their first sample; set the per-row m and direction
+        u and the views of the two buffers, y and the stage input z."""
+        nonlocal act, m, u, z, at_y, at_z
+        act = [act[i] for i in idx] + list(new)
+        for key in v:
+            v[key] = v[key][idx]
+        if new:  # only between steps: the stages start afresh, at F(y)
+            for key in list(v):
+                if key in init:
+                    v[key] = np.concatenate([v[key], init[key][new]])
+                elif key != "y":
+                    del v[key]
+            v["y"] = np.concatenate([v["y"], [samples[r][0] for r in new]])
+        m = _per_row([ms[r] for r in act], column=False)
+        u = _per_row([us[r] for r in act])
+        z = np.empty_like(v["y"])
+        at_y, at_z = (PhaseState(*_unpack(w, n, N)) for w in (v["y"], z))
+
+    def start(rs):
+        """The rows of ``rs`` that take steps; every other one ends at
+        once, and the rows chained to it start in its place."""
+        return [c for r in rs for c in ([r] if out[r] is None and steps[r] else follow(r))]
+
+    def follow(r):
+        """start() of the rows chained to row r, which has ended: unless an
+        error ended it, its samples are recorded (_record), which may end
+        it with the error of a sample. Each chained row takes r's error,
+        or else starts from r's last sample."""
+        if out[r] is None:
+            out[r] = _record(r, ms[r], times[r], samples[r], n, N, eps_coll)
+        for c in kids.get(r, ()):
+            if isinstance(out[r], SpinCMError):
+                out[c] = out[r]
+            else:
+                samples[c].append(samples[r][-1])
+        return start(kids.get(r, ()))
+
+    def drop(ends):
+        """End the block rows i with an error, or with None when finished:
+        ends maps i to it. The rows chained to them join the block."""
+        for i, exc in ends.items():
+            out[act[i]] = exc
+        new = [c for i in ends for c in follow(act[i])]
+        keep([i for i in range(len(act)) if i not in ends], new)
+
+    def stage(k):
+        """K[:, k] = u F_m of stage k's input for the block, written in
+        place into z. A row whose input has two poles within eps_coll ends with
+        CollidingPoles at the stage's flow time, and the stage is evaluated
+        again for the rows left."""
+        while act:
+            if k == 12:
+                np.copyto(z, v["y_new"])
+            elif k:  # z = y + dh (a_row K), in place
+                np.matmul(A[k, :k], v["K"][:, :k], out=z)
+                np.multiply(v["dhc"], z, out=z)
+                np.add(v["y"], z, out=z)
+            try:
+                _tangent(at_z if k else at_y, m, u, eps_coll, v["K"][:, k])
+                return
+            except CollidingPoles as exc:
+                i, r = exc.row, act[exc.row]
+                t = (v["s"][i] + C[k] * v["dh"][i]) * us[r]
+                drop({i: _at_time(exc, t, ms[r], r)})
 
     # a stage past the finite numbers warns; the step's finiteness test reports it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        dop853(ms, steps, hs, us, [sp.record_every for sp in specs], parent, times, samples,
-               out, n, N, eps_coll)
+        keep([], start([r for r, p in enumerate(parent) if p is None]))
+        while act:
+            gap = v["span"] - v["s"]
+            v["hit"] = v["h"] >= gap
+            v["dh"] = np.where(v["hit"], gap, v["h"])
+            v["dhc"] = v["dh"].astype(complex)[:, None]  # complex: no cast per stage
+            if "K" not in v:
+                v["K"] = np.empty((len(act), len(C), dim), dtype=complex)
+                stage(0)
+            for k in range(1, 12):
+                stage(k)
+            if not act:
+                break
+            y, K, dh = v["y"], v["K"], v["dh"]
+            be = BE @ K[:, :12]
+            y_new = y + v["dhc"] * be[:, 0]
+            scale = ATOL + RTOL * np.maximum(np.abs(y), np.abs(y_new))
+            e5 = np.add.reduce(np.abs(be[:, 1] / scale) ** 2, axis=1)
+            e3 = np.add.reduce(np.abs(be[:, 2] / scale) ** 2, axis=1)
+            den = e5 + 0.01 * e3
+            err = np.where(den == 0, 0.0, dh * e5 / np.sqrt(den * dim))
+            finite = np.isfinite(err) & np.isfinite(y_new).all(axis=1)
+            ok = finite & (err < 1)
+            factor = np.where(finite, np.minimum(np.maximum(0.9 * err ** -0.125, 0.2), 10.0), 0.2)
+            v["h"] = dh * np.where(ok & v["rej"], np.minimum(factor, 1.0), factor)
+            v["ok"], v["rej"], v["y_new"], v["finite"] = ok, ~ok, y_new, finite
+            v["s_new"] = np.where(v["hit"], v["span"], v["s"] + dh)
+            v["inside"] = ok & (v["P"] <= v["s_new"])
+            v["left"] -= 1
+            # F(y_new), and the extension where a row records a grid point inside
+            for k in range(12, 16 if v["inside"].any() else 13) if ok.any() else ():
+                stage(k)
+            if not act:
+                break
+            y, K, dh, s, s_new, hit = v["y"], v["K"], v["dh"], v["s"], v["s_new"], v["hit"]
+            ok, y_new = v["ok"], v["y_new"]
+            # the recorded grid points inside accepted steps, from the extension
+            rec, theta, pos = [], [], []
+            for p, i in enumerate(np.flatnonzero(v["inside"])):
+                r, j, k0 = act[i], int(v["j"][i]), len(theta)
+                while j < steps[r] and j * hs[r] <= s_new[i]:
+                    times[r].append(j * hs[r] * us[r])
+                    theta.append((j * hs[r] - s[i]) / dh[i])
+                    pos.append(p)
+                    j = min(j + specs[r].record_every, steps[r])
+                v["j"][i], v["P"][i] = j, j * hs[r] if j < steps[r] else np.inf
+                rec.append((i, r, k0, len(theta)))
+            if rec:
+                q = [i for i, *_ in rec]
+                Y = _dense(y[q], K[q], v["dhc"][q], pos, np.array(theta)[:, None])
+                for i, r, k0, k1 in rec:
+                    samples[r].extend(Y[k0:k1])
+            np.copyto(y, y_new, where=ok[:, None])
+            np.copyto(K[:, 0], K[:, 12], where=ok[:, None])
+            v["s"] = np.where(ok, s_new, s)
+            if ok.all() and not hit.any() and v["left"].all():
+                continue  # no row ends here
+            ends = {}
+            for i in np.flatnonzero(ok & hit):  # the last sample, the step's end
+                r = act[i]
+                times[r].append(steps[r] * hs[r] * us[r])
+                samples[r].append(y_new[i].copy())
+                ends[i] = None
+            for i in np.flatnonzero(~ok & (v["h"] < 10 * np.spacing(v["span"]))):
+                r = act[i]
+                t = v["s"][i] * us[r]
+                ends[i] = IntegrationFailed(
+                    f"the t_{ms[r]} flow needs a step below {v['h'][i]:.3g} "
+                    f"at t = {_format_time(t)}"
+                    + ("" if v["finite"][i] else ", where its trial step is not finite"),
+                    time=t, row=r)
+            for i in np.flatnonzero(v["left"] == 0):
+                r = act[i]
+                t = v["s"][i] * us[r]
+                ends.setdefault(i, StepLimitExceeded(
+                    f"the t_{ms[r]} flow took its {MAX_STEPS} steps by t = {_format_time(t)}",
+                    time=t, row=r))
+            if ends:
+                drop(ends)
     return out
 
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import PoleHit, SpectralCollision
-from .lax import _check_m, _derived, _lax_derivative, build_lax
-from .phase import EPS_COLL, PhaseState, TimeVector, complex_to_pairs
+from .lax import _derived, _lax_derivative, build_lax
+from .phase import EPS_COLL, PhaseState, TimeVector, _positive_integer, complex_to_pairs
 
 #: condition-number ceiling for (zI - L) solves
 COND_LIMIT = 1e12
@@ -202,7 +202,7 @@ def residue_identity_residual(state: PhaseState, m: int, x_samples, eps_coll=EPS
     sum_i dx_i/(x - x_i)^2 is checked alongside. Returns the max residual
     over the sample points. Raises ValueError unless m is an integer >= 1.
     """
-    _check_m(m)
+    _positive_integer(m, "m")
     a, b = state.a, state.b
     lax = build_lax(state, eps_coll)
     K, u, v = _derived("rates", state, lax, m)
@@ -225,7 +225,7 @@ def first_order_pole_cancellation(state: PhaseState, m: int, eps_coll=EPS_COLL) 
     coefficient u_i b_i^T + a_i v_i^T of res_inf(z^m psi psi+), which
     equals d_{t_m}(b_i^T a_i) and must vanish since the flows preserve the
     normalization. Raises ValueError unless m is an integer >= 1."""
-    _check_m(m)
+    _positive_integer(m, "m")
     _, u, v = _derived("rates", state, build_lax(state, eps_coll), m)
     return float(np.max(np.abs(np.sum(u * state.b + state.a * v, axis=1))))
 

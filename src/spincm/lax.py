@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CollidingPoles, DimensionMismatch
-from .phase import EPS_COLL, PhaseState
+from .phase import EPS_COLL, PhaseState, _positive_integer
 
 
 @dataclass(frozen=True)
@@ -215,7 +215,7 @@ def _derived(kernel, state, lax, m):
 def hamiltonian(state: PhaseState, m: int, eps_coll=EPS_COLL):
     """H_m = tr L^m, a complex for a phase point and an array (...) for a
     stack; each point's value is bit-identical to its own call."""
-    _check_m(m)
+    _positive_integer(m, "m")
     L = build_lax(state, eps_coll).L
     H = np.trace(np.linalg.matrix_power(L, m), axis1=-2, axis2=-1)
     return complex(H) if H.ndim == 0 else H
@@ -247,15 +247,6 @@ def hamiltonian_h2_direct(state: PhaseState, eps_coll=EPS_COLL) -> complex:
     return complex(np.sum(state.p**2) - np.sum(lax.R * lax.R.T * lax.inv * lax.inv))
 
 
-def _check_m(m, name="m"):
-    """m, an int or an integer array, as an array; ValueError naming it
-    ``name`` unless each entry is an integer (a bool counts, as in Python) >= 1."""
-    m = np.asarray(m)
-    if m.dtype.kind not in "biu" or m.min() < 1:
-        raise ValueError(f"{name} must be >= 1 and an integer, not {m.tolist()!r}")
-    return m
-
-
 @functools.lru_cache(maxsize=64, typed=True)
 def _weights(ms):
     """Read-only Horner weights of Q = m L^{m-1} for ``ms``, an int or a
@@ -265,7 +256,7 @@ def _weights(ms):
     w_{kmax-1}..w_1 shaped against a diagonal (..., 1), each None where it
     is 0 at every point, so that its add is skipped. Complex, so that no
     product with L casts them per call."""
-    ms = _check_m(ms)
+    ms = _positive_integer(ms, "m", stack=True)
     k = np.arange(max(2, ms.max()), 0, -1).reshape((-1,) + (1,) * ms.ndim)
     w = np.where(k == ms, ms, 0).astype(complex)[..., None]
     w.setflags(write=False)
@@ -295,7 +286,7 @@ def _vector_field(inv, L, a, b, m):
     (cI) L equals c L entry for entry, and zero weights change no value."""
     n, N = a.shape[-2:]
     if isinstance(m, np.ndarray):  # a float tuple would hit the equal ints' weights
-        m = tuple((m if m.dtype.kind in "biu" else _check_m(m)).tolist())
+        m = tuple((m if m.dtype.kind in "biu" else _positive_integer(m, "m", stack=True)).tolist())
     top, low = _weights(m)
     Q = top * L
     for i, wk in enumerate(low):

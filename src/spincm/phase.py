@@ -194,13 +194,14 @@ def new_state(x, p, a, b, eps_coll=EPS_COLL, eps_constr=EPS_CONSTR):
     return state
 
 
-def _size(value, name):
-    """``value`` as an int; DimensionMismatch unless it is one integer >= 1
-    (a bool counts as the int it equals, as in lax._check_m)."""
+def _positive_integer(value, name, error=ValueError, stack=False):
+    """``value`` as an int, or with stack=True as an integer array of one
+    entry per stacked point; ``error`` naming it ``name`` unless it is one
+    integer >= 1, or each entry is. A bool counts as the int it equals."""
     v = np.asarray(value)
-    if v.ndim or v.dtype.kind not in "biu" or v < 1:
-        raise DimensionMismatch(f"{name} must be an integer >= 1, got {value!r}")
-    return int(v)
+    if (v.ndim and not stack) or v.dtype.kind not in "biu" or v.min() < 1:
+        raise error(f"{name} must be an integer >= 1, got {value!r}")
+    return v if stack else int(v)
 
 
 def _first(bad):
@@ -223,8 +224,8 @@ def random_state(n_particles, spin_dim, seed, separation=1.0):
     places are left, so every drawn number is a try the one-at-a-time
     loop would draw too; blocks change the speed, never the state.
     """
-    n_particles = _size(n_particles, "n_particles")
-    spin_dim = _size(spin_dim, "spin_dim")
+    n_particles = _positive_integer(n_particles, "n_particles", DimensionMismatch)
+    spin_dim = _positive_integer(spin_dim, "spin_dim", DimensionMismatch)
     if not 0 < separation < np.inf:  # NaN fails both comparisons
         raise ValueError(f"separation must be positive and finite, got {separation}")
     rng = np.random.default_rng(seed)

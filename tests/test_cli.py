@@ -9,7 +9,7 @@ import pytest
 
 from spincm import ba_eval, cli, load_state, new_state, random_state, verify
 from spincm.cli import main, parse_complex
-from spincm.verify import DEFAULT_THRESHOLDS, run_suite
+from spincm.verify import DEFAULT_THRESHOLDS
 
 
 @pytest.mark.parametrize(
@@ -425,8 +425,11 @@ def test_out_of_range_numbers_exit_2_with_one_line(tmp_path, capsys, monkeypatch
             "verify": ["verify", "--particles", "2", "--spin", "1"]}.get(command)
     if argv is None:
         argv = [command, str(_gen(tmp_path, capsys))] + _STATE_ARGS[command]
-    suite_runs = []
-    monkeypatch.setattr(cli, "run_suite", lambda **kw: suite_runs.append(kw) or run_suite(**kw))
+    work = []  # each command's work, which an unwritable --out must precede
+    for mod, name in ((cli, "random_state"), (cli, "integrate"), (cli.kp, "ba_eval"),
+                      (cli, "run_suite")):
+        fn = getattr(mod, name)
+        monkeypatch.setattr(mod, name, lambda *a, _fn=fn, **kw: work.append(_fn) or _fn(*a, **kw))
     # the later flag wins
     rc = main(argv + ["--out", str(tmp_path / "out.json"), flag.format(tmp=tmp_path)])
     captured = capsys.readouterr()
@@ -434,8 +437,8 @@ def test_out_of_range_numbers_exit_2_with_one_line(tmp_path, capsys, monkeypatch
     assert captured.out == ""
     assert captured.err.splitlines() == [f"error: {reason.format(tmp=tmp_path)}"]
     assert [p.name for p in tmp_path.iterdir()] in ([], ["state.json"])
-    if command == "verify" and "missing" in flag:
-        assert suite_runs == []  # an unwritable --out fails before the suite runs
+    if "missing" in flag:
+        assert work == []  # an unwritable --out fails before any work
 
 
 @pytest.mark.parametrize("command", ["evolve", "verify", "ba-eval"])

@@ -1,7 +1,11 @@
+import ast
 import csv
 import json
 import math
+import os
+import pathlib
 import re
+import subprocess
 import sys
 import warnings
 from dataclasses import fields, replace
@@ -632,6 +636,51 @@ def test_dop853_tableau_order_conditions():
         K = ((C * h) ** k).astype(complex)[None, :, None]
         got = dop853._dense(np.zeros((1, 1)), K, np.array([[h + 0j]]), [0] * 4, theta)
         assert np.max(np.abs(got - (theta * h) ** (k + 1) / (k + 1))) <= 1e-15
+
+
+def _spincm_imports(path):
+    """The spincm modules that the module at ``path`` imports, at any depth
+    of its code, by file stem: ``__init__`` for the package itself."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            full = ".".join(filter(None, ["spincm" if node.level else "", node.module]))
+            names = [f"{full}.{a.name}" for a in node.names] if full == "spincm" else [full]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        found.update((name.split(".") + ["__init__"])[1] for name in names
+                     if name.split(".")[0] == "spincm")
+    return found
+
+
+def test_dop853_imports_no_spincm_module_and_no_module_imports_back():
+    # flows owns the stack rows and imports dop853, DOP853's math alone;
+    # each module is reached only by modules it does not reach
+    src = pathlib.Path(flows.__file__).parent
+    mods = {p.stem: p for p in src.glob("*.py")}
+    deps = {name: _spincm_imports(p) for name, p in mods.items()}
+    assert deps["dop853"] == set() and "dop853" in deps["flows"]
+
+    def reach(name, seen):
+        for dep in deps[name] - seen:
+            seen.add(dep)
+            reach(dep, seen)
+        return seen
+
+    assert all(name not in reach(name, set()) for name in mods)
+
+
+def test_dop853_is_loaded_at_the_first_flow_not_at_import():
+    code = ("import sys\n"
+            "import spincm.cli\n"
+            "assert 'spincm.dop853' not in sys.modules\n"
+            "spincm.integrate(spincm.random_state(2, 1, 0), spincm.FlowSpec(2, 0.01, 1e-2))\n"
+            "assert 'spincm.dop853' in sys.modules\n")
+    src = str(pathlib.Path(flows.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": path})
 
 
 @pytest.mark.parametrize("record_every", [1, 7])

@@ -254,7 +254,7 @@ def test_residue_route_rejects_m_below_one(m):
         lambda: first_order_pole_cancellation(s, m),
     )
     for call in calls:
-        with pytest.raises(ValueError, match="m must be >= 1"):
+        with pytest.raises(ValueError, match="m must be an integer >= 1"):
             call()
 
 
