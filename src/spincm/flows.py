@@ -162,13 +162,13 @@ def vector_field_residue(state: PhaseState, m: int, eps_coll=EPS_COLL) -> Tangen
     diagonal gauge rate per particle (only sufficient conditions fix the
     split); the rate is pinned to (res_inf z^m G)_ii = (L^m)_ii, the unique
     choice consistent with the t_2 equations of motion for the spin vectors.
-    It is taken as sum_k (L^ceil(m/2))_ik (L^floor(m/2))_ki: no n x n
-    product for m <= 2 and one for m = 3 or 4. dp is delegated to the
-    gradient kernel on the same Lax assembly, the only derivation of the
-    momentum flow; keeping it there preserves the cross-check value of the
-    two routes. For a frozen point both kernels' data come from the slot
-    of :mod:`spincm.lax`, shared with :func:`vector_field_gradient` and
-    the residue identities of :mod:`spincm.kp`.
+    It is taken as sum_k (L^ceil(m/2))_ik (L^floor(m/2))_ki of
+    :func:`spincm.lax._powers`. dp is delegated to the gradient kernel on
+    the same Lax assembly, the only derivation of the momentum flow;
+    keeping it there preserves the cross-check value of the two routes.
+    For a frozen point the kernels' data and the powers come from the slot
+    of :mod:`spincm.lax`, shared across m with :func:`vector_field_gradient`
+    and :mod:`spincm.kp`. Raises DimensionMismatch for a stack of points.
     """
     _positive_integer(m, "m")
     lax = build_lax(state, eps_coll)
@@ -177,7 +177,7 @@ def vector_field_residue(state: PhaseState, m: int, eps_coll=EPS_COLL) -> Tangen
     if m == 1:
         mu = lax.L.diagonal()[:, None]
     else:
-        P = _powers(lax.L, (m + 1) // 2)
+        P = _powers(lax, (m + 1) // 2)
         mu = (P[-1] * P[m // 2 - 1].T).sum(axis=1)[:, None]
     pdot = _derived("field", state, lax, m)[1]
     return Tangent(dx=-np.diag(K), dp=pdot, da=u - mu * state.a, db=v + mu * state.b)
@@ -531,7 +531,7 @@ def check_lax(trajectory: Trajectory, eps_coll=EPS_COLL) -> np.ndarray:
     if tr.m != 2:
         raise ValueError(f"check_lax needs a t_2 trajectory, not t_{tr.m}")
     lax = build_lax(PhaseState(tr.x, tr.p, tr.a, tr.b), eps_coll)
-    dL = _lax_derivative(lax, tr.a, tr.b, *_vector_field(lax.inv, lax.L, tr.a, tr.b, 2))
+    dL = _lax_derivative(lax, tr.a, tr.b, *_vector_field(lax, tr.a, tr.b, 2))
     M = 2.0 * lax.R * lax.inv * lax.inv
     return np.max(np.abs(dL - (M @ lax.L - lax.L @ M)), axis=(-2, -1))
 

@@ -200,7 +200,8 @@ def residue_identity_residual(state: PhaseState, m: int, x_samples, eps_coll=EPS
     u - da, v - db and -K_ii - dx at the sample points, with no loop over
     the poles. The trace version against d_{t_m} d_x log tau =
     sum_i dx_i/(x - x_i)^2 is checked alongside. Returns the max residual
-    over the sample points. Raises ValueError unless m is an integer >= 1.
+    over the sample points. Raises ValueError unless m is an integer >= 1,
+    and DimensionMismatch for a stack of points.
     """
     _positive_integer(m, "m")
     a, b = state.a, state.b
@@ -224,7 +225,8 @@ def first_order_pole_cancellation(state: PhaseState, m: int, eps_coll=EPS_COLL) 
     :func:`spincm.lax._residue_rates`: the trace of the first-order-pole
     coefficient u_i b_i^T + a_i v_i^T of res_inf(z^m psi psi+), which
     equals d_{t_m}(b_i^T a_i) and must vanish since the flows preserve the
-    normalization. Raises ValueError unless m is an integer >= 1."""
+    normalization. Raises ValueError unless m is an integer >= 1, and
+    DimensionMismatch for a stack of points."""
     _positive_integer(m, "m")
     _, u, v = _derived("rates", state, build_lax(state, eps_coll), m)
     return float(np.max(np.abs(np.sum(u * state.b + state.a * v, axis=1))))

@@ -9,14 +9,15 @@ formed by its one reader, :func:`spincm.flows.check_lax`. The conserved
 Hamiltonians are H_m = tr L^m (:func:`hamiltonian`, the oracle, and
 :func:`hamiltonians`, H_1..H_5, from :func:`_powers`, the one route to the
 powers of L). Their gradients and vector fields, each a :class:`Tangent`,
-come from one kernel, :func:`_vector_field`, linear in Q = m L^{m-1}: with
-G = Q o inv (entrywise, inv_ik = 1/(x_i - x_k)), the H_m vector field is
-dx = -diag Q, dp = colsum - rowsum of L o G^T, da = G^T a and db = -G b,
-one packed block (:func:`_pack`). dL along such a tangent is
-:func:`_lax_derivative`.
+come from one kernel, :func:`_vector_field`, linear in Q = m L^{m-1},
+which it reads from :func:`_powers` too: with G = Q o inv (entrywise,
+inv_ik = 1/(x_i - x_k)), the H_m vector field is dx = -diag Q,
+dp = colsum - rowsum of L o G^T, da = G^T a and db = -G b, one packed
+block (:func:`_pack`). dL along such a tangent is :func:`_lax_derivative`.
 Residues at infinity of the resolvent (zI - L)^-1 are evaluated exactly:
 one kernel, :func:`_residue_rates`, gives every residue consumer its data
-(K_m, u, v) from thin Krylov blocks, with no n x n power of L.
+(K_m, u, v) from the thin Krylov blocks L^j b and (L^T)^j a of
+:func:`_krylov`, with no n x n power of L.
 :func:`resolvent_residue` gives L^m and K_m for any A as dense matrix
 polynomials, and a numeric contour integrator is kept alongside as an
 independent oracle for both.
@@ -25,13 +26,17 @@ The derived data of the most recent frozen phase point is kept in one
 private slot: a point (x.ndim == 1) whose four arrays are read-only all the
 way down their ``.base`` chains, as :func:`spincm.phase.new_state`,
 ``random_state``, ``load_state`` and ``Trajectory.state`` return. The slot
-(:class:`_Entry`) is filled by :func:`build_lax` and read by the kernels
-through :func:`_derived`, so the calls that check one point compute its
-assembly and each kernel's output once; the collision verdict is taken at
-every call, from the stored separation and the caller's eps_coll. It is
-emptied when its point is garbage-collected, and taken over by the next
-frozen point. Stacked and writable states, and so every flow right-hand
-side, never touch it.
+(:class:`_Entry`, filled by :func:`build_lax`) keeps, read-only, its
+assembly, the powers of :func:`_powers` and the Krylov blocks of
+:func:`_krylov`, both extended on demand and shared across m, and per int
+m each kernel's output (:func:`_derived`); so the calls that check one
+point compute each of them once. For the largest m, or power of L, asked
+that is at most (m + 3) n^2 + m (n^2 + 2n(N + 1)) + 2(m + 1) n N complex
+entries, under 3 MB at n = 100 and m = 5. The collision verdict is taken
+at every call, from the stored separation and the caller's eps_coll. The
+slot is emptied when its point is garbage-collected, and taken over by
+the next frozen point. Stacked and writable states, and so every flow
+right-hand side and every recorded sample, never touch it.
 """
 
 from __future__ import annotations
@@ -152,15 +157,16 @@ def _chunked(fn, Y, n, N, shape=()):
 
 class _Entry:
     """The slot's derived data of one frozen phase point: a weakref to it,
-    its separation and LaxData, and ``kernels``, the read-only output of
-    :func:`_derived` per (kernel, m). A plain class: a dataclass would add
-    half a millisecond to every import of the package."""
+    its separation, LaxData, ``powers`` and ``blocks`` (each list replaced,
+    never grown in place) and ``kernels`` per (kernel, m). A plain class:
+    a dataclass would add half a millisecond to every import."""
 
-    __slots__ = ("state", "sep", "lax", "kernels")
+    __slots__ = ("state", "sep", "lax", "powers", "blocks", "kernels")
 
     def __init__(self, state, sep, lax):
         self.state = weakref.ref(state, _release)
         self.sep, self.lax, self.kernels = sep, lax, {}
+        self.powers, self.blocks = [lax.L], ([state.b], [state.a])
 
 
 #: the derived data of the most recent frozen phase point, or None. No lock:
@@ -193,20 +199,23 @@ def _read_only(arrays):
     return arrays
 
 
+def _shared(lax):
+    """The slot's entry if ``lax`` is its assembly, else None."""
+    entry = _slot
+    return entry if entry is not None and entry.lax is lax else None
+
+
 def _derived(kernel, state, lax, m):
     """The output of ``kernel`` at m for ``state`` and its assembly ``lax``
     from :func:`build_lax`: the :func:`_vector_field` quadruple for
     kernel "field", the :func:`_residue_rates` triple for "rates". When lax
     is the slot's, each is computed once per int m and kept there,
     read-only; else it is computed afresh."""
-    entry = _slot
-    cached = entry is not None and entry.lax is lax and isinstance(m, (int, np.integer))
+    entry = _shared(lax)
+    cached = entry is not None and isinstance(m, (int, np.integer))
     if cached and (kernel, m) in entry.kernels:
         return entry.kernels[kernel, m]
-    if kernel == "field":
-        out = _vector_field(lax.inv, lax.L, state.a, state.b, m)
-    else:
-        out = _residue_rates(lax, state.a, state.b, m)
+    out = (_vector_field if kernel == "field" else _residue_rates)(lax, state.a, state.b, m)
     if cached:
         entry.kernels[kernel, m] = _read_only(out)
     return out
@@ -221,20 +230,26 @@ def hamiltonian(state: PhaseState, m: int, eps_coll=EPS_COLL):
     return complex(H) if H.ndim == 0 else H
 
 
-def _powers(L, k):
-    """[L, L^2, ..., L^k] of L (..., n, n) by right products, L^{j+1} = L^j L:
-    the one route to the powers of L in production code."""
-    P = [L]
-    while len(P) < k:
-        P.append(P[-1] @ L)
-    return P
+def _powers(lax, k):
+    """[L, L^2, ..., L^k] of the assembly ``lax`` of a point or a stack, by
+    right products L^{j+1} = L^j L: the one route to the powers of L in
+    production code; the slot's list, extended on demand, for its point."""
+    entry = _shared(lax)
+    P = [lax.L] if entry is None else entry.powers
+    if len(P) < k:
+        P, L = P[:], lax.L
+        while len(P) < k:
+            P.append(P[-1] @ L)
+        if entry is not None:
+            entry.powers = _read_only(P)
+    return P[:k]
 
 
 def hamiltonians(state: PhaseState, eps_coll=EPS_COLL) -> np.ndarray:
     """[H_1, ..., H_5], shape (5,) for a phase point and (..., 5) for a
     stack: the traces of L, L^2 and L^3 (:func:`_powers`), then the entrywise
     sums of L o (L^3)^T and L^2 o (L^3)^T; two n x n products in all."""
-    P = _powers(build_lax(state, eps_coll).L, 3)
+    P = _powers(build_lax(state, eps_coll), 3)
     P3T = P[2].swapaxes(-1, -2)
     H = [np.trace(Lj, axis1=-2, axis2=-1) for Lj in P] + [(Lj * P3T).sum((-2, -1)) for Lj in P[:2]]
     return np.stack(H, axis=-1)
@@ -249,23 +264,23 @@ def hamiltonian_h2_direct(state: PhaseState, eps_coll=EPS_COLL) -> complex:
 
 @functools.lru_cache(maxsize=64, typed=True)
 def _weights(ms):
-    """Read-only Horner weights of Q = m L^{m-1} for ``ms``, an int or a
-    tuple of one m per stacked point, built once per value: a point's w_k
-    is its m at k = m and 0 elsewhere, k = kmax..1, kmax = max(2, max m).
-    Returns w_kmax shaped against L (..., 1, 1), and the tuple of
-    w_{kmax-1}..w_1 shaped against a diagonal (..., 1), each None where it
-    is 0 at every point, so that its add is skipped. Complex, so that no
-    product with L casts them per call."""
+    """(top, c, lower, one), read-only and built once per ``ms``, an int or
+    a tuple of one m per stacked point: top = max(1, max m - 1); c the m
+    of each point, 0 where m = 1, complex against L (..., 1, 1); a pair
+    (k, mask) in ``lower`` for each L^k, k < top, that an m = k + 1 picks;
+    ``one``, 1 where m = 1, against a diagonal (..., 1), or None."""
     ms = _positive_integer(ms, "m", stack=True)
-    k = np.arange(max(2, ms.max()), 0, -1).reshape((-1,) + (1,) * ms.ndim)
-    w = np.where(k == ms, ms, 0).astype(complex)[..., None]
-    w.setflags(write=False)
-    return w[0][..., None], tuple(wk if wk.any() else None for wk in w[1:])
+    top = max(1, int(ms.max()) - 1)
+    c = np.where(ms > 1, ms, 0).astype(complex)[..., None, None]
+    lower = tuple((k, ms[..., None, None] == k + 1) for k in range(1, top) if (ms == k + 1).any())
+    one = (ms == 1).astype(float)[..., None] if (ms == 1).any() else None
+    _read_only([c, *(mask for _, mask in lower), *([] if one is None else [one])])
+    return top, c, lower, one
 
 
-def _vector_field(inv, L, a, b, m):
+def _vector_field(lax, a, b, m):
     """(dx, dp, da, db) of the H_m vector field, (dH/dp, -dH/dx, dH/db,
-    -dH/da), from the Lax assembly (inv, L) of :func:`build_lax` of a phase
+    -dH/da), from the Lax assembly ``lax`` of :func:`build_lax` of a phase
     point with spins (a, b), or of a stack of them along leading axes; m is
     an int, or for a (B,) stack a (B,) integer array of one m per point.
     The four are views of one packed block (..., 2n + 2nN) in the order of
@@ -278,28 +293,26 @@ def _vector_field(inv, L, a, b, m):
     With G = Q o inv and inv antisymmetric, (M o Q^T)/2 = L o G^T off the
     diagonal, so -dH/dx = colsum - rowsum of L o G^T, dH/db = G^T a and
     dH/da = G b: M is never formed.
-    Q = sum_k w_k L^{k-1} is built by Horner on the weights of
-    :func:`_weights`: Q = w_kmax L + w_{kmax-1} I, then Q <- Q L + w_k I,
-    kmax - 2 products for every point of a stack, whatever its m. A point
-    of a stack gets its Q as alone, bit for bit but for the sign of a
-    zero: its products before its own top weight act on a zero matrix,
-    (cI) L equals c L entry for entry, and zero weights change no value."""
+    Q is each point's L^{m-1} of :func:`_powers` times its m, picked as
+    :func:`_weights` says (0 L + I where m = 1): max m - 2 products for a
+    stack, whatever the m of each point. A point of a stack gets its Q as
+    alone, bit for bit but for the sign of a zero, as c is real."""
     n, N = a.shape[-2:]
     if isinstance(m, np.ndarray):  # a float tuple would hit the equal ints' weights
         m = tuple((m if m.dtype.kind in "biu" else _positive_integer(m, "m", stack=True)).tolist())
-    top, low = _weights(m)
-    Q = top * L
-    for i, wk in enumerate(low):
-        if i:
-            Q = Q @ L
-        if wk is not None:
-            Q.reshape(-1, n * n)[:, :: n + 1] += wk
-    F = np.empty(L.shape[:-2] + (2 * n * (N + 1),), dtype=complex)
+    top, c, lower, one = _weights(m)
+    P = _powers(lax, top)
+    Q = P[-1] * c
+    for k, mask in lower:
+        np.multiply(P[k - 1], c, out=Q, where=mask)
+    if one is not None:
+        Q.reshape(-1, n * n)[:, :: n + 1] += one
+    F = np.empty(Q.shape[:-2] + (2 * n * (N + 1),), dtype=complex)
     dx, dp, da, db = _unpack(F, n, N)
     np.negative(Q.diagonal(0, -2, -1), out=dx)  # dH/dp_i = -Q_ii
-    Q *= inv  # G, in Q's buffer
+    Q *= lax.inv  # G, in Q's buffer
     GT = Q.swapaxes(-1, -2)
-    C = L * GT
+    C = lax.L * GT
     np.subtract(np.add.reduce(C, -2), np.add.reduce(C, -1), out=dp)
     np.matmul(GT, a, out=da)
     np.negative(np.matmul(Q, b, out=db), out=db)
@@ -354,27 +367,43 @@ def poisson_bracket(state: PhaseState, f_grad: Tangent, g_grad: Tangent) -> comp
     return one_sided(f_grad, g_grad) - one_sided(g_grad, f_grad)
 
 
+def _krylov(lax, a, b, k):
+    """([U_0 .. U_k], [V_0 .. V_k]), the thin Krylov blocks U_j = L^j b and
+    V_j = (L^T)^j a of a phase point with assembly ``lax`` and spins a, b
+    (n, N); the slot's lists, extended on demand, for its point's own."""
+    entry = _shared(lax)
+    kept = entry is not None and entry.blocks[0][0] is b and entry.blocks[1][0] is a
+    U, V = entry.blocks if kept else ([b], [a])
+    if len(U) <= k:
+        U, V, L = U[:], V[:], lax.L
+        while len(U) <= k:
+            U.append(L @ U[-1])
+            V.append(L.T @ V[-1])
+        if kept:
+            entry.blocks = (_read_only(U), _read_only(V))
+    return U[: k + 1], V[: k + 1]
+
+
 def _residue_rates(lax: LaxData, a, b, m):
     """(K, u, v), the residue data of the t_m flow of a phase point with
-    Lax assembly ``lax`` and spins a, b (n, N), m >= 1.
+    Lax assembly ``lax`` and spins a, b (n, N), m >= 1. Raises
+    DimensionMismatch for a stack of points.
 
     With G = (zI - L)^-1 and R = b a^T, the residues res_inf z^m G b =
     L^m b and res_inf z^m G^T a = (L^m)^T a, and the double resolvent
     K = res_inf z^m G R G = sum_j L^j R L^{m-1-j}, come from the thin
-    Krylov blocks U_j = L^j b and V_j = (L^T)^j a, j = 0..m: 2m products
-    of L with an (n, N) block, and K = [U_0 .. U_{m-1}] [V_{m-1} .. V_0]^T,
-    one (n, mN) by (mN, n) product. (u, v) are the spin rates read off
-    the first-order-pole residue equations, before any gauge choice:
+    Krylov blocks U_j = L^j b and V_j = (L^T)^j a, j = 0..m, of
+    :func:`_krylov`, and K = [U_0 .. U_{m-1}] [V_{m-1} .. V_0]^T, one
+    (n, mN) by (mN, n) product. (u, v) are the spin rates read off the
+    first-order-pole residue equations, before any gauge choice:
 
       u_i = ((L^m)^T a)_i - sum_{k != i} a_k K_ki / (x_i - x_k),
       v_i = -(L^m b)_i - sum_{k != i} b_k K_ik / (x_i - x_k).
 
     This is exact for any a and b: it does not use b_i^T a_i = 1."""
-    L = lax.L
-    U, V = [b], [a]
-    for _ in range(m):
-        U.append(L @ U[-1])
-        V.append(L.T @ V[-1])
+    if a.ndim != 2:
+        raise DimensionMismatch(f"the residue route takes one phase point, not a stack {a.shape[:-2]}")
+    U, V = _krylov(lax, a, b, m)
     K = np.concatenate(U[:m], axis=1) @ np.concatenate(V[-2::-1], axis=1).T
     return K, V[m] - (K.T * lax.inv) @ a, -U[m] - (K * lax.inv) @ b
 

@@ -195,7 +195,7 @@ def _check_r_identity(state, cfg):
 
 def _check_trace_lr(state, cfg):
     lax = build_lax(state, cfg.eps_coll)
-    Lm = np.array(_powers(lax.L, 5))
+    Lm = np.array(_powers(lax, 5))
     lhs = np.trace(Lm @ lax.R, axis1=-2, axis2=-1)
     rhs = np.trace(Lm, axis1=-2, axis2=-1)
     return _scaled_error(lhs, rhs), {"m_max": 5}
@@ -232,7 +232,8 @@ def _check_involution(state, cfg):
 
 
 def _check_dual_derivation(state, cfg):
-    # dp of both routes comes from the same gradient kernel and adds 0
+    # dp of both routes comes from the same gradient kernel and adds 0; both
+    # routes share build_lax's assembly and _powers' L^k
     worst = max(
         _scaled_error(vector_field_residue(state, m, cfg.eps_coll),
                       vector_field_gradient(state, m, cfg.eps_coll))

@@ -542,7 +542,7 @@ def test_stack_rows_equal_single_row_integrate(n, t_final, record_every):
 def test_vector_field_gradient_of_a_stack_equals_each_point():
     states = [random_state(5, 3, seed=s) for s in range(3)]
     stack = PhaseState(*(np.stack([getattr(st, f) for st in states]) for f in "xpab"))
-    # [5, 1, 2]: the top Horner weight on one row, only low weights on the others
+    # [5, 1, 2]: the top power L^4 on one row, L and 0 L + I picked on the others
     for ms in ([2, 2, 2], [1, 3, 4], [4, 1, 1], [5, 1, 2]):
         m = ms[0] if len(set(ms)) == 1 else np.array(ms)
         f = vector_field_gradient(stack, m)

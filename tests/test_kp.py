@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spincm import (
+    DimensionMismatch,
     PhaseState,
     PoleHit,
     SpectralCollision,
@@ -269,6 +270,22 @@ def test_residue_route_rejects_a_non_integer_m(state32, m):
     for call in calls:
         with pytest.raises(ValueError, match="integer"):
             call()
+
+
+def test_residue_route_rejects_a_stack_of_points():
+    # the Krylov loop took L.T of the stack, which swaps the stack axis
+    # too: first_order_pole_cancellation of this stack once read 41.8
+    states = [random_state(2, 2, seed) for seed in (0, 1)]
+    stack = PhaseState(*(np.stack([getattr(st, f) for st in states]) for f in "xpab"))
+    calls = (
+        lambda: vector_field_residue(stack, 1),
+        lambda: residue_identity_residual(stack, 1, np.array([9.0 + 1.0j])),
+        lambda: first_order_pole_cancellation(stack, 1),
+    )
+    for call in calls:
+        with pytest.raises(DimensionMismatch, match="one phase point") as exc:
+            call()
+        assert "\n" not in str(exc.value)
 
 
 def _kernel_coefficients(state, m):

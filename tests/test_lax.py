@@ -380,7 +380,8 @@ def test_memoized_arrays_are_read_only():
 def test_an_identities_operation_computes_each_quantity_once(monkeypatch):
     # the call sequence of one identities_n100 operation on one state:
     # before the slot it made 14 assemblies, 11 gradient kernels and 10
-    # residue kernels
+    # residue kernels; before the slot kept the powers and blocks across m
+    # it made 5 n x n products and 20 thin ones
     calls = {"_assemble": 0, "_vector_field": 0, "_residue_rates": 0}
     for name in calls:
         fn = getattr(lax_module, name)
@@ -390,6 +391,21 @@ def test_an_identities_operation_computes_each_quantity_once(monkeypatch):
             return fn(*args)
 
         monkeypatch.setattr(lax_module, name, counted)
+    # every product is a new array past the head of a returned list
+    made = {"_powers": {}, "_krylov": {}}
+
+    def spy(name, fn):
+        def listed(*args):
+            out = fn(*args)
+            lists = out if name == "_krylov" else (out,)
+            made[name].update((id(arr), arr) for arrs in lists for arr in arrs[1:])
+            return out
+
+        return listed
+
+    for module in (lax_module, flows):  # flows binds _powers at import
+        monkeypatch.setattr(module, "_powers", spy("_powers", lax_module._powers))
+    monkeypatch.setattr(lax_module, "_krylov", spy("_krylov", lax_module._krylov))
     s = random_state(10, 4, seed=13)
     xs = np.array([30.0 + 1j, -20j, 25.0, 3.0 + 40j, -35.0])
     for m in (1, 2, 3, 4):
@@ -399,6 +415,34 @@ def test_an_identities_operation_computes_each_quantity_once(monkeypatch):
     for m in (1, 2, 3):
         kp.first_order_pole_cancellation(s, m)
     assert calls == {"_assemble": 1, "_vector_field": 4, "_residue_rates": 4}
+    # L^2 and L^3; U_j = L^j b and V_j = (L^T)^j a for j = 1..4
+    assert {name: len(arrs) for name, arrs in made.items()} == {"_powers": 2, "_krylov": 8}
+    assert {arr.shape for arr in made["_powers"].values()} == {(10, 10)}
+    assert {arr.shape for arr in made["_krylov"].values()} == {(10, 4)}
+
+
+def test_a_frozen_point_shares_its_powers_and_blocks_across_m():
+    # one point for m = 1..5 in turn, so each m extends the slot's lists;
+    # the copy computes each quantity afresh
+    s = random_state(7, 3, seed=16)
+    copy = _writable(s)
+    lax = build_lax(s)
+    for m in range(1, 6):
+        for kernel in ("field", "rates"):
+            want = lax_module._derived(kernel, copy, build_lax(copy), m)
+            got = lax_module._derived(kernel, s, lax, m)
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want], (kernel, m)
+        for f in (flows.vector_field_residue, grad_hamiltonian):
+            assert _bits(f(s, m)) == _bits(f(copy, m)), (f.__name__, m)
+        assert hamiltonians(s).tobytes() == hamiltonians(copy).tobytes()
+    entry = lax_module._slot
+    assert entry.state() is s and len(entry.powers) == 4 and len(entry.blocks[0]) == 6
+    for arr in (*entry.powers, *entry.blocks[0], *entry.blocks[1]):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    # the copy's own a and b never read the slot's blocks
+    U, V = lax_module._krylov(lax, copy.a, copy.b, 2)
+    assert U[1] is not entry.blocks[0][1] and V[1].flags.writeable
 
 
 def test_the_slot_follows_its_state_and_not_the_flows():
