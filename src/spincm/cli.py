@@ -19,7 +19,7 @@ from .config import Config
 from .errors import SpinCMError
 from .flows import FlowSpec, _scaled_error, integrate
 from .lax import hamiltonians
-from .phase import load_state, random_state, write_json
+from .phase import _positive_integer, load_state, random_state, write_json
 from .verify import run_suite
 
 
@@ -33,10 +33,12 @@ def parse_complex(text: str) -> complex:
 
 
 def _positive_int(text):
-    val = int(text)
-    if val < 1:
-        raise argparse.ArgumentTypeError("value must be >= 1")
-    return val
+    """An integer flag >= 1; argparse prints the refusal after the flag."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = text
+    return _positive_integer(value, "value", argparse.ArgumentTypeError)
 
 
 def _print_hamiltonians(state):

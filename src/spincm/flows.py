@@ -166,9 +166,10 @@ def vector_field_residue(state: PhaseState, m: int, eps_coll=EPS_COLL) -> Tangen
     :func:`spincm.lax._powers`. dp is delegated to the gradient kernel on
     the same Lax assembly, the only derivation of the momentum flow;
     keeping it there preserves the cross-check value of the two routes.
-    For a frozen point the kernels' data and the powers come from the slot
-    of :mod:`spincm.lax`, shared across m with :func:`vector_field_gradient`
-    and :mod:`spincm.kp`. Raises DimensionMismatch for a stack of points.
+    For a frozen point the kernels' data and the powers come from the memo
+    that :mod:`spincm.lax` keeps on the point, shared across m with
+    :func:`vector_field_gradient` and :mod:`spincm.kp`. Raises
+    DimensionMismatch for a stack of points.
     """
     _positive_integer(m, "m")
     lax = build_lax(state, eps_coll)

@@ -22,27 +22,30 @@ one kernel, :func:`_residue_rates`, gives every residue consumer its data
 polynomials, and a numeric contour integrator is kept alongside as an
 independent oracle for both.
 
-The derived data of the most recent frozen phase point is kept in one
-private slot: a point (x.ndim == 1) whose four arrays are read-only all the
-way down their ``.base`` chains, as :func:`spincm.phase.new_state`,
-``random_state``, ``load_state`` and ``Trajectory.state`` return. The slot
-(:class:`_Entry`, filled by :func:`build_lax`) keeps, read-only, its
-assembly, the powers of :func:`_powers` and the Krylov blocks of
-:func:`_krylov`, both extended on demand and shared across m, and per int
-m each kernel's output (:func:`_derived`); so the calls that check one
-point compute each of them once. For the largest m, or power of L, asked
-that is at most (m + 3) n^2 + m (n^2 + 2n(N + 1)) + 2(m + 1) n N complex
-entries, under 3 MB at n = 100 and m = 5. The collision verdict is taken
-at every call, from the stored separation and the caller's eps_coll. The
-slot is emptied when its point is garbage-collected, and taken over by
-the next frozen point. Stacked and writable states, and so every flow
-right-hand side and every recorded sample, never touch it.
+The derived data of a frozen phase point is kept on the point itself: a
+point (x.ndim == 1) whose four arrays are read-only all the way down their
+``.base`` chains, as :func:`spincm.phase.new_state`, ``random_state``,
+``load_state`` and ``Trajectory.state`` return. :func:`build_lax` keeps
+its read-only assembly in the point's ``__dict__``, not as a dataclass
+field, so ``dataclasses.fields`` and ``replace`` never see it. On that
+assembly hang the memo of its separation, the powers of :func:`_powers`
+and the Krylov blocks of :func:`_krylov`, both extended on demand (each
+list replaced, never grown in place) and shared across m, and per int m
+each kernel's output (:func:`_derived`), all read-only; so the calls
+that check one point compute each of them once, whichever other points
+are checked in between. For the largest m, or power of L, asked that is
+at most 2(m + 1) n^2 + 2m n(3N + 1) complex entries per point, for as
+long as it lives: 1.6 MB at n = 100 after the four m of an identities
+check, under 3 MB at m = 5. Nothing else refers to the memo,
+so it goes when its point does. The collision verdict is taken at every
+call, from the stored separation and the caller's eps_coll. Stacked and
+writable states, and so every flow right-hand side and every recorded
+sample, keep nothing.
 """
 
 from __future__ import annotations
 
 import functools
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,21 +94,23 @@ def build_lax(state: PhaseState, eps_coll=EPS_COLL) -> LaxData:
     x and p (..., n), a and b (..., n, N). Raises CollidingPoles if two
     poles of a point are within ``eps_coll``; for a stack its ``row`` is
     the flat index of the first such point. A frozen point's assembly is
-    the slot's (see the module docstring): read-only arrays, shared by
-    every caller; a miss hands the slot to the point.
+    kept on the point by its first call (see the module docstring):
+    read-only arrays, shared by every caller.
     """
-    global _slot
     if state.x.ndim != 1 or not _frozen(state):
         return _assemble(state, eps_coll)[0]
-    entry = _slot
-    if entry is None or entry.state() is not state:
+    lax = vars(state).get("_lax")
+    if lax is None:
         lax, sep = _assemble(state, -np.inf)
         _read_only((lax.inv, lax.R, lax.L))
-        entry = _slot = _Entry(state, sep, lax)
+        memo = {"sep": sep, "powers": [lax.L], "blocks": ([state.b], [state.a])}
+        object.__setattr__(lax, "_memo", memo)
+        object.__setattr__(state, "_lax", lax)
     # the verdict is never kept: each call compares with its own floor
-    if entry.sep <= eps_coll:
-        raise _colliding(state.min_separation(), eps_coll)
-    return entry.lax
+    sep = lax._memo["sep"]
+    if sep <= eps_coll:
+        raise _colliding(sep, eps_coll)
+    return lax
 
 
 def _assemble(state, eps_coll):
@@ -155,26 +160,6 @@ def _chunked(fn, Y, n, N, shape=()):
     return out
 
 
-class _Entry:
-    """The slot's derived data of one frozen phase point: a weakref to it,
-    its separation, LaxData, ``powers`` and ``blocks`` (each list replaced,
-    never grown in place) and ``kernels`` per (kernel, m). A plain class:
-    a dataclass would add half a millisecond to every import."""
-
-    __slots__ = ("state", "sep", "lax", "powers", "blocks", "kernels")
-
-    def __init__(self, state, sep, lax):
-        self.state = weakref.ref(state, _release)
-        self.sep, self.lax, self.kernels = sep, lax, {}
-        self.powers, self.blocks = [lax.L], ([state.b], [state.a])
-
-
-#: the derived data of the most recent frozen phase point, or None. No lock:
-#: each reader works on the entry it read, so a thread that races another
-#: at worst computes afresh or empties the slot
-_slot = None
-
-
 def _frozen(state):
     """True if no write can reach the arrays of ``state``: each is read-only,
     and so is every array down its ``.base`` chain."""
@@ -186,38 +171,25 @@ def _frozen(state):
     return True
 
 
-def _release(ref):
-    """Weakref callback: empty the slot if it still holds ``ref``'s point."""
-    global _slot
-    if _slot is not None and _slot.state is ref:
-        _slot = None
-
-
 def _read_only(arrays):
     for arr in arrays:
         arr.setflags(write=False)
     return arrays
 
 
-def _shared(lax):
-    """The slot's entry if ``lax`` is its assembly, else None."""
-    entry = _slot
-    return entry if entry is not None and entry.lax is lax else None
-
-
 def _derived(kernel, state, lax, m):
     """The output of ``kernel`` at m for ``state`` and its assembly ``lax``
     from :func:`build_lax`: the :func:`_vector_field` quadruple for
     kernel "field", the :func:`_residue_rates` triple for "rates". When lax
-    is the slot's, each is computed once per int m and kept there,
-    read-only; else it is computed afresh."""
-    entry = _shared(lax)
-    cached = entry is not None and isinstance(m, (int, np.integer))
-    if cached and (kernel, m) in entry.kernels:
-        return entry.kernels[kernel, m]
+    is a frozen point's, each is computed once per int m and kept in its
+    memo, read-only; else it is computed afresh."""
+    memo = vars(lax).get("_memo")
+    cached = memo is not None and isinstance(m, (int, np.integer))
+    if cached and (kernel, m) in memo:
+        return memo[kernel, m]
     out = (_vector_field if kernel == "field" else _residue_rates)(lax, state.a, state.b, m)
     if cached:
-        entry.kernels[kernel, m] = _read_only(out)
+        memo[kernel, m] = _read_only(out)
     return out
 
 
@@ -233,15 +205,16 @@ def hamiltonian(state: PhaseState, m: int, eps_coll=EPS_COLL):
 def _powers(lax, k):
     """[L, L^2, ..., L^k] of the assembly ``lax`` of a point or a stack, by
     right products L^{j+1} = L^j L: the one route to the powers of L in
-    production code; the slot's list, extended on demand, for its point."""
-    entry = _shared(lax)
-    P = [lax.L] if entry is None else entry.powers
+    production code; the memo's list, extended on demand, for a frozen
+    point."""
+    memo = vars(lax).get("_memo")
+    P = [lax.L] if memo is None else memo["powers"]
     if len(P) < k:
         P, L = P[:], lax.L
         while len(P) < k:
             P.append(P[-1] @ L)
-        if entry is not None:
-            entry.powers = _read_only(P)
+        if memo is not None:
+            memo["powers"] = _read_only(P)
     return P[:k]
 
 
@@ -370,17 +343,17 @@ def poisson_bracket(state: PhaseState, f_grad: Tangent, g_grad: Tangent) -> comp
 def _krylov(lax, a, b, k):
     """([U_0 .. U_k], [V_0 .. V_k]), the thin Krylov blocks U_j = L^j b and
     V_j = (L^T)^j a of a phase point with assembly ``lax`` and spins a, b
-    (n, N); the slot's lists, extended on demand, for its point's own."""
-    entry = _shared(lax)
-    kept = entry is not None and entry.blocks[0][0] is b and entry.blocks[1][0] is a
-    U, V = entry.blocks if kept else ([b], [a])
+    (n, N); the memo's lists, extended on demand, for a frozen point's own."""
+    memo = vars(lax).get("_memo")
+    kept = memo is not None and memo["blocks"][0][0] is b and memo["blocks"][1][0] is a
+    U, V = memo["blocks"] if kept else ([b], [a])
     if len(U) <= k:
         U, V, L = U[:], V[:], lax.L
         while len(U) <= k:
             U.append(L @ U[-1])
             V.append(L.T @ V[-1])
         if kept:
-            entry.blocks = (_read_only(U), _read_only(V))
+            memo["blocks"] = (_read_only(U), _read_only(V))
     return U[: k + 1], V[: k + 1]
 
 

@@ -9,7 +9,7 @@ complex conjugation).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -52,9 +52,11 @@ class PhaseState:
     ``Trajectory.state`` return frozen states, and so does
     :func:`gauge_rescale` of a frozen state: a phase point whose arrays are
     read-only all the way down their ``.base`` chains, whose derived data
-    :mod:`spincm.lax` computes once and shares, read-only. The bare
-    constructor freezes nothing: it keeps the arrays it is given, writable
-    or not.
+    :mod:`spincm.lax` computes once and keeps, read-only, on the instance
+    for as long as it lives. It is no field: :func:`dataclasses.replace`, a
+    copy and a pickle start without it, since a copy's arrays may change.
+    The bare constructor freezes nothing: it keeps the arrays it is given,
+    writable or not.
     """
 
     x: np.ndarray
@@ -90,6 +92,10 @@ class PhaseState:
     def spin_pairings(self):
         """Matrix R with R_ij = b_i^T a_j."""
         return self.b @ self.a.swapaxes(-1, -2)
+
+    def __getstate__(self):
+        """The fields alone, for a copy or a pickle: never the memo."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_dict(self, times=None):
         out = {

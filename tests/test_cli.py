@@ -122,6 +122,30 @@ def test_evolve_rejects_m_zero(tmp_path, capsys):
         main(["evolve", str(state_path), "--m", "0", "--T", "0.1", "--out", str(tmp_path / "x")])
 
 
+#: each integer flag, with the other arguments its command requires; the
+#: refusal comes at parsing, before any file is read
+_INT_FLAGS = [
+    ("gen", "--particles", ["--spin", "2"]),
+    ("gen", "--spin", ["--particles", "3"]),
+    ("verify", "--particles", []),
+    ("verify", "--spin", []),
+    ("evolve", "--m", ["state.json", "--T", "0.01"]),
+    ("evolve", "--record-every", ["state.json", *_STATE_ARGS["evolve"]]),
+    ("ba-eval", "--x-points", ["state.json", *_STATE_ARGS["ba-eval"]]),
+]
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "1.5", "abc"])
+@pytest.mark.parametrize("command,flag,rest", _INT_FLAGS, ids=[f"{c}{f}" for c, f, _ in _INT_FLAGS])
+def test_an_integer_flag_refuses_anything_but_an_integer_from_1(capsys, command, flag, rest, value):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *rest, flag, value])
+    assert exc.value.code == 2
+    shown = value if value.lstrip("-").isdigit() else repr(value)
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"spincm {command}: error: argument {flag}: value must be an integer >= 1, got {shown}")
+
+
 def test_evolve_collision_exit_code(tmp_path, capsys):
     # head-on pair: the attractive t_2 flow drives the poles together
     state_path = tmp_path / "pair.json"

@@ -1,4 +1,8 @@
+import copy
+import dataclasses
 import gc
+import pickle
+import weakref
 from dataclasses import fields
 
 import numpy as np
@@ -305,11 +309,11 @@ def test_krylov_residues_match_matrix_power_and_contour(n, on_constraint):
             assert np.max(np.abs(g - ref)) <= 1e-14 * r**m * size, m
 
 
-# --- the slot of the most recent frozen phase point -------------------------
+# --- the memo that a frozen phase point keeps --------------------------------
 
 
 def _writable(state):
-    """A writable copy of ``state``, which the slot never serves."""
+    """A writable copy of ``state``, which never keeps a memo."""
     return PhaseState(*(np.array(v) for v in (state.x, state.p, state.a, state.b)))
 
 
@@ -321,7 +325,7 @@ def _bits(value):
 
 
 def _six(state, m, xs, eps_coll=1e-6):
-    """The results of the six functions that read the slot."""
+    """The results of the six functions that read the memo."""
     return [
         build_lax(state, eps_coll),
         grad_hamiltonian(state, m, eps_coll),
@@ -349,10 +353,10 @@ def test_a_frozen_state_gives_the_bits_of_its_writable_copy(m):
     want = [_bits(v) for v in _six(_writable(s), m, xs)]
     assert [_bits(v) for v in _six(s, m, xs)] == want  # filled
     assert [_bits(v) for v in _six(s, m, xs)] == want  # served
-    assert lax_module._slot.state() is s
+    assert build_lax(s) is vars(s)["_lax"]
 
 
-def test_the_slot_never_serves_a_state_that_can_change():
+def test_the_memo_never_serves_a_state_that_can_change():
     s = random_state(4, 2, seed=11)
     one_writable = PhaseState(s.x, s.p, s.a, np.array(s.b))
     assert not _frozen(one_writable)
@@ -366,7 +370,7 @@ def test_the_slot_never_serves_a_state_that_can_change():
     after = flows.vector_field_gradient(st, 3)
     assert _bits(after) == _bits(flows.vector_field_gradient(_writable(st), 3))
     assert _bits(after) != _bits(before)
-    assert lax_module._slot is None or lax_module._slot.state() is not st
+    assert "_lax" not in vars(st) and "_lax" not in vars(one_writable)
 
 
 def test_memoized_arrays_are_read_only():
@@ -379,8 +383,8 @@ def test_memoized_arrays_are_read_only():
 
 def test_an_identities_operation_computes_each_quantity_once(monkeypatch):
     # the call sequence of one identities_n100 operation on one state:
-    # before the slot it made 14 assemblies, 11 gradient kernels and 10
-    # residue kernels; before the slot kept the powers and blocks across m
+    # before the memo it made 14 assemblies, 11 gradient kernels and 10
+    # residue kernels; before the memo kept the powers and blocks across m
     # it made 5 n x n products and 20 thin ones
     calls = {"_assemble": 0, "_vector_field": 0, "_residue_rates": 0}
     for name in calls:
@@ -422,7 +426,7 @@ def test_an_identities_operation_computes_each_quantity_once(monkeypatch):
 
 
 def test_a_frozen_point_shares_its_powers_and_blocks_across_m():
-    # one point for m = 1..5 in turn, so each m extends the slot's lists;
+    # one point for m = 1..5 in turn, so each m extends the memo's lists;
     # the copy computes each quantity afresh
     s = random_state(7, 3, seed=16)
     copy = _writable(s)
@@ -435,28 +439,95 @@ def test_a_frozen_point_shares_its_powers_and_blocks_across_m():
         for f in (flows.vector_field_residue, grad_hamiltonian):
             assert _bits(f(s, m)) == _bits(f(copy, m)), (f.__name__, m)
         assert hamiltonians(s).tobytes() == hamiltonians(copy).tobytes()
-    entry = lax_module._slot
-    assert entry.state() is s and len(entry.powers) == 4 and len(entry.blocks[0]) == 6
-    for arr in (*entry.powers, *entry.blocks[0], *entry.blocks[1]):
+    memo = vars(s)["_lax"]._memo
+    assert len(memo["powers"]) == 4 and len(memo["blocks"][0]) == 6
+    for arr in (*memo["powers"], *memo["blocks"][0], *memo["blocks"][1]):
         with pytest.raises(ValueError):
             arr[0] = 0.0
-    # the copy's own a and b never read the slot's blocks
+    # the copy's own a and b never read the memo's blocks
     U, V = lax_module._krylov(lax, copy.a, copy.b, 2)
-    assert U[1] is not entry.blocks[0][1] and V[1].flags.writeable
+    assert U[1] is not memo["blocks"][0][1] and V[1].flags.writeable
 
 
-def test_the_slot_follows_its_state_and_not_the_flows():
+def test_the_memo_follows_its_point_and_not_the_flows():
     s = random_state(4, 2, seed=14)
-    build_lax(s)
-    entry = lax_module._slot
-    assert entry.state() is s
+    lax = build_lax(s)
     other = random_state(4, 2, seed=15)
     spec = flows.FlowSpec(m=2, t_final=1e-2, dt=5e-3)
     flows.integrate_stack([(s, spec), (other, spec)])
-    assert lax_module._slot is entry
-    del s, entry
-    gc.collect()
-    assert lax_module._slot is None
+    assert vars(s)["_lax"] is lax and "_lax" not in vars(other)
+    # a new instance of the same arrays starts without one
+    assert "_lax" not in vars(dataclasses.replace(s))
+
+
+def test_a_copy_or_a_pickle_of_a_point_starts_without_its_memo():
+    s = random_state(4, 2, seed=21)
+    lax = build_lax(s)
+    for t in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert "_lax" not in vars(t) and np.array_equal(t.x, s.x)
+    # a deep copy's arrays are its own: changed, then frozen, they must
+    # never meet the original's memo
+    t = copy.deepcopy(s)
+    t.x[0] += 0.5
+    for arr in (t.x, t.p, t.a, t.b):
+        arr.setflags(write=False)
+    assert _frozen(t)
+    assert _bits(build_lax(t)) == _bits(build_lax(_writable(t))) != _bits(lax)
+
+
+def test_two_frozen_points_in_turn_keep_their_own_memos(monkeypatch):
+    calls = []
+    assemble = lax_module._assemble
+    monkeypatch.setattr(lax_module, "_assemble", lambda *args: calls.append(1) or assemble(*args))
+    s, t = random_state(30, 4, seed=17), random_state(30, 4, seed=18)
+    for _ in range(10):
+        build_lax(s), build_lax(t)
+    assert len(calls) == 2
+
+
+def test_a_frozen_point_frees_its_memo_with_its_last_reference():
+    s = random_state(5, 2, seed=19)
+    kp.first_order_pole_cancellation(s, 3), flows.vector_field_gradient(s, 3)
+    ref = weakref.ref(build_lax(s))
+    enabled = gc.isenabled()
+    gc.disable()  # so only reference counting can free it
+    try:
+        del s
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _entries(value, seen):
+    """Complex entries of the arrays that own the memory of ``value``'s
+    arrays, each owner counted once."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return sum(_entries(v, seen) for v in value)
+    if not isinstance(value, np.ndarray):
+        return 0  # the separation
+    owner = value if value.base is None else value.base
+    if id(owner) in seen:
+        return 0
+    seen[id(owner)] = owner
+    return owner.size
+
+
+def test_the_memo_stays_within_its_stated_bound():
+    n, N, top = 7, 3, 5
+    s = random_state(n, N, seed=20)
+    xs = np.array([9.0 + 1j, -8.5j, 7.5 - 7j])
+    for m in range(1, top + 1):
+        _six(s, m, xs), hamiltonians(s)
+    lax = vars(s)["_lax"]
+    seen = {id(s.a): s.a, id(s.b): s.b}  # the point's own spins are no memo
+    got = _entries([lax.inv, lax.R, lax.L, lax._memo], seen)
+    # the lax module docstring's bound for the largest m, or power of L, asked
+    assert got <= 2 * (top + 1) * n**2 + 2 * top * n * (3 * N + 1)
+    # the separation, the powers, the blocks and two kernels per m
+    assert len(lax._memo) == 3 + 2 * top
 
 
 def test_the_collision_verdict_is_taken_at_every_call():
@@ -465,7 +536,7 @@ def test_the_collision_verdict_is_taken_at_every_call():
     want = "minimal pole separation 5.000e-07 <= 1.000e-06"
     with pytest.raises(CollidingPoles, match=want) as fresh:
         build_lax(_writable(s))
-    build_lax(s, eps_coll=1e-9)  # passes, and fills the slot
+    build_lax(s, eps_coll=1e-9)  # passes, and fills the memo
     calls = (build_lax, lambda st: grad_hamiltonian(st, 2),
              lambda st: flows.vector_field_gradient(st, 2),
              lambda st: flows.vector_field_residue(st, 2),
@@ -475,5 +546,5 @@ def test_the_collision_verdict_is_taken_at_every_call():
         with pytest.raises(CollidingPoles) as err:
             call(s)
         assert str(err.value) == str(fresh.value) and err.value.row is None
-    assert lax_module._slot.state() is s
+    assert vars(s)["_lax"]._memo["sep"] == 5e-7
     assert np.isfinite(build_lax(s, eps_coll=1e-9).L).all()
