@@ -23,8 +23,8 @@ class Config:
 
     def __post_init__(self):
         for f in fields(self):
-            val = getattr(self, f.name)  # a non-number raises TypeError; NaN fails
-            if not (math.isfinite(val) and val > 0):
+            val = getattr(self, f.name)  # a non-number raises TypeError; NaN and a bool fail
+            if isinstance(val, bool) or not (math.isfinite(val) and val > 0):
                 raise ValueError(f"{f.name} must be positive and finite")
 
     @classmethod

@@ -132,13 +132,16 @@ def _re_im(z):
     return np.stack([z.real, z.imag], axis=-1).reshape(len(z), -1)
 
 
-def _scaled_error(u, ref) -> float:
-    """The one comparison rule of the checks: max |u - ref| / (1 + |ref|)
-    over every entry of two arrays (or scalars), or over every field of
-    two dataclasses of arrays, such as Tangents."""
+def _scaled_error(u, ref, scale=None) -> float:
+    """The one comparison rule of the checks: max |u - ref| / scale, the
+    scale 1 + |ref| unless given, over every entry of two arrays (or
+    scalars), or over every field of two dataclasses of arrays, such as
+    Tangents."""
     if is_dataclass(ref):
-        return max(_scaled_error(getattr(u, f.name), getattr(ref, f.name)) for f in fields(ref))
-    return float(np.max(np.abs(u - ref) / (1.0 + np.abs(ref)), initial=0.0))
+        return float(np.max([_scaled_error(getattr(u, f.name), getattr(ref, f.name), scale)
+                             for f in fields(ref)]))
+    scale = 1.0 + np.abs(ref) if scale is None else scale
+    return float(np.max(np.abs(u - ref) / scale, initial=0.0))
 
 
 def vector_field_gradient(state: PhaseState, m: int, eps_coll=EPS_COLL) -> Tangent:

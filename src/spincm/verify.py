@@ -144,8 +144,11 @@ def finite_difference_gradient(state: PhaseState, m: int, h: float = FD_STEP, ax
     stack whose H_m comes from :func:`hamiltonian`, the matrix_power route,
     in chunks (:func:`spincm.lax._chunked`). A perturbed point with two
     poles within ``eps_coll`` raises CollidingPoles for the whole call,
-    without a row.
+    without a row. Raises ValueError for an axis other than "real" or "imag"
+    or an h that is not positive and finite.
     """
+    if axis not in ("real", "imag") or not (np.isfinite(h) and h > 0):
+        raise ValueError(f"need axis 'real' or 'imag' and h positive and finite: {axis!r}, {h!r}")
     step = h if axis == "real" else 1j * h
     n, N = state.n_particles, state.spin_dim
     y = _pack(state)
@@ -177,69 +180,59 @@ def matched_pole_error(x, ref) -> float:
 
 
 # ---------------------------------------------------------------------------
-# individual checks; each returns (residual, details) and checks collisions
-# at cfg.eps_coll
+# the checks: _check_<name>(state, cfg, flows) -> (terms, details) for each
+# name of DEFAULT_THRESHOLDS, collisions checked at cfg.eps_coll. A term
+# (u, ref, scale) holds two routes to one quantity (flows._scaled_error); a
+# term (residual, 0.0, 1.0), a residual already differenced in kp or flows
 
 
-def _check_constraint(state, cfg):
-    return state.constraint_drift(), {}
+def _check_constraint(state, cfg, flows):
+    return [(state.constraint_values(), 1.0, 1.0)], {}
 
 
-def _check_r_identity(state, cfg):
+def _check_r_identity(state, cfg, flows):
     lax = build_lax(state, cfg.eps_coll)
     X = np.diag(state.x)
-    comm = lax.L @ X - X @ lax.L
-    n = state.n_particles
-    return float(np.max(np.abs(lax.R - np.eye(n) - comm))), {}
+    return [(lax.R - np.eye(state.n_particles), lax.L @ X - X @ lax.L, 1.0)], {}
 
 
-def _check_trace_lr(state, cfg):
+def _check_trace_lr(state, cfg, flows):
     lax = build_lax(state, cfg.eps_coll)
     Lm = np.array(_powers(lax, 5))
     lhs = np.trace(Lm @ lax.R, axis1=-2, axis2=-1)
-    rhs = np.trace(Lm, axis1=-2, axis2=-1)
-    return _scaled_error(lhs, rhs), {"m_max": 5}
+    return [(lhs, np.trace(Lm, axis1=-2, axis2=-1), None)], {"m_max": 5}
 
 
-def _check_h2_direct(state, cfg):
+def _check_h2_direct(state, cfg, flows):
     h2 = hamiltonian(state, 2, cfg.eps_coll)
-    return _scaled_error(hamiltonian_h2_direct(state, cfg.eps_coll), h2), {}
+    return [(hamiltonian_h2_direct(state, cfg.eps_coll), h2, None)], {}
 
 
-def _check_gradient_fd(state, cfg):
+def _check_gradient_fd(state, cfg, flows):
     # each perturbed point moves one pole by h: a twentieth of the pole
     # separation keeps every pair at 19/20 of it or more
     h = min(FD_STEP, state.min_separation() / 20)
-    worst = 0.0
-    for m in range(1, 5):
-        g = grad_hamiltonian(state, m, cfg.eps_coll)
-        for axis in ("real", "imag"):
-            fd = finite_difference_gradient(state, m, h=h, axis=axis, eps_coll=cfg.eps_coll)
-            worst = max(worst, _scaled_error(fd, g))
-    return worst, {"h": h, "m_max": 4}
+    g = {m: grad_hamiltonian(state, m, cfg.eps_coll) for m in range(1, 5)}
+    return [(finite_difference_gradient(state, m, h=h, axis=ax, eps_coll=cfg.eps_coll), g[m], None)
+            for m in range(1, 5) for ax in ("real", "imag")], {"h": h, "m_max": 4}
 
 
-def _check_involution(state, cfg):
+def _check_involution(state, cfg, flows):
+    # {H_m, H_k} = 0 at the scale sqrt(1 + |H_m H_k|); Python's abs, as
+    # np.abs of a complex can differ from it in the last bit
     grads = {m: grad_hamiltonian(state, m, cfg.eps_coll) for m in range(1, 5)}
     hs = {m: hamiltonian(state, m, cfg.eps_coll) for m in range(1, 5)}
-    worst = 0.0
-    for m in range(1, 5):
-        for k in range(m + 1, 5):
-            pb = poisson_bracket(state, grads[m], grads[k])
-            scale = (1.0 + abs(hs[m] * hs[k])) ** 0.5
-            worst = max(worst, abs(pb) / scale)
-    return worst, {"pairs": "1<=m<k<=4"}
+    return [(abs(poisson_bracket(state, grads[m], grads[k])), 0.0,
+             (1.0 + abs(hs[m] * hs[k])) ** 0.5)
+            for m in range(1, 5) for k in range(m + 1, 5)], {"pairs": "1<=m<k<=4"}
 
 
-def _check_dual_derivation(state, cfg):
+def _check_dual_derivation(state, cfg, flows):
     # dp of both routes comes from the same gradient kernel and adds 0; both
     # routes share build_lax's assembly and _powers' L^k
-    worst = max(
-        _scaled_error(vector_field_residue(state, m, cfg.eps_coll),
-                      vector_field_gradient(state, m, cfg.eps_coll))
-        for m in range(1, 5)
-    )
-    return worst, {"m_max": 4}
+    return [(vector_field_residue(state, m, cfg.eps_coll),
+             vector_field_gradient(state, m, cfg.eps_coll), None)
+            for m in range(1, 5)], {"m_max": 4}
 
 
 def _suite_flows(state, cfg):
@@ -270,78 +263,83 @@ def _suite_flows(state, cfg):
     return dict(zip(names, integrate_stack(rows, cfg.eps_coll)))
 
 
-def _check_lax_residual(state, cfg, flow):
-    traj = _trajectories([flow])[0]
-    return float(np.max(check_lax(traj, cfg.eps_coll))), {"T": LAX_RESIDUAL_T, "dt": cfg.dt}
+def _check_lax_residual(state, cfg, flows):
+    # check_lax differences dL/dt and [M, L] at every sample
+    traj = _trajectories([flows["lax_residual"]])[0]
+    return [(check_lax(traj, cfg.eps_coll), 0.0, 1.0)], {"T": LAX_RESIDUAL_T, "dt": cfg.dt}
 
 
-def _check_conservation(state, cfg, trajs):
-    worst = max(_scaled_error(traj.hamiltonians[1:], traj.hamiltonians[0]) for traj in trajs)
-    return worst, {"T": CONSERVATION_T, "dt": cfg.dt, "flows": [2, 3]}
+def _check_conservation(state, cfg, flows):
+    terms = [(flows[t].hamiltonians[1:], flows[t].hamiltonians[0], None) for t in ("t2", "t3")]
+    return terms, {"T": CONSERVATION_T, "dt": cfg.dt, "flows": [2, 3]}
 
 
-def _check_constraint_drift(state, cfg, trajs):
-    worst = max(float(np.max(traj.drift)) for traj in trajs)
-    return worst, {"T": CONSERVATION_T, "dt": cfg.dt}
+def _check_constraint_drift(state, cfg, flows):
+    # integrate_stack records max_i |b_i^T a_i - 1| at every sample
+    return [(flows[t].drift, 0.0, 1.0) for t in ("t2", "t3")], {"T": CONSERVATION_T, "dt": cfg.dt}
 
 
-def _check_commutativity(state, cfg, legs):
-    return _commutativity_gap(legs), {"s": COMMUTATIVITY_S}
+def _check_commutativity(state, cfg, flows):
+    # _commutativity_gap pairs the poles of both orders before it compares
+    legs = [flows[f"commutativity_{leg}"] for leg in ("t2", "t3", "t2_t3", "t3_t2")]
+    return [(_commutativity_gap(legs), 0.0, 1.0)], {"s": COMMUTATIVITY_S}
 
 
-def _check_rank1_residues(state, cfg):
+def _check_rank1_residues(state, cfg, flows):
+    # rank 1: each nonzero residue's second singular value against its first
     z = 1.3 + 0.7j
     c, c_star = kp.solve_c(state, z, cfg.eps_coll)
     res = np.concatenate([state.a[:, :, None] * c[:, None, :],
                           c_star[:, :, None] * state.b[:, None, :]])  # (2n, N, N)
     sv = np.linalg.svd(res, compute_uv=False)
     sv = sv[sv[:, 0] > 0]
-    return float(np.max(sv[:, 1:2] / sv[:, :1], initial=0.0)), {"z": [z.real, z.imag]}
+    return [(sv[:, 1:2], 0.0, sv[:, :1])], {"z": [z.real, z.imag]}
 
 
-def _check_w1_v(state, cfg):
+def _check_w1_v_consistency(state, cfg, flows):
     h = 1e-6
     xs = _offgrid_points(state, 4)
     fd = (kp.w1(state, xs + h, cfg.eps_coll) - kp.w1(state, xs - h, cfg.eps_coll)) / (2 * h)
-    return _scaled_error(fd, -kp.potential_v(state, xs, cfg.eps_coll) / 2), {"h": h}
+    return [(fd, -kp.potential_v(state, xs, cfg.eps_coll) / 2, None)], {"h": h}
 
 
-def _check_t1_shift(state, cfg, flow):
+def _check_t1_shift(state, cfg, flows):
     # the t_1 flow shifts every pole by -s and fixes p, a and b, so
     # w^(1)(x) of the final state is w^(1)(x + s) of the initial one
     s = T1_SHIFT_S
-    final = _trajectories([flow])[0].state(-1)
+    final = _trajectories([flows["t1_shift"]])[0].state(-1)
     xs = _offgrid_points(state, 3)
-    worst = max(_scaled_error(final, replace(state, x=state.x - s)),
-                _scaled_error(kp.w1(final, xs, cfg.eps_coll), kp.w1(state, xs + s, cfg.eps_coll)))
-    return worst, {"s": s}
+    return [(final, replace(state, x=state.x - s), None),
+            (kp.w1(final, xs, cfg.eps_coll), kp.w1(state, xs + s, cfg.eps_coll), None)], {"s": s}
 
 
-def _check_linear_problem(state, cfg):
+def _check_linear_problem(state, cfg, flows):
+    # kp differences both sides of the linear problem and its adjoint
     z = 1.3 + 0.7j
     xs = _offgrid_points(state, 6)
-    return kp.linear_problem_residual(state, z, xs, eps_coll=cfg.eps_coll), {"z": [z.real, z.imag]}
+    return ([(kp.linear_problem_residual(state, z, xs, eps_coll=cfg.eps_coll), 0.0, 1.0)],
+            {"z": [z.real, z.imag]})
 
 
-def _check_residue_identity(state, cfg):
+def _check_residue_identity(state, cfg, flows):
+    # kp differences res_inf(z^m psi psi+) and -d_{t_m} w^(1)
     xs = _offgrid_points(state, 5)
-    worst = 0.0
-    for m in (1, 2, 3):
-        worst = max(worst, kp.residue_identity_residual(state, m, xs, cfg.eps_coll))
-    return worst, {"m": [1, 2, 3]}
+    return ([(kp.residue_identity_residual(state, m, xs, cfg.eps_coll), 0.0, 1.0)
+             for m in (1, 2, 3)], {"m": [1, 2, 3]})
 
 
-def _check_first_order_cancellation(state, cfg):
-    worst = 0.0
-    for m in (1, 2, 3):
-        worst = max(worst, kp.first_order_pole_cancellation(state, m, cfg.eps_coll))
-    return worst, {"m": [1, 2, 3]}
+def _check_first_order_cancellation(state, cfg, flows):
+    # kp forms u_i . b_i + a_i . v_i, which the identity sets to 0
+    return ([(kp.first_order_pole_cancellation(state, m, cfg.eps_coll), 0.0, 1.0)
+             for m in (1, 2, 3)], {"m": [1, 2, 3]})
 
 
-def _check_n1_reduction(state, cfg, flow):
-    traj = _trajectories([flow])[0]
+def _check_n1_reduction(state, cfg, flows):
+    # matched_pole_error pairs the poles to the closed form before it compares
+    traj = _trajectories([flows["n1_reduction"]])[0]
     ref = scalar_cm_poles(state.x, 2 * state.p, traj.t)
-    return matched_pole_error(traj.x, ref), {"T": N1_REDUCTION_T, "samples": len(traj.t)}
+    details = {"T": N1_REDUCTION_T, "samples": len(traj.t)}
+    return [(matched_pole_error(traj.x, ref), 0.0, 1.0)], details
 
 
 def _offgrid_points(state, count):
@@ -357,13 +355,14 @@ def _offgrid_points(state, count):
 
 
 def run_suite(state=None, config=None, seed=42, n_particles=3, spin_dim=2):
-    """Run every enabled check on a given state (or on a freshly generated
-    one for (seed, n_particles, spin_dim)) and collect a report. The flows
-    the checks read run first, as one stack (see :func:`_suite_flows`),
-    timed in ``integration_seconds``. Individual check errors, a flow that
-    ended early included, are recorded as failures; conservation and
-    constraint_drift are marked skipped when their t_2/t_3 pair broke down,
-    naming the pair's first error."""
+    """Run every check of DEFAULT_THRESHOLDS, in its order, on a given state
+    (or on a freshly generated one for (seed, n_particles, spin_dim)) and
+    collect a report. The flows the checks read run first, as one stack
+    (see :func:`_suite_flows`), timed in ``integration_seconds``. Each
+    check's residual is the largest _scaled_error over its terms. Individual
+    check errors, a flow that ended early included, are recorded as
+    failures; conservation and constraint_drift are marked skipped when
+    their t_2/t_3 pair broke down, naming the pair's first error."""
     cfg = config if config is not None else Config()
     if state is None:
         state = random_state(n_particles, spin_dim, seed)
@@ -380,47 +379,23 @@ def run_suite(state=None, config=None, seed=42, n_particles=3, spin_dim=2):
     flows = _suite_flows(state, cfg)
     report.integration_seconds = round(time.perf_counter() - t0, 4)
 
-    def run(name, fn, skip_reason=None):
-        thr = DEFAULT_THRESHOLDS[name]
+    skips = {} if state.spin_dim == 1 else {"n1_reduction": "only defined for spin_dim == 1"}
+    exc = _first_error([flows["t2"], flows["t3"]])
+    if exc is not None:
+        skips["conservation"] = skips["constraint_drift"] = f"integration failed: {exc}"
+    for name, thr in DEFAULT_THRESHOLDS.items():
         t0 = time.perf_counter()
-        if skip_reason is not None:
-            residual, details = float("nan"), {"reason": skip_reason}
+        if name in skips:
+            residual, details = float("nan"), {"reason": skips[name]}
         else:
-            try:
-                residual, details = fn()
+            try:  # looked up at each call, so a wrapper set on the module is called
+                terms, details = globals()[f"_check_{name}"](state, cfg, flows)
+                residual = float(np.max([_scaled_error(*term) for term in terms]))
             except SpinCMError as exc:
                 residual, details = float("inf"), {"error": str(exc)}
             details["seconds"] = round(time.perf_counter() - t0, 4)
         # an error's inf and a skip's nan fail every (finite) threshold
         report.results.append(CheckResult(
-            name=name, residual=float(residual), threshold=thr, passed=bool(residual <= thr),
-            skipped=skip_reason is not None, details=details))
-
-    run("constraint", lambda: _check_constraint(state, cfg))
-    run("r_identity", lambda: _check_r_identity(state, cfg))
-    run("trace_lr", lambda: _check_trace_lr(state, cfg))
-    run("h2_direct", lambda: _check_h2_direct(state, cfg))
-    run("gradient_fd", lambda: _check_gradient_fd(state, cfg))
-    run("involution", lambda: _check_involution(state, cfg))
-    run("dual_derivation", lambda: _check_dual_derivation(state, cfg))
-    run("lax_residual", lambda: _check_lax_residual(state, cfg, flows["lax_residual"]))
-
-    trajs = [flows["t2"], flows["t3"]]
-    exc = _first_error(trajs)
-    traj_error = f"integration failed: {exc}" if exc is not None else None
-    run("conservation", lambda: _check_conservation(state, cfg, trajs), skip_reason=traj_error)
-    run("constraint_drift", lambda: _check_constraint_drift(state, cfg, trajs),
-        skip_reason=traj_error)
-    run("commutativity", lambda: _check_commutativity(state, cfg, [
-        flows[f"commutativity_{leg}"] for leg in ("t2", "t3", "t2_t3", "t3_t2")]))
-    run("rank1_residues", lambda: _check_rank1_residues(state, cfg))
-    run("w1_v_consistency", lambda: _check_w1_v(state, cfg))
-    run("t1_shift", lambda: _check_t1_shift(state, cfg, flows["t1_shift"]))
-    run("linear_problem", lambda: _check_linear_problem(state, cfg))
-    run("residue_identity", lambda: _check_residue_identity(state, cfg))
-    run("first_order_cancellation", lambda: _check_first_order_cancellation(state, cfg))
-    if state.spin_dim == 1:
-        run("n1_reduction", lambda: _check_n1_reduction(state, cfg, flows["n1_reduction"]))
-    else:
-        run("n1_reduction", None, skip_reason="only defined for spin_dim == 1")
+            name=name, residual=residual, threshold=thr, passed=bool(residual <= thr),
+            skipped=name in skips, details=details))
     return report

@@ -554,6 +554,19 @@ def test_verify_rejects_nan_config_dt(tmp_path, capsys):
         f"error: ConfigError: {config_path}: dt must be positive and finite"]
 
 
+@pytest.mark.parametrize("key", ["dt", "eps_coll", "eps_constr"])
+def test_verify_rejects_a_boolean_config_value(tmp_path, capsys, key):
+    # JSON true once loaded as 1: verify ran at dt = 1 and exited 0
+    config_path = tmp_path / "config.json"
+    config_path.write_text(f'{{"{key}": true}}')
+    rc = main(["verify", "--config", str(config_path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: ConfigError: {config_path}: {key} must be positive and finite"]
+
+
 def test_evolve_reports_max_deviation_over_all_samples(tmp_path, capsys):
     # a flow from a state whose H deviation peaks before the last sample:
     # the printed value must be the max over every recorded sample

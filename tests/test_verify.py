@@ -117,6 +117,48 @@ def test_suite_family_sweep_passes_everywhere():
     assert failed == set()
 
 
+def _wrap_checks(monkeypatch, replace_terms=None):
+    """Wrap every verify._check_<name>; returns the (name, terms) of each call."""
+    calls = []
+    for name in verify.DEFAULT_THRESHOLDS:
+        def wrapper(*args, _name=name, _fn=getattr(verify, f"_check_{name}")):
+            terms, details = _fn(*args)
+            if replace_terms is not None:
+                terms = replace_terms(_name, terms)
+            calls.append((_name, terms))
+            return terms, details
+        monkeypatch.setattr(verify, f"_check_{name}", wrapper)
+    return calls
+
+
+def test_run_suite_calls_each_check_once_and_forms_its_residual_by_one_rule(monkeypatch):
+    # benchmarks/layers.py times the checks through such wrappers and pairs
+    # the timings with the results in call order
+    checks = {k.removeprefix("_check_") for k in vars(verify) if k.startswith("_check_")}
+    assert checks == set(verify.DEFAULT_THRESHOLDS)
+    calls = _wrap_checks(monkeypatch)
+    report = run_suite(seed=4, n_particles=3, spin_dim=1)  # no check is skipped
+    assert [name for name, _ in calls] == [r.name for r in report.results] == list(
+        verify.DEFAULT_THRESHOLDS)
+    for (name, terms), r in zip(calls, report.results):
+        assert not r.skipped and len(terms) >= 1
+        assert r.residual == max(_scaled_error(*t) for t in terms), name
+    # above spin dimension 1, n1_reduction is skipped without a call
+    calls.clear()
+    report = run_suite(seed=4, n_particles=3, spin_dim=2)
+    assert [name for name, _ in calls] == [r.name for r in report.results if not r.skipped]
+    assert [r.name for r in report.results if r.skipped] == ["n1_reduction"]
+
+
+def test_a_nan_term_fails_its_check_wherever_it_stands(monkeypatch):
+    # a NaN after a finite term once read as the finite one and passed
+    _wrap_checks(monkeypatch, lambda name, terms: (
+        terms + [(np.nan, 0.0, 1.0)] if name == "trace_lr" else terms))
+    result = {r.name: r for r in run_suite(seed=4, n_particles=3, spin_dim=2).results}
+    assert math.isnan(result["trace_lr"].residual) and not result["trace_lr"].passed
+    assert result["r_identity"].passed
+
+
 @pytest.mark.parametrize("n,N,seed", [(3, 2, 42), (3, 2, 7), (2, 2, 1), (3, 1, 4), (5, 2, 3)])
 def test_suite_commutativity_is_commutativity_check(n, N, seed):
     # the four legs are rows of the suite's flow stack, bit-identical to
@@ -346,7 +388,8 @@ def test_rank1_residues_is_the_worst_singular_value_ratio(N):
         for res in (np.outer(s.a[i], c[i]), np.outer(c_star[i], s.b[i])):
             sv = np.linalg.svd(res, compute_uv=False)
             worst = max(worst, float(sv[1] / sv[0]) if N > 1 else 0.0)
-    assert verify._check_rank1_residues(s, Config())[0] == worst
+    terms, _ = verify._check_rank1_residues(s, Config(), {})
+    assert max(_scaled_error(*t) for t in terms) == worst
     assert N == 1 or worst > 0.0  # rounding leaves a nonzero second singular value
 
 
@@ -367,6 +410,14 @@ def test_fd_gradient_raises_when_a_perturbed_point_collides():
     assert err.value.row is None and err.value.time is None
 
 
+@pytest.mark.parametrize("axis,h", [("Real", 1e-5), ("", 1e-5), ("imag", 0.0), ("real", -1e-5),
+                                    ("real", float("nan")), ("imag", float("inf"))])
+def test_fd_gradient_refuses_an_unknown_axis_or_a_bad_step(state32, axis, h):
+    # "Real" once read as the imaginary axis, and h <= 0 or NaN went unchecked
+    with pytest.raises(ValueError, match="axis 'real' or 'imag' and h positive and finite"):
+        finite_difference_gradient(state32, 2, h=h, axis=axis)
+
+
 def test_gradient_fd_steps_within_the_pole_separation():
     # poles 1.05e-5 apart: the fixed step 1e-5 took one to 5e-7 of the
     # other, under the collision floor, and the check read inf. A step of a
@@ -377,9 +428,9 @@ def test_gradient_fd_steps_within_the_pole_separation():
     # a random_state draw keeps its poles 1 apart, and the fixed step, to the bit
     for n, N, seed in ((1, 2, 0), (3, 2, 7), (8, 4, 1)):
         st = random_state(n, N, seed=seed)
-        residual, details = verify._check_gradient_fd(st, Config())
+        terms, details = verify._check_gradient_fd(st, Config(), {})
         assert details["h"] == verify.FD_STEP == 1e-5
-        assert residual == max(
+        assert max(_scaled_error(*t) for t in terms) == max(
             _scaled_error(finite_difference_gradient(st, m, h=1e-5, axis=axis),
                           grad_hamiltonian(st, m))
             for m in range(1, 5) for axis in ("real", "imag"))
