@@ -18,10 +18,11 @@ right-hand-side call is one :func:`vector_field_gradient` of the block,
 whatever the m of its rows. It alone knows a row's grid, budget,
 chaining, recording and end; :mod:`spincm.dop853` holds only the tableau
 and the continuous extension. A row ends alone, at its last step, its
-own pole collision or MAX_STEPS. A row may start from the last sample of
-an earlier row, so a sequence of flows, such as the legs of
-:func:`commutativity_check`, runs in one stack. :func:`integrate` is its
-one-row case.
+own pole collision or MAX_STEPS, and the block changes only between
+steps: a row that collides at a stage sits out the rest of its step. A
+row may start from the last sample of an earlier row, so a sequence of
+flows, such as the legs of :func:`commutativity_check`, runs in one
+stack. :func:`integrate` is its one-row case.
 """
 
 from __future__ import annotations
@@ -279,11 +280,13 @@ def integrate_stack(rows, eps_coll=EPS_COLL) -> list:
     is bit-identical to integrating it alone, and a chained row to
     integrating its parent's last state alone.
 
-    The rows step as one block, which rows join and leave as they start
-    and end. A block step costs 12 right-hand-side calls, the 11 stages of
-    the pair and F(y_new), the next step's first stage; 15 where a row
-    records a grid point inside it, for the 3 stages of the extension; 11
-    where every row rejects it; F(y) is evaluated again when rows join.
+    The rows step as one block, which changes only between steps: the
+    rows that end at a step leave it after that step, and the rows chained
+    to them join it for the next. A block step costs 12 right-hand-side
+    calls, the 11 stages of the pair and F(y_new), the next step's first
+    stage; 15 where a row records a grid point inside it, for the 3 stages
+    of the extension; 11 where every row rejects it; F(y) is evaluated
+    again when rows join.
     Each right-hand-side call is one vector_field_gradient of the block,
     with each stage input written in place into one (B, dim) buffer whose
     PhaseState views are built once per block composition.
@@ -296,8 +299,12 @@ def integrate_stack(rows, eps_coll=EPS_COLL) -> list:
     eps_coll is checked at every right-hand-side call, inside the Lax
     assembly, and at every recorded sample. A pole separation at or below
     it ends only its own row, with CollidingPoles carrying the flow time,
-    the row index in ``row`` and the row's m in the message; the current
-    stage is then evaluated again for the rows that remain. A step that is
+    the row index in ``row`` and the row's m in the message. A row that
+    collides at a stage of a step sits out the rest of that step: its input
+    to that stage and to every later one is its own y, whose right-hand side
+    did not collide, and the stage is evaluated again; no sample of that
+    step is recorded for it. A row that collides at its start leaves the
+    block at once, and F(y) is evaluated again for the rest. A step that is
     not finite is rejected, and numpy's warnings on the way are not raised;
     a sample that is not finite ends its row with IntegrationFailed. A
     finished row is recorded at once, so an error at one of its samples
@@ -331,15 +338,13 @@ def integrate_stack(rows, eps_coll=EPS_COLL) -> list:
             continue
         steps[r] = max(1, math.ceil(S / sp.dt))
         hs[r], us[r] = S / steps[r], tfin / S
-    # per row: position s, proposed step h, next record index j and its grid
-    # point P (inf at the segment end), last try rejected, steps left and
-    # segment length span; the block v holds them for its rows, with the
-    # state y, the stages K, afresh whenever rows join, and the per-step arrays
-    first = [min(sp.record_every, k) for sp, k in zip(specs, steps)]
-    init = {"s": np.zeros(B), "h": np.array(hs), "j": np.array(first),
-            "P": np.array([j * h if j < k else np.inf for j, h, k in zip(first, hs, steps)]),
-            "rej": np.zeros(B, dtype=bool), "left": np.full(B, MAX_STEPS),
-            "span": np.array(steps) * np.array(hs)}
+    # per stack row: position s, proposed step h, next record index j and
+    # its grid point P (inf at the segment end), last try rejected, steps
+    # left and segment length span; a block step reads them at its rows a
+    s, h = np.zeros(B), np.array(hs)
+    j = np.array([min(sp.record_every, k) for sp, k in zip(specs, steps)])
+    P = np.where(j < steps, j * h, np.inf)
+    rej, left, span = np.zeros(B, dtype=bool), np.full(B, MAX_STEPS), np.array(steps) * h
     times = [[0.0] for _ in range(B)]
     samples = [[_pack(st)] if p is None else [] for st, p in zip(starts, parent)]
     kids = {}
@@ -348,43 +353,17 @@ def integrate_stack(rows, eps_coll=EPS_COLL) -> list:
             kids.setdefault(p, []).append(r)
     from .dop853 import A, ATOL, BE, C, RTOL, _dense  # loaded at the first flow
 
-    dim = 2 * n * (N + 1)
-    v = {key: val[:0] for key, val in init.items()}
-    v["y"] = np.empty((0, dim), dtype=complex)
-    act, m, u, z, at_y, at_z = [], None, None, None, None, None
-
-    def keep(idx, new=()):
-        """Keep the block rows ``idx`` and append the stack rows ``new``,
-        which start at their first sample; set the per-row m and direction
-        u and the views of the two buffers, y and the stage input z."""
-        nonlocal act, m, u, z, at_y, at_z
-        act = [act[i] for i in idx] + list(new)
-        for key in v:
-            v[key] = v[key][idx]
-        if new:  # only between steps: the stages start afresh, at F(y)
-            for key in list(v):
-                if key in init:
-                    v[key] = np.concatenate([v[key], init[key][new]])
-                elif key != "y":
-                    del v[key]
-            v["y"] = np.concatenate([v["y"], [samples[r][0] for r in new]])
-        m = _per_row([ms[r] for r in act], column=False)
-        u = _per_row([us[r] for r in act])
-        z = np.empty_like(v["y"])
-        at_y, at_z = (PhaseState(*_unpack(w, n, N)) for w in (v["y"], z))
-
     def start(rs):
         """The rows of ``rs`` that take steps; every other one ends at
         once, and the rows chained to it start in its place."""
         return [c for r in rs for c in ([r] if out[r] is None and steps[r] else follow(r))]
 
-    def follow(r):
-        """start() of the rows chained to row r, which has ended: unless an
-        error ended it, its samples are recorded (_record), which may end
-        it with the error of a sample. Each chained row takes r's error,
-        or else starts from r's last sample."""
-        if out[r] is None:
-            out[r] = _record(r, ms[r], times[r], samples[r], n, N, eps_coll)
+    def follow(r, exc=None):
+        """start() of the rows chained to row r, which has ended: with exc
+        if given; else, unless an error ended it, its samples are recorded
+        (_record), which may end it with the error of a sample. Each chained
+        row takes r's error, or else starts from r's last sample."""
+        out[r] = exc or out[r] or _record(r, ms[r], times[r], samples[r], n, N, eps_coll)
         for c in kids.get(r, ()):
             if isinstance(out[r], SpinCMError):
                 out[c] = out[r]
@@ -392,115 +371,126 @@ def integrate_stack(rows, eps_coll=EPS_COLL) -> list:
                 samples[c].append(samples[r][-1])
         return start(kids.get(r, ()))
 
-    def drop(ends):
-        """End the block rows i with an error, or with None when finished:
-        ends maps i to it. The rows chained to them join the block."""
-        for i, exc in ends.items():
-            out[act[i]] = exc
-        new = [c for i in ends for c in follow(act[i])]
-        keep([i for i in range(len(act)) if i not in ends], new)
-
     def stage(k):
-        """K[:, k] = u F_m of stage k's input for the block, written in
-        place into z. A row whose input has two poles within eps_coll ends with
-        CollidingPoles at the stage's flow time, and the stage is evaluated
-        again for the rows left."""
-        while act:
-            if k == 12:
-                np.copyto(z, v["y_new"])
-            elif k:  # z = y + dh (a_row K), in place
-                np.matmul(A[k, :k], v["K"][:, :k], out=z)
-                np.multiply(v["dhc"], z, out=z)
-                np.add(v["y"], z, out=z)
+        """K[:, k] = u F_m of stage k's input for the block, k >= 1, written
+        in place into z. A row whose input has two poles within eps_coll
+        ends with CollidingPoles at the stage's flow time and sits out the
+        rest of its step: its input is from then on its own y, whose F did
+        not collide, and the stage is evaluated again."""
+        if k == 12:
+            np.copyto(z, y_new)
+        else:  # z = y + dh (a_row K), in place
+            np.matmul(A[k, :k], K[:, :k], out=z)
+            np.multiply(dhc, z, out=z)
+            np.add(y, z, out=z)
+        if gone:
+            z[gone] = y[gone]
+        while len(gone) < len(act):
             try:
-                _tangent(at_z if k else at_y, m, u, eps_coll, v["K"][:, k])
-                return
+                return _tangent(at_z, m, u, eps_coll, K[:, k])
             except CollidingPoles as exc:
                 i, r = exc.row, act[exc.row]
-                t = (v["s"][i] + C[k] * v["dh"][i]) * us[r]
-                drop({i: _at_time(exc, t, ms[r], r)})
+                ends[r] = _at_time(exc, (s[r] + C[k] * dh[i]) * us[r], ms[r], r)
+                gone.append(i)
+                z[i] = y[i]
 
+    dim = 2 * n * (N + 1)
+    act, y, K, ends = [], np.empty((0, dim), dtype=complex), None, {}
+    new = start([r for r, p in enumerate(parent) if p is None])
     # a stage past the finite numbers warns; the step's finiteness test reports it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        keep([], start([r for r, p in enumerate(parent) if p is None]))
-        while act:
-            gap = v["span"] - v["s"]
-            v["hit"] = v["h"] >= gap
-            v["dh"] = np.where(v["hit"], gap, v["h"])
-            v["dhc"] = v["dh"].astype(complex)[:, None]  # complex: no cast per stage
-            if "K" not in v:
-                v["K"] = np.empty((len(act), len(C), dim), dtype=complex)
-                stage(0)
-            for k in range(1, 12):
-                stage(k)
+        while True:
+            # the one place where the block changes: the rows of ends leave,
+            # and the rows chained to them join it with the rows of new
+            new += [c for r, exc in ends.items() for c in follow(r, exc)]
+            kept = [i for i, r in enumerate(act) if r not in ends]
+            act = [act[i] for i in kept] + new
             if not act:
                 break
-            y, K, dh = v["y"], v["K"], v["dh"]
-            be = BE @ K[:, :12]
-            y_new = y + v["dhc"] * be[:, 0]
-            scale = ATOL + RTOL * np.maximum(np.abs(y), np.abs(y_new))
-            e5 = np.add.reduce(np.abs(be[:, 1] / scale) ** 2, axis=1)
-            e3 = np.add.reduce(np.abs(be[:, 2] / scale) ** 2, axis=1)
-            den = e5 + 0.01 * e3
-            err = np.where(den == 0, 0.0, dh * e5 / np.sqrt(den * dim))
-            finite = np.isfinite(err) & np.isfinite(y_new).all(axis=1)
-            ok = finite & (err < 1)
-            factor = np.where(finite, np.minimum(np.maximum(0.9 * err ** -0.125, 0.2), 10.0), 0.2)
-            v["h"] = dh * np.where(ok & v["rej"], np.minimum(factor, 1.0), factor)
-            v["ok"], v["rej"], v["y_new"], v["finite"] = ok, ~ok, y_new, finite
-            v["s_new"] = np.where(v["hit"], v["span"], v["s"] + dh)
-            v["inside"] = ok & (v["P"] <= v["s_new"])
-            v["left"] -= 1
-            # F(y_new), and the extension where a row records a grid point inside
-            for k in range(12, 16 if v["inside"].any() else 13) if ok.any() else ():
-                stage(k)
-            if not act:
-                break
-            y, K, dh, s, s_new, hit = v["y"], v["K"], v["dh"], v["s"], v["s_new"], v["hit"]
-            ok, y_new = v["ok"], v["y_new"]
-            # the recorded grid points inside accepted steps, from the extension
-            rec, theta, pos = [], [], []
-            for p, i in enumerate(np.flatnonzero(v["inside"])):
-                r, j, k0 = act[i], int(v["j"][i]), len(theta)
-                while j < steps[r] and j * hs[r] <= s_new[i]:
-                    times[r].append(j * hs[r] * us[r])
-                    theta.append((j * hs[r] - s[i]) / dh[i])
-                    pos.append(p)
-                    j = min(j + specs[r].record_every, steps[r])
-                v["j"][i], v["P"][i] = j, j * hs[r] if j < steps[r] else np.inf
-                rec.append((i, r, k0, len(theta)))
-            if rec:
-                q = [i for i, *_ in rec]
-                Y = _dense(y[q], K[q], v["dhc"][q], pos, np.array(theta)[:, None])
-                for i, r, k0, k1 in rec:
-                    samples[r].extend(Y[k0:k1])
-            np.copyto(y, y_new, where=ok[:, None])
-            np.copyto(K[:, 0], K[:, 12], where=ok[:, None])
-            v["s"] = np.where(ok, s_new, s)
-            if ok.all() and not hit.any() and v["left"].all():
-                continue  # no row ends here
-            ends = {}
-            for i in np.flatnonzero(ok & hit):  # the last sample, the step's end
-                r = act[i]
-                times[r].append(steps[r] * hs[r] * us[r])
-                samples[r].append(y_new[i].copy())
-                ends[i] = None
-            for i in np.flatnonzero(~ok & (v["h"] < 10 * np.spacing(v["span"]))):
-                r = act[i]
-                t = v["s"][i] * us[r]
-                ends[i] = IntegrationFailed(
-                    f"the t_{ms[r]} flow needs a step below {v['h'][i]:.3g} "
-                    f"at t = {_format_time(t)}"
-                    + ("" if v["finite"][i] else ", where its trial step is not finite"),
-                    time=t, row=r)
-            for i in np.flatnonzero(v["left"] == 0):
-                r = act[i]
-                t = v["s"][i] * us[r]
-                ends.setdefault(i, StepLimitExceeded(
-                    f"the t_{ms[r]} flow took its {MAX_STEPS} steps by t = {_format_time(t)}",
-                    time=t, row=r))
-            if ends:
-                drop(ends)
+            a = np.array(act)
+            y = np.concatenate([y[kept], [samples[r][0] for r in new]]) if new else y[kept]
+            K = None if new or K is None else K[kept]
+            m = _per_row([ms[r] for r in act], column=False)
+            u = _per_row([us[r] for r in act])
+            z = np.empty_like(y)
+            at_y, at_z = (PhaseState(*_unpack(w, n, N)) for w in (y, z))
+            ends, new = {}, []
+            if K is None:  # F(y) afresh: at the start, and when rows join
+                K = np.empty((len(act), len(C), dim), dtype=complex)
+                try:
+                    _tangent(at_y, m, u, eps_coll, K[:, 0])
+                except CollidingPoles as exc:  # a row at its start leaves at once
+                    r = act[exc.row]
+                    ends[r], K = _at_time(exc, s[r] * us[r], ms[r], r), None
+                    continue
+            while not ends:  # the block steps until a row ends
+                sa, ha, spa = s[a], h[a], span[a]
+                hit = ha >= spa - sa
+                dh = np.where(hit, spa - sa, ha)
+                dhc = dh.astype(complex)[:, None]  # complex: no cast per stage
+                gone = []
+                for k in range(1, 12):
+                    stage(k)
+                be = BE @ K[:, :12]
+                y_new = y + dhc * be[:, 0]
+                scale = ATOL + RTOL * np.maximum(np.abs(y), np.abs(y_new))
+                e5 = np.add.reduce(np.abs(be[:, 1] / scale) ** 2, axis=1)
+                e3 = np.add.reduce(np.abs(be[:, 2] / scale) ** 2, axis=1)
+                den = e5 + 0.01 * e3
+                err = np.where(den == 0, 0.0, dh * e5 / np.sqrt(den * dim))
+                finite = np.isfinite(err) & np.isfinite(y_new).all(axis=1)
+                ok = finite & (err < 1)
+                ok[gone] = False
+                factor = np.where(finite, np.minimum(np.maximum(0.9 * err ** -0.125, 0.2), 10.0), 0.2)
+                h[a] = dh * np.where(ok & rej[a], np.minimum(factor, 1.0), factor)
+                rej[a] = ~ok
+                s_new = np.where(hit, spa, sa + dh)
+                inside = ok & (P[a] <= s_new)
+                left[a] -= 1
+                # F(y_new), and the extension where a row records a grid point inside
+                for k in range(12, 16 if inside.any() else 13) if ok.any() else ():
+                    stage(k)
+                ok[gone] = inside[gone] = False
+                # the recorded grid points inside accepted steps, from the extension
+                q, rec, theta, pos = np.flatnonzero(inside), [], [], []
+                for p, i in enumerate(q):
+                    r = act[i]
+                    jr, k0 = int(j[r]), len(theta)
+                    while jr < steps[r] and jr * hs[r] <= s_new[i]:
+                        times[r].append(jr * hs[r] * us[r])
+                        theta.append((jr * hs[r] - sa[i]) / dh[i])
+                        pos.append(p)
+                        jr = min(jr + specs[r].record_every, steps[r])
+                    j[r], P[r] = jr, jr * hs[r] if jr < steps[r] else np.inf
+                    rec.append((r, k0, len(theta)))
+                if rec:
+                    Y = _dense(y[q], K[q], dhc[q], pos, np.array(theta)[:, None])
+                    for r, k0, k1 in rec:
+                        samples[r].extend(Y[k0:k1])
+                np.copyto(y, y_new, where=ok[:, None])
+                np.copyto(K[:, 0], K[:, 12], where=ok[:, None])
+                s[a] = np.where(ok, s_new, sa)
+                if ok.all() and not hit.any() and left[a].all():
+                    continue  # no row ends here
+                for i in np.flatnonzero(ok & hit):  # the last sample, the step's end
+                    r = act[i]
+                    times[r].append(steps[r] * hs[r] * us[r])
+                    samples[r].append(y_new[i].copy())
+                    ends[r] = None
+                for i in np.flatnonzero(~ok & (h[a] < 10 * np.spacing(spa))):
+                    r = act[i]
+                    t = s[r] * us[r]
+                    ends.setdefault(r, IntegrationFailed(
+                        f"the t_{ms[r]} flow needs a step below {h[r]:.3g} "
+                        f"at t = {_format_time(t)}"
+                        + ("" if finite[i] else ", where its trial step is not finite"),
+                        time=t, row=r))
+                for i in np.flatnonzero(left[a] == 0):
+                    r = act[i]
+                    t = s[r] * us[r]
+                    ends.setdefault(r, StepLimitExceeded(
+                        f"the t_{ms[r]} flow took its {MAX_STEPS} steps by t = {_format_time(t)}",
+                        time=t, row=r))
     return out
 
 

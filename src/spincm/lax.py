@@ -38,9 +38,10 @@ at most 2(m + 1) n^2 + 2m n(3N + 1) complex entries per point, for as
 long as it lives: 1.6 MB at n = 100 after the four m of an identities
 check, under 3 MB at m = 5. Nothing else refers to the memo,
 so it goes when its point does. The collision verdict is taken at every
-call, from the stored separation and the caller's eps_coll. Stacked and
-writable states, and so every flow right-hand side and every recorded
-sample, keep nothing.
+call, from the stored separation and the caller's eps_coll. Stacked
+states, and so every flow right-hand side and every recorded sample,
+keep nothing; nor does a writable point, whose assembly is new at each
+call and keeps only its powers of L for that call's kernels.
 """
 
 from __future__ import annotations
@@ -205,16 +206,18 @@ def hamiltonian(state: PhaseState, m: int, eps_coll=EPS_COLL):
 def _powers(lax, k):
     """[L, L^2, ..., L^k] of the assembly ``lax`` of a point or a stack, by
     right products L^{j+1} = L^j L: the one route to the powers of L in
-    production code; the memo's list, extended on demand, for a frozen
-    point."""
+    production code. A point's list is kept, extended on demand: a frozen
+    point's in the memo, read-only, and a writable point's on its assembly,
+    which is new at each build_lax, so the kernels of one call share it. A
+    stack keeps none."""
     memo = vars(lax).get("_memo")
-    P = [lax.L] if memo is None else memo["powers"]
+    kept = memo if memo is not None else vars(lax) if lax.L.ndim == 2 else {}
+    P = kept.get("powers", [lax.L])
     if len(P) < k:
         P, L = P[:], lax.L
         while len(P) < k:
             P.append(P[-1] @ L)
-        if memo is not None:
-            memo["powers"] = _read_only(P)
+        kept["powers"] = P if memo is None else _read_only(P)
     return P[:k]
 
 

@@ -609,6 +609,53 @@ def test_stack_collision_names_the_row_its_m_and_time():
     assert out[1].time == pytest.approx(0.2, abs=1e-12)
 
 
+def _passing_pair(c):
+    """Two uncoupled poles whose t_2 flow passes them 0.01 apart at t = c,
+    and 0.4 apart or more at t = 0 and t = 1; a floor of 0.015 sees them
+    only within 0.006 of c."""
+    return new_state([-2 * c + 0.01j, 0.0], [1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]],
+                     [[1.0, 0.0], [0.0, 1.0]], eps_coll=0.015)
+
+
+@pytest.mark.parametrize("k", [13, 14, 15])
+def test_collision_at_an_extension_stage_of_the_last_step_ends_the_row(k, monkeypatch):
+    # one step of the grid, so the first block step is row 0's last; row 1
+    # records grid point 1 inside it, so the block evaluates the 3 stages of
+    # the extension, and row 0's poles pass within the floor only at stage
+    # k's flow time. Row 0 ends with CollidingPoles there, not with the
+    # Trajectory of its step, and no sample of that step is recorded for it
+    calls = _count_calls(monkeypatch, flows, "_tangent")
+    rows = [(_passing_pair(dop853.C[k]), FlowSpec(m=2, t_final=1.0, dt=1.0)),
+            (_free_pair([-1.0, 1.0], [0.1, 0.2]), FlowSpec(m=2, t_final=1.0, dt=0.25))]
+    out = integrate_stack(rows, eps_coll=0.015)
+    assert isinstance(out[0], CollidingPoles) and "t_2 flow" in str(out[0])
+    assert (out[0].row, out[0].time) == (0, dop853.C[k])
+    # F(y), then 12 stages and stage k once more, for both rows
+    assert [st.x.shape[0] for st in calls[:17]] == [2] * 17
+    _assert_same_trajectory(out[1], integrate(*rows[1], eps_coll=0.015))
+
+
+def test_a_step_where_one_row_collides_and_another_finishes(monkeypatch):
+    # both rows take one step; row 0's poles pass within the floor at
+    # stage 6 (t = 0.25) and row 1 finishes. Row 2, chained to row 0, takes
+    # its error and no step; row 3, chained to row 1, joins at the next
+    # step, alone in the block, as integrating row 1's last state alone
+    calls = _count_calls(monkeypatch, flows, "_tangent")
+    spec = FlowSpec(m=2, t_final=1.0, dt=1.0)
+    leg = FlowSpec(m=3, t_final=0.5, dt=0.1, record_every=2)
+    rows = [(_passing_pair(0.25), spec), (_free_pair([-1.0, 1.0], [0.1, 0.2]), spec),
+            (0, leg), (1, leg)]
+    out = integrate_stack(rows, eps_coll=0.015)
+    assert isinstance(out[0], CollidingPoles) and (out[0].row, out[0].time) == (0, 0.25)
+    assert out[2] is out[0]
+    _assert_same_trajectory(out[1], integrate(*rows[1], eps_coll=0.015))
+    _assert_same_trajectory(out[3], integrate(out[1].state(-1), leg, eps_coll=0.015))
+    # F(y), 11 stages, stage 6 once more and F(y_new) for rows 0 and 1; from
+    # then on only row 3
+    shapes = [st.x.shape[0] for st in calls]
+    assert shapes[:14] == [2] * 14 and set(shapes[14:]) == {1}
+
+
 def test_dop853_tableau_order_conditions():
     # the stages of the installed scipy's DOP853 and of its continuous
     # extension, as spincm reads them: a relayout of scipy's coefficient

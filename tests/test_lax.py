@@ -449,6 +449,32 @@ def test_a_frozen_point_shares_its_powers_and_blocks_across_m():
     assert U[1] is not memo["blocks"][0][1] and V[1].flags.writeable
 
 
+@pytest.mark.parametrize("m, products", [(1, 0), (2, 0), (3, 1), (4, 2), (5, 3)])
+def test_the_residue_route_forms_each_power_once_on_a_writable_point(m, products, monkeypatch):
+    # the gauge rate's L^ceil(m/2) and the field kernel's L^(m-1) come from
+    # one list on the call's assembly: it once formed 2, 3 and 5 products
+    # at m = 3, 4 and 5. The result is the frozen point's, bit for bit
+    s = random_state(10, 4, seed=1)
+    copy = _writable(s)
+    made = {}
+    fn = lax_module._powers
+
+    def listed(lax, k):
+        out = fn(lax, k)
+        made.update((id(arr), arr) for arr in out[1:])
+        return out
+
+    for module in (lax_module, flows):  # flows binds _powers at import
+        monkeypatch.setattr(module, "_powers", listed)
+    got = flows.vector_field_residue(copy, m)
+    assert len(made) == products
+    assert _bits(got) == _bits(flows.vector_field_residue(s, m))
+    # a stack keeps none: each call forms its powers afresh
+    stack = build_lax(PhaseState(*(np.stack([v, v]) for v in (copy.x, copy.p, copy.a, copy.b))))
+    first, again = fn(stack, 3), fn(stack, 3)
+    assert first[2] is not again[2] and "powers" not in vars(stack)
+
+
 def test_the_memo_follows_its_point_and_not_the_flows():
     s = random_state(4, 2, seed=14)
     lax = build_lax(s)
