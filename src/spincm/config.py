@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
-from .phase import EPS_COLL, EPS_CONSTR, read_json
+from .phase import EPS_COLL, EPS_CONSTR, _positive_finite, read_json
 
 
 @dataclass
@@ -23,9 +22,7 @@ class Config:
 
     def __post_init__(self):
         for f in fields(self):
-            val = getattr(self, f.name)  # a non-number raises TypeError; NaN and a bool fail
-            if isinstance(val, bool) or not (math.isfinite(val) and val > 0):
-                raise ValueError(f"{f.name} must be positive and finite")
+            _positive_finite(getattr(self, f.name), f.name)
 
     @classmethod
     def load(cls, path) -> "Config":

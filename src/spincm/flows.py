@@ -41,7 +41,8 @@ from .errors import (
 )
 from .lax import (Tangent, _chunked, _derived, _lax_derivative, _pack, _powers,
                   _unpack, _vector_field, build_lax, hamiltonians)
-from .phase import EPS_COLL, PhaseState, _positive_integer, complex_to_pairs, write_json
+from .phase import (EPS_COLL, PhaseState, _positive_finite, _positive_integer, complex_to_pairs,
+                    write_json)
 
 #: the samples a flow row may record and the steps it may take; read at call time
 MAX_STEPS = 1_000_000
@@ -60,8 +61,7 @@ class FlowSpec:
         _positive_integer(self.m, "m")
         object.__setattr__(  # a bool as its int
             self, "record_every", _positive_integer(self.record_every, "record_every"))
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be positive and finite, not {self.dt}")
+        _positive_finite(self.dt, "dt")
         if not np.isfinite(self.t_final):
             raise ValueError(f"t_final must be finite, not {self.t_final}")
 
@@ -170,8 +170,8 @@ def vector_field_residue(state: PhaseState, m: int, eps_coll=EPS_COLL) -> Tangen
     :func:`spincm.lax._powers`. dp is delegated to the gradient kernel on
     the same Lax assembly, the only derivation of the momentum flow;
     keeping it there preserves the cross-check value of the two routes.
-    For a frozen point the kernels' data and the powers come from the memo
-    that :mod:`spincm.lax` keeps on the point, shared across m with
+    The kernels' data and the powers come from the memo of the assembly
+    (:mod:`spincm.lax`), which a frozen point keeps, shared across m with
     :func:`vector_field_gradient` and :mod:`spincm.kp`. Raises
     DimensionMismatch for a stack of points.
     """
@@ -340,11 +340,13 @@ def integrate_stack(rows, eps_coll=EPS_COLL) -> list:
         hs[r], us[r] = S / steps[r], tfin / S
     # per stack row: position s, proposed step h, next record index j and
     # its grid point P (inf at the segment end), last try rejected, steps
-    # left and segment length span; a block step reads them at its rows a
+    # left and segment length span; a block step reads them at its rows a.
+    # j holds Python ints, as a grid may have more than 2^63 steps
     s, h = np.zeros(B), np.array(hs)
-    j = np.array([min(sp.record_every, k) for sp, k in zip(specs, steps)])
-    P = np.where(j < steps, j * h, np.inf)
-    rej, left, span = np.zeros(B, dtype=bool), np.full(B, MAX_STEPS), np.array(steps) * h
+    j = [min(sp.record_every, k) for sp, k in zip(specs, steps)]
+    P = np.array([jr * hr if jr < k else np.inf for jr, hr, k in zip(j, hs, steps)])
+    rej, left = np.zeros(B, dtype=bool), np.full(B, MAX_STEPS)
+    span = np.array(steps, dtype=float) * h
     times = [[0.0] for _ in range(B)]
     samples = [[_pack(st)] if p is None else [] for st, p in zip(starts, parent)]
     kids = {}
@@ -455,7 +457,7 @@ def integrate_stack(rows, eps_coll=EPS_COLL) -> list:
                 q, rec, theta, pos = np.flatnonzero(inside), [], [], []
                 for p, i in enumerate(q):
                     r = act[i]
-                    jr, k0 = int(j[r]), len(theta)
+                    jr, k0 = j[r], len(theta)
                     while jr < steps[r] and jr * hs[r] <= s_new[i]:
                         times[r].append(jr * hs[r] * us[r])
                         theta.append((jr * hs[r] - sa[i]) / dh[i])

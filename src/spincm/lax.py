@@ -22,26 +22,26 @@ one kernel, :func:`_residue_rates`, gives every residue consumer its data
 polynomials, and a numeric contour integrator is kept alongside as an
 independent oracle for both.
 
-The derived data of a frozen phase point is kept on the point itself: a
-point (x.ndim == 1) whose four arrays are read-only all the way down their
-``.base`` chains, as :func:`spincm.phase.new_state`, ``random_state``,
-``load_state`` and ``Trajectory.state`` return. :func:`build_lax` keeps
-its read-only assembly in the point's ``__dict__``, not as a dataclass
-field, so ``dataclasses.fields`` and ``replace`` never see it. On that
-assembly hang the memo of its separation, the powers of :func:`_powers`
-and the Krylov blocks of :func:`_krylov`, both extended on demand (each
-list replaced, never grown in place) and shared across m, and per int m
-each kernel's output (:func:`_derived`), all read-only; so the calls
-that check one point compute each of them once, whichever other points
-are checked in between. For the largest m, or power of L, asked that is
-at most 2(m + 1) n^2 + 2m n(3N + 1) complex entries per point, for as
-long as it lives: 1.6 MB at n = 100 after the four m of an identities
-check, under 3 MB at m = 5. Nothing else refers to the memo,
-so it goes when its point does. The collision verdict is taken at every
-call, from the stored separation and the caller's eps_coll. Stacked
-states, and so every flow right-hand side and every recorded sample,
-keep nothing; nor does a writable point, whose assembly is new at each
-call and keeps only its powers of L for that call's kernels.
+One memo rule holds for every phase point (x.ndim == 1): its assembly
+from :func:`build_lax` is read-only and carries the memo of its
+separation, the powers of :func:`_powers` and the Krylov blocks of
+:func:`_krylov`, both extended on demand (each list replaced, never
+grown in place) and shared across m, and per int m each kernel's output
+(:func:`_derived`), all read-only but the blocks' seeds, the point's own
+spins. Only build_lax decides how long it lives. A frozen point, whose four
+arrays are read-only all the way down their ``.base`` chains, as
+:func:`spincm.phase.new_state`, ``random_state``, ``load_state`` and
+``Trajectory.state`` return, keeps its assembly in its ``__dict__``, no
+dataclass field, so ``dataclasses.fields`` and ``replace`` never see it:
+the calls that check it compute each quantity once, whichever other
+points are checked in between. A writable point's assembly is new at each
+call, so its memo serves that call's kernels alone. For the largest m, or
+power of L, asked a memo holds at most 2(m + 1) n^2 + 2m n(3N + 1)
+complex entries: 1.6 MB at n = 100 after the four m of an identities
+check, under 3 MB at m = 5. Nothing else refers to it, so it goes when
+its point does. The collision verdict is taken at every call, from the
+stored separation and the caller's eps_coll. Stacked states, and so
+every flow right-hand side and every recorded sample, keep nothing.
 """
 
 from __future__ import annotations
@@ -94,19 +94,21 @@ def build_lax(state: PhaseState, eps_coll=EPS_COLL) -> LaxData:
     The arrays of ``state`` may carry leading axes that stack phase points:
     x and p (..., n), a and b (..., n, N). Raises CollidingPoles if two
     poles of a point are within ``eps_coll``; for a stack its ``row`` is
-    the flat index of the first such point. A frozen point's assembly is
-    kept on the point by its first call (see the module docstring):
-    read-only arrays, shared by every caller.
+    the flat index of the first such point. A point's read-only assembly
+    carries its memo: a frozen point keeps it from its first call, for
+    every caller; a writable point's is new at each call (module docstring).
     """
-    if state.x.ndim != 1 or not _frozen(state):
+    if state.x.ndim != 1:
         return _assemble(state, eps_coll)[0]
-    lax = vars(state).get("_lax")
+    frozen = _frozen(state)
+    lax = vars(state).get("_lax") if frozen else None
     if lax is None:
         lax, sep = _assemble(state, -np.inf)
         _read_only((lax.inv, lax.R, lax.L))
         memo = {"sep": sep, "powers": [lax.L], "blocks": ([state.b], [state.a])}
         object.__setattr__(lax, "_memo", memo)
-        object.__setattr__(state, "_lax", lax)
+        if frozen:
+            object.__setattr__(state, "_lax", lax)
     # the verdict is never kept: each call compares with its own floor
     sep = lax._memo["sep"]
     if sep <= eps_coll:
@@ -116,7 +118,8 @@ def build_lax(state: PhaseState, eps_coll=EPS_COLL) -> LaxData:
 
 def _assemble(state, eps_coll):
     """(LaxData, separation) of :func:`build_lax`, computed afresh; the
-    separation is the minimal |x_i - x_k| over every point, skipping NaN."""
+    separation is the minimal |x_i - x_k| over every point, skipping NaN.
+    Only a stack is checked here, against eps_coll."""
     x = state.x
     n = x.shape[-1]
     d = x[..., :, None] - x[..., None, :]
@@ -126,8 +129,8 @@ def _assemble(state, eps_coll):
     sep = np.fmin.reduce(np.abs(d), axis=None)
     if sep <= eps_coll:
         sep = np.abs(d).reshape(-1, n * n).min(axis=1)
-        row = int(np.argmax(sep <= eps_coll)) if d.ndim > 2 else None
-        raise _colliding(sep[row or 0], eps_coll, row)
+        row = int(np.argmax(sep <= eps_coll))
+        raise _colliding(sep[row], eps_coll, row)
     # in place from here on, in the order of -R * inv: inv takes the buffer
     # of d, and the infinite diagonal gives inv_ii = 0
     inv = np.divide(1.0, d, out=d)
@@ -182,13 +185,13 @@ def _derived(kernel, state, lax, m):
     """The output of ``kernel`` at m for ``state`` and its assembly ``lax``
     from :func:`build_lax`: the :func:`_vector_field` quadruple for
     kernel "field", the :func:`_residue_rates` triple for "rates". When lax
-    is a frozen point's, each is computed once per int m and kept in its
-    memo, read-only; else it is computed afresh."""
+    is a point's, each is computed once per int m and kept in its memo,
+    read-only; a stack's is computed afresh."""
     memo = vars(lax).get("_memo")
     cached = memo is not None and isinstance(m, (int, np.integer))
     if cached and (kernel, m) in memo:
         return memo[kernel, m]
-    out = (_vector_field if kernel == "field" else _residue_rates)(lax, state.a, state.b, m)
+    out = _vector_field(lax, state.a, state.b, m) if kernel == "field" else _residue_rates(lax, m)
     if cached:
         memo[kernel, m] = _read_only(out)
     return out
@@ -206,18 +209,17 @@ def hamiltonian(state: PhaseState, m: int, eps_coll=EPS_COLL):
 def _powers(lax, k):
     """[L, L^2, ..., L^k] of the assembly ``lax`` of a point or a stack, by
     right products L^{j+1} = L^j L: the one route to the powers of L in
-    production code. A point's list is kept, extended on demand: a frozen
-    point's in the memo, read-only, and a writable point's on its assembly,
-    which is new at each build_lax, so the kernels of one call share it. A
+    production code. A point's list is its memo's, read-only and extended
+    on demand, so it lives as long as build_lax lets the memo live; a
     stack keeps none."""
     memo = vars(lax).get("_memo")
-    kept = memo if memo is not None else vars(lax) if lax.L.ndim == 2 else {}
-    P = kept.get("powers", [lax.L])
+    P = [lax.L] if memo is None else memo["powers"]
     if len(P) < k:
         P, L = P[:], lax.L
         while len(P) < k:
             P.append(P[-1] @ L)
-        kept["powers"] = P if memo is None else _read_only(P)
+        if memo is not None:
+            memo["powers"] = _read_only(P)
     return P[:k]
 
 
@@ -343,27 +345,25 @@ def poisson_bracket(state: PhaseState, f_grad: Tangent, g_grad: Tangent) -> comp
     return one_sided(f_grad, g_grad) - one_sided(g_grad, f_grad)
 
 
-def _krylov(lax, a, b, k):
+def _krylov(lax, k):
     """([U_0 .. U_k], [V_0 .. V_k]), the thin Krylov blocks U_j = L^j b and
-    V_j = (L^T)^j a of a phase point with assembly ``lax`` and spins a, b
-    (n, N); the memo's lists, extended on demand, for a frozen point's own."""
-    memo = vars(lax).get("_memo")
-    kept = memo is not None and memo["blocks"][0][0] is b and memo["blocks"][1][0] is a
-    U, V = memo["blocks"] if kept else ([b], [a])
+    V_j = (L^T)^j a of the phase point with assembly ``lax``: the memo's
+    lists, seeded with the point's own spins U_0 = b and V_0 = a, which
+    stay as writable as they are, and extended on demand, read-only."""
+    U, V = lax._memo["blocks"]
     if len(U) <= k:
         U, V, L = U[:], V[:], lax.L
         while len(U) <= k:
-            U.append(L @ U[-1])
-            V.append(L.T @ V[-1])
-        if kept:
-            memo["blocks"] = (_read_only(U), _read_only(V))
+            U += _read_only([L @ U[-1]])
+            V += _read_only([L.T @ V[-1]])
+        lax._memo["blocks"] = U, V
     return U[: k + 1], V[: k + 1]
 
 
-def _residue_rates(lax: LaxData, a, b, m):
-    """(K, u, v), the residue data of the t_m flow of a phase point with
-    Lax assembly ``lax`` and spins a, b (n, N), m >= 1. Raises
-    DimensionMismatch for a stack of points.
+def _residue_rates(lax: LaxData, m):
+    """(K, u, v), the residue data of the t_m flow of the phase point with
+    Lax assembly ``lax``, m >= 1, from the spins a, b (n, N) that seed its
+    memo's blocks. Raises DimensionMismatch for a stack of points.
 
     With G = (zI - L)^-1 and R = b a^T, the residues res_inf z^m G b =
     L^m b and res_inf z^m G^T a = (L^m)^T a, and the double resolvent
@@ -377,11 +377,11 @@ def _residue_rates(lax: LaxData, a, b, m):
       v_i = -(L^m b)_i - sum_{k != i} b_k K_ik / (x_i - x_k).
 
     This is exact for any a and b: it does not use b_i^T a_i = 1."""
-    if a.ndim != 2:
-        raise DimensionMismatch(f"the residue route takes one phase point, not a stack {a.shape[:-2]}")
-    U, V = _krylov(lax, a, b, m)
+    if lax.L.ndim != 2:
+        raise DimensionMismatch(f"the residue route takes one phase point, not a stack {lax.L.shape[:-2]}")
+    U, V = _krylov(lax, m)
     K = np.concatenate(U[:m], axis=1) @ np.concatenate(V[-2::-1], axis=1).T
-    return K, V[m] - (K.T * lax.inv) @ a, -U[m] - (K * lax.inv) @ b
+    return K, V[m] - (K.T * lax.inv) @ V[0], -U[m] - (K * lax.inv) @ U[0]
 
 
 def resolvent_residue(L, m: int, A=None):

@@ -9,6 +9,7 @@ complex conjugation).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -210,6 +211,13 @@ def _positive_integer(value, name, error=ValueError, stack=False):
     return v if stack else int(v)
 
 
+def _positive_finite(value, name):
+    """ValueError naming ``value`` ``name`` if it is a bool, NaN, infinite
+    or not positive; TypeError if it is no real number."""
+    if isinstance(value, (bool, np.bool_)) or not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 def _first(bad):
     """Index of the first True in ``bad``, its length if there is none."""
     return int(np.argmax(bad)) if np.any(bad) else len(bad)
@@ -232,8 +240,7 @@ def random_state(n_particles, spin_dim, seed, separation=1.0):
     """
     n_particles = _positive_integer(n_particles, "n_particles", DimensionMismatch)
     spin_dim = _positive_integer(spin_dim, "spin_dim", DimensionMismatch)
-    if not 0 < separation < np.inf:  # NaN fails both comparisons
-        raise ValueError(f"separation must be positive and finite, got {separation}")
+    _positive_finite(separation, "separation")
     rng = np.random.default_rng(seed)
     half = 0.75 * separation * max(2.0, float(n_particles))
 
@@ -288,11 +295,16 @@ def gauge_rescale(state, lam):
     """Gauge action a_i -> lam_i a_i, b_i -> b_i / lam_i; x, p unchanged.
 
     The bilinear pairings b_i^T a_j transform as R -> D^-1 R D with
-    D = diag(lam), so every trace observable is untouched.
+    D = diag(lam), so every trace observable is untouched. Raises
+    ValueError naming the first factor that is not finite, and ZeroScale
+    for a zero one.
     """
     lam = np.asarray(lam, dtype=complex)
     if lam.shape != (state.n_particles,):
         raise DimensionMismatch("lam must have one entry per particle")
+    i = _first(~np.isfinite(lam))
+    if i < len(lam):
+        raise ValueError(f"non-finite gauge factor lam[{i}] = {lam[i]}")
     if np.any(lam == 0):
         raise ZeroScale("gauge factors must be nonzero")
     return PhaseState(

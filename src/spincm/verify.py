@@ -44,7 +44,7 @@ from .lax import (
     hamiltonian_h2_direct,
     poisson_bracket,
 )
-from .phase import EPS_COLL, PhaseState, random_state, write_json
+from .phase import EPS_COLL, PhaseState, _positive_finite, random_state, write_json
 
 SUITE_VERSION = "8"
 
@@ -147,8 +147,9 @@ def finite_difference_gradient(state: PhaseState, m: int, h: float = FD_STEP, ax
     without a row. Raises ValueError for an axis other than "real" or "imag"
     or an h that is not positive and finite.
     """
-    if axis not in ("real", "imag") or not (np.isfinite(h) and h > 0):
-        raise ValueError(f"need axis 'real' or 'imag' and h positive and finite: {axis!r}, {h!r}")
+    if axis not in ("real", "imag"):
+        raise ValueError(f"axis must be 'real' or 'imag', got {axis!r}")
+    _positive_finite(h, "h")
     step = h if axis == "real" else 1j * h
     n, N = state.n_particles, state.spin_dim
     y = _pack(state)

@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -551,7 +552,7 @@ def test_verify_rejects_nan_config_dt(tmp_path, capsys):
     assert rc == 2
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        f"error: ConfigError: {config_path}: dt must be positive and finite"]
+        f"error: ConfigError: {config_path}: dt must be positive and finite, got nan"]
 
 
 @pytest.mark.parametrize("key", ["dt", "eps_coll", "eps_constr"])
@@ -564,7 +565,7 @@ def test_verify_rejects_a_boolean_config_value(tmp_path, capsys, key):
     assert rc == 2
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        f"error: ConfigError: {config_path}: {key} must be positive and finite"]
+        f"error: ConfigError: {config_path}: {key} must be positive and finite, got True"]
 
 
 def test_evolve_reports_max_deviation_over_all_samples(tmp_path, capsys):
@@ -584,6 +585,17 @@ def test_evolve_reports_max_deviation_over_all_samples(tmp_path, capsys):
     assert devs.max() > devs[-1]  # the last sample alone would understate it
     drift = float(out.split("max constraint drift: ")[1].split()[0])
     assert drift == float(f"{max(s['drift'] for s in samples):.3e}")
+
+
+def test_evolve_on_a_grid_beyond_int64_exits_0(tmp_path, capsys):
+    # 1e20 grid steps recorded every (2^63 - 1)th once ended in a traceback
+    state_path = _gen(tmp_path, capsys)
+    prefix = tmp_path / "t"
+    rc = main(["evolve", str(state_path), "--m", "2", "--T", "1", "--dt", "1e-20",
+               "--record-every", str(sys.maxsize), "--out", str(prefix)])
+    captured = capsys.readouterr()
+    assert rc == 0 and captured.err == ""
+    assert len(json.loads((tmp_path / "t.json").read_text())["samples"]) == 12
 
 
 def test_verify_config_dt_and_threshold_table_reach_the_report(tmp_path, capsys, monkeypatch):

@@ -178,7 +178,7 @@ def test_raw_residue_split_product_is_gauge_invariant(state32, m):
     # but the product rate d(a_i b_i^T) it implies is gauge-free and must
     # match the Hamiltonian route exactly
     s = state32
-    _, da_raw, db_raw = _residue_rates(build_lax(s), s.a, s.b, m)
+    _, da_raw, db_raw = _residue_rates(build_lax(s), m)
     f = vector_field_gradient(state32, m)
     for i in range(state32.n_particles):
         raw = np.outer(da_raw[i], state32.b[i]) + np.outer(state32.a[i], db_raw[i])
@@ -249,6 +249,17 @@ def test_integrate_step_limit(state32, monkeypatch):
     assert calls == [] and (err.value.row, err.value.time) == (None, None)
     assert str(err.value) == ("the t_2 flow's grid of 10 steps, recorded every 1, "
                               "gives more than 10 samples")
+
+
+def test_a_grid_beyond_int64_records_its_samples():
+    # 1e20 grid steps recorded every (2^63 - 1)th: 12 samples, within the
+    # budget. The int64 record index once overflowed, and a segment length
+    # of object dtype ended the step in a numpy TypeError
+    s = random_state(3, 2, seed=1)
+    traj = integrate(s, FlowSpec(m=2, t_final=1.0, dt=1e-20, record_every=sys.maxsize))
+    assert len(traj.t) == 12 and traj.t[-1] == 1.0
+    assert traj.t[1] == sys.maxsize * (1.0 / 10**20) and traj.t[10] == 10 * sys.maxsize * (1.0 / 10**20)
+    assert np.max(np.abs(traj.hamiltonians - traj.hamiltonians[0])) <= 1e-11
 
 
 def test_integrate_detects_collision():

@@ -293,7 +293,7 @@ def _kernel_coefficients(state, m):
     residue data (K, u, v) of the kernel: u_i b_i^T + a_i v_i^T at
     1/(x - x_i) and -K_ii a_i b_i^T at 1/(x - x_i)^2, each (n, N, N)."""
     a, b = state.a, state.b
-    K, u, v = _residue_rates(build_lax(state), a, b, m)
+    K, u, v = _residue_rates(build_lax(state), m)
     outer = lambda l, r: l[:, :, None] * r[:, None, :]
     return outer(u, b) + outer(a, v), -np.diag(K)[:, None, None] * outer(a, b)
 

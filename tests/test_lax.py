@@ -300,7 +300,7 @@ def test_krylov_residues_match_matrix_power_and_contour(n, on_constraint):
         return K, Lm.T @ a - (K.T * lax.inv) @ a, -(Lm @ b) - (K * lax.inv) @ b
 
     for m in range(1, 6):
-        got = _residue_rates(lax, a, b, m)
+        got = _residue_rates(lax, m)
         dense = sum((P(j) @ R @ P(m - 1 - j) for j in range(m)), np.zeros_like(L))
         for g, ref in zip(got, rates(P(m), dense)):
             assert np.max(np.abs(g - ref)) <= 1e-14 * (1.0 + np.max(np.abs(ref))), m
@@ -444,9 +444,12 @@ def test_a_frozen_point_shares_its_powers_and_blocks_across_m():
     for arr in (*memo["powers"], *memo["blocks"][0], *memo["blocks"][1]):
         with pytest.raises(ValueError):
             arr[0] = 0.0
-    # the copy's own a and b never read the memo's blocks
-    U, V = lax_module._krylov(lax, copy.a, copy.b, 2)
-    assert U[1] is not memo["blocks"][0][1] and V[1].flags.writeable
+    # the copy's assembly seeds its blocks with the copy's own a and b, and
+    # never reads the memo's: the same bits, in arrays of its own
+    U, V = lax_module._krylov(build_lax(copy), 2)
+    assert U[0] is copy.b and V[0] is copy.a
+    assert U[1] is not memo["blocks"][0][1] and U[1].tobytes() == memo["blocks"][0][1].tobytes()
+    assert V[1] is not memo["blocks"][1][1] and V[1].tobytes() == memo["blocks"][1][1].tobytes()
 
 
 @pytest.mark.parametrize("m, products", [(1, 0), (2, 0), (3, 1), (4, 2), (5, 3)])
@@ -473,6 +476,33 @@ def test_the_residue_route_forms_each_power_once_on_a_writable_point(m, products
     stack = build_lax(PhaseState(*(np.stack([v, v]) for v in (copy.x, copy.p, copy.a, copy.b))))
     first, again = fn(stack, 3), fn(stack, 3)
     assert first[2] is not again[2] and "powers" not in vars(stack)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_a_writable_point_carries_its_memo_for_one_call(m):
+    # one rule for every point: its assembly is read-only and carries the
+    # memo, seeded with its own spins; only a frozen point keeps it
+    w = _writable(random_state(6, 3, seed=22))
+    lax = build_lax(w)
+    assert "_lax" not in vars(w) and build_lax(w) is not lax
+    for arr in (lax.L, flows.vector_field_gradient(w, m).dx):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    U, V = lax_module._krylov(lax, 2)
+    assert U[0] is w.b and V[0] is w.a
+    assert lax._memo["blocks"] == (U, V) and lax._memo["sep"] == w.min_separation()
+    # the memo freezes what it makes, never the point's own arrays
+    assert all(arr.flags.writeable for arr in (w.x, w.p, w.a, w.b))
+    assert not U[1].flags.writeable and not V[2].flags.writeable
+
+
+def test_a_stack_keeps_no_memo():
+    s = random_state(5, 2, seed=23)
+    stack = build_lax(PhaseState(*(np.stack([v, v]) for v in (s.x, s.p, s.a, s.b))))
+    assert "_memo" not in vars(stack) and stack.L.flags.writeable
+    first, again = lax_module._powers(stack, 3), lax_module._powers(stack, 3)
+    assert first[1] is not again[1] and first[2] is not again[2]
+    assert first[2].tobytes() == again[2].tobytes() and first[2].flags.writeable
 
 
 def test_the_memo_follows_its_point_and_not_the_flows():

@@ -20,8 +20,10 @@ from spincm import (
     random_state,
 )
 from spincm import flows, phase
+from spincm.config import Config
 from spincm.errors import DegenerateDraw
 from spincm.kp import ba_eval
+from spincm.verify import finite_difference_gradient
 from spincm.phase import (
     TimeVector,
     complex_to_pairs,
@@ -206,6 +208,15 @@ def test_gauge_rescale_zero_scale(state32):
         gauge_rescale(state32, np.array([1.0, 0.0, 1.0]))
 
 
+@pytest.mark.parametrize("lam, bad", [([1.0, np.nan, 1.0], "lam[1] = (nan+0j)"),
+                                      ([1.0, 2.0, np.inf], "lam[2] = (inf+0j)"),
+                                      ([complex(1.0, -np.inf), 1.0, 1.0], "lam[0] = (1-infj)")])
+def test_gauge_rescale_refuses_a_non_finite_factor(state32, lam, bad):
+    # NaN once gave NaN spins with a RuntimeWarning, and inf gave inf spins
+    with pytest.raises(ValueError, match=re.escape(f"non-finite gauge factor {bad}")):
+        gauge_rescale(state32, lam)
+
+
 def test_gauge_rescale_preserves_constraint(state32):
     lam = np.array([2.0 + 1.0j, -0.3j, 0.5])
     scaled = gauge_rescale(state32, lam)
@@ -305,3 +316,19 @@ def test_timevector_xi():
     tv = TimeVector(np.array([1.0, 2.0, 0.5]))
     z = 0.3 + 0.1j
     assert abs(tv.xi(z) - (z + 2 * z**2 + 0.5 * z**3)) < 1e-15
+
+
+@pytest.mark.parametrize("value", [True, np.True_, False, np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_every_positive_finite_setting_refuses_the_same_values_in_one_form(value):
+    # a bool once passed as 1 for FlowSpec.dt, separation and h
+    s = random_state(3, 2, seed=1)
+    calls = {"dt": [lambda: Config(dt=value), lambda: FlowSpec(m=2, t_final=1.0, dt=value)],
+             "eps_coll": [lambda: Config(eps_coll=value)],
+             "eps_constr": [lambda: Config(eps_constr=value)],
+             "separation": [lambda: random_state(3, 2, 1, separation=value)],
+             "h": [lambda: finite_difference_gradient(s, 2, h=value)]}
+    for name, fns in calls.items():
+        for fn in fns:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{name} must be positive and finite, got {value!r}")):
+                fn()

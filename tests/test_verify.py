@@ -414,7 +414,9 @@ def test_fd_gradient_raises_when_a_perturbed_point_collides():
                                     ("real", float("nan")), ("imag", float("inf"))])
 def test_fd_gradient_refuses_an_unknown_axis_or_a_bad_step(state32, axis, h):
     # "Real" once read as the imaginary axis, and h <= 0 or NaN went unchecked
-    with pytest.raises(ValueError, match="axis 'real' or 'imag' and h positive and finite"):
+    want = ("h must be positive and finite, got " if axis in ("real", "imag")
+            else "axis must be 'real' or 'imag', got ")
+    with pytest.raises(ValueError, match=re.escape(want + repr(h if want[0] == "h" else axis))):
         finite_difference_gradient(state32, 2, h=h, axis=axis)
 
 
