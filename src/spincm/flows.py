@@ -41,8 +41,8 @@ from .errors import (
 )
 from .lax import (Tangent, _chunked, _derived, _lax_derivative, _pack, _powers,
                   _unpack, _vector_field, build_lax, hamiltonians)
-from .phase import (EPS_COLL, PhaseState, _positive_finite, _positive_integer, complex_to_pairs,
-                    write_json)
+from .phase import (EPS_COLL, PhaseState, _freeze, _positive_finite, _positive_integer,
+                    complex_to_pairs, write_json)
 
 #: the samples a flow row may record and the steps it may take; read at call time
 MAX_STEPS = 1_000_000
@@ -72,8 +72,9 @@ class Trajectory:
 
     ``t`` holds the flow times (k,), ``x`` and ``p`` have shape (k, n), ``a``
     and ``b`` (k, n, N), ``drift`` the constraint drift (k,) and
-    ``hamiltonians`` H_1..H_5 (k, 5). The phase arrays are read-only views
-    of one packed block; :meth:`state` returns sample k as a PhaseState.
+    ``hamiltonians`` H_1..H_5 (k, 5). The phase arrays are views of one
+    packed block on an immutable buffer (:func:`spincm.phase._freeze`);
+    :meth:`state` returns sample k as a PhaseState that shares their memory.
     """
 
     t: np.ndarray
@@ -207,7 +208,7 @@ def _record(row, m, times, Y, n, N, eps_coll):
     stacked passes; or the error of the earliest sample that ends the row:
     CollidingPoles if it has two poles within eps_coll, IntegrationFailed
     if it is not finite, each with its flow time."""
-    Y = np.array(Y, dtype=complex)
+    Y = _freeze(Y)
     times = np.asarray(times, dtype=complex)
     finite = np.isfinite(Y).all(axis=1)
     k_bad = len(Y) if finite.all() else int(np.argmin(finite))
@@ -220,7 +221,6 @@ def _record(row, m, times, Y, n, N, eps_coll):
         return IntegrationFailed(
             f"the t_{m} flow left the finite numbers at t = {_format_time(t)}", time=t, row=row)
     drift = np.max(np.abs(PhaseState(*_unpack(Y, n, N)).constraint_values() - 1.0), axis=-1)
-    Y.setflags(write=False)
     return Trajectory(times, *_unpack(Y, n, N), drift=drift, hamiltonians=H, m=int(m))
 
 

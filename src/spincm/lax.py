@@ -22,26 +22,23 @@ one kernel, :func:`_residue_rates`, gives every residue consumer its data
 polynomials, and a numeric contour integrator is kept alongside as an
 independent oracle for both.
 
-One memo rule holds for every phase point (x.ndim == 1): its assembly
-from :func:`build_lax` is read-only and carries the memo of its
-separation, the powers of :func:`_powers` and the Krylov blocks of
-:func:`_krylov`, both extended on demand (each list replaced, never
-grown in place) and shared across m, and per int m each kernel's output
-(:func:`_derived`), all read-only but the blocks' seeds, the point's own
-spins. Only build_lax decides how long it lives. A frozen point, whose four
-arrays are read-only all the way down their ``.base`` chains, as
-:func:`spincm.phase.new_state`, ``random_state``, ``load_state`` and
-``Trajectory.state`` return, keeps its assembly in its ``__dict__``, no
-dataclass field, so ``dataclasses.fields`` and ``replace`` never see it:
-the calls that check it compute each quantity once, whichever other
-points are checked in between. A writable point's assembly is new at each
-call, so its memo serves that call's kernels alone. For the largest m, or
-power of L, asked a memo holds at most 2(m + 1) n^2 + 2m n(3N + 1)
-complex entries: 1.6 MB at n = 100 after the four m of an identities
-check, under 3 MB at m = 5. Nothing else refers to it, so it goes when
-its point does. The collision verdict is taken at every call, from the
-stored separation and the caller's eps_coll. Stacked states, and so
-every flow right-hand side and every recorded sample, keep nothing.
+Every phase point (x.ndim == 1) is immutable
+(:class:`spincm.phase.PhaseState`) and keeps its assembly from
+:func:`build_lax` in its ``__dict__``: no dataclass field, so
+``dataclasses.fields`` and ``replace`` never see it. The assembly is
+read-only and carries the memo of its separation, the powers of
+:func:`_powers` and the Krylov blocks of :func:`_krylov`, both extended
+on demand (each list replaced, never grown in place) and shared across
+m, and per int m each kernel's output (:func:`_derived`), all
+read-only. The calls that check a point compute each quantity once,
+whichever other points are checked in between; a copy of it is a new
+point, with an empty memo of its own. For the largest m, or power of L,
+asked a memo holds at most 2(m + 1) n^2 + 2m n(3N + 1) complex entries:
+1.6 MB at n = 100 after the four m of an identities check, under 3 MB at
+m = 5. Nothing else refers to it, so it goes when its point does. The
+collision verdict is taken at every call, from the stored separation and
+the caller's eps_coll. Stacked states, and so every flow right-hand side
+and every recorded sample, keep nothing.
 """
 
 from __future__ import annotations
@@ -94,21 +91,19 @@ def build_lax(state: PhaseState, eps_coll=EPS_COLL) -> LaxData:
     The arrays of ``state`` may carry leading axes that stack phase points:
     x and p (..., n), a and b (..., n, N). Raises CollidingPoles if two
     poles of a point are within ``eps_coll``; for a stack its ``row`` is
-    the flat index of the first such point. A point's read-only assembly
-    carries its memo: a frozen point keeps it from its first call, for
-    every caller; a writable point's is new at each call (module docstring).
+    the flat index of the first such point. A point keeps its read-only
+    assembly, which carries its memo, from its first call, for every
+    caller (module docstring); a stack's is new at each call.
     """
     if state.x.ndim != 1:
         return _assemble(state, eps_coll)[0]
-    frozen = _frozen(state)
-    lax = vars(state).get("_lax") if frozen else None
+    lax = vars(state).get("_lax")
     if lax is None:
         lax, sep = _assemble(state, -np.inf)
         _read_only((lax.inv, lax.R, lax.L))
         memo = {"sep": sep, "powers": [lax.L], "blocks": ([state.b], [state.a])}
         object.__setattr__(lax, "_memo", memo)
-        if frozen:
-            object.__setattr__(state, "_lax", lax)
+        object.__setattr__(state, "_lax", lax)
     # the verdict is never kept: each call compares with its own floor
     sep = lax._memo["sep"]
     if sep <= eps_coll:
@@ -164,17 +159,6 @@ def _chunked(fn, Y, n, N, shape=()):
     return out
 
 
-def _frozen(state):
-    """True if no write can reach the arrays of ``state``: each is read-only,
-    and so is every array down its ``.base`` chain."""
-    for arr in (state.x, state.p, state.a, state.b):
-        while arr is not None:
-            if not isinstance(arr, np.ndarray) or arr.flags.writeable:
-                return False
-            arr = arr.base
-    return True
-
-
 def _read_only(arrays):
     for arr in arrays:
         arr.setflags(write=False)
@@ -185,8 +169,8 @@ def _derived(kernel, state, lax, m):
     """The output of ``kernel`` at m for ``state`` and its assembly ``lax``
     from :func:`build_lax`: the :func:`_vector_field` quadruple for
     kernel "field", the :func:`_residue_rates` triple for "rates". When lax
-    is a point's, each is computed once per int m and kept in its memo,
-    read-only; a stack's is computed afresh."""
+    is a point's, each is computed once per int m and kept, read-only, in
+    the memo that the point keeps; a stack's is computed afresh."""
     memo = vars(lax).get("_memo")
     cached = memo is not None and isinstance(m, (int, np.integer))
     if cached and (kernel, m) in memo:
@@ -210,8 +194,7 @@ def _powers(lax, k):
     """[L, L^2, ..., L^k] of the assembly ``lax`` of a point or a stack, by
     right products L^{j+1} = L^j L: the one route to the powers of L in
     production code. A point's list is its memo's, read-only and extended
-    on demand, so it lives as long as build_lax lets the memo live; a
-    stack keeps none."""
+    on demand, so it lives as long as the point; a stack keeps none."""
     memo = vars(lax).get("_memo")
     P = [lax.L] if memo is None else memo["powers"]
     if len(P) < k:
@@ -348,8 +331,8 @@ def poisson_bracket(state: PhaseState, f_grad: Tangent, g_grad: Tangent) -> comp
 def _krylov(lax, k):
     """([U_0 .. U_k], [V_0 .. V_k]), the thin Krylov blocks U_j = L^j b and
     V_j = (L^T)^j a of the phase point with assembly ``lax``: the memo's
-    lists, seeded with the point's own spins U_0 = b and V_0 = a, which
-    stay as writable as they are, and extended on demand, read-only."""
+    lists, seeded with the point's own immutable spins U_0 = b and
+    V_0 = a, and extended on demand, read-only."""
     U, V = lax._memo["blocks"]
     if len(U) <= k:
         U, V, L = U[:], V[:], lax.L

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,9 +34,19 @@ _BLOCK = 128
 
 
 def _freeze(arr):
-    arr = np.array(arr, dtype=complex)
-    arr.setflags(write=False)
-    return arr
+    """``arr`` as a complex array on an immutable ``bytes`` buffer, which
+    numpy never lets a write reach, through it or any view of it; ``arr``
+    itself if it is one already, so no array is copied twice. An unpickled
+    array may sit writable on ``bytes``, so every array down the ``.base``
+    chain must be read-only too."""
+    if isinstance(arr, np.ndarray) and arr.dtype == complex:
+        base = arr
+        while isinstance(base, np.ndarray) and not base.flags.writeable:
+            base = base.base
+        if isinstance(base, bytes):
+            return arr
+    arr = np.asarray(arr, dtype=complex)
+    return np.frombuffer(arr.tobytes(), complex).reshape(arr.shape)
 
 
 @dataclass(frozen=True)
@@ -49,21 +59,25 @@ class PhaseState:
     axes may stack phase points; the sizes, pairings and constraint values
     are then per point.
 
-    :func:`new_state`, :func:`random_state`, :func:`load_state` and
-    ``Trajectory.state`` return frozen states, and so does
-    :func:`gauge_rescale` of a frozen state: a phase point whose arrays are
-    read-only all the way down their ``.base`` chains, whose derived data
-    :mod:`spincm.lax` computes once and keeps, read-only, on the instance
-    for as long as it lives. It is no field: :func:`dataclasses.replace`, a
-    copy and a pickle start without it, since a copy's arrays may change.
-    The bare constructor freezes nothing: it keeps the arrays it is given,
-    writable or not.
+    Every phase point (x.ndim == 1) is immutable: the constructor copies
+    each of its arrays onto an immutable ``bytes`` buffer (an array already
+    read-only on one is kept), so no write can reach them and none can be
+    made writable again. Its derived data :mod:`spincm.lax` computes once and
+    keeps, read-only, on the instance for as long as it lives. It is no
+    field: :func:`dataclasses.replace`, a copy and a pickle are new points,
+    each with an empty memo of its own. A stack keeps the arrays it is
+    given, such as the packed views of a flow's block.
     """
 
     x: np.ndarray
     p: np.ndarray
     a: np.ndarray
     b: np.ndarray
+
+    def __post_init__(self):
+        if np.ndim(self.x) == 1:
+            for name in ("x", "p", "a", "b"):
+                object.__setattr__(self, name, _freeze(getattr(self, name)))
 
     @property
     def n_particles(self):
@@ -94,9 +108,9 @@ class PhaseState:
         """Matrix R with R_ij = b_i^T a_j."""
         return self.b @ self.a.swapaxes(-1, -2)
 
-    def __getstate__(self):
-        """The fields alone, for a copy or a pickle: never the memo."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+    def __reduce__(self):
+        """A copy or a pickle is built by the constructor: never the memo."""
+        return PhaseState, (self.x, self.p, self.a, self.b)
 
     def to_dict(self, times=None):
         out = {
@@ -175,10 +189,7 @@ def new_state(x, p, a, b, eps_coll=EPS_COLL, eps_constr=EPS_CONSTR):
     ConstraintViolated if some |b_i^T a_i - 1| exceeds ``eps_constr``,
     and DimensionMismatch for inconsistent shapes.
     """
-    x = _freeze(x)
-    p = _freeze(p)
-    a = _freeze(a)
-    b = _freeze(b)
+    x, p, a, b = (np.asarray(v, dtype=complex) for v in (x, p, a, b))
     if x.ndim != 1 or p.shape != x.shape:
         raise DimensionMismatch("x and p must be 1-d arrays of equal length")
     n = x.shape[0]
@@ -288,7 +299,7 @@ def random_state(n_particles, spin_dim, seed, separation=1.0):
         failed = (0 if j else failed) + (j < k)
         b[i:i + j] = cand[:j] / pairing[:j, None]
         i, cand = i + j, cand[j + 1:]
-    return PhaseState(x=_freeze(x), p=_freeze(p), a=_freeze(a), b=_freeze(b))
+    return PhaseState(x=x, p=p, a=a, b=b)
 
 
 def gauge_rescale(state, lam):
@@ -307,12 +318,7 @@ def gauge_rescale(state, lam):
         raise ValueError(f"non-finite gauge factor lam[{i}] = {lam[i]}")
     if np.any(lam == 0):
         raise ZeroScale("gauge factors must be nonzero")
-    return PhaseState(
-        x=state.x,
-        p=state.p,
-        a=_freeze(state.a * lam[:, None]),
-        b=_freeze(state.b / lam[:, None]),
-    )
+    return PhaseState(state.x, state.p, state.a * lam[:, None], state.b / lam[:, None])
 
 
 def state_from_dict(data, eps_coll=EPS_COLL, eps_constr=EPS_CONSTR):

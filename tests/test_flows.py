@@ -19,6 +19,7 @@ from spincm import (
     FlowSpec,
     IntegrationFailed,
     StepLimitExceeded,
+    TimeVector,
     build_lax,
     check_lax,
     commutativity_check,
@@ -192,6 +193,16 @@ def test_integrate_t1_is_shift(state32):
     assert np.max(np.abs(s_final.p - state32.p)) <= 1e-12
     assert np.max(np.abs(s_final.a - state32.a)) <= 1e-12
     assert np.max(np.abs(s_final.b - state32.b)) <= 1e-12
+
+
+def test_recorded_samples_and_times_refuse_to_be_made_writable(state32):
+    # a sample's state shares the trajectory's memory, which no write reaches
+    traj = integrate(state32, FlowSpec(m=2, t_final=0.01, dt=5e-3))
+    sample = traj.state(0)
+    for arr in (TimeVector().t, traj.x, sample.x):
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            arr.setflags(write=True)
+    assert all(np.shares_memory(getattr(sample, f), getattr(traj, f)) for f in "xpab")
 
 
 def test_integrate_free_particle():

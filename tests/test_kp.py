@@ -365,8 +365,8 @@ def test_residue_identity_residual_sees_a_wrong_spin_rate(state32, monkeypatch):
         dx, dp, da, db = _vector_field(*args)
         return dx, dp, da * (1 + 1e-6), db
 
-    # the kernel as the accessor calls it, on a writable copy: state32's
-    # memo keeps its unscaled data, and the copy keeps none
+    # the kernel as the accessor calls it, on a copy, a new point whose memo
+    # starts empty: state32's memo keeps its unscaled data
     monkeypatch.setattr("spincm.lax._vector_field", scaled)
     copy = PhaseState(*(np.array(v) for v in (state32.x, state32.p, state32.a, state32.b)))
     for m in (2, 3):

@@ -15,6 +15,7 @@ from spincm import (
     PhaseState,
     build_lax,
     contour_residue,
+    gauge_rescale,
     grad_hamiltonian,
     hamiltonian,
     hamiltonians,
@@ -25,7 +26,7 @@ from spincm import (
     resolvent_residue,
 )
 from spincm import flows, kp, lax as lax_module
-from spincm.lax import _frozen, _residue_rates, hamiltonian_h2_direct
+from spincm.lax import _residue_rates, hamiltonian_h2_direct
 from spincm.verify import _scaled_error, finite_difference_gradient
 
 
@@ -309,12 +310,20 @@ def test_krylov_residues_match_matrix_power_and_contour(n, on_constraint):
             assert np.max(np.abs(g - ref)) <= 1e-14 * r**m * size, m
 
 
-# --- the memo that a frozen phase point keeps --------------------------------
+# --- the memo that every phase point keeps ------------------------------------
 
 
-def _writable(state):
-    """A writable copy of ``state``, which never keeps a memo."""
+def _copy(state):
+    """A copy of ``state`` by the bare constructor, from writable copies of
+    its arrays: a new point, with an empty memo of its own."""
     return PhaseState(*(np.array(v) for v in (state.x, state.p, state.a, state.b)))
+
+
+def _assert_immutable(state):
+    """numpy refuses to make any array of ``state`` writable."""
+    for arr in (state.x, state.p, state.a, state.b):
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            arr.setflags(write=True)
 
 
 def _bits(value):
@@ -337,40 +346,61 @@ def _six(state, m, xs, eps_coll=1e-6):
 
 
 def test_the_validating_constructors_give_frozen_states(tmp_path):
+    # and so do the bare constructor, replace and every other route to a point
     s = random_state(4, 2, seed=3)
     s.save(tmp_path / "s.json")
     traj = flows.integrate(s, flows.FlowSpec(m=2, t_final=1e-2, dt=5e-3))
     for st in (s, new_state(s.x, s.p, s.a, s.b), load_state(tmp_path / "s.json")[0],
-               traj.state(0), traj.state(-1)):
-        assert _frozen(st)
-    assert not _frozen(_writable(s))
+               traj.state(0), traj.state(-1), _copy(s), dataclasses.replace(s, x=np.array(s.x)),
+               PhaseState(list(s.x), s.p, s.a.tolist(), s.b), gauge_rescale(s, np.arange(1, 5))):
+        _assert_immutable(st)
+        assert st.x.dtype == st.a.dtype == complex
+
+
+def test_a_point_refuses_to_be_made_writable():
+    # the memo trusts the point's arrays: a write to one would leave its L stale
+    s = random_state(4, 2, 1)
+    L = build_lax(s).L
+    _assert_immutable(s)
+    for arr in (s.x[1:], s.a.T):
+        with pytest.raises(ValueError):
+            arr.setflags(write=True)
+    with pytest.raises(ValueError):
+        s.x[0] += 0.5
+    assert build_lax(s).L is L and _bits(build_lax(s)) == _bits(build_lax(_copy(s)))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_a_frozen_state_gives_the_bits_of_its_writable_copy(m):
+    # the copy is built from writable arrays, and fills a memo of its own
     s = random_state(6, 3, seed=m)
     xs = np.array([9.0 + 1j, -8.5j, 7.5 - 7j])
-    want = [_bits(v) for v in _six(_writable(s), m, xs)]
+    want = [_bits(v) for v in _six(_copy(s), m, xs)]
     assert [_bits(v) for v in _six(s, m, xs)] == want  # filled
     assert [_bits(v) for v in _six(s, m, xs)] == want  # served
     assert build_lax(s) is vars(s)["_lax"]
 
 
 def test_the_memo_never_serves_a_state_that_can_change():
+    # the constructor copies every array that a write could reach, and
+    # keeps the immutable ones, so no write to the caller's arrays reaches
+    # the point or its memo
     s = random_state(4, 2, seed=11)
-    one_writable = PhaseState(s.x, s.p, s.a, np.array(s.b))
-    assert not _frozen(one_writable)
-    assert build_lax(one_writable) is not build_lax(one_writable)
+    b = np.array(s.b)
+    one_copied = PhaseState(s.x, s.p, s.a, b)
+    assert one_copied.x is s.x and one_copied.a is s.a
+    assert not np.shares_memory(one_copied.b, b)
     base = np.array(s.x)
     view = base[:]
     view.setflags(write=False)  # a read-only view of a writable base
     st = PhaseState(view, s.p, s.a, s.b)
-    before = flows.vector_field_gradient(st, 3)
+    assert not np.shares_memory(st.x, base)
+    before = [_bits(flows.vector_field_gradient(t, 3)) for t in (st, one_copied)]
     base[0] += 0.25
-    after = flows.vector_field_gradient(st, 3)
-    assert _bits(after) == _bits(flows.vector_field_gradient(_writable(st), 3))
-    assert _bits(after) != _bits(before)
-    assert "_lax" not in vars(st) and "_lax" not in vars(one_writable)
+    b[0] += 0.25
+    after = [_bits(flows.vector_field_gradient(t, 3)) for t in (st, one_copied)]
+    assert after == before == 2 * [_bits(flows.vector_field_gradient(s, 3))]
+    assert build_lax(st) is vars(st)["_lax"] and build_lax(one_copied) is vars(one_copied)["_lax"]
 
 
 def test_memoized_arrays_are_read_only():
@@ -427,9 +457,9 @@ def test_an_identities_operation_computes_each_quantity_once(monkeypatch):
 
 def test_a_frozen_point_shares_its_powers_and_blocks_across_m():
     # one point for m = 1..5 in turn, so each m extends the memo's lists;
-    # the copy computes each quantity afresh
+    # the copy, a new point, computes each quantity in a memo of its own
     s = random_state(7, 3, seed=16)
-    copy = _writable(s)
+    copy = _copy(s)
     lax = build_lax(s)
     for m in range(1, 6):
         for kernel in ("field", "rates"):
@@ -445,7 +475,7 @@ def test_a_frozen_point_shares_its_powers_and_blocks_across_m():
         with pytest.raises(ValueError):
             arr[0] = 0.0
     # the copy's assembly seeds its blocks with the copy's own a and b, and
-    # never reads the memo's: the same bits, in arrays of its own
+    # never reads the original's memo: the same bits, in arrays of its own
     U, V = lax_module._krylov(build_lax(copy), 2)
     assert U[0] is copy.b and V[0] is copy.a
     assert U[1] is not memo["blocks"][0][1] and U[1].tobytes() == memo["blocks"][0][1].tobytes()
@@ -455,10 +485,11 @@ def test_a_frozen_point_shares_its_powers_and_blocks_across_m():
 @pytest.mark.parametrize("m, products", [(1, 0), (2, 0), (3, 1), (4, 2), (5, 3)])
 def test_the_residue_route_forms_each_power_once_on_a_writable_point(m, products, monkeypatch):
     # the gauge rate's L^ceil(m/2) and the field kernel's L^(m-1) come from
-    # one list on the call's assembly: it once formed 2, 3 and 5 products
-    # at m = 3, 4 and 5. The result is the frozen point's, bit for bit
+    # one list in the memo of a copy, built from writable arrays, whose memo
+    # starts empty: it once formed 2, 3 and 5 products at m = 3, 4 and 5.
+    # The result is the original point's, bit for bit
     s = random_state(10, 4, seed=1)
-    copy = _writable(s)
+    copy = _copy(s)
     made = {}
     fn = lax_module._powers
 
@@ -479,21 +510,28 @@ def test_the_residue_route_forms_each_power_once_on_a_writable_point(m, products
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
-def test_a_writable_point_carries_its_memo_for_one_call(m):
+def test_a_copy_keeps_a_memo_of_its_own(m):
     # one rule for every point: its assembly is read-only and carries the
-    # memo, seeded with its own spins; only a frozen point keeps it
-    w = _writable(random_state(6, 3, seed=22))
-    lax = build_lax(w)
-    assert "_lax" not in vars(w) and build_lax(w) is not lax
-    for arr in (lax.L, flows.vector_field_gradient(w, m).dx):
-        with pytest.raises(ValueError):
-            arr[0] = 0.0
-    U, V = lax_module._krylov(lax, 2)
-    assert U[0] is w.b and V[0] is w.a
-    assert lax._memo["blocks"] == (U, V) and lax._memo["sep"] == w.min_separation()
-    # the memo freezes what it makes, never the point's own arrays
-    assert all(arr.flags.writeable for arr in (w.x, w.p, w.a, w.b))
-    assert not U[1].flags.writeable and not V[2].flags.writeable
+    # memo, seeded with its own spins; a copy is a new point, whose memo
+    # starts empty and never reads or fills the original's
+    s = random_state(6, 3, seed=22)
+    orig = build_lax(s)
+    want = flows.vector_field_gradient(s, m)
+    for w in (_copy(s), copy.copy(s)):
+        assert "_lax" not in vars(w)
+        lax = build_lax(w)
+        assert lax is not orig and build_lax(w) is lax is vars(w)["_lax"]
+        got = flows.vector_field_gradient(w, m)
+        assert got.dx is not want.dx and _bits(got) == _bits(want)
+        assert flows.vector_field_gradient(w, m).dx is got.dx
+        for arr in (lax.L, got.dx):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        U, V = lax_module._krylov(lax, 2)
+        assert U[0] is w.b and V[0] is w.a
+        assert lax._memo["blocks"] == (U, V) and lax._memo["sep"] == w.min_separation()
+        assert not U[1].flags.writeable and not V[2].flags.writeable
+    assert build_lax(s) is orig and orig._memo["blocks"] == ([s.b], [s.a])
 
 
 def test_a_stack_keeps_no_memo():
@@ -521,14 +559,28 @@ def test_a_copy_or_a_pickle_of_a_point_starts_without_its_memo():
     lax = build_lax(s)
     for t in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
         assert "_lax" not in vars(t) and np.array_equal(t.x, s.x)
-    # a deep copy's arrays are its own: changed, then frozen, they must
-    # never meet the original's memo
+        _assert_immutable(t)
+        assert build_lax(t) is not lax and _bits(build_lax(t)) == _bits(lax)
+    # a deep copy's arrays are its own, and no more writable than the original's
     t = copy.deepcopy(s)
-    t.x[0] += 0.5
-    for arr in (t.x, t.p, t.a, t.b):
-        arr.setflags(write=False)
-    assert _frozen(t)
-    assert _bits(build_lax(t)) == _bits(build_lax(_writable(t))) != _bits(lax)
+    assert not np.shares_memory(t.x, s.x)
+    with pytest.raises(ValueError):
+        t.x[0] += 0.5
+
+
+def test_an_unpickled_point_over_a_kilobyte_is_immutable():
+    # numpy unpickles an array of more than 1000 bytes writable on a bytes
+    # buffer, so the constructor copies it rather than keep it
+    s = random_state(100, 4, 1)
+    t = pickle.loads(pickle.dumps(s))
+    _assert_immutable(t)
+    L = build_lax(t).L
+    with pytest.raises(ValueError):
+        t.x[0] += 0.5
+    assert build_lax(t).L is L and L.tobytes() == build_lax(s).L.tobytes()
+    # and so is a sample of an unpickled trajectory
+    traj = flows.integrate(s, flows.FlowSpec(m=2, t_final=1e-2, dt=5e-3))
+    _assert_immutable(pickle.loads(pickle.dumps(traj)).state(-1))
 
 
 def test_two_frozen_points_in_turn_keep_their_own_memos(monkeypatch):
@@ -591,7 +643,7 @@ def test_the_collision_verdict_is_taken_at_every_call():
     s = new_state([0.0, 5e-7, 2.0], [0.1, 0.2, 0.3], ones, ones, eps_coll=1e-9)
     want = "minimal pole separation 5.000e-07 <= 1.000e-06"
     with pytest.raises(CollidingPoles, match=want) as fresh:
-        build_lax(_writable(s))
+        build_lax(_copy(s))
     build_lax(s, eps_coll=1e-9)  # passes, and fills the memo
     calls = (build_lax, lambda st: grad_hamiltonian(st, 2),
              lambda st: flows.vector_field_gradient(st, 2),
