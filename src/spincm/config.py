@@ -8,11 +8,12 @@ from .errors import ConfigError
 from .phase import EPS_COLL, EPS_CONSTR, _positive_finite, read_json
 
 
-@dataclass
+@dataclass(frozen=True)
 class Config:
     """The numerical settings: the collision floor, the constraint
     tolerance and the grid step. They decide what may be run; what passes
-    is verify.DEFAULT_THRESHOLDS, which is pinned and no setting."""
+    is verify.DEFAULT_THRESHOLDS, which is pinned and no setting. A Config
+    is frozen, so each value keeps the check it passed at construction."""
 
     eps_coll: float = EPS_COLL
     eps_constr: float = EPS_CONSTR

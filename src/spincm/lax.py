@@ -25,20 +25,21 @@ independent oracle for both.
 Every phase point (x.ndim == 1) is immutable
 (:class:`spincm.phase.PhaseState`) and keeps its assembly from
 :func:`build_lax` in its ``__dict__``: no dataclass field, so
-``dataclasses.fields`` and ``replace`` never see it. The assembly is
-read-only and carries the memo of its separation, the powers of
-:func:`_powers` and the Krylov blocks of :func:`_krylov`, both extended
-on demand (each list replaced, never grown in place) and shared across
-m, and per int m each kernel's output (:func:`_derived`), all
-read-only. The calls that check a point compute each quantity once,
-whichever other points are checked in between; a copy of it is a new
-point, with an empty memo of its own. For the largest m, or power of L,
-asked a memo holds at most 2(m + 1) n^2 + 2m n(3N + 1) complex entries:
-1.6 MB at n = 100 after the four m of an identities check, under 3 MB at
-m = 5. Nothing else refers to it, so it goes when its point does. The
-collision verdict is taken at every call, from the stored separation and
-the caller's eps_coll. Stacked states, and so every flow right-hand side
-and every recorded sample, keep nothing.
+``dataclasses.fields`` and ``replace`` never see it. The assembly
+carries the memo, one dict: the separation, the point's spins that seed
+the Krylov blocks, and what :func:`_kept` adds once per key (each L^j of
+:func:`_powers`, each block of :func:`_krylov` and per int m each
+kernel's output of :func:`_derived`), every array frozen like the
+assembly's own (:func:`spincm.phase._freeze`): no caller can write one.
+The calls that check a point compute each quantity once, whichever other
+points are checked in between; a copy of it is a new point, with an
+empty memo of its own. For the largest m, or power of L, asked a memo
+holds at most 2(m + 1) n^2 + 2m n(3N + 1) complex entries: 1.6 MB at
+n = 100 after the four m of an identities check, under 3 MB at m = 5.
+Nothing else refers to it, so it goes when its point does. The collision
+verdict is taken at every call, from the stored separation and the
+caller's eps_coll. Stacked states, and so every flow right-hand side and
+every recorded sample, keep nothing.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CollidingPoles, DimensionMismatch
-from .phase import EPS_COLL, PhaseState, _positive_integer
+from .phase import EPS_COLL, PhaseState, _freeze, _positive_integer
 
 
 @dataclass(frozen=True)
@@ -91,7 +92,7 @@ def build_lax(state: PhaseState, eps_coll=EPS_COLL) -> LaxData:
     The arrays of ``state`` may carry leading axes that stack phase points:
     x and p (..., n), a and b (..., n, N). Raises CollidingPoles if two
     poles of a point are within ``eps_coll``; for a stack its ``row`` is
-    the flat index of the first such point. A point keeps its read-only
+    the flat index of the first such point. A point keeps its frozen
     assembly, which carries its memo, from its first call, for every
     caller (module docstring); a stack's is new at each call.
     """
@@ -100,9 +101,9 @@ def build_lax(state: PhaseState, eps_coll=EPS_COLL) -> LaxData:
     lax = vars(state).get("_lax")
     if lax is None:
         lax, sep = _assemble(state, -np.inf)
-        _read_only((lax.inv, lax.R, lax.L))
-        memo = {"sep": sep, "powers": [lax.L], "blocks": ([state.b], [state.a])}
-        object.__setattr__(lax, "_memo", memo)
+        lax = LaxData(*map(_freeze, (lax.inv, lax.R, lax.L)))
+        # seeded with the point's own spins, U_0 = b and V_0 = a of _krylov
+        object.__setattr__(lax, "_memo", {"sep": sep, ("U", 0): state.b, ("V", 0): state.a})
         object.__setattr__(state, "_lax", lax)
     # the verdict is never kept: each call compares with its own floor
     sep = lax._memo["sep"]
@@ -159,26 +160,28 @@ def _chunked(fn, Y, n, N, shape=()):
     return out
 
 
-def _read_only(arrays):
-    for arr in arrays:
-        arr.setflags(write=False)
-    return arrays
+def _kept(lax, key, compute):
+    """compute(), an array or a tuple of them, for the assembly ``lax`` of
+    :func:`build_lax`: a stack's is computed afresh; a point's once per
+    ``key`` and kept in its memo, each array frozen (:func:`_freeze`)."""
+    memo = vars(lax).get("_memo")
+    if memo is None:
+        return compute()
+    out = memo.get(key)
+    if out is None:
+        out = compute()
+        out = memo[key] = tuple(map(_freeze, out)) if isinstance(out, tuple) else _freeze(out)
+    return out
 
 
 def _derived(kernel, state, lax, m):
     """The output of ``kernel`` at m for ``state`` and its assembly ``lax``
     from :func:`build_lax`: the :func:`_vector_field` quadruple for
-    kernel "field", the :func:`_residue_rates` triple for "rates". When lax
-    is a point's, each is computed once per int m and kept, read-only, in
-    the memo that the point keeps; a stack's is computed afresh."""
-    memo = vars(lax).get("_memo")
-    cached = memo is not None and isinstance(m, (int, np.integer))
-    if cached and (kernel, m) in memo:
-        return memo[kernel, m]
-    out = _vector_field(lax, state.a, state.b, m) if kernel == "field" else _residue_rates(lax, m)
-    if cached:
-        memo[kernel, m] = _read_only(out)
-    return out
+    kernel "field", the :func:`_residue_rates` triple for "rates". A
+    point's is kept (:func:`_kept`) under (kernel, m) for an int m."""
+    compute = (functools.partial(_vector_field, lax, state.a, state.b, m) if kernel == "field"
+               else functools.partial(_residue_rates, lax, m))
+    return _kept(lax, (kernel, m), compute) if isinstance(m, (int, np.integer)) else compute()
 
 
 def hamiltonian(state: PhaseState, m: int, eps_coll=EPS_COLL):
@@ -193,17 +196,12 @@ def hamiltonian(state: PhaseState, m: int, eps_coll=EPS_COLL):
 def _powers(lax, k):
     """[L, L^2, ..., L^k] of the assembly ``lax`` of a point or a stack, by
     right products L^{j+1} = L^j L: the one route to the powers of L in
-    production code. A point's list is its memo's, read-only and extended
-    on demand, so it lives as long as the point; a stack keeps none."""
-    memo = vars(lax).get("_memo")
-    P = [lax.L] if memo is None else memo["powers"]
-    if len(P) < k:
-        P, L = P[:], lax.L
-        while len(P) < k:
-            P.append(P[-1] @ L)
-        if memo is not None:
-            memo["powers"] = _read_only(P)
-    return P[:k]
+    production code. A point keeps each L^j, j >= 2, under ("L", j)
+    (:func:`_kept`); a stack keeps none."""
+    P = [lax.L]
+    while len(P) < k:
+        P.append(_kept(lax, ("L", len(P) + 1), lambda: P[-1] @ lax.L))
+    return P
 
 
 def hamiltonians(state: PhaseState, eps_coll=EPS_COLL) -> np.ndarray:
@@ -235,7 +233,8 @@ def _weights(ms):
     c = np.where(ms > 1, ms, 0).astype(complex)[..., None, None]
     lower = tuple((k, ms[..., None, None] == k + 1) for k in range(1, top) if (ms == k + 1).any())
     one = (ms == 1).astype(float)[..., None] if (ms == 1).any() else None
-    _read_only([c, *(mask for _, mask in lower), *([] if one is None else [one])])
+    for arr in (c, *(mask for _, mask in lower), *([] if one is None else [one])):
+        arr.setflags(write=False)
     return top, c, lower, one
 
 
@@ -330,17 +329,14 @@ def poisson_bracket(state: PhaseState, f_grad: Tangent, g_grad: Tangent) -> comp
 
 def _krylov(lax, k):
     """([U_0 .. U_k], [V_0 .. V_k]), the thin Krylov blocks U_j = L^j b and
-    V_j = (L^T)^j a of the phase point with assembly ``lax``: the memo's
-    lists, seeded with the point's own immutable spins U_0 = b and
-    V_0 = a, and extended on demand, read-only."""
-    U, V = lax._memo["blocks"]
-    if len(U) <= k:
-        U, V, L = U[:], V[:], lax.L
-        while len(U) <= k:
-            U += _read_only([L @ U[-1]])
-            V += _read_only([L.T @ V[-1]])
-        lax._memo["blocks"] = U, V
-    return U[: k + 1], V[: k + 1]
+    V_j = (L^T)^j a of the phase point with assembly ``lax``, from the
+    point's own spins U_0 = b and V_0 = a that seed its memo; each later
+    block is kept under ("U", j) or ("V", j) (:func:`_kept`)."""
+    U, V, L = [lax._memo["U", 0]], [lax._memo["V", 0]], lax.L
+    while len(U) <= k:
+        U.append(_kept(lax, ("U", len(U)), lambda: L @ U[-1]))
+        V.append(_kept(lax, ("V", len(V)), lambda: L.T @ V[-1]))
+    return U, V
 
 
 def _residue_rates(lax: LaxData, m):

@@ -371,8 +371,8 @@ def test_a_point_refuses_to_be_made_writable():
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
-def test_a_frozen_state_gives_the_bits_of_its_writable_copy(m):
-    # the copy is built from writable arrays, and fills a memo of its own
+def test_a_point_gives_the_bits_of_a_copy_built_from_writable_arrays(m):
+    # the copy fills a memo of its own
     s = random_state(6, 3, seed=m)
     xs = np.array([9.0 + 1j, -8.5j, 7.5 - 7j])
     want = [_bits(v) for v in _six(_copy(s), m, xs)]
@@ -404,11 +404,32 @@ def test_the_memo_never_serves_a_state_that_can_change():
 
 
 def test_memoized_arrays_are_read_only():
-    s = random_state(4, 2, seed=12)
-    for arr in (build_lax(s).L, flows.vector_field_gradient(s, 2).dx,
-                grad_hamiltonian(s, 2).dp, lax_module._derived("rates", s, build_lax(s), 2)[1]):
+    # nothing a point keeps, nor any field it returns from its memo, can be
+    # made writable again, down to the .base of a field: each sits on an
+    # immutable buffer, so no caller can change what the next one reads
+    s = random_state(4, 2, 1)
+    H = hamiltonians(s).tobytes()
+    tangents = [f(s, m) for m in (1, 2, 3) for f in
+                (flows.vector_field_gradient, flows.vector_field_residue, grad_hamiltonian)]
+    lax = build_lax(s)
+    kept = [lax.inv, lax.R, lax.L]
+    for key, value in lax._memo.items():
+        kept += [] if key == "sep" else value if isinstance(value, tuple) else [value]
+    shared = [getattr(t, f.name) for t in tangents for f in fields(t)]
+    shared = [arr for arr in shared if any(arr is k for k in kept)]
+    # per m: every field of the gradient route's velocity, dp of the residue
+    # route's and two of the gradient's
+    assert len(shared) == 3 * (4 + 1 + 2)
+    for arr in kept + shared + [arr.base for arr in shared]:
+        with pytest.raises(ValueError):
+            arr.setflags(write=True)
         with pytest.raises(ValueError):
             arr[0] = 0.0
+    f = flows.vector_field_gradient(s, 1)
+    want = _bits(f)
+    with pytest.raises(ValueError):
+        f.dx.base[0] += 1.0
+    assert hamiltonians(s).tobytes() == H and _bits(flows.vector_field_gradient(s, 1)) == want
 
 
 def test_an_identities_operation_computes_each_quantity_once(monkeypatch):
@@ -456,8 +477,9 @@ def test_an_identities_operation_computes_each_quantity_once(monkeypatch):
 
 
 def test_a_frozen_point_shares_its_powers_and_blocks_across_m():
-    # one point for m = 1..5 in turn, so each m extends the memo's lists;
-    # the copy, a new point, computes each quantity in a memo of its own
+    # one point for m = 1..5 in turn, so each m adds the powers and blocks
+    # it is the first to ask, each under a key of its own; the copy, a new
+    # point, computes each quantity in a memo of its own
     s = random_state(7, 3, seed=16)
     copy = _copy(s)
     lax = build_lax(s)
@@ -470,23 +492,29 @@ def test_a_frozen_point_shares_its_powers_and_blocks_across_m():
             assert _bits(f(s, m)) == _bits(f(copy, m)), (f.__name__, m)
         assert hamiltonians(s).tobytes() == hamiltonians(copy).tobytes()
     memo = vars(s)["_lax"]._memo
-    assert len(memo["powers"]) == 4 and len(memo["blocks"][0]) == 6
-    for arr in (*memo["powers"], *memo["blocks"][0], *memo["blocks"][1]):
+    # L^2..L^4, and U_j, V_j for j = 0..5, each made once and served after
+    kept = {key for key in memo if key[0] in ("L", "U", "V")}
+    assert kept == {("L", j) for j in range(2, 5)} | {(c, j) for c in "UV" for j in range(6)}
+    for key in kept:
         with pytest.raises(ValueError):
-            arr[0] = 0.0
+            memo[key][0] = 0.0
+    assert all(P is memo["L", j] for j, P in enumerate(lax_module._powers(lax, 4)[1:], 2))
+    U, V = lax_module._krylov(lax, 5)
+    assert all(U[j] is memo["U", j] and V[j] is memo["V", j] for j in range(6))
     # the copy's assembly seeds its blocks with the copy's own a and b, and
     # never reads the original's memo: the same bits, in arrays of its own
     U, V = lax_module._krylov(build_lax(copy), 2)
     assert U[0] is copy.b and V[0] is copy.a
-    assert U[1] is not memo["blocks"][0][1] and U[1].tobytes() == memo["blocks"][0][1].tobytes()
-    assert V[1] is not memo["blocks"][1][1] and V[1].tobytes() == memo["blocks"][1][1].tobytes()
+    assert U[1] is not memo["U", 1] and U[1].tobytes() == memo["U", 1].tobytes()
+    assert V[1] is not memo["V", 1] and V[1].tobytes() == memo["V", 1].tobytes()
 
 
 @pytest.mark.parametrize("m, products", [(1, 0), (2, 0), (3, 1), (4, 2), (5, 3)])
-def test_the_residue_route_forms_each_power_once_on_a_writable_point(m, products, monkeypatch):
+def test_the_residue_route_forms_each_power_once_on_a_copy_built_from_writable_arrays(
+        m, products, monkeypatch):
     # the gauge rate's L^ceil(m/2) and the field kernel's L^(m-1) come from
-    # one list in the memo of a copy, built from writable arrays, whose memo
-    # starts empty: it once formed 2, 3 and 5 products at m = 3, 4 and 5.
+    # the memo of the copy, whose memo starts empty: it once formed 2, 3
+    # and 5 products at m = 3, 4 and 5.
     # The result is the original point's, bit for bit
     s = random_state(10, 4, seed=1)
     copy = _copy(s)
@@ -506,12 +534,12 @@ def test_the_residue_route_forms_each_power_once_on_a_writable_point(m, products
     # a stack keeps none: each call forms its powers afresh
     stack = build_lax(PhaseState(*(np.stack([v, v]) for v in (copy.x, copy.p, copy.a, copy.b))))
     first, again = fn(stack, 3), fn(stack, 3)
-    assert first[2] is not again[2] and "powers" not in vars(stack)
+    assert first[2] is not again[2] and "_memo" not in vars(stack)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_a_copy_keeps_a_memo_of_its_own(m):
-    # one rule for every point: its assembly is read-only and carries the
+    # one rule for every point: its assembly is frozen and carries the
     # memo, seeded with its own spins; a copy is a new point, whose memo
     # starts empty and never reads or fills the original's
     s = random_state(6, 3, seed=22)
@@ -529,9 +557,11 @@ def test_a_copy_keeps_a_memo_of_its_own(m):
                 arr[0] = 0.0
         U, V = lax_module._krylov(lax, 2)
         assert U[0] is w.b and V[0] is w.a
-        assert lax._memo["blocks"] == (U, V) and lax._memo["sep"] == w.min_separation()
+        assert all(U[j] is lax._memo["U", j] and V[j] is lax._memo["V", j] for j in range(3))
+        assert lax._memo["sep"] == w.min_separation()
         assert not U[1].flags.writeable and not V[2].flags.writeable
-    assert build_lax(s) is orig and orig._memo["blocks"] == ([s.b], [s.a])
+    assert build_lax(s) is orig and orig._memo["U", 0] is s.b and orig._memo["V", 0] is s.a
+    assert {key for key in orig._memo if key[0] in ("U", "V")} == {("U", 0), ("V", 0)}
 
 
 def test_a_stack_keeps_no_memo():
@@ -630,12 +660,14 @@ def test_the_memo_stays_within_its_stated_bound():
     for m in range(1, top + 1):
         _six(s, m, xs), hamiltonians(s)
     lax = vars(s)["_lax"]
-    seen = {id(s.a): s.a, id(s.b): s.b}  # the point's own spins are no memo
+    seen = {}
+    _entries([s.a, s.b], seen)  # the point's own spins are no memo
     got = _entries([lax.inv, lax.R, lax.L, lax._memo], seen)
     # the lax module docstring's bound for the largest m, or power of L, asked
     assert got <= 2 * (top + 1) * n**2 + 2 * top * n * (3 * N + 1)
-    # the separation, the powers, the blocks and two kernels per m
-    assert len(lax._memo) == 3 + 2 * top
+    # the separation, the spins, L^2..L^(top-1), U_j and V_j for j = 1..top,
+    # and two kernels per m: one key each
+    assert len(lax._memo) == 3 + (top - 2) + 2 * top + 2 * top
 
 
 def test_the_collision_verdict_is_taken_at_every_call():

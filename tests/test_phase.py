@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import re
@@ -332,3 +333,14 @@ def test_every_positive_finite_setting_refuses_the_same_values_in_one_form(value
             with pytest.raises(ValueError, match=re.escape(
                     f"{name} must be positive and finite, got {value!r}")):
                 fn()
+
+
+def test_a_config_keeps_the_values_it_checked():
+    # the positive-finite rule runs at construction only, so no field may
+    # change after it; dataclasses.replace constructs anew, and checks again
+    c = Config()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c.eps_coll = -1.0
+    assert c.eps_coll == phase.EPS_COLL
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        dataclasses.replace(Config(), dt=float("nan"))
