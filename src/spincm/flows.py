@@ -39,8 +39,8 @@ from .errors import (
     SpinCMError,
     StepLimitExceeded,
 )
-from .lax import (Tangent, _chunked, _derived, _lax_derivative, _pack, _powers,
-                  _unpack, _vector_field, build_lax, hamiltonians)
+from .lax import (Tangent, _chunked, _derived, _lax_derivative, _pack, _powers, _unpack,
+                  build_lax, hamiltonians)
 from .phase import (EPS_COLL, PhaseState, _freeze, _positive_finite, _positive_integer,
                     complex_to_pairs, write_json)
 
@@ -58,9 +58,8 @@ class FlowSpec:
     record_every: int = 1
 
     def __post_init__(self):
-        _positive_integer(self.m, "m")
-        object.__setattr__(  # a bool as its int
-            self, "record_every", _positive_integer(self.record_every, "record_every"))
+        for name in ("m", "record_every"):  # a bool, or a 0-d integer array, as its int
+            object.__setattr__(self, name, _positive_integer(getattr(self, name), name))
         _positive_finite(self.dt, "dt")
         if not np.isfinite(self.t_final):
             raise ValueError(f"t_final must be finite, not {self.t_final}")
@@ -176,7 +175,7 @@ def vector_field_residue(state: PhaseState, m: int, eps_coll=EPS_COLL) -> Tangen
     :func:`vector_field_gradient` and :mod:`spincm.kp`. Raises
     DimensionMismatch for a stack of points.
     """
-    _positive_integer(m, "m")
+    m = _positive_integer(m, "m")
     lax = build_lax(state, eps_coll)
     K, u, v = _derived("rates", state, lax, m)
     # the free diagonal gauge rate of the split, (L^m)_ii
@@ -514,22 +513,23 @@ def _trajectories(results):
     return results
 
 
-def check_lax(trajectory: Trajectory, eps_coll=EPS_COLL) -> np.ndarray:
-    """Residual series max |dL/dt - [M, L]| along a t_2 trajectory, one per
-    recorded sample, at any spacing and any number of samples.
+def _lax_pair(state, m, eps_coll=EPS_COLL):
+    """(dL, [M_m, L]) of a phase point or a stack: the two sides of the t_m
+    Lax equation, dL along the H_m field (:func:`spincm.lax._lax_derivative`)
+    and M_m = -m (L^{m-1}) o inv from :func:`spincm.lax._powers`, formed
+    here alone; M_1 = 0, as I o inv = 0."""
+    lax = build_lax(state, eps_coll)
+    dL = _lax_derivative(lax, state.a, state.b, *_derived("field", state, lax, m))
+    M = -m * (_powers(lax, m - 1)[-1] if m > 1 else np.eye(lax.L.shape[-1])) * lax.inv
+    return dL, M @ lax.L - lax.L @ M
 
-    dL/dt is exact: the derivative of the Lax assembly along the H_2
-    tangent of every sample (:func:`spincm.lax._lax_derivative`), from one
-    stacked gradient; M = 2 R o inv o inv is formed here, its one reader.
-    Raises ValueError for a trajectory of another m.
-    """
-    tr = trajectory
-    if tr.m != 2:
-        raise ValueError(f"check_lax needs a t_2 trajectory, not t_{tr.m}")
-    lax = build_lax(PhaseState(tr.x, tr.p, tr.a, tr.b), eps_coll)
-    dL = _lax_derivative(lax, tr.a, tr.b, *_vector_field(lax, tr.a, tr.b, 2))
-    M = 2.0 * lax.R * lax.inv * lax.inv
-    return np.max(np.abs(dL - (M @ lax.L - lax.L @ M)), axis=(-2, -1))
+
+def check_lax(trajectory: Trajectory, eps_coll=EPS_COLL) -> np.ndarray:
+    """max |dL/dt - [M_m, L]| (:func:`_lax_pair`) at each sample of a t_m
+    trajectory, at any spacing: dL/dt is exact, so it reads only the drift
+    off the constraint surface, where the Lax equation holds."""
+    dL, ML = _lax_pair(trajectory.state(slice(None)), trajectory.m, eps_coll)  # every sample
+    return np.max(np.abs(dL - ML), axis=(-2, -1))
 
 
 def _pole_pairing(x, ref):

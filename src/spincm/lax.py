@@ -4,9 +4,9 @@ The Lax matrix of the Gibbons-Hermsen system is
 
     L_ii = -p_i,   L_ik = -(b_i^T a_k)/(x_i - x_k)   (i != k),
 
-with auxiliary matrix M_ik = 2 (b_i^T a_k)/(x_i - x_k)^2 (zero diagonal),
-formed by its one reader, :func:`spincm.flows.check_lax`. The conserved
-Hamiltonians are H_m = tr L^m (:func:`hamiltonian`, the oracle, and
+and its partner M_m of each flow t_m, L' = [M_m, L], is formed from
+:func:`_powers` by its one reader, :func:`spincm.flows._lax_pair`. The
+conserved Hamiltonians are H_m = tr L^m (:func:`hamiltonian`, the oracle, and
 :func:`hamiltonians`, H_1..H_5, from :func:`_powers`, the one route to the
 powers of L). Their gradients and vector fields, each a :class:`Tangent`,
 come from one kernel, :func:`_vector_field`, linear in Q = m L^{m-1},
@@ -178,7 +178,10 @@ def _derived(kernel, state, lax, m):
     """The output of ``kernel`` at m for ``state`` and its assembly ``lax``
     from :func:`build_lax`: the :func:`_vector_field` quadruple for
     kernel "field", the :func:`_residue_rates` triple for "rates". A
-    point's is kept (:func:`_kept`) under (kernel, m) for an int m."""
+    point's is kept (:func:`_kept`) under (kernel, m) for an int m, which
+    a 0-d integer array is taken as."""
+    if isinstance(m, np.ndarray) and m.ndim == 0:
+        m = _positive_integer(m, "m")
     compute = (functools.partial(_vector_field, lax, state.a, state.b, m) if kernel == "field"
                else functools.partial(_residue_rates, lax, m))
     return _kept(lax, (kernel, m), compute) if isinstance(m, (int, np.integer)) else compute()
@@ -248,11 +251,11 @@ def _vector_field(lax, a, b, m):
     every m is an integer >= 1.
 
     Chain rule d tr L^m = tr(Q dL) with Q = m L^{m-1}, exploiting the
-    sparsity of dL/dq: dL/dp_i = -E_ii, dL/dx_i = [E_ii, M]/2, and
-    dL/da_i, dL/db_i touch only column i / row i off-diagonal entries.
-    With G = Q o inv and inv antisymmetric, (M o Q^T)/2 = L o G^T off the
-    diagonal, so -dH/dx = colsum - rowsum of L o G^T, dH/db = G^T a and
-    dH/da = G b: M is never formed.
+    sparsity of dL/dq: dL/dp_i = -E_ii, dL/dx_i = [E_ii, S] with
+    S = R o inv o inv, and dL/da_i, dL/db_i touch only column i / row i
+    off-diagonal entries. With G = Q o inv and inv antisymmetric,
+    S o Q^T = L o G^T off the diagonal, so -dH/dx = colsum - rowsum of
+    L o G^T, dH/db = G^T a and dH/da = G b: S is never formed.
     Q is each point's L^{m-1} of :func:`_powers` times its m, picked as
     :func:`_weights` says (0 L + I where m = 1): max m - 2 products for a
     stack, whatever the m of each point. A point of a stack gets its Q as

@@ -23,11 +23,11 @@ from .flows import (
     _commutativity_gap,
     _commutativity_rows,
     _first_error,
+    _lax_pair,
     _leg_spec,
     _pole_pairing,
     _scaled_error,
     _trajectories,
-    check_lax,
     integrate_stack,
     vector_field_gradient,
     vector_field_residue,
@@ -46,12 +46,11 @@ from .lax import (
 )
 from .phase import EPS_COLL, PhaseState, _positive_finite, random_state, write_json
 
-SUITE_VERSION = "8"
+SUITE_VERSION = "9"
 
 #: settings of individual checks
 CONSERVATION_T = 1.0
 COMMUTATIVITY_S = 0.1
-LAX_RESIDUAL_T = 0.05
 T1_SHIFT_S = 0.3
 N1_REDUCTION_T = 0.5
 FD_STEP = 1e-5
@@ -241,8 +240,7 @@ def _suite_flows(state, cfg):
     stack: {name: Trajectory, or the SpinCMError that ended the flow}.
     cfg.dt is the sampling grid: the t_2 and t_3 flows over
     [0, CONSERVATION_T] (for conservation and constraint_drift) record
-    every 50 grid points, the t_2 flow over [0, LAX_RESIDUAL_T] (for
-    lax_residual) every 10 and n1_reduction (spin_dim 1 only) every 100.
+    every 50 grid points and n1_reduction (spin_dim 1 only) every 100.
     t1_shift and the four legs of commutativity are legs
     (flows._leg_spec), which record only their endpoints; the two second
     legs of commutativity are chained rows, which join the stack when
@@ -250,7 +248,6 @@ def _suite_flows(state, cfg):
     specs = {
         "t2": FlowSpec(m=2, t_final=CONSERVATION_T, dt=cfg.dt, record_every=50),
         "t3": FlowSpec(m=3, t_final=CONSERVATION_T, dt=cfg.dt, record_every=50),
-        "lax_residual": FlowSpec(m=2, t_final=LAX_RESIDUAL_T, dt=cfg.dt, record_every=10),
         "t1_shift": _leg_spec(1, T1_SHIFT_S),
     }
     if state.spin_dim == 1:
@@ -265,9 +262,10 @@ def _suite_flows(state, cfg):
 
 
 def _check_lax_residual(state, cfg, flows):
-    # check_lax differences dL/dt and [M, L] at every sample
-    traj = _trajectories([flows["lax_residual"]])[0]
-    return [(check_lax(traj, cfg.eps_coll), 0.0, 1.0)], {"T": LAX_RESIDUAL_T, "dt": cfg.dt}
+    # dL along the H_m field and [M_m, L], both from _powers; it covers dx and
+    # dp, as the kernel's da, db are -M_m^T a, M_m b by its own formula
+    pairs = [_lax_pair(state, m, cfg.eps_coll) for m in range(1, 6)]
+    return [(dL, ML, 1.0 + np.max(np.abs(ML))) for dL, ML in pairs], {"m_max": 5}
 
 
 def _check_conservation(state, cfg, flows):
@@ -358,12 +356,13 @@ def _offgrid_points(state, count):
 def run_suite(state=None, config=None, seed=42, n_particles=3, spin_dim=2):
     """Run every check of DEFAULT_THRESHOLDS, in its order, on a given state
     (or on a freshly generated one for (seed, n_particles, spin_dim)) and
-    collect a report. The flows the checks read run first, as one stack
-    (see :func:`_suite_flows`), timed in ``integration_seconds``. Each
-    check's residual is the largest _scaled_error over its terms. Individual
-    check errors, a flow that ended early included, are recorded as
-    failures; conservation and constraint_drift are marked skipped when
-    their t_2/t_3 pair broke down, naming the pair's first error."""
+    collect a report. The flows of the five flow checks run first, as one
+    stack (:func:`_suite_flows`), timed in ``integration_seconds``; the
+    other checks, lax_residual included, read the point alone. Each check's
+    residual is the largest _scaled_error over its terms. Check errors, a
+    flow that ended early included, are recorded as failures; conservation
+    and constraint_drift are marked skipped when their t_2/t_3 pair broke
+    down, naming the pair's first error."""
     cfg = config if config is not None else Config()
     if state is None:
         state = random_state(n_particles, spin_dim, seed)

@@ -337,7 +337,8 @@ def test_verify_fails_a_flow_that_leaves_the_finite_numbers(tmp_path, capsys):
     path = tmp_path / "close.json"
     new_state([0, 1.05e-5], [0.1, 0.2], [[1], [1]], [[1], [1]]).save(path)
     # poles just above the floor: each flow check reads inf and FAIL, with
-    # no numpy warning on the way; linear_problem flows nothing and passes
+    # no numpy warning on the way; linear_problem and lax_residual flow
+    # nothing and pass
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc = main(["verify", str(path)])
@@ -346,9 +347,9 @@ def test_verify_fails_a_flow_that_leaves_the_finite_numbers(tmp_path, capsys):
     assert rc == 1
     lines = {ln.split()[0]: ln.split()[1:] for ln in out.splitlines()
              if ln.split()[0] in DEFAULT_THRESHOLDS}
-    for name in ("lax_residual", "commutativity", "n1_reduction"):
+    for name in ("commutativity", "n1_reduction"):
         assert lines[name] == ["inf", f"{DEFAULT_THRESHOLDS[name]:.1e}", "FAIL"]
-    assert lines["linear_problem"][-1] == "pass"
+    assert lines["linear_problem"][-1] == lines["lax_residual"][-1] == "pass"
     assert "Traceback" not in out + err
 
 
@@ -612,9 +613,10 @@ def test_verify_config_dt_and_threshold_table_reach_the_report(tmp_path, capsys,
     assert results["r_identity"]["threshold"] == 1e-300
     assert not results["r_identity"]["passed"]
     assert results["constraint"]["threshold"] == 1e-12
-    for name in ("lax_residual", "conservation", "constraint_drift"):
+    for name in ("conservation", "constraint_drift"):
         assert results[name]["details"]["dt"] == 2e-3
     assert "dt" not in results["commutativity"]["details"]  # its legs are one-step grids
+    assert "dt" not in results["lax_residual"]["details"]  # it flows nothing
 
 
 def test_config_method_is_an_unknown_key(tmp_path, capsys):

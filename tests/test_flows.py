@@ -8,7 +8,7 @@ import re
 import subprocess
 import sys
 import warnings
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -30,6 +30,7 @@ from spincm import (
     integrate_stack,
     new_state,
     random_state,
+    residue_identity_residual,
     vector_field_gradient,
     vector_field_residue,
 )
@@ -79,19 +80,43 @@ def test_flowspec_validation(state32):
     spec = FlowSpec(m=2, t_final=0.01, dt=1e-3)
     _assert_same_trajectory(integrate(state32, replace(spec, record_every=True)),
                             integrate(state32, spec))
+    # so is m: a 0-d integer array once reached integrate, which raised
+    # TypeError, and True was kept as given
+    for m, want in ((True, 1), (np.array(2), 2)):
+        spec = FlowSpec(m=m, t_final=0.01, dt=1e-3)
+        assert type(spec.m) is int and spec.m == want
+        _assert_same_trajectory(integrate(state32, spec),
+                                integrate(state32, FlowSpec(m=want, t_final=0.01, dt=1e-3)))
     with pytest.raises(TypeError):  # one stepper: there is no method to choose
         FlowSpec(m=1, t_final=1.0, dt=1e-3, method="RK4")
     with pytest.raises(TypeError):  # one budget, flows.MAX_STEPS
         FlowSpec(m=1, t_final=1.0, dt=1e-3, max_steps=10)
 
 
-@pytest.mark.parametrize("m", [2.5, 2.0, np.float64(3.0)])
+def _bytes(value):
+    """The bytes of every array of a result: a Tangent, or a number."""
+    arrays = vars(value).values() if is_dataclass(value) else [value]
+    return [np.asarray(v).tobytes() for v in arrays]
+
+
+@pytest.mark.parametrize("m", [2.5, 2.0, np.float64(3.0), np.array(2.0), np.array(2)])
 def test_a_non_integer_m_is_rejected_at_every_gradient_entry_point(state32, m):
-    # 2.5 once weighed the Horner term of L^2 by 2.5: 2.5/3 of the H_3 field
+    # 2.5 once weighed the Horner term of L^2 by 2.5: 2.5/3 of the H_3 field.
+    # A 0-d integer array is the int it holds, here on a copy with an empty
+    # memo (it once raised TypeError in lax._vector_field); a 0-d float
+    # array is refused as its float is
+    if isinstance(m, np.ndarray) and m.dtype.kind == "i":
+        xs = np.array([1.0 + 1.0j])
+        copy = PhaseState(*(np.array(v) for v in (state32.x, state32.p, state32.a, state32.b)))
+        for fn in (vector_field_gradient, grad_hamiltonian, vector_field_residue,
+                   lambda st, k: residue_identity_residual(st, k, xs)):
+            assert _bytes(fn(copy, m)) == _bytes(fn(state32, int(m)))
+        return
     with pytest.raises(ValueError, match="integer"):
         FlowSpec(m=m, t_final=0.1, dt=1e-2)
-    with pytest.raises(ValueError, match="integer"):
-        lax._weights(m)
+    if not isinstance(m, np.ndarray):  # _weights takes the tuple of an array
+        with pytest.raises(ValueError, match="integer"):
+            lax._weights(m)
     # the int m of equal value is cached first: an equal float key would hit it
     stack = PhaseState(*(np.stack([v, v]) for v in (state32.x, state32.p, state32.a, state32.b)))
     vector_field_gradient(state32, int(m))
@@ -398,16 +423,23 @@ def test_check_lax_single_particle():
 
 
 def test_check_lax_forms_m():
-    # M = 2 R o inv o inv, formed where check_lax reads it. Poles at -1, 1
-    # with unit spins and p = 0: L = [[0, 1/2], [-1/2, 0]] and
-    # M = [[0, 1/2], [1/2, 0]], so [M, L] = diag(-1/2, 1/2), which dL/dt =
-    # -diag(dp) equals only if M has its factor 2 and its sign
+    # M_2 = -2 L o inv = 2 R o inv o inv off the diagonal (flows._lax_pair).
+    # Poles at -1, 1 with unit spins and p = 0: L = [[0, 1/2], [-1/2, 0]]
+    # and M_2 = [[0, 1/2], [1/2, 0]], so [M_2, L] = diag(-1/2, 1/2), which
+    # dL/dt = -diag(dp) equals only if M_2 has its factor 2 and its sign
     s = new_state([-1.0, 1.0], [0.0, 0.0], [[1.0], [1.0]], [[1.0], [1.0]])
     assert vector_field_gradient(s, 2).dp.tolist() == [0.5, -0.5]
     assert check_lax(integrate(s, FlowSpec(m=2, t_final=0, dt=1.0))).tolist() == [0.0]
     # one particle: M = 0, and dL/dt = 0
     s = new_state([0.0], [0.5], [[1.0]], [[1.0]])
     assert check_lax(integrate(s, FlowSpec(m=2, t_final=0, dt=1.0))).tolist() == [0.0]
+    # M_3 = -3 L^2 o inv. Poles at -1, 1, unit spins and p = (1/2, 1/2):
+    # L = [[-1/2, 1/2], [-1/2, -1/2]], L^2 = [[0, -1/2], [1/2, 0]] and
+    # M_3 = [[0, -3/4], [-3/4, 0]], so [M_3, L] = diag(3/4, -3/4), which
+    # dL/dt = -diag(dp) equals only if M_3 has its factor 3 and its sign
+    s = new_state([-1.0, 1.0], [0.5, 0.5], [[1.0], [1.0]], [[1.0], [1.0]])
+    assert vector_field_gradient(s, 3).dp.tolist() == [-0.75, 0.75]
+    assert check_lax(integrate(s, FlowSpec(m=3, t_final=0, dt=1.0))).tolist() == [0.0]
 
 
 def test_check_lax_is_exact_at_any_spacing(state32):
@@ -448,10 +480,14 @@ def test_check_lax_of_one_sample(state32):
     assert check_lax(integrate(off, FlowSpec(m=2, t_final=0.0, dt=1e-3)))[0] >= 1e-7
 
 
-def test_check_lax_needs_the_t2_flow(state32):
-    traj = integrate(state32, FlowSpec(m=3, t_final=0.01, dt=1e-3))
-    with pytest.raises(ValueError, match="t_2 trajectory, not t_3"):
-        check_lax(traj)
+def test_check_lax_holds_along_every_flow(state32):
+    # one M_m for every m (it once refused every flow but t_2), on a real
+    # and a complex segment; M_1 = 0, and the t_1 flow moves no entry of L
+    for m in range(1, 6):
+        for t_final in (0.1, 0.06 - 0.08j):
+            res = check_lax(integrate(state32, FlowSpec(m=m, t_final=t_final, dt=1e-2)))
+            assert res[-1] <= 1e-14 and np.max(res) <= 1e-13
+            assert m > 1 or not res.any()
 
 
 def test_commutativity_with_t1(state32):

@@ -101,6 +101,7 @@ def test_suite_passes_at_thirty_particles():
     # R has rank <= N, and tr R^k for k <= min(n, N) determine the rest
     report = run_suite(seed=7, n_particles=30, spin_dim=4)
     assert report.all_passed(), report.summary()
+    assert {r.name: r for r in report.results}["lax_residual"].residual <= 1e-14
     assert all(r.threshold == verify.DEFAULT_THRESHOLDS[r.name] for r in report.results)
 
 
@@ -191,7 +192,7 @@ def test_run_suite_makes_one_dop853_stack(monkeypatch):
     for n, N in ((3, 2), (3, 1)):
         del calls[:]
         assert run_suite(seed=7, n_particles=n, spin_dim=N).results
-        assert len(calls) == 1 and len(calls[0]) == 8 + (N == 1)
+        assert len(calls) == 1 and len(calls[0]) == 7 + (N == 1)
         assert sum(isinstance(start, int) for start, _ in calls[0]) == 2
 
 
@@ -216,15 +217,47 @@ def test_t1_shift_does_not_read_dt():
         assert results["t1_shift"].residual == 2.83398589814361e-16
 
 
-def test_lax_residual_span_does_not_follow_dt():
-    # the row spans LAX_RESIDUAL_T at any dt and records every 10 grid
-    # points of dt, or only its endpoint on a grid that coarse
+def test_lax_residual_does_not_read_dt():
+    # a point check: no flow row of its own, the same bits at every dt
     state = random_state(3, 2, seed=7)
-    for dt, samples in ((1e-3, 6), (1e-2, 2), (5e-2, 2)):
-        traj = verify._suite_flows(state, Config(dt=dt))["lax_residual"]
-        assert traj.t[-1] == verify.LAX_RESIDUAL_T and len(traj.t) == samples
-    results = {r.name: r for r in run_suite(seed=7, config=Config(dt=5e-2)).results}
-    assert results["lax_residual"].residual <= 1e-15
+    assert "lax_residual" not in verify._suite_flows(state, Config())
+    got = []
+    for dt in (1e-3, 1e-2, 5e-2):
+        results = {r.name: r for r in run_suite(seed=7, config=Config(dt=dt)).results}
+        result = results["lax_residual"]
+        got.append(result.residual)
+        assert result.details.keys() == {"m_max", "seconds"}
+    assert got[0] <= 1e-15 and got == 3 * got[:1]
+
+
+@pytest.mark.parametrize("defect", [None, "dp", "no_m"])
+def test_lax_residual_sees_a_defect_of_the_field_at_every_m(monkeypatch, defect):
+    # the diagonal of dL is -dp, and dx enters its off-diagonal: the
+    # momentum rate scaled by 1 + 1e-5, or Q = L^{m-1} with the factor m
+    # of the H_m kernel dropped, fails every m >= 2 on the sweep's
+    # instances with n >= 2 (at n = 1, dL = [M_m, L] = 0); without a
+    # defect every term is rounding. M_1 = 0 and the t_1 field moves no
+    # entry of L, so m = 1 reads 0 either way
+    field, weights = lax._vector_field, lax._weights
+    if defect == "dp":
+        def mutated(lx, a, b, m):
+            dx, dp, da, db = field(lx, a, b, m)
+            return dx, dp * (1 + 1e-5), da, db
+        monkeypatch.setattr(lax, "_vector_field", mutated)
+    elif defect == "no_m":
+        def mutated(ms):
+            top, c, lower, one = weights(ms)
+            return top, (c != 0).astype(complex), lower, one
+        monkeypatch.setattr(lax, "_weights", mutated)
+    threshold = verify.DEFAULT_THRESHOLDS["lax_residual"]
+    for n, N, seed in itertools.product((2, 3, 5, 8), (1, 2, 4), range(6)):
+        terms, _ = verify._check_lax_residual(random_state(n, N, seed), Config(), {})
+        res = [_scaled_error(*term) for term in terms]
+        assert len(res) == 5 and res[0] == 0.0
+        if defect is None:
+            assert max(res) <= 1e-14, (n, N, seed)
+        else:
+            assert min(res[1:]) > threshold, (n, N, seed)
 
 
 def test_suite_flags_broken_constraint():
@@ -296,19 +329,20 @@ def test_suite_collision_ends_only_its_own_flow():
 
 def test_suite_records_a_flow_that_leaves_the_finite_numbers():
     # poles just above the floor: every flow check records its flow's
-    # CollidingPoles as inf, with no numpy warning on the way, and the
-    # exact d/dt_2 of linear_problem, which flows nothing, still passes
+    # CollidingPoles as inf, with no numpy warning on the way; the exact
+    # d/dt_2 of linear_problem and the Lax equation at the point of
+    # lax_residual, which flow nothing, pass
     s = new_state([0, 1.05e-5], [0.1, 0.2], [[1], [1]], [[1], [1]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = run_suite(state=s)
     res = {r.name: r for r in report.results}
     assert not report.all_passed()
-    for name in ("lax_residual", "commutativity", "n1_reduction"):
+    for name in ("commutativity", "n1_reduction"):
         assert not res[name].passed and res[name].residual == math.inf
         assert res[name].details["error"].startswith("pole collision in the t_2 flow: ")
         assert re.search(r" at t = \S+$", res[name].details["error"])
-    assert res["linear_problem"].passed
+    assert res["linear_problem"].passed and res["lax_residual"].passed
 
 
 def test_report_file_is_one_line_and_keeps_nan_and_inf(tmp_path):
