@@ -158,7 +158,7 @@ def vector_field_gradient(state: PhaseState, m: int, eps_coll=EPS_COLL) -> Tange
 
 def vector_field_residue(state: PhaseState, m: int, eps_coll=EPS_COLL) -> Tangent:
     """The H_m vector field, a Tangent of velocities, derived through the
-    resolvent-residue calculus from the residue data (K, u, v) of
+    resolvent-residue calculus from the residue data (K_ii, u, v) of
     :func:`spincm.lax._residue_rates`.
 
     dx_i is the exact residue res_inf z^m (c_i . c*_i) = -K_ii.
@@ -177,7 +177,7 @@ def vector_field_residue(state: PhaseState, m: int, eps_coll=EPS_COLL) -> Tangen
     """
     m = _positive_integer(m, "m")
     lax = build_lax(state, eps_coll)
-    K, u, v = _derived("rates", state, lax, m)
+    Kd, u, v = _derived("rates", state, lax, m)
     # the free diagonal gauge rate of the split, (L^m)_ii
     if m == 1:
         mu = lax.L.diagonal()[:, None]
@@ -185,7 +185,7 @@ def vector_field_residue(state: PhaseState, m: int, eps_coll=EPS_COLL) -> Tangen
         P = _powers(lax, (m + 1) // 2)
         mu = (P[-1] * P[m // 2 - 1].T).sum(axis=1)[:, None]
     pdot = _derived("field", state, lax, m)[1]
-    return Tangent(dx=-np.diag(K), dp=pdot, da=u - mu * state.a, db=v + mu * state.b)
+    return Tangent(dx=-Kd, dp=pdot, da=u - mu * state.a, db=v + mu * state.b)
 
 
 def _at_time(exc, t, m, row):

@@ -5,7 +5,7 @@ e^{xz + xi(t,z)} removed), leaving rational N x N matrices with simple poles
 at the particle positions and rank-1 residues. Their t_2 derivative is
 exact, along the H_2 vector field of the poles: no flow is integrated here.
 Residues at z = infinity are evaluated exactly: the residue identities read
-the residue data (K, u, v) of :func:`spincm.lax._residue_rates`, the kernel
+the residue data (K_ii, u, v) of :func:`spincm.lax._residue_rates`, the kernel
 of the residue-route vector field too; no contour appears in production paths.
 """
 
@@ -125,17 +125,21 @@ def _potential_v(state, d):
     return -2 * _pole_sum(1.0 / d**2, state.a, state.b)
 
 
-def tau(state: PhaseState, x: complex) -> complex:
-    """tau(x) = prod_i (x - x_i); entire, an empty product for zero
-    particles is admitted."""
-    return complex(np.prod(x - state.x))
+def tau(state: PhaseState, x):
+    """tau(x) = prod_i (x - x_i), a complex at a scalar x and an array of
+    x's shape at an array x, one product per point; entire, an empty
+    product for zero particles is admitted."""
+    t = np.prod(np.asarray(x, dtype=complex)[..., None] - state.x, axis=-1)
+    return complex(t) if t.ndim == 0 else t
 
 
-def dlog_tau_dx(state: PhaseState, x: complex) -> complex:
+def dlog_tau_dx(state: PhaseState, x):
     """d/dx log tau = sum_i 1/(x - x_i), which is -tr w^(1)(x) on the
-    constraint surface; PoleHit at a point within EPS_COLL of a pole or
-    not finite, as :func:`w1`."""
-    return complex(np.sum(1.0 / _differences(state, x, EPS_COLL)))
+    constraint surface: a complex at a scalar x and an array of x's shape
+    at an array x, one sum per point; PoleHit at a point within EPS_COLL
+    of a pole or not finite, as :func:`w1`."""
+    t = np.sum(1.0 / _differences(state, x, EPS_COLL), axis=-1)
+    return complex(t) if t.ndim == 0 else t
 
 
 def _psi_t2_derivatives(state, c, c_star, z, d, eps_coll=EPS_COLL):
@@ -185,39 +189,50 @@ def residue_identity_residual(state: PhaseState, m: int, x_samples, eps_coll=EPS
     """Entrywise residual of res_inf(z^m psi psi+) = -d_{t_m} w^(1).
 
     Both sides are rational in x with poles at the x_i. The left side
-    comes from the residue data (K, u, v) of :func:`spincm.lax._residue_rates`,
-    read from the thin Krylov blocks L^j b and (L^T)^j a with no n x n
-    power of L. In array form, with inv_ik = 1/(x_i - x_k), inv_ii = 0
-    and o the entrywise product,
+    comes from the residue data (K_ii, u, v) of
+    :func:`spincm.lax._residue_rates`, read from the thin Krylov blocks
+    L^j b and (L^T)^j a with no n x n power of L:
 
-        u = (L^m)^T a - (K^T o inv) a,    v = -L^m b - (K o inv) b,
         res_inf(z^m psi psi+) = sum_i [(u_i b_i^T + a_i v_i^T)/(x - x_i)
                                        - K_ii a_i b_i^T/(x - x_i)^2].
 
     The right side is sum_i [d(a_i b_i^T)/(x - x_i) + a_i b_i^T dx_i/(x - x_i)^2],
     from the Hamiltonian-route tangent (dx, da, db) on the same Lax
-    assembly. Their difference is expanded from the rate differences
-    u - da, v - db and -K_ii - dx at the sample points, with no loop over
-    the poles. The trace version against d_{t_m} d_x log tau =
-    sum_i dx_i/(x - x_i)^2 is checked alongside. Returns the max residual
-    over the sample points. Raises ValueError unless m is an integer >= 1,
-    and DimensionMismatch for a stack of points.
+    assembly. The trace version against d_{t_m} d_x log tau =
+    sum_i dx_i/(x - x_i)^2 is checked alongside. Returns the largest
+    entry of the differences (:func:`_residue_difference`) over the sample
+    points. Raises ValueError unless m is an integer >= 1, and
+    DimensionMismatch for a stack of points.
     """
     _positive_integer(m, "m")
+    return float(np.max(np.abs(_residue_difference(state, m, x_samples, eps_coll)), initial=0.0))
+
+
+def _residue_difference(state, m, x_samples, eps_coll):
+    """Left minus right side of :func:`residue_identity_residual` at each
+    point of x_samples, (..., N N + 1): the N x N entries, row by row, then
+    the trace version. The difference has the per-pole Laurent coefficients
+
+        c1_i = (u - da)_i b_i^T + a_i (v - db)_i^T,   c2_i = -(K_ii + dx_i) a_i b_i^T,
+
+    and its trace version u_i . b_i + a_i . v_i and -(K_ii a_i . b_i + dx_i),
+    formed once; each point contracts them with its [1/(x - x_i),
+    1/(x - x_i)^2] in a product of its own, so a point gives the same bits
+    on any grid."""
     a, b = state.a, state.b
     lax = build_lax(state, eps_coll)
-    K, u, v = _derived("rates", state, lax, m)
+    Kd, u, v = _derived("rates", state, lax, m)  # refuses a stack of points
     dx, _, da, db = _derived("field", state, lax, m)
-    inv1 = 1.0 / _differences(state, np.atleast_1d(x_samples), eps_coll)  # (points, n)
-    inv2 = inv1**2
-    Kd = K.diagonal()
-    entry = (_pole_sum(inv1, u - da, b) + _pole_sum(inv1, a, v - db)
-             + _pole_sum(inv2 * (-Kd - dx), a, b))
-    trace = inv1 @ np.sum(u * b + a * v, axis=1) - inv2 @ (Kd * np.sum(a * b, axis=1) + dx)
-    return max(
-        float(np.max(np.abs(entry), initial=0.0)),
-        float(np.max(np.abs(trace), initial=0.0)),
-    )
+    n, N = a.shape
+    inv = 1.0 / _differences(state, np.atleast_1d(x_samples), eps_coll)  # (..., n)
+    powers = np.concatenate([inv, inv**2], axis=-1)
+    outer = lambda left, right: (left[:, :, None] * right[:, None, :]).reshape(n, N * N)
+    coeff = np.empty((2 * n, N * N + 1), dtype=complex)  # rows c1_i, then c2_i; traces last
+    coeff[:n, :-1] = outer(u - da, b) + outer(a, v - db)
+    coeff[n:, :-1] = -(Kd + dx)[:, None] * outer(a, b)
+    coeff[:n, -1] = (u * b + a * v).sum(axis=1)
+    coeff[n:, -1] = -(Kd * (a * b).sum(axis=1) + dx)
+    return (powers[..., None, :] @ coeff)[..., 0, :]
 
 
 def first_order_pole_cancellation(state: PhaseState, m: int, eps_coll=EPS_COLL) -> float:

@@ -16,8 +16,9 @@ dp = colsum - rowsum of L o G^T, da = G^T a and db = -G b, one packed
 block (:func:`_pack`). dL along such a tangent is :func:`_lax_derivative`.
 Residues at infinity of the resolvent (zI - L)^-1 are evaluated exactly:
 one kernel, :func:`_residue_rates`, gives every residue consumer its data
-(K_m, u, v) from the thin Krylov blocks L^j b and (L^T)^j a of
-:func:`_krylov`, with no n x n power of L.
+(K_ii, u, v), the diagonal of K_m and the spin rates, from the thin
+Krylov blocks L^j b and (L^T)^j a of :func:`_krylov`, with no n x n power
+of L.
 :func:`resolvent_residue` gives L^m and K_m for any A as dense matrix
 polynomials, and a numeric contour integrator is kept alongside as an
 independent oracle for both.
@@ -34,8 +35,8 @@ assembly's own (:func:`spincm.phase._freeze`): no caller can write one.
 The calls that check a point compute each quantity once, whichever other
 points are checked in between; a copy of it is a new point, with an
 empty memo of its own. For the largest m, or power of L, asked a memo
-holds at most 2(m + 1) n^2 + 2m n(3N + 1) complex entries: 1.6 MB at
-n = 100 after the four m of an identities check, under 3 MB at m = 5.
+holds at most (m + 2) n^2 + m n(6N + 3) complex entries: 0.97 MB at
+n = 100 after the four m of an identities check, under 1.2 MB at m = 5.
 Nothing else refers to it, so it goes when its point does. The collision
 verdict is taken at every call, from the stored separation and the
 caller's eps_coll. Stacked states, and so every flow right-hand side and
@@ -343,9 +344,9 @@ def _krylov(lax, k):
 
 
 def _residue_rates(lax: LaxData, m):
-    """(K, u, v), the residue data of the t_m flow of the phase point with
-    Lax assembly ``lax``, m >= 1, from the spins a, b (n, N) that seed its
-    memo's blocks. Raises DimensionMismatch for a stack of points.
+    """(K_ii, u, v), the residue data of the t_m flow of the phase point
+    with Lax assembly ``lax``, m >= 1, from the spins a, b (n, N) that seed
+    its memo's blocks. Raises DimensionMismatch for a stack of points.
 
     With G = (zI - L)^-1 and R = b a^T, the residues res_inf z^m G b =
     L^m b and res_inf z^m G^T a = (L^m)^T a, and the double resolvent
@@ -358,12 +359,15 @@ def _residue_rates(lax: LaxData, m):
       u_i = ((L^m)^T a)_i - sum_{k != i} a_k K_ki / (x_i - x_k),
       v_i = -(L^m b)_i - sum_{k != i} b_k K_ik / (x_i - x_k).
 
-    This is exact for any a and b: it does not use b_i^T a_i = 1."""
+    This is exact for any a and b: it does not use b_i^T a_i = 1. Every
+    entry of K enters u and v; of K itself only its diagonal K_ii, the
+    coefficient of the second-order poles, is returned, and so kept: no
+    reader needs the rest."""
     if lax.L.ndim != 2:
         raise DimensionMismatch(f"the residue route takes one phase point, not a stack {lax.L.shape[:-2]}")
     U, V = _krylov(lax, m)
     K = np.concatenate(U[:m], axis=1) @ np.concatenate(V[-2::-1], axis=1).T
-    return K, V[m] - (K.T * lax.inv) @ V[0], -U[m] - (K * lax.inv) @ U[0]
+    return K.diagonal(), V[m] - (K.T * lax.inv) @ V[0], -U[m] - (K * lax.inv) @ U[0]
 
 
 def resolvent_residue(L, m: int, A=None):

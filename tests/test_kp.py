@@ -20,12 +20,13 @@ from spincm import (
     residue_identity_residual,
     solve_c,
     tau,
+    vector_field_gradient,
     vector_field_residue,
     w1,
 )
 from spincm import kp
 from spincm.verify import DEFAULT_THRESHOLDS
-from spincm.kp import _differences, _psi_matrices
+from spincm.kp import _differences, _pole_sum, _psi_matrices, _residue_difference
 from spincm.lax import _residue_rates, _vector_field
 from spincm.phase import EPS_COLL, TimeVector, pairs_to_complex
 
@@ -183,6 +184,21 @@ def test_tau_roots_and_empty_product(state32):
     assert tau(empty, 3.7) == 1.0
 
 
+def test_tau_and_dlog_tau_take_each_point_of_an_array_x():
+    # an array x once gave one scalar: the product, or the sum, over every
+    # point and pole, and at len(x) == n over x_k minus the k-th pole alone
+    s = random_state(2, 2, 1)
+    empty = PhaseState(*(np.zeros(shape, complex) for shape in ((0,), (0,), (0, 2), (0, 2))))
+    for state, x in ((s, np.array([5 + 1j, 7 - 2j])), (s, np.array([[5 + 1j], [7 - 2j], [-3j]])),
+                     (empty, np.array([5 + 1j, 7 - 2j]))):
+        for f in (tau, dlog_tau_dx):
+            got = f(state, x)
+            assert got.shape == x.shape
+            assert all(got[k] == f(state, complex(xk)) for k, xk in np.ndenumerate(x))
+    assert tau(s, np.array([5 + 1j, 7 - 2j]))[0] == pytest.approx(30.00085877 - 3.84954556j)
+    assert (tau(empty, np.ones(2)) == 1.0).all() and (dlog_tau_dx(empty, np.ones(2)) == 0.0).all()
+
+
 def test_dlog_tau_matches_finite_differences(state32):
     h = 1e-6
     for x in offgrid_points(state32, 4):
@@ -290,12 +306,12 @@ def test_residue_route_rejects_a_stack_of_points():
 
 def _kernel_coefficients(state, m):
     """Per-pole Laurent coefficients of res_inf(z^m psi psi+) in x from the
-    residue data (K, u, v) of the kernel: u_i b_i^T + a_i v_i^T at
+    residue data (K_ii, u, v) of the kernel: u_i b_i^T + a_i v_i^T at
     1/(x - x_i) and -K_ii a_i b_i^T at 1/(x - x_i)^2, each (n, N, N)."""
     a, b = state.a, state.b
-    K, u, v = _residue_rates(build_lax(state), m)
+    Kd, u, v = _residue_rates(build_lax(state), m)
     outer = lambda l, r: l[:, :, None] * r[:, None, :]
-    return outer(u, b) + outer(a, v), -np.diag(K)[:, None, None] * outer(a, b)
+    return outer(u, b) + outer(a, v), -Kd[:, None, None] * outer(a, b)
 
 
 def _pole_expansion(state, first, second, pts):
@@ -338,9 +354,12 @@ def _loop_coefficients(state, m):
     return np.array(first), np.array(second)
 
 
-@pytest.mark.parametrize("n,N", [(n, N) for n in (1, 2, 5, 30) for N in (1, 3)])
+FAMILY = [(n, N) for n in (1, 2, 5, 30) for N in (1, 3)]
+
+
+@pytest.mark.parametrize("n,N", FAMILY)
 def test_residue_identities_over_a_family(n, N):
-    # res_inf(z^m psi psi+) at the sample points, from the kernel's (K, u, v)
+    # res_inf(z^m psi psi+) at the sample points, from the kernel's (K_ii, u, v)
     # and from the pole-by-pole oracle
     for seed in range(6):
         s = random_state(n, N, seed=seed)
@@ -351,6 +370,40 @@ def test_residue_identities_over_a_family(n, N):
             assert np.max(np.abs(got - ref)) <= 1e-13 * (1.0 + np.max(np.abs(ref))), (seed, m)
             assert residue_identity_residual(s, m, pts) <= 1e-10, (seed, m)
             assert first_order_pole_cancellation(s, m) <= 1e-12, (seed, m)
+
+
+@pytest.mark.parametrize("n,N", FAMILY)
+def test_residue_difference_matches_the_pole_sum_expansions(n, N):
+    # the per-point product of the Laurent coefficients against the
+    # expansion it replaced: three pole sums for the entries, and two
+    # products with the grid's powers for the trace version
+    for seed in range(6):
+        s = random_state(n, N, seed=seed)
+        a, b = s.a, s.b
+        pts = offgrid_points(s, 6)
+        inv = 1.0 / (pts[:, None] - s.x)
+        for m in (1, 2, 3):
+            Kd, u, v = _residue_rates(build_lax(s), m)
+            f = vector_field_gradient(s, m)
+            entry = (_pole_sum(inv, u - f.da, b), _pole_sum(inv, a, v - f.db),
+                     _pole_sum(inv**2 * (-Kd - f.dx), a, b))
+            trace = (inv @ np.sum(u * b + a * v, axis=1), -(inv**2 @ (Kd * np.sum(a * b, axis=1) + f.dx)))
+            got = _residue_difference(s, m, pts, EPS_COLL)
+            for g, terms in ((got[:, :-1].reshape(-1, N, N), entry), (got[:, -1], trace)):
+                scale = 1.0 + max(np.max(np.abs(t)) for t in terms)
+                assert np.max(np.abs(g - sum(terms))) <= 1e-14 * scale, (seed, m)
+
+
+@pytest.mark.parametrize("n,N,seed", [(1, 2, 0), (3, 2, 1), (5, 3, 2), (30, 4, 1), (100, 4, 3)])
+def test_residue_identity_gives_each_point_its_own_bits(n, N, seed):
+    # each point contracts the coefficients in a product of its own, so the
+    # residual on a grid is the max of its points' residuals, bit for bit;
+    # a product over the whole grid sums in an order set by its length
+    s = random_state(n, N, seed=seed)
+    pts = offgrid_points(s, 7)
+    for m in (1, 2, 3, 4):
+        want = max(residue_identity_residual(s, m, x) for x in pts)
+        assert residue_identity_residual(s, m, pts) == want, m
 
 
 def test_residue_identity_residual_sees_a_wrong_spin_rate(state32, monkeypatch):

@@ -297,8 +297,10 @@ def test_krylov_residues_match_matrix_power_and_contour(n, on_constraint):
     P = lambda k: np.linalg.matrix_power(L, k)
 
     def rates(Lm, K):
-        """(K, u, v) of the residue equations from an oracle's L^m and K_m."""
-        return K, Lm.T @ a - (K.T * lax.inv) @ a, -(Lm @ b) - (K * lax.inv) @ b
+        """(K_ii, u, v) of the residue equations from an oracle's L^m and K_m:
+        the kernel keeps only K's diagonal, but u and v still read every
+        entry of K, through (K^T o inv) a and (K o inv) b."""
+        return K.diagonal(), Lm.T @ a - (K.T * lax.inv) @ a, -(Lm @ b) - (K * lax.inv) @ b
 
     for m in range(1, 6):
         got = _residue_rates(lax, m)
@@ -664,7 +666,9 @@ def test_the_memo_stays_within_its_stated_bound():
     _entries([s.a, s.b], seen)  # the point's own spins are no memo
     got = _entries([lax.inv, lax.R, lax.L, lax._memo], seen)
     # the lax module docstring's bound for the largest m, or power of L, asked
-    assert got <= 2 * (top + 1) * n**2 + 2 * top * n * (3 * N + 1)
+    assert got <= (top + 2) * n**2 + top * n * (6 * N + 3)
+    # of the double resolvent K_m each m keeps its diagonal alone
+    assert {lax._memo["rates", m][0].shape for m in range(1, top + 1)} == {(n,)}
     # the separation, the spins, L^2..L^(top-1), U_j and V_j for j = 1..top,
     # and two kernels per m: one key each
     assert len(lax._memo) == 3 + (top - 2) + 2 * top + 2 * top
