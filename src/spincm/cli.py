@@ -19,7 +19,7 @@ from .config import Config
 from .errors import SpinCMError
 from .flows import FlowSpec, _scaled_error, integrate
 from .lax import hamiltonians
-from .phase import _positive_integer, load_state, random_state, write_json
+from .phase import _pole_separation, _positive_integer, load_state, random_state, write_json
 from .verify import run_suite
 
 
@@ -47,10 +47,13 @@ def _print_hamiltonians(state):
 
 
 def cmd_gen(args, config):
+    """Write and describe a random_state draw. One with two poles within
+    eps_coll raises CollidingPoles first, as every command that loads it would."""
     state = random_state(args.particles, args.spin, args.seed, separation=args.separation)
+    _, sep = _pole_separation(state.x, config.eps_coll)
     state.save(args.out)
     print(f"wrote {args.out} (particles={args.particles}, spin={args.spin}, seed={args.seed})")
-    print(f"min separation = {state.min_separation():.6e}")
+    print(f"min separation = {sep:.6e}")
     print(f"constraint drift = {state.constraint_drift():.3e}")
     _print_hamiltonians(state)
     return 0

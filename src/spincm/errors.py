@@ -19,7 +19,7 @@ class _RowEnd(SpinCMError):
 
 
 class CollidingPoles(_RowEnd):
-    """Two pole positions are closer than the collision floor."""
+    """Two pole positions are within the collision floor eps_coll."""
 
 
 class ConstraintViolated(SpinCMError):
@@ -43,7 +43,7 @@ class SpectralCollision(SpinCMError):
 
 
 class PoleHit(SpinCMError):
-    """An evaluation point x is too close to a pole x_i, or is not finite."""
+    """An evaluation point x is within eps_coll of a pole x_i, or is not finite."""
 
 
 class StepLimitExceeded(_RowEnd):

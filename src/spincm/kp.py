@@ -47,10 +47,10 @@ def _differences(state, x, eps_coll):
     """x - x_i, shape x.shape + (n,) for a scalar or an array x, formed and
     checked once per grid: the private helpers below take it and form
     1/(x - x_i)^k as 1.0 / d**k. PoleHit names the first point that is not
-    finite or lies within ``eps_coll`` of a pole."""
+    finite or has |x - x_i| <= eps_coll, the rule by which two poles collide."""
     x = np.asarray(x, dtype=complex)
     d = x[..., None] - state.x
-    ok = np.isfinite(x) & (np.abs(d) >= eps_coll).all(axis=-1)  # a NaN distance fails >=
+    ok = np.isfinite(x) & (np.abs(d) > eps_coll).all(axis=-1)  # a NaN distance fails >
     if not ok.all():
         x0 = x.ravel()[ok.ravel().argmin()]
         raise PoleHit(f"evaluation point x = {x0} "
@@ -91,7 +91,7 @@ def psi_pair(
     """Baker-Akhiezer pair (psi_tilde, psi_dagger_tilde) at (x, z): stripped,
     I + sum_i a_i c_i^T / (x - x_i) and I + sum_i c*_i b_i^T / (x - x_i)
     with (c, c*) = :func:`solve_c` at z, or in the full gauge times
-    e^{+-(xz + xi(t, z))}."""
+    e^{+-(xz + xi(t, z))}; at an array x, (..., N, N), each point as its own call."""
     if gauge not in ("stripped", "full"):
         raise ValueError("gauge must be 'stripped' or 'full'")
     d = _differences(state, x, eps_coll)
@@ -99,7 +99,9 @@ def psi_pair(
     psi, psid = _psi_matrices(state, c, c_star, d)
     if gauge == "full":
         times = times if times is not None else TimeVector()
-        phase = np.exp(x * z + times.xi(z))
+        # x z point by point, as numpy's array loop rounds it otherwise
+        xz = np.vectorize(lambda xk: xk * z, otypes=[complex])(x)
+        phase = np.exp(xz + times.xi(z))[..., None, None]
         psi = phase * psi
         psid = psid / phase
     return psi, psid
@@ -250,14 +252,12 @@ def first_order_pole_cancellation(state: PhaseState, m: int, eps_coll=EPS_COLL) 
 def ba_eval(state: PhaseState, z: complex, grid, eps_coll=EPS_COLL):
     """Grid evaluation for export: psi pair, V and w^(1) at every point of
     the array ``grid``. The whole grid is pole-checked (PoleHit names the
-    first offending x) before the one solve_c that all points share; an
-    empty grid gives empty lists without a solve."""
+    first offending x) before the one solve_c that all points share, which
+    checks z on every grid: an empty one gives empty lists."""
     grid = np.atleast_1d(np.asarray(grid, dtype=complex))
-    fields = ([], [], [], [])
-    if grid.size:
-        d = _differences(state, grid, eps_coll)
-        c, c_star = solve_c(state, z, eps_coll)
-        fields = (*_psi_matrices(state, c, c_star, d), _potential_v(state, d), _w1(state, d))
+    d = _differences(state, grid, eps_coll)
+    c, c_star = solve_c(state, z, eps_coll)
+    fields = (*_psi_matrices(state, c, c_star, d), _potential_v(state, d), _w1(state, d))
     out = {"z": [z.real, z.imag], "grid": complex_to_pairs(grid)}
     for key, f in zip(("psi_tilde", "psi_dagger_tilde", "V", "w1"), fields):
         out[key] = complex_to_pairs(f)

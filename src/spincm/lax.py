@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CollidingPoles, DimensionMismatch
-from .phase import EPS_COLL, PhaseState, _freeze, _positive_integer
+from .phase import EPS_COLL, PhaseState, _freeze, _pole_separation, _positive_integer
 
 
 @dataclass(frozen=True)
@@ -79,13 +79,6 @@ class Tangent:
     db: np.ndarray
 
 
-def _diagonal(A):
-    """Writable view of the diagonals of a C-contiguous (..., n, n) array,
-    its leading axes flattened: shape (-1, n)."""
-    n = A.shape[-1]
-    return A.reshape(-1, n * n)[:, :: n + 1]
-
-
 def build_lax(state: PhaseState, eps_coll=EPS_COLL) -> LaxData:
     """The Lax assembly of a phase point or of a stack of them, from one
     pass over the pairwise differences x_i - x_k.
@@ -106,28 +99,19 @@ def build_lax(state: PhaseState, eps_coll=EPS_COLL) -> LaxData:
         # seeded with the point's own spins, U_0 = b and V_0 = a of _krylov
         object.__setattr__(lax, "_memo", {"sep": sep, ("U", 0): state.b, ("V", 0): state.a})
         object.__setattr__(state, "_lax", lax)
-    # the verdict is never kept: each call compares with its own floor
-    sep = lax._memo["sep"]
-    if sep <= eps_coll:
-        raise _colliding(sep, eps_coll)
+    # the verdict is never kept: each call compares with its own floor, and
+    # a collision, found again from the poles, raises as a first call does
+    if lax._memo["sep"] <= eps_coll:
+        _pole_separation(state.x, eps_coll)
     return lax
 
 
 def _assemble(state, eps_coll):
-    """(LaxData, separation) of :func:`build_lax`, computed afresh; the
-    separation is the minimal |x_i - x_k| over every point, skipping NaN.
-    Only a stack is checked here, against eps_coll."""
-    x = state.x
-    n = x.shape[-1]
-    d = x[..., :, None] - x[..., None, :]
-    # _diagonal inlined here and in _vector_field, which every flow RHS calls
-    d.reshape(-1, n * n)[:, :: n + 1] = np.inf
-    # fmin skips NaN: a point that is not finite hides no other's collision
-    sep = np.fmin.reduce(np.abs(d), axis=None)
-    if sep <= eps_coll:
-        sep = np.abs(d).reshape(-1, n * n).min(axis=1)
-        row = int(np.argmax(sep <= eps_coll))
-        raise _colliding(sep[row], eps_coll, row)
+    """(LaxData, separation) of :func:`build_lax`, computed afresh from the
+    differences and separation of :func:`spincm.phase._pole_separation`,
+    which checks them against eps_coll."""
+    n = state.x.shape[-1]
+    d, sep = _pole_separation(state.x, eps_coll)
     # in place from here on, in the order of -R * inv: inv takes the buffer
     # of d, and the infinite diagonal gives inv_ii = 0
     inv = np.divide(1.0, d, out=d)
@@ -136,10 +120,6 @@ def _assemble(state, eps_coll):
     L *= inv
     np.negative(state.p.reshape(-1, n), out=L.reshape(-1, n * n)[:, :: n + 1])
     return LaxData(inv, R, L), sep
-
-
-def _colliding(sep, eps_coll, row=None):
-    return CollidingPoles(f"minimal pole separation {sep:.3e} <= {eps_coll:.3e}", row=row)
 
 
 #: complex entries of the L stack of one call of fn in :func:`_chunked`
@@ -305,7 +285,8 @@ def _lax_derivative(lax: LaxData, a, b, dx, dp, da, db):
     dL_ik = -(dR_ik - R_ik (dx_i - dx_k) inv_ik) inv_ik, dR = db a^T + b da^T."""
     dR = db @ a.swapaxes(-1, -2) + b @ da.swapaxes(-1, -2)
     dL = -(dR - lax.R * (dx[..., :, None] - dx[..., None, :]) * lax.inv) * lax.inv
-    _diagonal(dL)[...] = -dp
+    n = dp.shape[-1]
+    dL.reshape(-1, n * n)[:, :: n + 1] = -dp.reshape(-1, n)
     return dL
 
 

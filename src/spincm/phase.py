@@ -96,13 +96,9 @@ class PhaseState:
         return float(np.max(np.abs(self.constraint_values() - 1.0)))
 
     def min_separation(self):
-        """Minimal pairwise distance |x_i - x_k|, inf for a single particle."""
-        n = self.n_particles
-        if n < 2:
-            return np.inf
-        d = np.abs(self.x[:, None] - self.x[None, :])
-        d[np.diag_indices(n)] = np.inf
-        return float(d.min())
+        """Minimal pairwise distance |x_i - x_k|, inf for a single particle;
+        for a stack, the least over its points (:func:`_pole_separation`)."""
+        return float(_pole_separation(self.x)[1])
 
     def spin_pairings(self):
         """Matrix R with R_ij = b_i^T a_j."""
@@ -138,6 +134,8 @@ class TimeVector:
 
     def __post_init__(self):
         object.__setattr__(self, "t", _freeze(self.t))
+        if self.t.ndim != 1:
+            raise ValueError(f"TimeVector t must be one-dimensional, got shape {self.t.shape}")
         if not np.all(np.isfinite(self.t)):
             raise ValueError("TimeVector entries must be finite")
 
@@ -182,10 +180,30 @@ def read_json(path, build, error):
         raise error(f"{path}: {exc}") from exc
 
 
+def _pole_separation(x, eps_coll=-np.inf):
+    """(d, sep) of the poles x (..., n) of a point or a stack: d_ik = x_i - x_k
+    (..., n, n) with an infinite diagonal, and sep its least modulus, NaN
+    skipped. The one collision rule: CollidingPoles if sep <= eps_coll, its
+    ``row`` the flat index of a stack's first such point."""
+    n = x.shape[-1]
+    d = x[..., :, None] - x[..., None, :]
+    d.reshape(-1, n * n or 1)[:, :: n + 1] = np.inf  # or 1: no poles, no diagonal
+    # fmin skips NaN: a point that is not finite hides no other's collision
+    sep = np.fmin.reduce(np.abs(d), axis=None, initial=np.inf)
+    if sep <= eps_coll:
+        row = None
+        if x.ndim > 1:
+            seps = np.abs(d).reshape(-1, n * n).min(axis=1)
+            row = int(np.argmax(seps <= eps_coll))
+            sep = seps[row]
+        raise CollidingPoles(f"minimal pole separation {sep:.3e} <= {eps_coll:.3e}", row=row)
+    return d, sep
+
+
 def new_state(x, p, a, b, eps_coll=EPS_COLL, eps_constr=EPS_CONSTR):
     """Validated construction of a :class:`PhaseState`.
 
-    Raises CollidingPoles if two poles are closer than ``eps_coll``,
+    Raises CollidingPoles if two poles are within ``eps_coll``,
     ConstraintViolated if some |b_i^T a_i - 1| exceeds ``eps_constr``,
     and DimensionMismatch for inconsistent shapes.
     """
@@ -203,9 +221,7 @@ def new_state(x, p, a, b, eps_coll=EPS_COLL, eps_constr=EPS_CONSTR):
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"non-finite entries in {name}")
     state = PhaseState(x=x, p=p, a=a, b=b)
-    sep = state.min_separation()
-    if sep <= eps_coll:
-        raise CollidingPoles(f"minimal pole separation {sep:.3e} <= {eps_coll:.3e}")
+    _pole_separation(state.x, eps_coll)
     drift = state.constraint_drift()
     if drift > eps_constr:
         raise ConstraintViolated(f"max |b_i^T a_i - 1| = {drift:.3e} > {eps_constr:.3e}")

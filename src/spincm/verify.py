@@ -44,7 +44,7 @@ from .lax import (
     hamiltonian_h2_direct,
     poisson_bracket,
 )
-from .phase import EPS_COLL, PhaseState, _positive_finite, random_state, write_json
+from .phase import EPS_COLL, PhaseState, _pole_separation, _positive_finite, random_state, write_json
 
 SUITE_VERSION = "9"
 
@@ -166,8 +166,7 @@ def scalar_cm_poles(x0, v0, t):
     form (Olshanetsky-Perelomov): the eigenvalues of
     diag(x0) + t (diag(v0) - 2/(x_i - x_k)), as (k, n) rows in no order."""
     x0 = np.asarray(x0, dtype=complex)
-    d = x0[:, None] - x0[None, :] + np.eye(len(x0))
-    L = np.diag(np.asarray(v0, dtype=complex)) - 2 / d * (1 - np.eye(len(x0)))
+    L = np.diag(np.asarray(v0, dtype=complex)) - 2 / _pole_separation(x0)[0]  # 2/inf = 0
     return np.linalg.eigvals(np.diag(x0) + np.multiply.outer(np.asarray(t), L))
 
 

@@ -75,6 +75,17 @@ def test_gen_rejects_zero_particles(tmp_path):
         main(["gen", "--particles", "0", "--spin", "1", "--out", str(tmp_path / "s.json")])
 
 
+def test_gen_refuses_a_draw_that_every_other_command_refuses(tmp_path, capsys):
+    # the draw once was written and its first three lines printed, before
+    # the H_m line raised on the collision
+    path = tmp_path / "s.json"
+    rc = main(["gen", "--particles", "2", "--spin", "1", "--separation", "1e-7", "--seed", "3",
+               "--out", str(path)])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == "" and not path.exists()
+    assert err.splitlines() == ["error: CollidingPoles: minimal pole separation 2.384e-07 <= 1.000e-06"]
+
+
 def test_evolve_t1_is_shift(tmp_path, capsys):
     state_path = _gen(tmp_path, capsys, seed=11)
     prefix = str(tmp_path / "traj")

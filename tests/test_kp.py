@@ -91,13 +91,27 @@ def test_psi_pair_single_particle_closed_form():
 
 
 def test_psi_pair_full_gauge_is_phase_times_stripped(state32):
+    # bit for bit at a scalar x of each kind
     times = TimeVector(np.array([0.3, -0.1, 0.05]))
-    x = 1.9 - 0.7j
-    psi, psid = psi_pair(state32, times, Z0, x, gauge="stripped")
-    full_psi, full_psid = psi_pair(state32, times, Z0, x, gauge="full")
-    phase = np.exp(x * Z0 + times.xi(Z0))
-    assert np.max(np.abs(full_psi - phase * psi)) <= 1e-12
-    assert np.max(np.abs(full_psid - psid / phase)) <= 1e-12
+    for x in (1.9 - 0.7j, np.complex128(-2.2 + 0.4j), 3.1):
+        psi, psid = psi_pair(state32, times, Z0, x, gauge="stripped")
+        full_psi, full_psid = psi_pair(state32, times, Z0, x, gauge="full")
+        phase = np.exp(x * Z0 + times.xi(Z0))
+        assert np.array_equal(full_psi, phase * psi) and np.array_equal(full_psid, psid / phase)
+
+
+@pytest.mark.parametrize("P", [2, 3])
+@pytest.mark.parametrize("gauge", ["stripped", "full"])
+def test_psi_pair_takes_each_point_of_an_array_x(gauge, P):
+    # the full gauge once multiplied the (P, N, N) stack by the x-shaped
+    # phase along its last axis: off by 3e4 at P = N = 2, a ValueError at P = 3
+    s = random_state(3, 2, seed=1)
+    times = TimeVector(np.array([0.3, -0.1, 0.05]))
+    x = np.array([5 + 1j, 7 - 2j, -3 + 0.5j])[:P]
+    got = psi_pair(s, times, Z0, x, gauge=gauge)
+    for k in range(P):
+        for g, want in zip(got, psi_pair(s, times, Z0, x[k], gauge=gauge)):
+            assert g.shape == (P, 2, 2) and np.array_equal(g[k], want)
 
 
 def test_psi_pair_bad_gauge(state32):
@@ -129,6 +143,17 @@ def test_w1_and_v_pole_hit(state32):
         w1(state32, complex(state32.x[1]))
     with pytest.raises(PoleHit):
         potential_v(state32, complex(state32.x[1]))
+
+
+def test_a_point_within_eps_coll_of_a_pole_is_a_pole_hit():
+    # |x - x_i| <= eps_coll, the rule by which two poles collide: a point
+    # exactly eps_coll away once passed
+    s = new_state([0, 5], [0, 0], [[1], [1]], [[1], [1]])
+    with pytest.raises(PoleHit, match="hits a pole"):
+        w1(s, 1e-6)
+    with pytest.raises(PoleHit, match=re.escape(f"x = {complex(2.0**-20)} hits a pole")):
+        ba_eval(s, Z0, [3.0, 2.0**-20], eps_coll=2.0**-20)
+    assert np.isfinite(w1(s, 1e-6, eps_coll=9.9e-7)).all()
 
 
 @pytest.mark.parametrize("bad", [complex("nan"), complex("inf"), complex(0.5, float("nan"))])
@@ -495,16 +520,17 @@ def test_ba_eval_spectral_collision_at_eigenvalue(state32):
         ba_eval(state32, ev, offgrid_points(state32, 4))
 
 
-def test_ba_eval_empty_grid_skips_the_solve(state32, monkeypatch):
-    import spincm.kp
-
-    def no_solve(*args, **kwargs):
-        raise AssertionError("solve_c called for an empty grid")
-
-    monkeypatch.setattr(spincm.kp, "solve_c", no_solve)
+def test_ba_eval_empty_grid_still_checks_z(state32):
+    # an empty grid gives empty lists, after the solve_c that checks z:
+    # it once skipped the solve and wrote a non-finite z out
     out = ba_eval(state32, Z0, np.zeros(0, complex))
     assert out == {"z": [Z0.real, Z0.imag], "grid": [], "psi_tilde": [],
                    "psi_dagger_tilde": [], "V": [], "w1": []}
+    with pytest.raises(ValueError, match=re.escape("z = (nan+0j) is not finite")):
+        ba_eval(state32, complex("nan"), [])
+    ev = complex(np.linalg.eigvals(build_lax(state32).L)[1])
+    with pytest.raises(SpectralCollision):
+        ba_eval(state32, ev, [])
 
 
 def test_ba_eval_honours_eps_coll(state32):

@@ -22,7 +22,7 @@ from spincm import (
 )
 from spincm import flows, phase
 from spincm.config import Config
-from spincm.errors import DegenerateDraw
+from spincm.errors import ConfigError, DegenerateDraw
 from spincm.kp import ba_eval
 from spincm.verify import finite_difference_gradient
 from spincm.phase import (
@@ -45,8 +45,35 @@ def test_new_state_trivial_valid():
 
 
 def test_new_state_colliding_poles():
+    ones = [[1.0], [1.0]]
     with pytest.raises(CollidingPoles):
-        new_state([0.0, 1e-9], [0.0, 0.0], [[1.0], [1.0]], [[1.0], [1.0]])
+        new_state([0.0, 1e-9], [0.0, 0.0], ones, ones)
+    # the one rule of every path: a separation equal to eps_coll collides
+    with pytest.raises(CollidingPoles, match=re.escape("separation 1.000e-06 <= 1.000e-06")) as err:
+        new_state([0.0, 1e-6], [0.0, 0.0], ones, ones)
+    assert err.value.row is None
+    assert new_state([0.0, 1e-6], [0.0, 0.0], ones, ones, eps_coll=9.9e-7).min_separation() == 1e-6
+
+
+def _stack(states):
+    return PhaseState(*(np.stack([getattr(s, f) for s in states]) for f in "xpab"))
+
+
+@pytest.mark.parametrize("seeds", [(0, 1), (0, 1, 2)])
+def test_a_stack_separation_is_the_least_over_its_points(seeds):
+    # two points of three poles once raised IndexError, and three read
+    # 1.268, a distance between poles of different points
+    states = [random_state(3, 2, seed=s) for s in seeds]
+    sep = _stack(states).min_separation()
+    assert sep == min(s.min_separation() for s in states) == 1.654499196951636
+    assert _stack(states[:1] * 4).min_separation() == states[0].min_separation()
+
+
+@pytest.mark.parametrize("lead", [(), (2,)])
+@pytest.mark.parametrize("n", [0, 1])
+def test_fewer_than_two_poles_never_collide(lead, n):
+    x = np.zeros(lead + (n,), dtype=complex)
+    assert PhaseState(x, x, x[..., None], x[..., None]).min_separation() == np.inf
 
 
 def test_new_state_constraint_violated():
@@ -317,6 +344,48 @@ def test_timevector_xi():
     tv = TimeVector(np.array([1.0, 2.0, 0.5]))
     z = 0.3 + 0.1j
     assert abs(tv.xi(z) - (z + 2 * z**2 + 0.5 * z**3)) < 1e-15
+
+
+@pytest.mark.parametrize("t", [np.zeros((2, 2)), np.zeros((1, 3)), np.array(0.5)])
+def test_timevector_refuses_a_t_that_is_not_one_dimensional(t):
+    # a (2, 2) t once summed all four entries against (z, z^2)
+    with pytest.raises(ValueError, match=re.escape(f"one-dimensional, got shape {t.shape}")):
+        TimeVector(t)
+    data = random_state(2, 1, seed=3).to_dict()
+    data["times"] = complex_to_pairs(t)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        state_from_dict(data)
+
+
+def _write(tmp_path, text):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda tmp: new_state([], [], np.zeros((0, 1)), np.zeros((0, 1))),
+     DimensionMismatch, "at least one particle is required"),
+    (lambda tmp: new_state([0.0, 1.0], [0.0, 0.0], [[1.0]], [[1.0]]),
+     DimensionMismatch, "a and b must have shape (n_particles, spin_dim)"),
+    (lambda tmp: new_state([0.0, 1.0], [0.0, 0.0], np.zeros((2, 0)), np.zeros((2, 0))),
+     DimensionMismatch, "spin dimension must be >= 1"),
+    (lambda tmp: TimeVector(np.array([0.1, np.inf, 0.0])),
+     ValueError, "TimeVector entries must be finite"),
+    (lambda tmp: gauge_rescale(random_state(3, 2, seed=1), [1.0, 2.0]),
+     DimensionMismatch, "lam must have one entry per particle"),
+    (lambda tmp: state_from_dict({**random_state(2, 1, seed=3).to_dict(), "n_particles": 3}),
+     DimensionMismatch, "declared dimensions disagree with array shapes"),
+    (lambda tmp: Config.load(_write(tmp, "[1e-6]")),
+     ConfigError, "config.json: top level must be a JSON object"),
+    (lambda tmp: flows.commutativity_check(random_state(3, 2, seed=1), 2, 2, 0.1, 0.1),
+     ValueError, "m1 and m2 must differ"),
+], ids=["no_particle", "spin_shape", "spin_dim", "times", "lam", "declared", "config", "m1_m2"])
+def test_each_refusal_says_what_broke(tmp_path, call, error, message):
+    with pytest.raises(error, match=re.escape(message)) as err:
+        call(tmp_path)
+    if error is ConfigError:
+        assert str(err.value).startswith(str(tmp_path / "config.json"))
 
 
 @pytest.mark.parametrize("value", [True, np.True_, False, np.nan, np.inf, -np.inf, 0.0, -1.0])
