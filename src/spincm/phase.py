@@ -33,20 +33,20 @@ DRAW_RETRIES = 50
 _BLOCK = 128
 
 
-def _freeze(arr):
-    """``arr`` as a complex array on an immutable ``bytes`` buffer, which
-    numpy never lets a write reach, through it or any view of it; ``arr``
-    itself if it is one already, so no array is copied twice. An unpickled
-    array may sit writable on ``bytes``, so every array down the ``.base``
-    chain must be read-only too."""
-    if isinstance(arr, np.ndarray) and arr.dtype == complex:
+def _freeze(arr, dtype=complex):
+    """``arr`` as an array of ``dtype``, complex unless given, on an
+    immutable ``bytes`` buffer, which numpy never lets a write reach,
+    through it or any view of it; ``arr`` itself if it is one already, so
+    no array is copied twice. An unpickled array may sit writable on
+    ``bytes``, so every array down the ``.base`` chain must be read-only too."""
+    if isinstance(arr, np.ndarray) and arr.dtype == dtype:
         base = arr
         while isinstance(base, np.ndarray) and not base.flags.writeable:
             base = base.base
         if isinstance(base, bytes):
             return arr
-    arr = np.asarray(arr, dtype=complex)
-    return np.frombuffer(arr.tobytes(), complex).reshape(arr.shape)
+    arr = np.asarray(arr, dtype=dtype)
+    return np.frombuffer(arr.tobytes(), dtype).reshape(arr.shape)
 
 
 @dataclass(frozen=True)

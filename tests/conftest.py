@@ -3,7 +3,7 @@ import pytest
 
 from spincm import FlowSpec, build_lax, integrate, phase, random_state, solve_c
 from spincm.errors import DegenerateDraw
-from spincm.phase import EPS_COLL
+from spincm.phase import EPS_COLL, complex_to_pairs
 from spincm.kp import _differences, _psi_matrices, _psi_t2_derivatives
 
 
@@ -90,3 +90,16 @@ def stencil_errors(state, z, x, dt2s):
     exact = _psi_t2_derivatives(state, *solve_c(state, z), z, _differences(state, x, EPS_COLL))
     return [max(float(np.max(np.abs(fd - ex))) for fd, ex in zip(t2_stencil(state, z, x, h), exact))
             for h in dt2s]
+
+
+def export_tree(traj):
+    """The tree of dicts and lists whose json.dumps is the bytes of
+    Trajectory.export_json: the PhaseState schema per sample, every complex
+    number a [re, im] pair of complex_to_pairs."""
+    n, N = traj.a.shape[1:]
+    ts, hs, xs, ps, as_, bs = (complex_to_pairs(v) for v in (
+        traj.t, traj.hamiltonians, traj.x, traj.p, traj.a, traj.b))
+    return {"m": traj.m, "samples": [
+        {"t": ts[k], "drift": drift, "hamiltonians": hs[k],
+         "state": {"n_particles": n, "spin_dim": N, "x": xs[k], "p": ps[k], "a": as_[k], "b": bs[k]}}
+        for k, drift in enumerate(traj.drift.tolist())]}

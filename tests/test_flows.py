@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import pickle
 import re
 import subprocess
 import sys
@@ -45,7 +46,7 @@ from spincm.lax import _pack, _residue_rates, _unpack
 from spincm.phase import EPS_COLL, PhaseState, pairs_to_complex
 from spincm.verify import _scaled_error, _suite_flows, matched_pole_error
 
-from conftest import exact_flow_poles
+from conftest import exact_flow_poles, export_tree
 
 
 def _grid_times(spec):
@@ -356,6 +357,18 @@ def test_dop853_rejects_a_step_that_is_not_finite(monkeypatch):
         assert isinstance(out[0], error) and (out[0].row, out[0].time) == (0, 0)
         assert re.search(words, str(out[0]))
         _assert_same_trajectory(out[1], integrate(*rows[1]))
+
+
+@pytest.mark.parametrize("t_final", [0.0, 1e-3])
+def test_an_overflowing_h5_is_recorded_without_a_warning_at_any_span(t_final):
+    # H_5 of a momentum 1e70 overflows to -inf. A row that takes no step
+    # records it under the errstate of a stepped row, so neither warns
+    huge = new_state([0, 1], [1e70, 0], [[1], [1]], [[1], [1]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = integrate(huge, FlowSpec(m=1, t_final=t_final, dt=1e-3))
+    assert len(traj.t) == (1 if t_final == 0 else 2)
+    assert np.all(traj.hamiltonians[:, 4] == -np.inf)
 
 
 def _count_calls(monkeypatch, module, name):
@@ -1027,6 +1040,52 @@ def test_export_csv_writes_the_bytes_of_csv_writer(tmp_path):
                            + [float(f(h)) for h in traj.hamiltonians[s] for f in (np.real, np.imag)])
         assert path.read_bytes() == ref.read_bytes()
         assert b"-0.0" in path.read_bytes() and b"5e-324" in path.read_bytes()
+
+
+def test_export_json_writes_the_bytes_of_json_dumps(tmp_path):
+    # the template writer against json.dumps of the tree it replaced, with
+    # json.dumps's spellings of the floats that are not finite
+    rng = np.random.default_rng(3)
+    for n in (1, 4):
+        k = 5
+        z = lambda *s: rng.standard_normal(s) + 1j * rng.standard_normal(s)
+        t = z(k)
+        t[1] = complex(2.5e-310, -0.0)
+        H = z(k, 5)
+        H[0, 0], H[1, 1], H[2, 2], H[3, 3] = -0.0, 5e-324 - 0.0j, 1e300 + 1e-300j, -1e300
+        H[4, 0], H[4, 1], H[4, 2] = complex(-np.inf, np.inf), complex(np.nan, 0.0), np.inf
+        x = z(k, n)
+        x[0, 0] = complex(-0.0, 2.5e-310)
+        traj = Trajectory(t=t, x=x, p=z(k, n), a=z(k, n, 2), b=z(k, n, 2),
+                          drift=np.array([0.0, -0.0, 5e-324, 1e300, np.nan]), hamiltonians=H, m=2)
+        path = tmp_path / f"traj{n}.json"
+        traj.export_csv(tmp_path / f"traj{n}.csv")  # the CSV's table serves the JSON
+        assert "_reprs" in vars(traj) and "_spin_reprs" not in vars(traj)
+        traj.export_json(path)
+        text = path.read_text()
+        assert text == json.dumps(export_tree(traj))
+        for word in ("NaN", "Infinity", "-Infinity", "-0.0", "5e-324", "2.5e-310", "1e+300"):
+            assert word in text
+        # the table is kept because no array of a Trajectory can change,
+        # nor one of its copies, which start with no table
+        clone = pickle.loads(pickle.dumps(traj))
+        assert "_spin_reprs" in vars(traj) and "_reprs" not in vars(clone)
+        for v in (traj.t, traj.x, traj.drift, traj.hamiltonians, clone.drift, clone.a):
+            with pytest.raises(ValueError):
+                v.setflags(write=True)
+    # no samples: an empty list, and a CSV of the header alone
+    e = lambda *s: np.zeros(s, dtype=complex)
+    empty = Trajectory(t=e(0), x=e(0, 3), p=e(0, 3), a=e(0, 3, 2), b=e(0, 3, 2),
+                       drift=np.zeros(0), hamiltonians=e(0, 5), m=2)
+    empty.export_json(tmp_path / "empty.json")
+    empty.export_csv(tmp_path / "empty.csv")
+    assert (tmp_path / "empty.json").read_text() == json.dumps(export_tree(empty))
+    csv_bytes = (tmp_path / "empty.csv").read_bytes()
+    assert csv_bytes.startswith(b"step,re_t,im_t,") and csv_bytes.count(b"\r\n") == 1
+    traj = integrate(random_state(5, 2, seed=1), FlowSpec(m=1, t_final=-0.2j, dt=1e-2, record_every=3))
+    traj.export_json(tmp_path / "flow.json")
+    text = (tmp_path / "flow.json").read_text()
+    assert json.dumps(json.loads(text)) == text == json.dumps(export_tree(traj))
 
 
 def test_integrate_stack_rejects_mixed_specs(state32):

@@ -34,7 +34,7 @@ from spincm.phase import (
     write_json,
 )
 
-from conftest import reference_random_state
+from conftest import export_tree, reference_random_state
 
 
 def test_new_state_trivial_valid():
@@ -291,24 +291,19 @@ def test_state_json_roundtrip(tmp_path, state32):
     assert len(raw["a"][0][0]) == 2
 
 
-def test_write_json_writes_the_bytes_of_json_dumps(tmp_path, state32, monkeypatch):
+def test_write_json_writes_the_bytes_of_json_dumps(tmp_path, state32):
     # write_json skips the encoder's cycle check; the bytes stay those of
-    # json.dumps for a ba-eval dict and for a trajectory export, NaN included
+    # json.dumps for a ba-eval dict, NaN included. A trajectory export
+    # formats its own floats, and writes the bytes of json.dumps of the
+    # tree that it once passed to write_json
     data = ba_eval(state32, 1.3 + 0.7j, np.linspace(-2, 2, 7) + 0.4j)
     data["nan"] = [float("nan"), float("inf"), -0.0]
     path = tmp_path / "ba.json"
     write_json(path, data)
     assert path.read_text() == json.dumps(data)
-    exported = []
-
-    def keep(path, obj):
-        exported.append(obj)
-        write_json(path, obj)
-
-    monkeypatch.setattr(flows, "write_json", keep)
     traj = integrate(state32, FlowSpec(m=3, t_final=0.01 + 0.01j, dt=2e-3))
     traj.export_json(tmp_path / "traj.json")
-    assert (tmp_path / "traj.json").read_text() == json.dumps(exported[0])
+    assert (tmp_path / "traj.json").read_text() == json.dumps(export_tree(traj))
 
 
 def test_state_from_dict_validates():
